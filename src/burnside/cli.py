@@ -17,10 +17,9 @@ from .exttor import (DegreeCell, ExtTorContext, ext_ranks, ext_report,
                      prime_factors, tor_report, verify_squarefree)
 from .groups import parse_cycles, parse_group
 from .marks import table_of_marks
-from .modp import blocks_report
+from .modp import blocks, blocks_report
 from .oracle import ORACLE_DEGREE_CAP, oracle_ext, oracle_tor
 from .permgroup import are_conjugate, enumerate_elements, o_p, subgroup_classes
-from .resolution import _block_cache
 
 
 def main(argv=None) -> int:
@@ -317,7 +316,7 @@ def _verify_blocks(args) -> int:
     ok = True
     for p in prime_factors(ctx.group_order):
         algebra = ctx.algebra(p)
-        bl = _block_cache(algebra)
+        bl = blocks(algebra)
         sizes = [len(c) for c in algebra.classes]
         good = (len(bl) == len(algebra.classes)
                 and [b.dim for b in bl] == sizes)
@@ -332,7 +331,7 @@ def _verify_blocks(args) -> int:
         q += 1
     for p in coprime:
         algebra = ctx.algebra(p)
-        bl = _block_cache(algebra)
+        bl = blocks(algebra)
         good = all(b.dim == 1 for b in bl)
         print(f"blocks p={p} (coprime): "
               f"{'semisimple ok' if good else 'FAIL'}")

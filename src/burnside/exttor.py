@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 from .bring import BRing, CongruenceMatrix, congruence_d, from_marks
 from .errors import NegativeRank
 from .marks import MarksTable
-from .modp import ModPAlgebra, build_modp
+from .modp import ModPAlgebra, blocks, build_modp
 from .permgroup import PermGroup
-from .resolution import _block_cache, _resolution_cache, shared_block
+from .resolution import _resolution_cache, shared_block
 
 
 def prime_factors(n: int) -> list[int]:
@@ -192,7 +192,7 @@ class ExtTorContext:
     def block_of(self, p: int, i: int):
         algebra = self.algebra(p)
         ci = algebra.partition.class_index_of(i)
-        return _block_cache(algebra)[ci]
+        return blocks(algebra)[ci]
 
 
 def hom_base(i: int, j: int) -> ModuleType:

@@ -1,9 +1,12 @@
 """Dense linear algebra over a prime field F_p.
 
 Two representations coexist: generic vectors as lists of ints mod p (fine
-for the small algebra dimensions), and a GF(2) fast path with whole rows
-packed into Python ints, which the resolution machinery needs once free
-ranks reach the thousands.
+for the small algebra dimensions), and packed vectors, one Python int per
+vector with one fixed-width lane per coordinate, which the resolution
+machinery needs once free ranks reach the thousands.  GF(2) uses one-bit
+lanes, so a row operation is a single XOR; odd p uses the wider lanes of
+`FpLanes`, where a row operation is one multiply-add followed by a
+lane-wise reduction mod p.
 """
 
 from __future__ import annotations
@@ -176,4 +179,118 @@ def gf2_kernel_of_columns(cols: list[int]) -> list[int]:
             combo ^= hit[1]
         else:
             kernel.append(combo)
+    return kernel
+
+
+# Odd p: a vector is an int, coordinate k in bits [k*w, k*w + w).
+
+class FpLanes:
+    """Lane layout and lane-wise reduction mod an odd prime p.
+
+    Lanes are 8 bits wide while every value a row operation can produce,
+    at most (p - 1) + (p - 1)^2 = p(p - 1), fits a byte (p <= 13); then
+    `reduce` is one `bytes.translate`.  Wider lanes keep a guard bit on
+    top and reduce by lane-parallel compare-and-subtract of p * 2^t,
+    t descending.  Either way every lane holding at most `limit` comes
+    back as its residue in [0, p), with no Python loop over coordinates.
+    """
+
+    def __init__(self, p: int):
+        self.p = p
+        self.inv = [0] + [fp_inv(a, p) for a in range(1, p)]
+        self._masks: dict[int, tuple[int, int]] = {}  # wide lanes only
+        if p * (p - 1) < 256:
+            self.width = 8
+            self.limit = 255
+            self._residues = bytes(x % p for x in range(256))
+        else:
+            self.width = (p * (p - 1)).bit_length() + 1
+            self.limit = (1 << (self.width - 1)) - 1
+            top = self.limit.bit_length() - p.bit_length()
+            self._steps = [p << t for t in range(top, -1, -1)
+                           if p << t <= self.limit]
+        self.lane_mask = (1 << self.width) - 1
+
+    def reduce(self, v: int) -> int:
+        """Every lane mod p, for lanes holding at most `limit`."""
+        if self.width == 8:
+            nbytes = (v.bit_length() + 7) >> 3
+            return int.from_bytes(
+                v.to_bytes(nbytes, "little").translate(self._residues),
+                "little")
+        w = self.width
+        lanes = (v.bit_length() + w - 1) // w
+        masks = self._masks.get(lanes)
+        if masks is None:
+            ones = ((1 << (lanes * w)) - 1) // ((1 << w) - 1)
+            masks = self._masks[lanes] = (ones, ones << (w - 1))
+        ones, guard = masks
+        for m in self._steps:
+            ge = ((((v | guard) - m * ones) & guard) >> (w - 1))
+            v -= ge * m
+        return v
+
+
+class FpLaneEchelon:
+    """Echelon row space over F_p with lane-packed rows (lowest lane pivots).
+
+    Rows are stored with leading coefficient 1.  Reducing by a row is
+    `v + (p - f) * row` followed by one lane-wise reduction.
+    """
+
+    __slots__ = ("lanes", "rows")
+
+    def __init__(self, lanes: FpLanes):
+        self.lanes = lanes
+        self.rows: dict[int, int] = {}
+
+    def reduce(self, v: int) -> int:
+        rows, lanes = self.rows, self.lanes
+        w, mask, p, mod = lanes.width, lanes.lane_mask, lanes.p, lanes.reduce
+        while v:
+            lead = ((v & -v).bit_length() - 1) // w
+            row = rows.get(lead)
+            if row is None:
+                return v
+            v = mod(v + (p - ((v >> (lead * w)) & mask)) * row)
+        return v
+
+    def insert(self, v: int) -> bool:
+        v = self.reduce(v)
+        if v:
+            self._store(v)
+            return True
+        return False
+
+    def _store(self, v: int) -> None:
+        """Add a vector already reduced against the rows, made monic."""
+        lanes = self.lanes
+        lead = ((v & -v).bit_length() - 1) // lanes.width
+        f = (v >> (lead * lanes.width)) & lanes.lane_mask
+        self.rows[lead] = v if f == 1 else lanes.reduce(v * lanes.inv[f])
+
+    @property
+    def dim(self) -> int:
+        return len(self.rows)
+
+
+def fp_lane_kernel_of_columns(cols: list[int], nrows: int,
+                              lanes: FpLanes) -> list[int]:
+    """Combinations c (lane j <-> column j) with sum c_j * column_j = 0.
+
+    The combinations form a basis of the nullspace of the matrix whose
+    columns are the given packed vectors of `nrows` lanes.  Column j is
+    eliminated together with its unit combination, packed above lane
+    `nrows`, so one row operation updates both; a column whose matrix
+    part vanishes leaves its combination as a kernel vector.
+    """
+    ech = FpLaneEchelon(lanes)
+    shift = nrows * lanes.width
+    kernel = []
+    for j, col in enumerate(cols):
+        v = ech.reduce(col | 1 << (shift + j * lanes.width))
+        if (v & -v) >> shift:
+            kernel.append(v >> shift)
+        else:
+            ech._store(v)
     return kernel

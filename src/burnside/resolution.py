@@ -17,6 +17,16 @@ dim K_l = (dim S) b_l - dim K_{l-1} with K_{l-1} <= M^{b_{l-1}}.  Once two
 consecutive exact values have ratio at least a root r > 1 of
 r^2 - A r + B <= 0 (A, B the two coefficients), every later ratio stays
 at least r, certifying strictly increasing Betti numbers forever.
+
+Lane layout.  A flat vector of the free module S^n (n components, each a
+block element in the basis e_0 = idempotent, e_1..e_{s-1} spanning M) is
+one Python int with one lane of w bits per coordinate: coordinate a of
+component i sits in bits [(i*s + a)*w, (i*s + a)*w + w).  Over GF(2) the
+lanes are single bits (w = 1); over odd p they are `FpLanes.width` bits,
+8 for p <= 13, and hold residues in [0, p).  Lane 0 of each component is
+the residue-field entry, so "all entries lie in M" is one mask test, and
+a kernel combination over the columns of a matrix, column j in lane j,
+is itself a flat vector of the domain.
 """
 
 from __future__ import annotations
@@ -25,146 +35,113 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ResolutionTooLarge
-from .fplinalg import FpEchelon, Gf2Echelon, fp_inv, gf2_kernel_of_columns
+from .fplinalg import (FpLaneEchelon, FpLanes, Gf2Echelon,
+                       fp_lane_kernel_of_columns, fp_rank,
+                       gf2_kernel_of_columns)
 from .modp import LocalBlock, ModPAlgebra, blocks
 
 DEFAULT_MATRIX_BITS = 1 << 30
 DEFAULT_DEGREE_CAP = 12
 
 
-class _Gf2Ops:
-    """Flat vectors over GF(2) as ints; component i occupies bits [i*s, i*s+s)."""
+class _LaneOps:
+    """Module arithmetic on lane-packed flat vectors (see the module docstring).
+
+    `table[b]` lists, for each basis element a with e_a * e_b != 0, the
+    shift of coordinate a inside a component and the packed coordinates
+    of e_a * e_b.  Masking lane a of every component and multiplying by
+    that packed product writes the product into each component's own s
+    lanes at once, so applying e_b costs s big-int operations.
+    """
+
+    def __init__(self, block: LocalBlock, width: int):
+        self.p = block.p
+        self.s = s = block.dim
+        self.width = width
+        self.lane_mask = (1 << width) - 1
+        self.table = [[(a * width, self.pack(block.mult[a][b]))
+                       for a in range(s) if any(block.mult[a][b])]
+                      for b in range(s)]
+        self._lead_masks: dict[int, int] = {}
+
+    def pack(self, coords) -> int:
+        """Coordinates mod p, one per lane."""
+        return sum((c % self.p) << (k * self.width)
+                   for k, c in enumerate(coords))
+
+    def lead_mask(self, n_components: int) -> int:
+        """The full lane of coordinate 0 in each of n components."""
+        mask = self._lead_masks.get(n_components)
+        if mask is None:
+            stride = self.s * self.width
+            ones = ((1 << (n_components * stride)) - 1) // ((1 << stride) - 1)
+            mask = self._lead_masks[n_components] = ones * self.lane_mask
+        return mask
+
+    def residue(self, flat: int, i: int) -> int:
+        """The residue-field entry (coordinate 0) of component i."""
+        return (flat >> (i * self.s * self.width)) & self.lane_mask
+
+    def entries_in_maximal_ideal(self, flat: int, n_components: int) -> bool:
+        return not flat & self.lead_mask(n_components)
+
+
+class _Gf2Ops(_LaneOps):
+    """GF(2): one-bit lanes, so lanes add by XOR without carries."""
 
     def __init__(self, block: LocalBlock):
-        self.s = block.dim
-        s = self.s
-        self.table = [[_bits(block.mult[a][b]) for b in range(s)]
-                      for a in range(s)]
+        super().__init__(block, 1)
 
     def column(self, gen: int, n_components: int, basis_idx: int) -> int:
         """The flat image of (basis element) * gen, componentwise."""
-        s = self.s
+        mask = self.lead_mask(n_components)
         out = 0
-        col = [self.table[a][basis_idx] for a in range(s)]
-        for i in range(n_components):
-            comp = (gen >> (i * s)) & ((1 << s) - 1)
-            acc = 0
-            while comp:
-                a = (comp & -comp).bit_length() - 1
-                acc ^= col[a]
-                comp &= comp - 1
-            out |= acc << (i * s)
+        for shift, prod in self.table[basis_idx]:
+            out ^= ((gen >> shift) & mask) * prod
         return out
 
-    def kernel_of_columns(self, cols: list[int]) -> list[int]:
+    def kernel_of_columns(self, cols: list[int], nrows: int) -> list[int]:
         return gf2_kernel_of_columns(cols)
 
     def echelon(self):
         return Gf2Echelon()
 
-    def entries_in_maximal_ideal(self, flat: int, n_components: int) -> bool:
-        s = self.s
-        for i in range(n_components):
-            if (flat >> (i * s)) & 1:
-                return False
-        return True
-
     def matrix_cost(self, rows_flat_dim: int, ncols: int) -> int:
         return rows_flat_dim * ncols
 
 
-def _bits(coords: list[int]) -> int:
-    out = 0
-    for i, c in enumerate(coords):
-        if c & 1:
-            out |= 1 << i
-    return out
-
-
-class _FpOps:
-    """Flat vectors over F_p as tuples of ints."""
+class _FpOps(_LaneOps):
+    """Odd p: lanes of `FpLanes.width` bits, reduced mod p after each
+    batch of products that still fits below the lane limit."""
 
     def __init__(self, block: LocalBlock):
-        self.block = block
-        self.p = block.p
-        self.s = block.dim
+        self.lanes = lanes = FpLanes(block.p)
+        super().__init__(block, lanes.width)
+        p = block.p
+        self.batch = (lanes.limit - (p - 1)) // ((p - 1) * (p - 1))
 
-    def column(self, gen: tuple, n_components: int, basis_idx: int) -> tuple:
-        s = self.s
-        eb = [1 if t == basis_idx else 0 for t in range(s)]
-        out = []
-        for i in range(n_components):
-            comp = list(gen[i * s:(i + 1) * s])
-            out.extend(self.block.mul_coords(comp, eb))
-        return tuple(out)
+    def column(self, gen: int, n_components: int, basis_idx: int) -> int:
+        """The flat image of (basis element) * gen, componentwise."""
+        mask = self.lead_mask(n_components)
+        mod, batch = self.lanes.reduce, self.batch
+        out = 0
+        pending = 0
+        for shift, prod in self.table[basis_idx]:
+            out += ((gen >> shift) & mask) * prod
+            pending += 1
+            if pending == batch:
+                out = mod(out)
+                pending = 0
+        return mod(out) if pending else out
 
-    def kernel_of_columns(self, cols: list[tuple]) -> list[tuple]:
-        p = self.p
-        kernel = []
-        ech: dict[int, tuple[list[int], list[int]]] = {}
-        ncols = len(cols)
-        for j, c in enumerate(cols):
-            v = list(c)
-            combo = [0] * ncols
-            combo[j] = 1
-            while True:
-                lead = next((i for i, x in enumerate(v) if x), -1)
-                if lead < 0:
-                    kernel.append(tuple(combo))
-                    break
-                hit = ech.get(lead)
-                if hit is None:
-                    inv = fp_inv(v[lead], p)
-                    ech[lead] = ([(inv * x) % p for x in v],
-                                 [(inv * x) % p for x in combo])
-                    break
-                tv, tc = hit
-                f = v[lead]
-                v = [(a - f * b) % p for a, b in zip(v, tv)]
-                combo = [(a - f * b) % p for a, b in zip(combo, tc)]
-        return kernel
+    def kernel_of_columns(self, cols: list[int], nrows: int) -> list[int]:
+        return fp_lane_kernel_of_columns(cols, nrows, self.lanes)
 
     def echelon(self):
-        return _FpFlatEchelon(self.p)
-
-    def entries_in_maximal_ideal(self, flat: tuple, n_components: int) -> bool:
-        s = self.s
-        return all(flat[i * s] == 0 for i in range(n_components))
+        return FpLaneEchelon(self.lanes)
 
     def matrix_cost(self, rows_flat_dim: int, ncols: int) -> int:
         return rows_flat_dim * ncols * 16
-
-
-class _FpFlatEchelon:
-    def __init__(self, p: int):
-        self.p = p
-        self.rows: dict[int, tuple] = {}
-
-    def reduce(self, v):
-        p = self.p
-        v = list(v)
-        while True:
-            lead = next((i for i, x in enumerate(v) if x), -1)
-            if lead < 0:
-                return 0
-            hit = self.rows.get(lead)
-            if hit is None:
-                return tuple(v)
-            f = v[lead]
-            v = [(a - f * b) % p for a, b in zip(v, hit)]
-
-    def insert(self, v) -> bool:
-        v = self.reduce(v)
-        if not v:
-            return False
-        lead = next(i for i, x in enumerate(v) if x)
-        inv = fp_inv(v[lead], self.p)
-        self.rows[lead] = tuple((inv * x) % self.p for x in v)
-        return True
-
-    @property
-    def dim(self):
-        return len(self.rows)
 
 
 class MinimalResolution:
@@ -181,16 +158,13 @@ class MinimalResolution:
         self.max_matrix_bits = max_matrix_bits
         self.ops = _Gf2Ops(block) if block.p == 2 else _FpOps(block)
         self.betti = [1]
-        self.differentials: list[list] = []  # d_l as list of generator columns
-        s = block.dim
-        # kernel of the augmentation F_0 = S -> k is the maximal ideal
-        if block.p == 2:
-            kernel = [1 << a for a in range(1, s)]
-        else:
-            kernel = [tuple(1 if t == a else 0 for t in range(s))
-                      for a in range(1, s)]
+        self.differentials: list[list[int]] = []  # d_l as generator columns
+        # kernel of the augmentation F_0 = S -> k is the maximal ideal,
+        # spanned by the unit vectors e_1..e_{s-1} of one component
+        kernel = [1 << (a * self.ops.width) for a in range(1, block.dim)]
         self._kernel = kernel          # basis of ker d_(top computed stage)
         self.kernel_dims = [len(kernel)]
+        self._reduced_ranks: dict[int, int] = {}
 
     @property
     def computed_degree(self) -> int:
@@ -200,17 +174,21 @@ class MinimalResolution:
         while self.computed_degree < degree:
             self._extend_once()
 
+    def _check_budget(self, stage: int, rows_dim: int, cols: int) -> None:
+        cost = self.ops.matrix_cost(rows_dim, cols)
+        if cost > self.max_matrix_bits:
+            raise ResolutionTooLarge(
+                f"resolution reached degree {self.computed_degree}; stage "
+                f"{stage} needs a {rows_dim} x {cols} matrix, matrix_cost "
+                f"{cost} > max_matrix_bits {self.max_matrix_bits}")
+
     def _extend_once(self) -> None:
         if self._kernel is None:
             self._compute_top_kernel()
         ops = self.ops
         s = self.block.dim
         n_prev = self.betti[-1]
-        if ops.matrix_cost(n_prev * s, len(self._kernel) * s) > self.max_matrix_bits:
-            raise ResolutionTooLarge(
-                f"stage {len(self.betti)}: reducing a kernel of dimension "
-                f"{len(self._kernel)} inside a space of dimension "
-                f"{n_prev * s} exceeds the configured budget")
+        self._check_budget(len(self.betti), n_prev * s, len(self._kernel) * s)
         # minimal generators: kernel basis reduced modulo M * kernel
         mspan = ops.echelon()
         for kappa in self._kernel:
@@ -238,19 +216,14 @@ class MinimalResolution:
         ops = self.ops
         s = self.block.dim
         top = len(self.betti) - 1
-        n_new = self.betti[top]
         n_prev = self.betti[top - 1]
         rows_dim = n_prev * s
-        cols = n_new * s
-        if ops.matrix_cost(rows_dim, cols) > self.max_matrix_bits:
-            raise ResolutionTooLarge(
-                f"stage {top}: matrix {rows_dim} x {cols} exceeds the "
-                f"configured budget")
+        self._check_budget(top, rows_dim, self.betti[top] * s)
         columns = []
         for g in self.differentials[top - 1]:
             for a in range(s):
                 columns.append(ops.column(g, n_prev, a))
-        kernel = ops.kernel_of_columns(columns)
+        kernel = ops.kernel_of_columns(columns, rows_dim)
         # exactness bookkeeping: rank d_l equals dim ker d_{l-1}, so the
         # kernel dimension matches the rank-nullity recursion
         if len(kernel) != self.kernel_dims[top]:
@@ -261,47 +234,28 @@ class MinimalResolution:
 
     def reduced_differential(self, l: int) -> list[list[int]]:
         """d_l tensored with k: the matrix of residue-field entries."""
-        s = self.block.dim
         gens = self.differentials[l - 1]
-        n_prev = self.betti[l - 1]
-        out = [[0] * len(gens) for _ in range(n_prev)]
-        for t, g in enumerate(gens):
-            for i in range(n_prev):
-                if self.block.p == 2:
-                    out[i][t] = (g >> (i * s)) & 1
-                else:
-                    out[i][t] = g[i * s]
-        return out
+        residue = self.ops.residue
+        return [[residue(g, i) for g in gens]
+                for i in range(self.betti[l - 1])]
 
     def reduced_rank(self, l: int) -> int:
         """Rank of d_l tensored with k (zero whenever minimality holds).
 
-        Cached: the value depends on the resolution alone, and callers
+        Zero after one mask test per generator; the rank is computed
+        honestly only if some residue entry is non-zero.  Cached: callers
         recheck it for every simple-module pair.
         """
-        cache = getattr(self, "_reduced_rank_cache", None)
-        if cache is None:
-            cache = {}
-            self._reduced_rank_cache = cache
-        if l not in cache:
-            s = self.block.dim
-            gens = self.differentials[l - 1]
+        rank = self._reduced_ranks.get(l)
+        if rank is None:
             n_prev = self.betti[l - 1]
-            if self.block.p == 2:
-                ech = Gf2Echelon()
-                for i in range(n_prev):
-                    row = 0
-                    for t, g in enumerate(gens):
-                        if (g >> (i * s)) & 1:
-                            row |= 1 << t
-                    ech.insert(row)
-                cache[l] = ech.dim
+            if all(self.ops.entries_in_maximal_ideal(g, n_prev)
+                   for g in self.differentials[l - 1]):
+                rank = 0
             else:
-                ech = FpEchelon(self.block.p)
-                for row in self.reduced_differential(l):
-                    ech.insert(row)
-                cache[l] = ech.dim
-        return cache[l]
+                rank = fp_rank(self.reduced_differential(l), self.block.p)
+            self._reduced_ranks[l] = rank
+        return rank
 
 
 def betti_sequence(block: LocalBlock, degree: int = DEFAULT_DEGREE_CAP,
@@ -355,10 +309,6 @@ def betti_growth_certificate(block: LocalBlock, resolution: MinimalResolution,
         l += 1
 
 
-def _block_cache(algebra: ModPAlgebra) -> list[LocalBlock]:
-    return blocks(algebra)
-
-
 def _resolution_cache(block: LocalBlock) -> MinimalResolution:
     cached = getattr(block, "_resolution_cache", None)
     if cached is None:
@@ -373,7 +323,7 @@ def shared_block(algebra: ModPAlgebra, i: int, j: int) -> LocalBlock | None:
     ci, cj = part.class_index_of(i), part.class_index_of(j)
     if ci != cj:
         return None
-    return _block_cache(algebra)[ci]
+    return blocks(algebra)[ci]
 
 
 def ext_dims_pair(algebra: ModPAlgebra, i: int, j: int,

@@ -1,7 +1,10 @@
 import random
 
-from burnside.fplinalg import (FpEchelon, Gf2Echelon, fp_nullspace, fp_rank,
-                               fp_solve, gf2_kernel_of_columns)
+import pytest
+
+from burnside.fplinalg import (FpEchelon, FpLaneEchelon, FpLanes, Gf2Echelon,
+                               fp_nullspace, fp_rank, fp_solve,
+                               gf2_kernel_of_columns)
 
 
 def test_fp_rank_and_nullspace():
@@ -60,3 +63,39 @@ def test_gf2_kernel_matches_generic():
                 if (combo >> j) & 1:
                     acc ^= cols[j]
             assert acc == 0
+
+
+def _pack(values, width):
+    return sum(x << (k * width) for k, x in enumerate(values))
+
+
+def _unpack(v, width, n):
+    return [(v >> (k * width)) & ((1 << width) - 1) for k in range(n)]
+
+
+@pytest.mark.parametrize("p", [3, 5, 13, 17, 31])
+def test_fp_lanes_reduce_every_lane(p):
+    lanes = FpLanes(p)
+    assert (lanes.width == 8) == (p <= 13)
+    assert lanes.limit >= p * (p - 1)
+    rng = random.Random(p)
+    for _ in range(20):
+        values = [rng.randint(0, lanes.limit) for _ in range(rng.randint(0, 40))]
+        reduced = lanes.reduce(_pack(values, lanes.width))
+        assert _unpack(reduced, lanes.width, len(values)) == [
+            x % p for x in values]
+
+
+@pytest.mark.parametrize("p", [3, 7, 17])
+def test_fp_lane_echelon_matches_list_echelon(p):
+    rng = random.Random(p)
+    lanes = FpLanes(p)
+    for _ in range(20):
+        n = rng.randint(1, 7)
+        packed, generic = FpLaneEchelon(lanes), FpEchelon(p)
+        for _ in range(rng.randint(1, 9)):
+            v = [rng.randrange(p) for _ in range(n)]
+            assert packed.insert(_pack(v, lanes.width)) == generic.insert(v)
+        assert packed.dim == generic.dim
+        for v in generic.basis():
+            assert packed.reduce(_pack(v, lanes.width)) == 0

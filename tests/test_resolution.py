@@ -1,11 +1,16 @@
+import dataclasses
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from burnside.bring import BRing
 from burnside.errors import ResolutionTooLarge
 from burnside.exttor import prime_factors
+from burnside.fplinalg import fp_rank
 from burnside.modp import blocks
 from burnside.resolution import (MinimalResolution, betti_growth_certificate,
-                                 betti_sequence, ext_dims_pair, tor_dims_pair)
+                                 betti_sequence, ext_dims_pair, shared_block,
+                                 tor_dims_pair)
 from util import get_context
 
 
@@ -162,3 +167,91 @@ def test_square_zero_closed_form_higher_embedding_dim():
     assert block.m_squared_dim() == 0
     assert block.invariants()["m_mod_m2_dim"] == 3
     assert betti_sequence(block, 6) == [3 ** l for l in range(7)]
+
+
+# one non-semisimple block per prime, for the packed-arithmetic properties
+PACKED_BLOCKS = {2: "V4", 3: "C9", 5: "C25", 13: "C169", 17: "D17"}
+
+
+def _unpack(ops, flat, n_lanes):
+    return [(flat >> (k * ops.width)) & ops.lane_mask for k in range(n_lanes)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(PACKED_BLOCKS)), st.booleans(), st.data())
+def test_packed_column_matches_mul_coords(p, random_table, data):
+    block = _block(PACKED_BLOCKS[p], p)
+    s = block.dim
+    # p - 1 often, so that products fill their lanes to the brim
+    entry = st.one_of(st.just(p - 1), st.integers(0, p - 1))
+    if random_table:
+        # arbitrary structure constants fill the lanes far more than the
+        # real blocks do, where e_0 is the unit and most products vanish
+        block = dataclasses.replace(block, mult=[
+            [data.draw(st.lists(entry, min_size=s, max_size=s))
+             for _ in range(s)] for _ in range(s)])
+    ops = MinimalResolution(block).ops
+    n = data.draw(st.integers(1, 5))
+    comps = [data.draw(st.lists(entry, min_size=s, max_size=s))
+             for _ in range(n)]
+    gen = ops.pack([c for comp in comps for c in comp])
+    for b in range(s):
+        eb = [1 if t == b else 0 for t in range(s)]
+        expected = [c for comp in comps for c in block.mul_coords(comp, eb)]
+        assert _unpack(ops, ops.column(gen, n, b), n * s) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(PACKED_BLOCKS)), st.data())
+def test_packed_kernel_of_columns(p, data):
+    ops = MinimalResolution(_block(PACKED_BLOCKS[p], p)).ops
+    nrows = data.draw(st.integers(1, 8))
+    ncols = data.draw(st.integers(1, 9))
+    entry = st.integers(0, p - 1)
+    cols = [data.draw(st.lists(entry, min_size=nrows, max_size=nrows))
+            for _ in range(ncols)]
+    combos = ops.kernel_of_columns([ops.pack(c) for c in cols], nrows)
+    rows = [[cols[j][i] for j in range(ncols)] for i in range(nrows)]
+    assert len(combos) == ncols - fp_rank(rows, p)
+    for combo in combos:
+        coeffs = _unpack(ops, combo, ncols)
+        assert any(coeffs)
+        for row in rows:
+            assert sum(c * x for c, x in zip(coeffs, row)) % p == 0
+
+
+# the dim-3 blocks have M^2 = 0 and dim M = 2, so b_l = 2^l; the dim-2
+# blocks are dual numbers, so b_l = 1
+@pytest.mark.parametrize("name, p, i, j, dim, expected", [
+    ("C49", 7, 0, 2, 3, [2 ** l for l in range(7)]),
+    ("C121", 11, 0, 2, 3, [2 ** l for l in range(7)]),
+    ("C169", 13, 0, 2, 3, [2 ** l for l in range(7)]),
+    ("C17", 17, 0, 1, 2, [1] * 9),
+    ("C19", 19, 0, 1, 2, [1] * 9),
+    ("D17", 17, 0, 2, 2, [1] * 7),
+])
+def test_betti_windows_at_larger_primes(name, p, i, j, dim, expected):
+    algebra = get_context(name).algebra(p)
+    assert shared_block(algebra, i, j).dim == dim
+    degree = len(expected) - 1
+    assert ext_dims_pair(algebra, i, j, degree) == expected
+    assert tor_dims_pair(algebra, i, j, degree) == expected
+
+
+def test_budget_message_names_degree_and_cost():
+    res = MinimalResolution(_block("V4", 2), max_matrix_bits=2000)
+    with pytest.raises(ResolutionTooLarge,
+                       match=r"reached degree \d+; stage \d+ needs .*"
+                             r"matrix_cost \d+ > max_matrix_bits 2000"):
+        res.extend_to(12)
+
+
+def test_reduced_rank_counts_residue_entries():
+    res = MinimalResolution(_block("S3", 3))
+    res.extend_to(1)
+    assert res.reduced_rank(1) == 0
+    broken = MinimalResolution(_block("S3", 3))
+    broken.extend_to(1)
+    broken.differentials[0] = [broken.ops.pack([2, 1])]
+    assert broken.reduced_differential(1) == [[2]]
+    assert broken.reduced_rank(1) == 1
