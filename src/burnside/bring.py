@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .errors import InvalidPrime, NonIntegralSolution, SeparationFailure
 from .permgroup import is_prime
@@ -22,6 +23,10 @@ class BRing:
     the all-ones vector must decompose integrally.  Pairwise basis
     products must decompose integrally as well; their coordinates are the
     integer structure constants reused by the mod-p and oracle layers.
+
+    Decomposition is integer only.  The ring keeps adj = D . basis^-1,
+    by columns, for the least positive integer D (`denominator`), so a
+    coordinate is one integer dot product and an exact division by D.
     """
 
     def __init__(self, labels: list[str], basis: list[list[int]],
@@ -33,7 +38,8 @@ class BRing:
         if any(len(v) != self.n for v in basis):
             raise ValueError("basis vectors must have one entry per index")
         self.basis = [list(v) for v in basis]
-        self._inv = _rational_inverse(self.basis)
+        adj, self.denominator = _scaled_inverse(self.basis)
+        self._adj_columns = [list(col) for col in zip(*adj)]
         self.unit_coeffs = self.decompose([1] * self.n)
         self._structure: list[list[list[int]]] | None = None
         self._witness: dict[tuple[int, int], list[int]] = {}
@@ -50,19 +56,27 @@ class BRing:
         except ValueError:
             raise KeyError(f"unknown index label {label!r}") from None
 
-    def decompose_rational(self, vector) -> list[Fraction]:
+    def _scaled_coords(self, vector) -> list[int]:
+        """D times the coordinates of vector."""
         if len(vector) != self.n:
             raise ValueError("vector has the wrong length")
-        return [sum((Fraction(vector[j]) * self._inv[j][h] for j in range(self.n)),
-                    Fraction(0)) for h in range(self.n)]
+        return [sum(map(mul, vector, col)) for col in self._adj_columns]
+
+    def decompose_rational(self, vector) -> list[Fraction]:
+        D = self.denominator
+        return [Fraction(c, D) for c in self._scaled_coords(vector)]
 
     def decompose(self, vector) -> list[int]:
-        coeffs = self.decompose_rational(vector)
-        for lab, c in zip(self.labels, coeffs):
-            if c.denominator != 1:
-                raise NonIntegralSolution(
-                    f"coefficient {c} at index {lab}: vector lies outside R")
-        return [int(c) for c in coeffs]
+        D = self.denominator
+        coeffs = self._scaled_coords(vector)
+        if D != 1:
+            for lab, c in zip(self.labels, coeffs):
+                if c % D:
+                    raise NonIntegralSolution(
+                        f"coefficient {Fraction(c, D)} at index {lab}: "
+                        f"vector lies outside R")
+            coeffs = [c // D for c in coeffs]
+        return coeffs
 
     def contains(self, vector) -> bool:
         try:
@@ -81,15 +95,18 @@ class BRing:
         return out
 
     def structure_constants(self) -> list[list[list[int]]]:
-        """c[k][l] = coordinates of basis_k . basis_l (pointwise product)."""
+        """c[k][l] = coordinates of basis_k . basis_l (pointwise product).
+
+        Products commute, so c[l][k] is c[k][l]; the first non-integral
+        product met in (k, l) order has l >= k, so only those are solved.
+        """
         if self._structure is None:
-            sc = []
-            for k in range(self.n):
-                row = []
-                for l in range(self.n):
-                    prod = [a * b for a, b in zip(self.basis[k], self.basis[l])]
-                    row.append(self.decompose(prod))
-                sc.append(row)
+            n, basis = self.n, self.basis
+            sc = [[None] * n for _ in range(n)]
+            for k in range(n):
+                for l in range(k, n):
+                    coords = self.decompose(list(map(mul, basis[k], basis[l])))
+                    sc[k][l] = sc[l][k] = coords
             self._structure = sc
         return self._structure
 
@@ -173,22 +190,35 @@ class BRing:
         return math.lcm(*(c.denominator for c in coeffs))
 
 
-def _rational_inverse(matrix: list[list[int]]) -> list[list[Fraction]]:
+def _scaled_inverse(matrix: list[list[int]]) -> tuple[list[list[int]], int]:
+    """(adj, D) with adj = D . matrix^-1 and D > 0 the least such integer.
+
+    Gauss-Jordan over Z on [matrix | I]: a row is cleared by an integer
+    combination with the pivot row and then divided by the gcd of its
+    entries, which keeps entries small and leaves each row i as
+    [d_i e_i | r_i] with gcd(d_i, r_i) = 1.  Row i of the inverse is then
+    r_i / d_i in lowest terms, so D = lcm |d_i|.  A lower triangular
+    matrix (a table of marks) has no fill-in on the left.
+    """
     n = len(matrix)
-    aug = [[Fraction(matrix[i][j]) for j in range(n)] +
-           [Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
+    rows = [list(matrix[i]) + [int(i == j) for j in range(n)] for i in range(n)]
     for col in range(n):
-        sel = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        sel = next((r for r in range(col, n) if rows[r][col] != 0), None)
         if sel is None:
             raise ValueError("basis vectors are linearly dependent over Q")
-        aug[col], aug[sel] = aug[sel], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
+        rows[col], rows[sel] = rows[sel], rows[col]
+        pivot_row = rows[col]
+        a = pivot_row[col]
         for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+            b = rows[r][col]
+            if r != col and b != 0:
+                g = math.gcd(a, b)
+                fa, fb = a // g, b // g
+                row = [fa * x - fb * y for x, y in zip(rows[r], pivot_row)]
+                g = math.gcd(*row)
+                rows[r] = [x // g for x in row] if g != 1 else row
+    D = math.lcm(*(rows[i][i] for i in range(n)))
+    return [[x * (D // rows[i][i]) for x in rows[i][n:]] for i in range(n)], D
 
 
 def from_marks(table: MarksTable) -> BRing:

@@ -19,7 +19,8 @@ from .groups import parse_cycles, parse_group
 from .marks import table_of_marks
 from .modp import blocks, blocks_report
 from .oracle import ORACLE_DEGREE_CAP, oracle_ext, oracle_tor
-from .permgroup import are_conjugate, enumerate_elements, o_p, subgroup_classes
+from .permgroup import (are_conjugate, enumerate_elements, is_prime, o_p,
+                        subgroup_classes)
 
 
 def main(argv=None) -> int:
@@ -106,16 +107,28 @@ def _load_group(args):
 
 
 def _marks_json(args) -> dict:
+    """The marks document, named after this request's group spec.
+
+    Specs with the same fingerprint share a cache entry, so the stored
+    payload carries no name; the name is added on every read.
+    """
     group, name = _load_group(args)
     cache_dir = cache_mod.resolve_cache_dir(args.cache_dir)
     doc = cache_mod.load_marks_json(cache_dir, group)
     if doc is None:
         doc = table_of_marks(group).to_json(name)
+        del doc["group"]
         try:
             cache_mod.store_marks_json(cache_dir, group, doc)
         except OSError:
             pass  # cache is an optimization only
-    return doc
+    return {**doc, "group": name}
+
+
+def _check_max_degree(args, least: int) -> None:
+    if args.max_degree is not None and args.max_degree < least:
+        raise BurnsideError(
+            f"--max-degree must be at least {least}, got {args.max_degree}")
 
 
 def _context(args) -> ExtTorContext:
@@ -203,6 +216,7 @@ def cmd_blocks(args) -> int:
 
 
 def cmd_ext_tor(args) -> int:
+    _check_max_degree(args, 0)
     ctx = _context(args)
     i = _label_index(ctx, args.source)
     j = _label_index(ctx, args.target)
@@ -240,6 +254,7 @@ def cmd_ext_tor(args) -> int:
 
 
 def cmd_growth(args) -> int:
+    _check_max_degree(args, 1)
     ctx = _context(args)
     i = _label_index(ctx, args.source)
     j = _label_index(ctx, args.target)
@@ -274,8 +289,10 @@ def cmd_verify(args) -> int:
 
 
 def _verify_squarefree(args) -> int:
+    # the suite compares degrees l and l + 2 for l >= 1
+    _check_max_degree(args, 3)
     ctx = _context(args)
-    L = args.max_degree or 18
+    L = 18 if args.max_degree is None else args.max_degree
     result = verify_squarefree(ctx, L)
     if not result.applicable:
         print(f"squarefree: not-applicable (|{ctx.group_name}| = "
@@ -326,7 +343,7 @@ def _verify_blocks(args) -> int:
     coprime = []
     q = 2
     while len(coprime) < 2:
-        if _is_prime(q) and ctx.group_order % q != 0:
+        if is_prime(q) and ctx.group_order % q != 0:
             coprime.append(q)
         q += 1
     for p in coprime:
@@ -337,11 +354,6 @@ def _verify_blocks(args) -> int:
               f"{'semisimple ok' if good else 'FAIL'}")
         ok = ok and good
     return 0 if ok else 1
-
-
-def _is_prime(q: int) -> bool:
-    from .permgroup import is_prime
-    return is_prime(q)
 
 
 def _verify_oracle(args) -> int:

@@ -49,6 +49,10 @@ class ResolutionTooLarge(BurnsideError):
     """A resolution stage exceeded the configured memory budget."""
 
 
+class InvariantViolation(BurnsideError):
+    """An internal cross-check found inconsistent data."""
+
+
 class ParseError(BurnsideError):
     """Malformed cycle notation or group specification."""
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BasisMismatch, NonIntegralSolution
+from .errors import BasisMismatch, InvariantViolation, NonIntegralSolution
 from .permgroup import PermGroup, SubgroupClassTable, coset_action, subgroup_classes
 
 
@@ -95,15 +95,19 @@ def _same_basis(x: BurnsideElement, y: BurnsideElement) -> None:
 
 def table_of_marks(group: PermGroup,
                    class_table: SubgroupClassTable | None = None) -> MarksTable:
-    """Compute all marks by counting fixed cosets of each coset action."""
+    """Compute all marks by counting fixed cosets of each coset action.
+
+    A coset gH is fixed by J only if g^-1 J g <= H, so marks with |J|
+    not dividing |H| are 0 without a count.
+    """
     if class_table is None:
         class_table = subgroup_classes(group)
-    n = len(class_table)
+    reps = [c.representative for c in class_table]
     matrix = []
-    for h in range(n):
-        action = coset_action(group, class_table[h].representative)
-        row = [action.fixed_points(class_table[j].representative) for j in range(n)]
-        matrix.append(row)
+    for H in reps:
+        action = coset_action(group, H)
+        matrix.append([action.fixed_points(J) if H.order % J.order == 0 else 0
+                       for J in reps])
     return MarksTable(class_table, matrix)
 
 
@@ -112,12 +116,16 @@ def double_count_mark(group: PermGroup, class_table: SubgroupClassTable,
     """Redundant cross-check: |{g : g^-1 J g <= H}| / |H|."""
     H = class_table[h].representative
     J = class_table[j].representative
+    table, inverses = group.table, group.inverses
     count = 0
-    for g in group.elements:
-        ginv = g.inverse()
-        if all(ginv * x * g in H for x in J.elements):
+    for g in range(group.order):
+        row = table[inverses[g]]
+        if all(H.mask >> table[row[x]][g] & 1 for x in J.gens):
             count += 1
-    assert count % H.order == 0
+    if count % H.order:
+        raise InvariantViolation(
+            f"double count {count} for marks ({class_table[h].label}, "
+            f"{class_table[j].label}) is not a multiple of |H| = {H.order}")
     return count // H.order
 
 

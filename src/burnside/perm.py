@@ -21,6 +21,13 @@ class Permutation:
             raise ValueError(f"not a permutation of 0..{n - 1}: {images}")
         object.__setattr__(self, "images", images)
 
+    @classmethod
+    def _trusted(cls, images: tuple[int, ...]) -> "Permutation":
+        """Wrap an image tuple already known to be a permutation."""
+        perm = object.__new__(cls)
+        object.__setattr__(perm, "images", images)
+        return perm
+
     def __setattr__(self, name, value):
         raise AttributeError("Permutation is immutable")
 
@@ -38,13 +45,14 @@ class Permutation:
     def __mul__(self, other: "Permutation") -> "Permutation":
         if self.degree != other.degree:
             raise ValueError("degree mismatch in composition")
-        return Permutation(self.images[j] for j in other.images)
+        images = self.images
+        return Permutation._trusted(tuple([images[j] for j in other.images]))
 
     def inverse(self) -> "Permutation":
         inv = [0] * self.degree
         for i, j in enumerate(self.images):
             inv[j] = i
-        return Permutation(inv)
+        return Permutation._trusted(tuple(inv))
 
     def is_identity(self) -> bool:
         return all(i == j for i, j in enumerate(self.images))

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-import string
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import gcd
 
 from .errors import CapExceeded, DegreeMismatch, InvalidPrime, InvalidSubgroup
@@ -28,7 +28,9 @@ class PermGroup:
 
     Element order is the breadth-first closure order from the identity,
     multiplying generators on the right in their given order; it is
-    deterministic and reused everywhere downstream.
+    deterministic and reused everywhere downstream.  Past enumeration,
+    the group layer works on indices into `elements`: `table` is the
+    Cayley table, built once on first use.
     """
 
     def __init__(self, degree: int, generators: list[Permutation],
@@ -38,6 +40,7 @@ class PermGroup:
         self.elements = list(elements)
         self.order = len(elements)
         self._index = {g: i for i, g in enumerate(elements)}
+        self.identity_index = self._index[Permutation.identity(degree)]
 
     def __contains__(self, g: Permutation) -> bool:
         return g in self._index
@@ -48,8 +51,105 @@ class PermGroup:
     def identity(self) -> Permutation:
         return Permutation.identity(self.degree)
 
+    def index_of(self, g: Permutation) -> int:
+        try:
+            return self._index[g]
+        except KeyError:
+            raise InvalidSubgroup(f"{g} is not an element of the group") from None
+
+    @cached_property
+    def table(self) -> list[list[int]]:
+        """table[a][b] is the index of elements[a] * elements[b].
+
+        Every element b past the identity is reached in a breadth-first
+        walk as elements[p] * s for a generator s, so row a follows from
+        a * b = (a * p) * s with one list lookup per entry.
+        """
+        elements, index = self.elements, self._index
+        right = [[index[x * s] for x in elements] for s in self.generators]
+        e = self.identity_index
+        steps = []
+        seen = {e}
+        frontier = [e]
+        while frontier:
+            new = []
+            for x in frontier:
+                for r in right:
+                    y = r[x]
+                    if y not in seen:
+                        seen.add(y)
+                        steps.append((y, x, r))
+                        new.append(y)
+            frontier = new
+        if len(seen) != self.order:
+            raise ValueError("elements are not generated by the generators")
+        table = []
+        for a in range(self.order):
+            row = [0] * self.order
+            row[e] = a
+            for y, x, r in steps:
+                row[y] = r[row[x]]
+            table.append(row)
+        return table
+
+    @cached_property
+    def inverses(self) -> list[int]:
+        e = self.identity_index
+        return [row.index(e) for row in self.table]
+
+    @cached_property
+    def ranks(self) -> list[int]:
+        """Position of each element in lexicographic image order."""
+        by_images = sorted(range(self.order), key=lambda i: self.elements[i].images)
+        ranks = [0] * self.order
+        for r, i in enumerate(by_images):
+            ranks[i] = r
+        return ranks
+
+    @cached_property
+    def element_orders(self) -> list[int]:
+        return [g.order() for g in self.elements]
+
+    def join(self, mask: int, gens: list[int]) -> int:
+        """Mask of the subgroup generated by `gens`, which must contain
+        the subgroup H given by `mask`.
+
+        Grows a union of right cosets H r: a product r * s that lands
+        outside adds its whole coset H (r * s), so only coset
+        representatives are multiplied by the generators.
+        """
+        table = self.table
+        members = _bits(mask)
+        reps = [self.identity_index]
+        for r in reps:
+            row = table[r]
+            for s in gens:
+                y = row[s]
+                if not mask >> y & 1:
+                    for h in members:
+                        mask |= 1 << table[h][y]
+                    reps.append(y)
+        return mask
+
+    def generate(self, indices) -> tuple[int, list[int]]:
+        """Mask of the subgroup generated by `indices`, and the members of
+        `indices` it keeps as generators (each outside the span of the
+        ones before)."""
+        mask = 1 << self.identity_index
+        gens: list[int] = []
+        for i in indices:
+            if not mask >> i & 1:
+                gens.append(i)
+                mask = self.join(mask, gens)
+        return mask, gens
+
     def __repr__(self):
         return f"PermGroup(degree={self.degree}, order={self.order})"
+
+
+def _bits(mask: int) -> list[int]:
+    """Indices of the set bits of `mask`, in increasing order."""
+    return [i for i, c in enumerate(reversed(bin(mask))) if c == "1"]
 
 
 def enumerate_elements(generators: list[Permutation], degree: int | None = None,
@@ -90,93 +190,144 @@ def enumerate_elements(generators: list[Permutation], degree: int | None = None,
 
 
 class Subgroup:
-    """A subgroup given by its full element set, hashable by that set."""
+    """A subgroup given by its full element set, hashable by that set.
 
-    __slots__ = ("group", "elements", "element_set", "order")
+    `mask` has bit i set for each member elements[i] of the group;
+    `indices` lists the members in lexicographic image order, the order
+    of `elements`.  Subgroups of different group objects never compare
+    equal.
+    """
+
+    __slots__ = ("group", "mask", "order", "indices", "_gens", "_elements",
+                 "_element_set")
 
     def __init__(self, group: PermGroup, elements):
-        elems = sorted(set(elements))
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "elements", tuple(elems))
-        object.__setattr__(self, "element_set", frozenset(elems))
-        object.__setattr__(self, "order", len(elems))
+        mask = 0
+        for g in elements:
+            mask |= 1 << group.index_of(g)
+        self._init(group, mask, None)
+
+    @classmethod
+    def _from_mask(cls, group: PermGroup, mask: int,
+                   gens: list[int] | None = None) -> "Subgroup":
+        sub = object.__new__(cls)
+        sub._init(group, mask, gens)
+        return sub
+
+    def _init(self, group, mask, gens):
+        indices = tuple(sorted(_bits(mask), key=group.ranks.__getitem__))
+        init = object.__setattr__
+        init(self, "group", group)
+        init(self, "mask", mask)
+        init(self, "order", len(indices))
+        init(self, "indices", indices)
+        init(self, "_gens", gens)
+        init(self, "_elements", None)
+        init(self, "_element_set", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Subgroup is immutable")
 
-    def key(self) -> tuple:
-        return tuple(g.images for g in self.elements)
+    @property
+    def gens(self) -> list[int]:
+        """Indices of a generating set."""
+        if self._gens is None:
+            object.__setattr__(self, "_gens", self.group.generate(self.indices)[1])
+        return self._gens
+
+    @property
+    def elements(self) -> tuple[Permutation, ...]:
+        if self._elements is None:
+            elements = self.group.elements
+            object.__setattr__(self, "_elements",
+                               tuple(elements[i] for i in self.indices))
+        return self._elements
+
+    @property
+    def element_set(self) -> frozenset[Permutation]:
+        if self._element_set is None:
+            object.__setattr__(self, "_element_set", frozenset(self.elements))
+        return self._element_set
+
+    def rank_key(self) -> tuple[int, ...]:
+        """Ranks of the members; compares as their image tuples do."""
+        ranks = self.group.ranks
+        return tuple(ranks[i] for i in self.indices)
 
     def __contains__(self, g: Permutation) -> bool:
-        return g in self.element_set
+        i = self.group._index.get(g)
+        return i is not None and bool(self.mask >> i & 1)
 
     def __eq__(self, other):
-        return isinstance(other, Subgroup) and self.element_set == other.element_set
+        return (isinstance(other, Subgroup) and self.group is other.group
+                and self.mask == other.mask)
 
     def __hash__(self):
-        return hash(self.element_set)
+        return hash(self.mask)
 
     def __repr__(self):
         return f"Subgroup(order={self.order})"
 
 
-def _closure_in(group: PermGroup, gens: set[Permutation]) -> frozenset[Permutation]:
-    identity = group.identity()
-    seen = {identity}
-    frontier = [identity]
-    gens = sorted(gens)
-    while frontier:
-        new = []
-        for x in frontier:
-            for g in gens:
-                y = x * g
-                if y not in seen:
-                    seen.add(y)
-                    new.append(y)
-        frontier = new
-    return frozenset(seen)
+def _sort_key(sub: Subgroup) -> tuple:
+    return (sub.order, sub.rank_key())
 
 
 def check_subgroup(group: PermGroup, sub: Subgroup) -> None:
-    if sub.group is not group or not sub.element_set <= set(group.elements):
+    if sub.group is not group:
         raise InvalidSubgroup("not a subgroup of the given group")
 
 
-def conjugate_subgroup(group: PermGroup, sub: Subgroup, g: Permutation) -> Subgroup:
-    ginv = g.inverse()
-    return Subgroup(group, (g * h * ginv for h in sub.elements))
+def _conjugate_mask(group: PermGroup, mask: int, g: int) -> int:
+    """Mask of g H g^-1 for the subgroup H given by `mask`."""
+    table, ginv = group.table, group.inverses[g]
+    row = table[g]
+    out = 0
+    for x in _bits(mask):
+        out |= 1 << table[row[x]][ginv]
+    return out
+
+
+def _conjugates_into(group: PermGroup, sub: Subgroup, g: int, mask: int) -> bool:
+    """Whether g H g^-1 lies in the subgroup given by `mask`."""
+    table, ginv = group.table, group.inverses[g]
+    row = table[g]
+    return all(mask >> table[row[x]][ginv] & 1 for x in sub.gens)
 
 
 def are_conjugate(group: PermGroup, a: Subgroup, b: Subgroup) -> bool:
     if a.order != b.order:
         return False
-    return any(conjugate_subgroup(group, a, g) == b for g in group.elements)
+    return any(_conjugates_into(group, a, g, b.mask) for g in range(group.order))
 
 
 def all_subgroups(group: PermGroup) -> list[Subgroup]:
-    """Every subgroup, by closing cyclic subgroups under pairwise joins.
+    """Every subgroup, by a worklist of joins with cyclic subgroups.
 
-    Adequate for the order cap: every subgroup is a join of cyclic ones.
-    Output is sorted by (order, element key) and therefore deterministic.
+    Starts from the cyclic subgroups; each subgroup found is joined once
+    with every cyclic subgroup it does not contain.  Every subgroup is a
+    join of cyclic ones, so nothing is missed.  Output is sorted by
+    order, then by the image tuples of the members, and is therefore
+    deterministic.
     """
-    subs: dict[frozenset, Subgroup] = {}
-    for g in group.elements:
-        cyc = Subgroup(group, _closure_in(group, {g}))
-        subs.setdefault(cyc.element_set, cyc)
-    while True:
-        current = sorted(subs.values(), key=lambda s: (s.order, s.key()))
-        added = False
-        for i, a in enumerate(current):
-            for b in current[i + 1:]:
-                if a.element_set <= b.element_set or b.element_set <= a.element_set:
-                    continue
-                join = Subgroup(group, _closure_in(group, set(a.elements) | set(b.elements)))
-                if join.element_set not in subs:
-                    subs[join.element_set] = join
-                    added = True
-        if not added:
-            break
-    return sorted(subs.values(), key=lambda s: (s.order, s.key()))
+    cyclic: dict[int, int] = {}
+    for g in range(group.order):
+        mask, _ = group.generate([g])
+        cyclic.setdefault(mask, g)
+    found = {mask: [g] for mask, g in cyclic.items()}
+    work = list(found)
+    while work:
+        mask = work.pop()
+        gens = found[mask]
+        for cmask, c in cyclic.items():
+            if cmask & ~mask:
+                join_gens = gens + [c]
+                join = group.join(mask, join_gens)
+                if join not in found:
+                    found[join] = join_gens
+                    work.append(join)
+    subs = [Subgroup._from_mask(group, mask, gens) for mask, gens in found.items()]
+    return sorted(subs, key=_sort_key)
 
 
 @dataclass(frozen=True)
@@ -192,9 +343,10 @@ class SubgroupClass:
 class SubgroupClassTable:
     """Conjugacy classes of subgroups, ordered by non-decreasing order.
 
-    Ties within one order are broken by the representative's element key,
-    and labels follow that order: a bare order when the class is unique,
-    otherwise order plus a letter ("2a", "2b", ...).
+    Ties within one order are broken by the representative's sorted image
+    tuples, and labels follow that order: a bare order when the class is
+    unique, otherwise order plus letters in bijective base 26 ("2a", ...,
+    "2z", "2aa", "2ab", ...).
     """
 
     def __init__(self, group: PermGroup, classes: list[SubgroupClass]):
@@ -230,17 +382,25 @@ class SubgroupClassTable:
 
 def subgroup_classes(group: PermGroup) -> SubgroupClassTable:
     subs = all_subgroups(group)
-    remaining = {s.element_set: s for s in subs}
+    by_mask = {s.mask: s for s in subs}
+    gens = [group.index_of(g) for g in group.generators]
+    assigned: set[int] = set()
     raw_classes: list[tuple[Subgroup, tuple[Subgroup, ...]]] = []
     for sub in subs:
-        if sub.element_set not in remaining:
+        if sub.mask in assigned:
             continue
-        members = {conjugate_subgroup(group, sub, g) for g in group.elements}
-        for m in members:
-            remaining.pop(m.element_set, None)
-        ordered = sorted(members, key=lambda s: s.key())
-        raw_classes.append((ordered[0], tuple(ordered)))
-    raw_classes.sort(key=lambda rc: (rc[0].order, rc[0].key()))
+        # the orbit under conjugation by the group's generators is the class
+        orbit = [sub.mask]
+        assigned.add(sub.mask)
+        for mask in orbit:
+            for g in gens:
+                conj = _conjugate_mask(group, mask, g)
+                if conj not in assigned:
+                    assigned.add(conj)
+                    orbit.append(conj)
+        ordered = sorted((by_mask[m] for m in orbit), key=_sort_key)
+        # subs is sorted, so the first member met is the least of its class
+        raw_classes.append((sub, tuple(ordered)))
 
     by_order: dict[int, int] = {}
     for rep, _ in raw_classes:
@@ -253,16 +413,29 @@ def subgroup_classes(group: PermGroup) -> SubgroupClassTable:
         if by_order[rep.order] == 1:
             label = str(rep.order)
         else:
-            label = f"{rep.order}{string.ascii_lowercase[k]}"
+            label = f"{rep.order}{_letters(k)}"
         classes.append(SubgroupClass(label, rep.order, rep, members))
     return SubgroupClassTable(group, classes)
+
+
+def _letters(k: int) -> str:
+    """Bijective base 26: a, ..., z, aa, ab, ..., az, ba, ..., zz, aaa, ..."""
+    out = ""
+    k += 1
+    while k:
+        k, r = divmod(k - 1, 26)
+        out = chr(ord("a") + r) + out
+    return out
 
 
 def normalizer(group: PermGroup, sub: Subgroup) -> Subgroup:
     """N_G(H) = {g : gHg^-1 = H}, by direct conjugation test over all g."""
     check_subgroup(group, sub)
-    return Subgroup(group, (g for g in group.elements
-                            if conjugate_subgroup(group, sub, g) == sub))
+    mask = 0
+    for g in range(group.order):
+        if _conjugates_into(group, sub, g, sub.mask):
+            mask |= 1 << g
+    return Subgroup._from_mask(group, mask)
 
 
 def o_p(sub: Subgroup, p: int) -> Subgroup:
@@ -274,8 +447,10 @@ def o_p(sub: Subgroup, p: int) -> Subgroup:
     """
     if not is_prime(p):
         raise InvalidPrime(f"{p} is not prime")
-    gens = {h for h in sub.elements if gcd(h.order(), p) == 1}
-    return Subgroup(sub.group, _closure_in(sub.group, gens))
+    group = sub.group
+    orders = group.element_orders
+    mask, gens = group.generate(h for h in sub.indices if gcd(orders[h], p) == 1)
+    return Subgroup._from_mask(group, mask, gens)
 
 
 class CosetAction:
@@ -289,37 +464,45 @@ class CosetAction:
         check_subgroup(group, sub)
         self.group = group
         self.subgroup = sub
-        cosets: list[frozenset[Permutation]] = []
-        coset_index: dict[Permutation, int] = {}
-        for g in group.elements:
-            if g in coset_index:
+        table, ranks = group.table, group.ranks
+        coset_of = [-1] * group.order
+        reps = []
+        for g in range(group.order):
+            if coset_of[g] >= 0:
                 continue
-            coset = frozenset(g * h for h in sub.elements)
-            idx = len(cosets)
-            cosets.append(coset)
+            row = table[g]
+            coset = [row[h] for h in sub.indices]
             for x in coset:
-                coset_index[x] = idx
-        self.cosets = cosets
-        self._coset_index = coset_index
-        self.points = len(cosets)
-        self._reps = [min(c) for c in cosets]
+                coset_of[x] = len(reps)
+            reps.append(min(coset, key=ranks.__getitem__))
+        self._coset_of = coset_of
+        self._reps = reps
+        self.points = len(reps)
+
+    def _image(self, g: int) -> tuple[int, ...]:
+        row, coset_of = self.group.table[g], self._coset_of
+        return tuple([coset_of[row[r]] for r in self._reps])
 
     def permutation_of(self, g: Permutation) -> Permutation:
-        return Permutation(self._coset_index[g * r] for r in self._reps)
+        return Permutation._trusted(self._image(self.group.index_of(g)))
 
     def fixed_points(self, sub: Subgroup) -> int:
         """Number of cosets fixed by every element of the given subgroup."""
-        gens = sub.elements
+        table, coset_of = self.group.table, self._coset_of
+        rows = [table[j] for j in sub.gens]
         count = 0
         for t, r in enumerate(self._reps):
-            if all(self._coset_index[j * r] == t for j in gens):
+            if all(coset_of[row[r]] == t for row in rows):
                 count += 1
         return count
 
     def kernel(self) -> Subgroup:
-        return Subgroup(self.group,
-                        (g for g in self.group.elements
-                         if self.permutation_of(g).is_identity()))
+        fixed = tuple(range(self.points))
+        mask = 0
+        for g in range(self.group.order):
+            if self._image(g) == fixed:
+                mask |= 1 << g
+        return Subgroup._from_mask(self.group, mask)
 
 
 def coset_action(group: PermGroup, sub: Subgroup) -> CosetAction:

@@ -119,3 +119,35 @@ def test_deterministic_output(capsys, tmp_path):
     _, first, _ = run(capsys, *args)
     _, second, _ = run(capsys, *args)
     assert first == second
+
+
+def test_cache_hit_reports_its_own_group_name(capsys, tmp_path):
+    # both spellings close to S3 on the same generators: one cache entry
+    specs = [("--group", "S3"), ("--gens", "(1 2 3),(1 2)"),
+             ("--gens", "(1 2),(1 2 3)")]
+    for flag, spec in specs + specs:
+        code, out, _ = run(capsys, "marks", flag, spec, "--format", "json",
+                           "--cache-dir", str(tmp_path))
+        assert code == 0
+        assert json.loads(out)["group"] == spec
+    assert len(list(tmp_path.glob("marks-*.json"))) == 1
+    code, out, _ = run(capsys, "marks", "--gens", "(1 2),(1 2 3)",
+                       "--cache-dir", str(tmp_path))
+    assert out.startswith("table of marks for (1 2),(1 2 3)\n")
+
+
+@pytest.mark.parametrize("argv,least", [
+    (("ext", "--group", "C2", "--source", "1", "--target", "1"), 0),
+    (("tor", "--group", "C2", "--source", "1", "--target", "1"), 0),
+    (("growth", "--group", "C2", "-p", "2"), 1),
+    (("verify", "--group", "C6", "--suite", "squarefree"), 3),
+])
+def test_degenerate_max_degree_rejected(capsys, tmp_path, argv, least):
+    for bad in (least - 1, -1):
+        code, out, err = run(capsys, *argv, "--max-degree", str(bad),
+                             "--cache-dir", str(tmp_path))
+        assert code == 2 and out == ""
+        assert f"--max-degree must be at least {least}" in err
+    code, _, err = run(capsys, *argv, "--max-degree", str(least),
+                       "--cache-dir", str(tmp_path))
+    assert code == 0, err

@@ -1,0 +1,84 @@
+"""Regression tests of the subgroup lattice: golden marks output, counts,
+labels past z, and the Cayley table against permutation products."""
+
+import json
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from burnside.cli import main
+from burnside.groups import parse_group
+from burnside.permgroup import subgroup_classes
+
+GOLDEN = json.loads(
+    (Path(__file__).parent / "data" / "marks_golden.json").read_text())
+C2_4 = "(1 2),(3 4),(5 6),(7 8)"
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=lambda c: c["argv"][2])
+def test_marks_json_is_byte_identical(capsys, tmp_path, case):
+    assert main(case["argv"] + ["--cache-dir", str(tmp_path)]) == 0
+    assert capsys.readouterr().out == case["stdout"]
+
+
+@pytest.mark.parametrize("spec,subgroups,classes", [
+    ("S4", 30, 11),
+    ("D20", 48, 16),
+    ("A5", 59, 9),
+    ("S5", 156, 19),
+    (C2_4, 67, 67),
+])
+def test_subgroup_and_class_counts(spec, subgroups, classes):
+    table = subgroup_classes(parse_group(spec))
+    assert len(table) == classes
+    assert sum(len(c.members) for c in table) == subgroups
+
+
+def test_labels_continue_past_z(capsys, tmp_path):
+    code = main(["marks", "--gens", C2_4, "--format", "json",
+                 "--cache-dir", str(tmp_path)])
+    assert code == 0
+    labels = [c["label"] for c in json.loads(capsys.readouterr().out)["classes"]]
+    assert len(labels) == 67
+    # C2^4 has 35 subgroups of order 4 and 15 of orders 2 and 8
+    fours = [l for l in labels if l.startswith("4")]
+    assert fours[:3] == ["4a", "4b", "4c"]
+    assert fours[25:28] == ["4z", "4aa", "4ab"]
+    assert fours[-1] == "4ai"
+    assert len(set(labels)) == len(labels)
+
+
+@settings(max_examples=25, deadline=None)
+@given(name=st.sampled_from(["C1", "C7", "S3", "S4", "D6", "A4", "Q8", "V4",
+                             "D10", "A5"]),
+       data=st.data())
+def test_cayley_table_matches_products(name, data):
+    group = parse_group(name)
+    elements = group.elements
+    index = st.integers(0, group.order - 1)
+    for _ in range(20):
+        a, b = data.draw(index), data.draw(index)
+        assert elements[group.table[a][b]] == elements[a] * elements[b]
+    a = data.draw(index)
+    assert elements[group.inverses[a]] == elements[a].inverse()
+    ranked = sorted(range(group.order), key=group.ranks.__getitem__)
+    assert [elements[i] for i in ranked] == sorted(elements)
+
+
+def test_double_count_raises_on_inconsistent_data():
+    # {(), (1 2 3)} is not closed: exactly three elements of S3 conjugate
+    # A3 into it, and 3 is not a multiple of |H| = 2
+    from burnside.errors import InvariantViolation
+    from burnside.marks import double_count_mark
+    from burnside.perm import Permutation
+    from burnside.permgroup import Subgroup, SubgroupClass
+
+    group = parse_group("S3")
+    c3 = Permutation([1, 2, 0])
+    fake = Subgroup(group, [group.identity(), c3])
+    j = Subgroup(group, [group.identity(), c3, c3 * c3])
+    table = [SubgroupClass("H", 2, fake, (fake,)),
+             SubgroupClass("J", 3, j, (j,))]
+    with pytest.raises(InvariantViolation):
+        double_count_mark(group, table, 0, 1)
