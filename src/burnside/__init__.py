@@ -11,7 +11,7 @@ from .permgroup import (PermGroup, Subgroup, SubgroupClassTable, coset_action,
                         enumerate_elements, normalizer, o_p, subgroup_classes)
 from .marks import BurnsideElement, MarksTable, decompose, ghost, multiply, table_of_marks
 from .bring import BRing, congruence_d, from_marks, p_classes, separators
-from .modp import ModPAlgebra, LocalBlock, block_invariants, blocks, build_modp, radical
+from .modp import ModPAlgebra, LocalBlock, blocks, build_modp, radical
 from .resolution import (MinimalResolution, betti_growth_certificate,
                          betti_sequence, ext_dims_pair, tor_dims_pair)
 from .exttor import (ExtTorContext, ext_ranks, ext_report, hom_base,

@@ -11,7 +11,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from .errors import InvalidPrime, NonIntegralSolution, SeparationFailure
+from .errors import (InvalidPrime, InvariantViolation, NonIntegralSolution,
+                     SeparationFailure)
 from .permgroup import is_prime
 from .marks import MarksTable
 
@@ -318,7 +319,8 @@ def p_classes(ring: BRing, p: int,
             if i != j:
                 same = assigned[i] == assigned[j]
                 if same != (dmat.d(i, j) % p == 0):
-                    raise AssertionError("p-divisibility of d is not transitive")
+                    raise InvariantViolation(
+                        "p-divisibility of d is not transitive")
     return PrimeEquivalence(p, classes, ring)
 
 

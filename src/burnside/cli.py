@@ -12,7 +12,7 @@ import sys
 
 from . import cache as cache_mod
 from .bring import BRing, congruence_d, from_marks, p_classes
-from .errors import BurnsideError
+from .errors import BurnsideError, InvariantViolation
 from .exttor import (DegreeCell, ExtTorContext, ext_ranks, ext_report,
                      prime_factors, tor_report, verify_squarefree)
 from .groups import parse_cycles, parse_group
@@ -231,11 +231,11 @@ def cmd_ext_tor(args) -> int:
             for pp in cell.p_parts:
                 oracle_rank = sum(1 for d in module.invariants if d % pp.p == 0)
                 if oracle_rank != pp.rank:
-                    raise AssertionError(
+                    raise InvariantViolation(
                         f"oracle p-rank {oracle_rank} != report {pp.rank} "
                         f"at degree {l}, p = {pp.p}")
             if cell.module is not None and cell.module != module:
-                raise AssertionError(
+                raise InvariantViolation(
                     f"oracle module {module} != report {cell.module} "
                     f"at degree {l}")
             report.degrees[l] = DegreeCell(l, cell.p_parts, module, "oracle")
@@ -333,6 +333,7 @@ def _verify_blocks(args) -> int:
     ok = True
     for p in prime_factors(ctx.group_order):
         algebra = ctx.algebra(p)
+        algebra.check_associative()
         bl = blocks(algebra)
         sizes = [len(c) for c in algebra.classes]
         good = (len(bl) == len(algebra.classes)
@@ -348,6 +349,7 @@ def _verify_blocks(args) -> int:
         q += 1
     for p in coprime:
         algebra = ctx.algebra(p)
+        algebra.check_associative()
         bl = blocks(algebra)
         good = all(b.dim == 1 for b in bl)
         print(f"blocks p={p} (coprime): "
@@ -357,8 +359,10 @@ def _verify_blocks(args) -> int:
 
 
 def _verify_oracle(args) -> int:
+    _check_max_degree(args, 0)
     ctx = _context(args)
-    L = min(args.max_degree or ORACLE_DEGREE_CAP, ORACLE_DEGREE_CAP)
+    L = (ORACLE_DEGREE_CAP if args.max_degree is None
+         else min(args.max_degree, ORACLE_DEGREE_CAP))
     n = ctx.ring.n
     failures = 0
     cells = 0

@@ -12,11 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .bring import BRing, CongruenceMatrix, congruence_d, from_marks
-from .errors import NegativeRank
+from .errors import InvariantViolation, NegativeRank
 from .marks import MarksTable
 from .modp import ModPAlgebra, blocks, build_modp
 from .permgroup import PermGroup
-from .resolution import _resolution_cache, shared_block
+from .resolution import ext_dims_pair
 
 
 def prime_factors(n: int) -> list[int]:
@@ -151,6 +151,8 @@ class ExtTorContext:
         self.dmat: CongruenceMatrix = congruence_d(ring)
         self._algebras: dict[int, ModPAlgebra] = {}
         self._m0: dict[int, int] = {}
+        # oracle.IntegralResolution of Z_j by j, filled by the oracle
+        self.integral_resolutions: dict = {}
 
     @classmethod
     def from_marks(cls, table: MarksTable, group_name: str = "") -> "ExtTorContext":
@@ -182,12 +184,7 @@ class ExtTorContext:
         return self.m0(i) if i == j else self.dmat.d(i, j)
 
     def betti(self, p: int, i: int, j: int, degree: int) -> list[int]:
-        block = shared_block(self.algebra(p), i, j)
-        if block is None:
-            return [0] * (degree + 1)
-        res = _resolution_cache(block)
-        res.extend_to(degree)
-        return res.betti[:degree + 1]
+        return ext_dims_pair(self.algebra(p), i, j, degree)
 
     def block_of(self, p: int, i: int):
         algebra = self.algebra(p)
@@ -238,7 +235,7 @@ def tor_ranks(ctx: ExtTorContext, i: int, j: int, p: int, L: int) -> list[int]:
         y = ctx.betti(p, i, j, L)
         for l in range(1, L):
             if z[l - 1] != y[l + 1] - z[l]:
-                raise AssertionError(
+                raise InvariantViolation(
                     f"backward Tor recurrence fails at degree {l}")
     return z
 
@@ -260,7 +257,7 @@ def _p_part_cells(ctx: ExtTorContext, i: int, j: int, L: int,
             if r < 0:
                 raise NegativeRank(f"negative rank at degree {l}")
             if r > 0 and v == 0:
-                raise AssertionError(
+                raise InvariantViolation(
                     "nonzero p-rank with p-coprime annihilator")
             if r:
                 per_degree[l - 1].append(PPart(p, r, p ** v, exact))

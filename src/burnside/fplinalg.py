@@ -1,12 +1,21 @@
 """Dense linear algebra over a prime field F_p.
 
-Two representations coexist: generic vectors as lists of ints mod p (fine
-for the small algebra dimensions), and packed vectors, one Python int per
-vector with one fixed-width lane per coordinate, which the resolution
-machinery needs once free ranks reach the thousands.  GF(2) uses one-bit
-lanes, so a row operation is a single XOR; odd p uses the wider lanes of
-`FpLanes`, where a row operation is one multiply-add followed by a
-lane-wise reduction mod p.
+Every mod-p elimination of the pipeline runs on one packed core: a vector
+is one Python int with one fixed-width lane per coordinate (`pack`,
+`unpack`), and `FpLaneEchelon` with `fp_lane_kernel_of_columns` reduces,
+inserts and finds kernels for any prime.  `FpLanes` fixes the lane width:
+8 bits while p(p - 1) fits a byte (p <= 13, including 2), so a row
+operation is one multiply-add followed by one lane-wise reduction mod p;
+wider guarded lanes above.  The list entry points `FpLanes.nullspace`
+(and `fp_nullspace`) pack, run that kernel and unpack; `FpLanes.solve`
+(and `fp_solve`) reads its answer off a nullspace.  The minimal resolutions over GF(2) use a 1-bit twin of the
+core (`Gf2Echelon`, `gf2_kernel_of_columns`), where a row operation is a
+single XOR.
+
+`FpEchelon` and `fp_rank` keep an independent list-based elimination as
+the reference: tests compare the packed kernels against it, and the
+integral oracle ranks with it so that the cross-check does not share the
+code path it checks.
 """
 
 from __future__ import annotations
@@ -67,66 +76,6 @@ def fp_rank(rows: list[list[int]], p: int) -> int:
     return ech.dim
 
 
-def fp_nullspace(rows: list[list[int]], ncols: int, p: int) -> list[list[int]]:
-    """Basis of {x : A x = 0} for A given by rows."""
-    combos = []
-    ech: dict[int, tuple[list[int], list[int]]] = {}
-    for j in range(ncols):
-        v = [row[j] % p for row in rows]
-        combo = [0] * ncols
-        combo[j] = 1
-        while True:
-            lead = -1
-            for i, x in enumerate(v):
-                if x:
-                    lead = i
-                    break
-            if lead < 0:
-                combos.append(combo)
-                break
-            if lead not in ech:
-                c = fp_inv(v[lead], p)
-                ech[lead] = ([(c * y) % p for y in v],
-                             [(c * y) % p for y in combo])
-                break
-            tv, tc = ech[lead]
-            c = v[lead]
-            v = [(a - c * b) % p for a, b in zip(v, tv)]
-            combo = [(a - c * b) % p for a, b in zip(combo, tc)]
-    return combos
-
-
-def fp_solve(rows: list[list[int]], b: list[int], p: int) -> list[int] | None:
-    """One solution of A x = b, or None if inconsistent."""
-    m = len(rows)
-    n = len(rows[0]) if rows else 0
-    aug = [[rows[i][j] % p for j in range(n)] + [b[i] % p] for i in range(m)]
-    pivots = []
-    row = 0
-    for col in range(n):
-        sel = next((i for i in range(row, m) if aug[i][col]), None)
-        if sel is None:
-            continue
-        aug[row], aug[sel] = aug[sel], aug[row]
-        inv = fp_inv(aug[row][col], p)
-        aug[row] = [(inv * x) % p for x in aug[row]]
-        for i in range(m):
-            if i != row and aug[i][col]:
-                c = aug[i][col]
-                aug[i] = [(x - c * y) % p for x, y in zip(aug[i], aug[row])]
-        pivots.append(col)
-        row += 1
-        if row == m:
-            break
-    for i in range(row, m):
-        if aug[i][n]:
-            return None
-    x = [0] * n
-    for i, col in enumerate(pivots):
-        x[col] = aug[i][n]
-    return x
-
-
 # GF(2) fast path: a vector is an int, bit i <-> coordinate i.
 
 class Gf2Echelon:
@@ -182,10 +131,10 @@ def gf2_kernel_of_columns(cols: list[int]) -> list[int]:
     return kernel
 
 
-# Odd p: a vector is an int, coordinate k in bits [k*w, k*w + w).
+# Any p: a vector is an int, coordinate k in bits [k*w, k*w + w).
 
 class FpLanes:
-    """Lane layout and lane-wise reduction mod an odd prime p.
+    """Lane layout and lane-wise reduction mod a prime p.
 
     Lanes are 8 bits wide while every value a row operation can produce,
     at most (p - 1) + (p - 1)^2 = p(p - 1), fits a byte (p <= 13); then
@@ -229,6 +178,29 @@ class FpLanes:
             ge = ((((v | guard) - m * ones) & guard) >> (w - 1))
             v -= ge * m
         return v
+
+    def nullspace(self, rows: list[list[int]],
+                  ncols: int) -> list[list[int]]:
+        """Basis of {x : A x = 0} for A given by rows, packed and unpacked
+        around `fp_lane_kernel_of_columns`."""
+        p, w = self.p, self.width
+        cols = [pack([row[j] for row in rows], p, w) for j in range(ncols)]
+        return [unpack(c, ncols, w)
+                for c in fp_lane_kernel_of_columns(cols, len(rows), self)]
+
+    def solve(self, rows: list[list[int]], b: list[int]) -> list[int] | None:
+        """One solution of A x = b, or None if inconsistent.
+
+        b is the last column of [A | b], so it lies in the column span of
+        A exactly when the last kernel vector has coefficient 1 at b; the
+        solution is minus the rest of that combination, which is supported
+        on the pivot columns of A.
+        """
+        n = len(rows[0]) if rows else 0
+        kernel = self.nullspace([row + [c] for row, c in zip(rows, b)], n + 1)
+        if not kernel or not kernel[-1][n]:
+            return None
+        return [-c % self.p for c in kernel[-1][:n]]
 
 
 class FpLaneEchelon:
@@ -294,3 +266,25 @@ def fp_lane_kernel_of_columns(cols: list[int], nrows: int,
         else:
             ech._store(v)
     return kernel
+
+
+def pack(coords, p: int, width: int) -> int:
+    """Coordinates mod p, coordinate k in lane k of `width` bits."""
+    return sum((c % p) << (k * width) for k, c in enumerate(coords))
+
+
+def unpack(v: int, n: int, width: int) -> list[int]:
+    """The first n lanes of a packed vector."""
+    v &= (1 << (n * width)) - 1
+    mask = (1 << width) - 1
+    return [(v >> (k * width)) & mask for k in range(n)]
+
+
+def fp_nullspace(rows: list[list[int]], ncols: int, p: int) -> list[list[int]]:
+    """Basis of {x : A x = 0} for A given by rows."""
+    return FpLanes(p).nullspace(rows, ncols)
+
+
+def fp_solve(rows: list[list[int]], b: list[int], p: int) -> list[int] | None:
+    """One solution of A x = b, or None if inconsistent."""
+    return FpLanes(p).solve(rows, b)

@@ -6,6 +6,8 @@ so coefficient growth is absorbed by arbitrary precision arithmetic.
 
 from __future__ import annotations
 
+from .errors import InvariantViolation
+
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
     """Return (g, x, y) with x*a + y*b == g == gcd(a, b) >= 0."""
@@ -25,16 +27,11 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
 def _diagonalize(A: list[list[int]], ncols: int):
     """Reduce A to a diagonal matrix D by unimodular row and column operations.
 
-    Returns (D, T) where T records the column operations, i.e. the columns
-    of T express the new column basis in terms of the old one (A @ T has
-    the columnwise behavior of D).  No divisibility normalization is done.
+    No divisibility normalization is done.
     """
     D = [row[:] for row in A]
     m = len(D)
     n = ncols
-    T = [[0] * n for _ in range(n)]
-    for i in range(n):
-        T[i][i] = 1
 
     def row_op(i1, i2, j):
         a, b = D[i1][j], D[i2][j]
@@ -63,22 +60,14 @@ def _diagonalize(A: list[list[int]], ncols: int):
         if a == 0:
             for r in D:
                 r[j1], r[j2] = r[j2], r[j1]
-            for r in T:
-                r[j1], r[j2] = r[j2], r[j1]
         elif b % a == 0:
             q = -(b // a)
             for r in D:
-                r[j2] += q * r[j1]
-            for r in T:
                 r[j2] += q * r[j1]
         else:
             g, x, y = xgcd(a, b)
             mbg, ag = -(b // g), a // g
             for r in D:
-                aa, bb = r[j1], r[j2]
-                r[j1] = x * aa + y * bb
-                r[j2] = mbg * aa + ag * bb
-            for r in T:
                 aa, bb = r[j1], r[j2]
                 r[j1] = x * aa + y * bb
                 r[j2] = mbg * aa + ag * bb
@@ -93,7 +82,7 @@ def _diagonalize(A: list[list[int]], ncols: int):
                 col_op(k, j, k)
             if all(D[i][k] == 0 for i in range(k + 1, m)):
                 break
-    return D, T
+    return D
 
 
 def kernel_of_columns(A: list[list[int]], ncols: int) -> list[list[int]]:
@@ -105,8 +94,8 @@ def kernel_of_columns(A: list[list[int]], ncols: int) -> list[list[int]]:
     so the combinations emitted when a column reduces to zero form a
     genuine Z-basis of the kernel, not merely a spanning set.
     """
-    for row in A:
-        assert len(row) == ncols
+    if any(len(row) != ncols for row in A):
+        raise InvariantViolation(f"matrix rows do not all have {ncols} columns")
     m = len(A)
     echelon: dict[int, tuple[list[int], list[int]]] = {}
     kernel: list[list[int]] = []
@@ -155,13 +144,13 @@ def rank(A: list[list[int]], ncols: int) -> int:
     """Rank over Q (equivalently over Z up to torsion)."""
     if not A:
         return 0
-    D, _ = _diagonalize(A, ncols)
+    D = _diagonalize(A, ncols)
     return sum(1 for j in range(min(len(A), ncols)) if D[j][j] != 0)
 
 
 def smith_invariants(A: list[list[int]], ncols: int) -> list[int]:
     """Nonzero invariant factors d_1 | d_2 | ... of A, ascending."""
-    D, _ = _diagonalize(A, ncols)
+    D = _diagonalize(A, ncols)
     diag = [abs(D[j][j]) for j in range(min(len(A), ncols)) if D[j][j] != 0]
     # fix divisibility: diag(a, b) is equivalent to diag(gcd, lcm)
     changed = True

@@ -137,11 +137,11 @@ def verify_marks(table: MarksTable) -> None:
         for j in range(n):
             expected = double_count_mark(group, table.class_table, h, j)
             if table.matrix[h][j] != expected:
-                raise AssertionError(
+                raise InvariantViolation(
                     f"mark ({h},{j}) fixed-coset count {table.matrix[h][j]} "
                     f"!= double count {expected}")
             if j > h and table.matrix[h][j] != 0:
-                raise AssertionError("marks table is not lower triangular")
+                raise InvariantViolation("marks table is not lower triangular")
 
 
 def ghost(x: BurnsideElement) -> list[int]:

@@ -5,8 +5,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .bring import BRing, congruence_d, p_classes
-from .errors import IdempotentLiftDivergence, InvalidPrime, NotLocal
-from .fplinalg import FpEchelon, fp_nullspace, fp_solve
+from .errors import (IdempotentLiftDivergence, InvalidPrime,
+                     InvariantViolation, NotLocal)
+from .fplinalg import (FpLaneEchelon, FpLanes, fp_lane_kernel_of_columns,
+                       pack, unpack)
 from .permgroup import is_prime
 
 
@@ -24,6 +26,7 @@ class ModPAlgebra:
         self.ring = ring
         self.p = p
         self.dim = ring.n
+        self.lanes = FpLanes(p)
         sc = ring.structure_constants()
         self.sc = [[[c % p for c in sc[k][l]] for l in range(self.dim)]
                    for k in range(self.dim)]
@@ -32,12 +35,13 @@ class ModPAlgebra:
         for cls in self.classes:
             for k in range(self.dim):
                 if len({ring.basis[k][i] % p for i in cls}) != 1:
-                    raise AssertionError(
+                    raise InvariantViolation(
                         "evaluation map is not constant on a p-class")
         reps = [cls[0] for cls in self.classes]
         self.theta = [[ring.basis[k][i] % p for k in range(self.dim)]
                       for i in reps]
         self.unit = [c % p for c in ring.unit_coeffs]
+        self._blocks: list[LocalBlock] | None = None  # filled by blocks()
         self._check()
 
     def mul(self, x: list[int], y: list[int]) -> list[int]:
@@ -55,10 +59,6 @@ class ModPAlgebra:
                                 out[m] = (out[m] + ab * cl[m]) % p
         return out
 
-    def theta_of(self, x: list[int]) -> list[int]:
-        p = self.p
-        return [sum(r * c for r, c in zip(row, x)) % p for row in self.theta]
-
     def power(self, x: list[int], e: int) -> list[int]:
         acc = list(self.unit)
         base = list(x)
@@ -69,28 +69,44 @@ class ModPAlgebra:
             e >>= 1
         return acc
 
+    def pack(self, coords: list[int]) -> int:
+        return pack(coords, self.p, self.lanes.width)
+
+    def echelon(self) -> FpLaneEchelon:
+        return FpLaneEchelon(self.lanes)
+
     def _check(self) -> None:
-        n, p = self.dim, self.p
-        basis = [[1 if t == k else 0 for t in range(n)] for k in range(n)]
+        """Unit, commutativity and surjectivity of theta (cheap checks)."""
+        n, sc = self.dim, self.sc
         for k in range(n):
-            u = self.mul(self.unit, basis[k])
-            if u != [c % p for c in basis[k]]:
-                raise AssertionError("unit element fails on the basis")
-            for l in range(k, n):
-                if self.mul(basis[k], basis[l]) != self.mul(basis[l], basis[k]):
-                    raise AssertionError("structure constants not commutative")
+            ek = [1 if t == k else 0 for t in range(n)]
+            if self.mul(self.unit, ek) != ek:
+                raise InvariantViolation("unit element fails on the basis")
+            for l in range(k + 1, n):
+                if sc[k][l] != sc[l][k]:
+                    raise InvariantViolation(
+                        "structure constants not commutative")
+        ech = self.echelon()
+        for row in self.theta:
+            ech.insert(self.pack(row))
+        if ech.dim != len(self.classes):
+            raise InvariantViolation("theta is not surjective")
+
+    def check_associative(self) -> None:
+        """(e_k e_l) e_m == e_k (e_l e_m) for every basis triple.
+
+        O(n^5), so it runs in `verify --suite blocks` and the tests, not
+        on every construction.
+        """
+        n, sc = self.dim, self.sc
+        basis = [[1 if t == k else 0 for t in range(n)] for k in range(n)]
         for k in range(n):
             for l in range(n):
                 for m in range(n):
-                    left = self.mul(self.mul(basis[k], basis[l]), basis[m])
-                    right = self.mul(basis[k], self.mul(basis[l], basis[m]))
-                    if left != right:
-                        raise AssertionError("structure constants not associative")
-        ech = FpEchelon(p)
-        for row in self.theta:
-            ech.insert(row)
-        if ech.dim != len(self.classes):
-            raise AssertionError("theta is not surjective")
+                    if (self.mul(sc[k][l], basis[m])
+                            != self.mul(basis[k], sc[l][m])):
+                        raise InvariantViolation(
+                            "structure constants not associative")
 
 
 def build_modp(ring: BRing, p: int) -> ModPAlgebra:
@@ -99,23 +115,21 @@ def build_modp(ring: BRing, p: int) -> ModPAlgebra:
 
 def radical(algebra: ModPAlgebra) -> list[list[int]]:
     """Basis of ker(theta); verified nilpotent by repeated squaring."""
-    basis = fp_nullspace(algebra.theta, algebra.dim, algebra.p)
+    basis = algebra.lanes.nullspace(algebra.theta, algebra.dim)
     current = list(basis)
     for _ in range(algebra.dim + 1):
         if not current:
             break
-        ech = FpEchelon(algebra.p)
+        ech = algebra.echelon()
         nxt = []
         for x in current:
             for y in current:
                 prod = algebra.mul(x, y)
-                if ech.insert(prod):
+                if ech.insert(algebra.pack(prod)):
                     nxt.append(prod)
         current = nxt
     else:
-        raise AssertionError("kernel of theta is not nilpotent")
-    if current:
-        raise AssertionError("kernel of theta is not nilpotent")
+        raise InvariantViolation("kernel of theta is not nilpotent")
     return basis
 
 
@@ -128,7 +142,7 @@ def nilpotent_span(algebra: ModPAlgebra) -> list[list[int]]:
     n, p = algebra.dim, algebra.p
     if p ** n > 1 << 16:
         raise ValueError("algebra too large for the exhaustive nilpotency scan")
-    ech = FpEchelon(p)
+    ech = algebra.echelon()
     out = []
     coords = [0] * n
     while True:
@@ -136,7 +150,7 @@ def nilpotent_span(algebra: ModPAlgebra) -> list[list[int]]:
         y = list(x)
         for _ in range(n + 1):
             y = algebra.mul(y, y)
-        if not any(y) and any(x) and ech.insert(x):
+        if not any(y) and any(x) and ech.insert(algebra.pack(x)):
             out.append(x)
         k = 0
         while k < n and coords[k] == p - 1:
@@ -161,6 +175,8 @@ class LocalBlock:
     idempotent: list[int]
     basis: list[list[int]] = field(repr=False)
     mult: list[list[list[int]]] = field(repr=False)
+    # the block's MinimalResolution, kept by resolution._resolution_cache
+    resolution: object = field(default=None, repr=False, compare=False)
 
     @property
     def p(self) -> int:
@@ -190,17 +206,12 @@ class LocalBlock:
                                 out[m] = (out[m] + f * cab[m]) % p
         return out
 
-    def maximal_ideal_dim(self) -> int:
-        return self.dim - 1
-
     def m_squared_dim(self) -> int:
-        ech = FpEchelon(self.p)
+        ech = self.algebra.echelon()
         s = self.dim
         for a in range(1, s):
-            ea = [1 if t == a else 0 for t in range(s)]
             for b in range(a, s):
-                eb = [1 if t == b else 0 for t in range(s)]
-                ech.insert(self.mul_coords(ea, eb))
+                ech.insert(self.algebra.pack(self.mult[a][b]))
         return ech.dim
 
     def socle_dim(self) -> int:
@@ -208,17 +219,13 @@ class LocalBlock:
         s = self.dim
         if s == 1:
             return 1
-        rows = []
-        for a in range(1, s):
-            ea = [1 if t == a else 0 for t in range(s)]
-            cols = [self.mul_coords([1 if t == b else 0 for t in range(s)], ea)
-                    for b in range(s)]
-            for out_coord in range(s):
-                rows.append([cols[b][out_coord] for b in range(s)])
-        return len(fp_nullspace(rows, s, self.p))
+        # x is in the socle when x * e_a = 0 for every basis element of M
+        rows = [[self.mult[b][a][m] for b in range(s)]
+                for a in range(1, s) for m in range(s)]
+        return len(self.algebra.lanes.nullspace(rows, s))
 
     def invariants(self) -> dict:
-        m_dim = self.maximal_ideal_dim()
+        m_dim = self.dim - 1
         m2 = self.m_squared_dim()
         m_mod_m2 = m_dim - m2
         socle = self.socle_dim()
@@ -234,19 +241,19 @@ class LocalBlock:
 def blocks(algebra: ModPAlgebra) -> list[LocalBlock]:
     """Block idempotents by p-th power lifting, one block per p-class.
 
-    Memoized on the algebra: blocks are immutable and later layers hang
-    resolution caches off them.
+    Memoized on the algebra: blocks are immutable and later layers keep
+    their resolutions on them.
     """
-    cached = getattr(algebra, "_blocks_cache", None)
-    if cached is not None:
-        return cached
+    if algebra._blocks is not None:
+        return algebra._blocks
     p, n = algebra.p, algebra.dim
     out = []
     idempotents = []
     for ci in range(len(algebra.classes)):
         target = [1 if k == ci else 0 for k in range(len(algebra.classes))]
-        u = fp_solve(algebra.theta, target, p)
-        assert u is not None, "theta must be surjective"
+        u = algebra.lanes.solve(algebra.theta, target)
+        if u is None:
+            raise InvariantViolation("theta is not surjective")
         e = u
         for _ in range(n + 1):
             if algebra.mul(e, e) == e:
@@ -261,35 +268,37 @@ def blocks(algebra: ModPAlgebra) -> list[LocalBlock]:
     for e in idempotents:
         total = [(a + b) % p for a, b in zip(total, e)]
     if total != algebra.unit:
-        raise AssertionError("block idempotents do not sum to the unit")
+        raise InvariantViolation("block idempotents do not sum to the unit")
     for a in range(len(idempotents)):
         for b in range(a + 1, len(idempotents)):
             if any(algebra.mul(idempotents[a], idempotents[b])):
-                raise AssertionError("block idempotents are not orthogonal")
+                raise InvariantViolation(
+                    "block idempotents are not orthogonal")
     if sum(b.dim for b in out) != n:
-        raise AssertionError("block dimensions do not add up to dim R/pR")
-    algebra._blocks_cache = out
+        raise InvariantViolation(
+            "block dimensions do not add up to dim R/pR")
+    algebra._blocks = out
     return out
 
 
 def _build_block(algebra: ModPAlgebra, class_index: int,
                  idem: list[int]) -> LocalBlock:
     p, n = algebra.p, algebra.dim
-    ech = FpEchelon(p)
+    ech = algebra.echelon()
     span = []
     for k in range(n):
         ek = [1 if t == k else 0 for t in range(n)]
         v = algebra.mul(idem, ek)
-        if ech.insert(v):
+        if ech.insert(algebra.pack(v)):
             span.append(v)
     expected = len(algebra.classes[class_index])
     if len(span) != expected:
-        raise AssertionError(
+        raise InvariantViolation(
             f"block dimension {len(span)} != class size {expected}")
     # the maximal ideal: block elements with zero theta at this class
     theta_row = algebra.theta[class_index]
     rows = [[sum(r * c for r, c in zip(theta_row, v)) % p for v in span]]
-    m_coords = fp_nullspace(rows, len(span), p)
+    m_coords = algebra.lanes.nullspace(rows, len(span))
     if len(m_coords) != len(span) - 1:
         raise NotLocal("residue field is not one-dimensional")
     mbasis = []
@@ -301,23 +310,19 @@ def _build_block(algebra: ModPAlgebra, class_index: int,
         mbasis.append(vec)
     basis = [idem] + mbasis
     s = len(basis)
-    mat = [list(v) for v in basis]
-    mult = []
-    for a in range(s):
-        row = []
-        for b in range(s):
-            prod = algebra.mul(basis[a], basis[b])
-            coords = fp_solve([[mat[k][t] for k in range(s)] for t in range(n)],
-                              prod, p)
-            if coords is None:
-                raise AssertionError("block is not closed under products")
-            row.append(coords)
-        mult.append(row)
+    # one kernel over the columns [basis | every product e_a * e_b]: the
+    # basis is independent, so each product inside the block leaves one
+    # kernel vector, 1 at its own column and minus its coordinates on the
+    # basis columns, in column order
+    columns = [algebra.pack(v) for v in basis]
+    columns += [algebra.pack(algebra.mul(x, y)) for x in basis for y in basis]
+    kernel = fp_lane_kernel_of_columns(columns, n, algebra.lanes)
+    if len(kernel) != s * s:
+        raise InvariantViolation("block is not closed under products")
+    w = algebra.lanes.width
+    coords = [[-c % p for c in unpack(k, s, w)] for k in kernel]
+    mult = [coords[a * s:(a + 1) * s] for a in range(s)]
     return LocalBlock(algebra, class_index, idem, basis, mult)
-
-
-def block_invariants(block: LocalBlock) -> dict:
-    return block.invariants()
 
 
 def blocks_report(algebra: ModPAlgebra) -> dict:

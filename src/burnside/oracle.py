@@ -94,10 +94,7 @@ class IntegralResolution:
 
 
 def _resolution_for(ctx: ExtTorContext, j: int) -> IntegralResolution:
-    cache = getattr(ctx, "_integral_resolutions", None)
-    if cache is None:
-        cache = {}
-        ctx._integral_resolutions = cache
+    cache = ctx.integral_resolutions
     if j not in cache:
         cache[j] = IntegralResolution(ctx.ring, j)
     return cache[j]

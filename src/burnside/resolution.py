@@ -34,10 +34,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ResolutionTooLarge
-from .fplinalg import (FpLaneEchelon, FpLanes, Gf2Echelon,
-                       fp_lane_kernel_of_columns, fp_rank,
-                       gf2_kernel_of_columns)
+from .errors import InvariantViolation, ResolutionTooLarge
+from .fplinalg import (FpLaneEchelon, Gf2Echelon,
+                       fp_lane_kernel_of_columns, gf2_kernel_of_columns, pack)
 from .modp import LocalBlock, ModPAlgebra, blocks
 
 DEFAULT_MATRIX_BITS = 1 << 30
@@ -66,8 +65,7 @@ class _LaneOps:
 
     def pack(self, coords) -> int:
         """Coordinates mod p, one per lane."""
-        return sum((c % self.p) << (k * self.width)
-                   for k, c in enumerate(coords))
+        return pack(coords, self.p, self.width)
 
     def lead_mask(self, n_components: int) -> int:
         """The full lane of coordinate 0 in each of n components."""
@@ -115,7 +113,7 @@ class _FpOps(_LaneOps):
     batch of products that still fits below the lane limit."""
 
     def __init__(self, block: LocalBlock):
-        self.lanes = lanes = FpLanes(block.p)
+        self.lanes = lanes = block.algebra.lanes
         super().__init__(block, lanes.width)
         p = block.p
         self.batch = (lanes.limit - (p - 1)) // ((p - 1) * (p - 1))
@@ -203,10 +201,11 @@ class MinimalResolution:
                 mspan.insert(residual)
         for g in gens:
             if not ops.entries_in_maximal_ideal(g, n_prev):
-                raise AssertionError("differential entry outside the maximal ideal")
+                raise InvariantViolation(
+                    "differential entry outside the maximal ideal")
         n_new = len(gens)
         if n_new != len(self._kernel) - mk_dim or mspan.dim != len(self._kernel):
-            raise AssertionError("minimal generator count mismatch")
+            raise InvariantViolation("minimal generator count mismatch")
         self.betti.append(n_new)
         self.differentials.append(gens)
         self.kernel_dims.append(n_new * s - self.kernel_dims[-1])
@@ -227,7 +226,7 @@ class MinimalResolution:
         # exactness bookkeeping: rank d_l equals dim ker d_{l-1}, so the
         # kernel dimension matches the rank-nullity recursion
         if len(kernel) != self.kernel_dims[top]:
-            raise AssertionError(
+            raise InvariantViolation(
                 f"kernel dimension {len(kernel)} at stage {top} differs "
                 f"from the exactness recursion {self.kernel_dims[top]}")
         self._kernel = kernel
@@ -253,7 +252,10 @@ class MinimalResolution:
                    for g in self.differentials[l - 1]):
                 rank = 0
             else:
-                rank = fp_rank(self.reduced_differential(l), self.block.p)
+                ech = self.ops.echelon()
+                for row in self.reduced_differential(l):
+                    ech.insert(self.ops.pack(row))
+                rank = ech.dim
             self._reduced_ranks[l] = rank
         return rank
 
@@ -310,11 +312,10 @@ def betti_growth_certificate(block: LocalBlock, resolution: MinimalResolution,
 
 
 def _resolution_cache(block: LocalBlock) -> MinimalResolution:
-    cached = getattr(block, "_resolution_cache", None)
-    if cached is None:
-        cached = MinimalResolution(block)
-        block._resolution_cache = cached
-    return cached
+    """The block's default-budget resolution, kept on the block."""
+    if block.resolution is None:
+        block.resolution = MinimalResolution(block)
+    return block.resolution
 
 
 def shared_block(algebra: ModPAlgebra, i: int, j: int) -> LocalBlock | None:
@@ -356,5 +357,6 @@ def tor_dims_pair(algebra: ModPAlgebra, i: int, j: int,
         r_l = ranks[l - 1] if l >= 1 else 0
         dims.append(res.betti[l] - r_l - ranks[l])
     if dims != res.betti[:degree + 1]:
-        raise AssertionError("tensored homology disagrees with Betti numbers")
+        raise InvariantViolation(
+            "tensored homology disagrees with Betti numbers")
     return dims

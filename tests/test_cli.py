@@ -141,6 +141,7 @@ def test_cache_hit_reports_its_own_group_name(capsys, tmp_path):
     (("tor", "--group", "C2", "--source", "1", "--target", "1"), 0),
     (("growth", "--group", "C2", "-p", "2"), 1),
     (("verify", "--group", "C6", "--suite", "squarefree"), 3),
+    (("verify", "--group", "C2", "--suite", "oracle"), 0),
 ])
 def test_degenerate_max_degree_rejected(capsys, tmp_path, argv, least):
     for bad in (least - 1, -1):
@@ -151,3 +152,25 @@ def test_degenerate_max_degree_rejected(capsys, tmp_path, argv, least):
     code, _, err = run(capsys, *argv, "--max-degree", str(least),
                        "--cache-dir", str(tmp_path))
     assert code == 0, err
+
+
+def test_verify_oracle_keeps_max_degree_zero(capsys, tmp_path):
+    code, out, _ = run(capsys, "verify", "--group", "C2", "--suite", "oracle",
+                       "--max-degree", "0", "--cache-dir", str(tmp_path))
+    assert code == 0
+    assert "degrees 0..0," in out
+
+
+def test_oracle_mismatch_exits_2_without_traceback(capsys, tmp_path,
+                                                   monkeypatch):
+    import burnside.cli as cli
+    from burnside.exttor import ModuleType
+
+    monkeypatch.setattr(cli, "oracle_ext", lambda ctx, i, j, L: [
+        ModuleType.free(5) for _ in range(L + 1)])
+    code, out, err = run(capsys, "ext", "--group", "S3", "--source", "1",
+                         "--target", "1", "--max-degree", "1", "--oracle",
+                         "--cache-dir", str(tmp_path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: oracle ")
+    assert "Traceback" not in err

@@ -99,3 +99,26 @@ def test_fp_lane_echelon_matches_list_echelon(p):
         assert packed.dim == generic.dim
         for v in generic.basis():
             assert packed.reduce(_pack(v, lanes.width)) == 0
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 17])
+def test_packed_nullspace_and_solve_agree_with_list_rank(p):
+    rng = random.Random(p)
+    for _ in range(40):
+        nrows, ncols = rng.randint(1, 6), rng.randint(0, 7)
+        rows = [[rng.randrange(p) if rng.random() < 0.6 else 0
+                 for _ in range(ncols)] for _ in range(nrows)]
+        rank = fp_rank(rows, p)
+        kernel = fp_nullspace(rows, ncols, p)
+        assert len(kernel) == ncols - rank
+        assert fp_rank(kernel, p) == len(kernel)
+        for x in kernel:
+            assert all(sum(a * c for a, c in zip(row, x)) % p == 0
+                       for row in rows)
+        b = [rng.randrange(p) for _ in range(nrows)]
+        x = fp_solve(rows, b, p)
+        augmented = [row + [c] for row, c in zip(rows, b)]
+        assert (x is not None) == (fp_rank(augmented, p) == rank)
+        if x is not None:
+            assert [sum(a * c for a, c in zip(row, x)) % p
+                    for row in rows] == b

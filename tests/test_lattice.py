@@ -16,7 +16,14 @@ GOLDEN = json.loads(
 C2_4 = "(1 2),(3 4),(5 6),(7 8)"
 
 
-@pytest.mark.parametrize("case", GOLDEN, ids=lambda c: c["argv"][2])
+def _golden_id(case):
+    """The group spec for marks entries; the whole argv otherwise, since
+    several reports share one group."""
+    argv = case["argv"]
+    return argv[2] if argv[0] == "marks" else " ".join(argv)
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=_golden_id)
 def test_marks_json_is_byte_identical(capsys, tmp_path, case):
     assert main(case["argv"] + ["--cache-dir", str(tmp_path)]) == 0
     assert capsys.readouterr().out == case["stdout"]

@@ -1,10 +1,10 @@
 import pytest
 
-from burnside.errors import InvalidPrime
+from burnside.errors import InvalidPrime, InvariantViolation
 from burnside.exttor import prime_factors
 from burnside.fplinalg import FpEchelon
-from burnside.modp import (blocks, blocks_report, build_modp, nilpotent_span,
-                           radical)
+from burnside.modp import (ModPAlgebra, blocks, blocks_report, build_modp,
+                           nilpotent_span, radical)
 from util import get_context
 
 CORPUS = ["S3", "C4", "C6", "V4", "D4", "Q8", "S4"]
@@ -129,3 +129,20 @@ def test_blocks_report_schema():
     assert report["classes"] == [["1", "2"], ["3", "6"]]
     assert report["blocks"][0].keys() == {
         "class", "dim", "m_mod_m2", "socle", "symmetric", "bounded"}
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_structure_constants_are_associative(name):
+    ctx = get_context(name)
+    for p in prime_factors(ctx.group_order):
+        ctx.algebra(p).check_associative()
+
+
+def test_check_associative_rejects_tampered_constants():
+    # in the marks basis of S3 mod 3, [S3/1]^2 = 6 [S3/1] = 0; declaring it
+    # the unit [S3/S3] gives ([S3/1]^2) [S3/C2] = [S3/C2], while
+    # [S3/1] ([S3/1] [S3/C2]) = [S3/1] (3 [S3/1]) = 0
+    algebra = ModPAlgebra(get_context("S3").ring, 3)
+    algebra.sc[0][0] = [0, 0, 0, 1]
+    with pytest.raises(InvariantViolation, match="not associative"):
+        algebra.check_associative()
