@@ -170,7 +170,7 @@ class ExtTorContext:
 
     def algebra(self, p: int) -> ModPAlgebra:
         if p not in self._algebras:
-            self._algebras[p] = build_modp(self.ring, p)
+            self._algebras[p] = build_modp(self.ring, p, self.dmat)
         return self._algebras[p]
 
     def m0(self, i: int) -> int:

@@ -174,3 +174,28 @@ def test_oracle_mismatch_exits_2_without_traceback(capsys, tmp_path,
     assert code == 2 and out == ""
     assert err.startswith("error: oracle ")
     assert "Traceback" not in err
+
+
+def test_one_congruence_matrix_per_context(capsys, tmp_path, monkeypatch):
+    # every mod-p algebra of a context reuses the context's d-matrix
+    from burnside.bring import CongruenceMatrix
+    from burnside.exttor import ExtTorContext
+
+    built = {CongruenceMatrix: 0, ExtTorContext: 0}
+
+    def counting(cls):
+        init = cls.__init__
+
+        def counted(self, *args, **kwargs):
+            built[cls] += 1
+            init(self, *args, **kwargs)
+        return counted
+
+    for cls in built:
+        monkeypatch.setattr(cls, "__init__", counting(cls))
+    for argv in (("blocks", "-p", "2", "--group", "S3"),
+                 ("verify", "--group", "S3", "--suite", "blocks")):
+        built.update(dict.fromkeys(built, 0))
+        code, _, err = run(capsys, *argv, "--cache-dir", str(tmp_path))
+        assert code == 0, err
+        assert built == {CongruenceMatrix: 1, ExtTorContext: 1}, argv

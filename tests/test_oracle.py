@@ -4,7 +4,7 @@ from burnside.errors import ResolutionTooLarge
 from burnside.exttor import (ModuleType, ext_report, prime_factors, tor_report)
 from burnside.oracle import (IntegralResolution, oracle_ext,
                              oracle_ext_simple_dims, oracle_tor)
-from burnside.intlinalg import mat_mul
+from burnside.intlinalg import kernel_of_columns, mat_mul, quotient_structure
 from burnside.resolution import ext_dims_pair
 from util import get_context
 
@@ -123,3 +123,61 @@ def test_oracle_budget_guard():
     res = IntegralResolution(ctx.ring, 0, max_cells=100)
     with pytest.raises(ResolutionTooLarge):
         res.extend_to(4)
+
+
+def _reference_ext(res, i, L):
+    """Ext^l as (kernel lattice of E_{l+1}) / (image lattice of E_l)."""
+    out = []
+    for l in range(L + 1):
+        kernel = kernel_of_columns(res.evaluation_matrix(l + 1, i),
+                                   res.ranks[l])
+        if l == 0:
+            out.append(ModuleType(len(kernel), ()))
+            continue
+        down = res.evaluation_matrix(l, i)
+        image = [list(col) for col in zip(*down)]
+        free, torsion = quotient_structure(kernel, image)
+        out.append(ModuleType(free, tuple(torsion)))
+    return out
+
+
+def _reference_tor(res, i, L):
+    """Tor_l as (kernel lattice of E_l^T) / (image lattice of E_{l+1}^T)."""
+    out = []
+    for l in range(L + 1):
+        if l == 0:
+            kernel = [[int(t == s) for t in range(res.ranks[0])]
+                      for s in range(res.ranks[0])]
+        else:
+            down = res.evaluation_matrix(l, i)
+            kernel = kernel_of_columns([list(col) for col in zip(*down)],
+                                       res.ranks[l])
+        image = res.evaluation_matrix(l + 1, i)
+        free, torsion = quotient_structure(kernel, image)
+        out.append(ModuleType(free, tuple(torsion)))
+    return out
+
+
+# (group, degree, label pairs or None for every pair)
+CROSS_CHECK = [
+    ("S3", 3, None), ("C4", 3, None), ("C6", 3, None), ("C9", 3, None),
+    ("C10", 3, None), ("D5", 2, None),
+    ("V4", 3, [("1", "2a"), ("2a", "1")]),
+]
+
+
+@pytest.mark.parametrize("name,L,pairs", CROSS_CHECK,
+                         ids=[case[0] for case in CROSS_CHECK])
+def test_smith_cache_matches_quotient_route(name, L, pairs):
+    ctx = get_context(name)
+    n = ctx.ring.n
+    if pairs is None:
+        pairs = [(i, j) for i in range(n) for j in range(n)]
+    else:
+        pairs = [(ctx.ring.index_of(a), ctx.ring.index_of(b))
+                 for a, b in pairs]
+    for i, j in pairs:
+        res = IntegralResolution(ctx.ring, j)
+        res.extend_to(L + 1)
+        assert oracle_ext(ctx, i, j, L) == _reference_ext(res, i, L), (i, j)
+        assert oracle_tor(ctx, i, j, L) == _reference_tor(res, i, L), (i, j)
