@@ -1,20 +1,27 @@
-"""Subrings of a ghost ring Z^I given by a Z-basis: the separation layer.
+"""The Burnside ring as a full-rank subring of its ghost ring Z^I.
 
-Everything downstream (congruence numbers, p-equivalence, blocks, Ext/Tor)
-only sees this interface, so arbitrary bases can be tested without a group.
+A `BRing` is given by a Z-basis; the table of marks gives one through
+`MarksTable.ring`, but any basis may be tested without a group.  All
+arithmetic is integer: coordinates come from adj = D . basis^-1, products
+from the integer structure constants, and the ring owns its congruence
+matrix d(i, j).  Everything downstream (p-equivalence, blocks, Ext/Tor)
+only sees this interface.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import cached_property
 from operator import mul
+from typing import TYPE_CHECKING
 
 from .errors import (InvalidPrime, InvariantViolation, NonIntegralSolution,
                      SeparationFailure)
 from .permgroup import is_prime
-from .marks import MarksTable
+
+if TYPE_CHECKING:
+    from .marks import MarksTable
 
 
 class BRing:
@@ -30,8 +37,7 @@ class BRing:
     coordinate is one integer dot product and an exact division by D.
     """
 
-    def __init__(self, labels: list[str], basis: list[list[int]],
-                 check: bool = True):
+    def __init__(self, labels: list[str], basis: list[list[int]]):
         self.labels = list(labels)
         self.n = len(labels)
         if len(basis) != self.n:
@@ -44,12 +50,8 @@ class BRing:
         self.unit_coeffs = self.decompose([1] * self.n)
         self._structure: list[list[list[int]]] | None = None
         self._witness: dict[tuple[int, int], list[int]] = {}
-        if check:
-            self._check_closure()
-            for i in range(self.n):
-                for j in range(self.n):
-                    if i != j:
-                        self.separation_witness(i, j)
+        # no separation pass: the basis is nonsingular, so no two columns agree
+        self._check_closure()
 
     def index_of(self, label: str) -> int:
         try:
@@ -57,34 +59,20 @@ class BRing:
         except ValueError:
             raise KeyError(f"unknown index label {label!r}") from None
 
-    def _scaled_coords(self, vector) -> list[int]:
-        """D times the coordinates of vector."""
+    def decompose(self, vector) -> list[int]:
         if len(vector) != self.n:
             raise ValueError("vector has the wrong length")
-        return [sum(map(mul, vector, col)) for col in self._adj_columns]
-
-    def decompose_rational(self, vector) -> list[Fraction]:
         D = self.denominator
-        return [Fraction(c, D) for c in self._scaled_coords(vector)]
-
-    def decompose(self, vector) -> list[int]:
-        D = self.denominator
-        coeffs = self._scaled_coords(vector)
+        coeffs = [sum(map(mul, vector, col)) for col in self._adj_columns]
         if D != 1:
             for lab, c in zip(self.labels, coeffs):
                 if c % D:
+                    g = math.gcd(c, D)
                     raise NonIntegralSolution(
-                        f"coefficient {Fraction(c, D)} at index {lab}: "
+                        f"coefficient {c // g}/{D // g} at index {lab}: "
                         f"vector lies outside R")
             coeffs = [c // D for c in coeffs]
         return coeffs
-
-    def contains(self, vector) -> bool:
-        try:
-            self.decompose(vector)
-            return True
-        except NonIntegralSolution:
-            return False
 
     def ghost_of(self, coeffs) -> list[int]:
         out = [0] * self.n
@@ -122,61 +110,23 @@ class BRing:
         """A ghost vector of an element r in R with r(i) != 0 and r(j) = 0.
 
         Preference order: a basis vector that already separates, then
-        r(j) * unit - r built from a basis vector vanishing nowhere at i,
-        then an integer combination found through the kernel lattice of
-        the j-coordinate.
+        r(j) . unit - r for the first basis vector r with r(i) != r(j),
+        which exists because columns i and j of a nonsingular basis differ.
         """
         if i == j:
             raise ValueError("separation is only defined for distinct indices")
         cached = self._witness.get((i, j))
         if cached is not None:
             return cached
-        witness = None
         for vec in self.basis:
             if vec[i] != 0 and vec[j] == 0:
                 witness = list(vec)
                 break
-        if witness is None:
-            for vec in self.basis:
-                if vec[j] != vec[i]:
-                    cand = [vec[j] * u - v for u, v in
-                            zip([1] * self.n, vec)]
-                    if cand[i] != 0 and cand[j] == 0:
-                        witness = cand
-                        break
-        if witness is None:
-            witness = self._kernel_witness(i, j)
-        if witness is None:
-            raise SeparationFailure(
-                f"no element separates {self.labels[i]} from {self.labels[j]}")
+        else:
+            vec = next(v for v in self.basis if v[i] != v[j])
+            witness = [vec[j] - v for v in vec]
         self._witness[(i, j)] = witness
         return witness
-
-    def _kernel_witness(self, i: int, j: int) -> list[int] | None:
-        # integer combinations with zero j-coordinate form a sublattice of
-        # Z^n; spanning coefficient vectors: one per zero entry, plus pairs
-        # cancelling two nonzero j-values through their gcd
-        vals = [vec[j] for vec in self.basis]
-        candidates: list[list[int]] = []
-        nz = [k for k, v in enumerate(vals) if v]
-        for k, v in enumerate(vals):
-            if not v:
-                coeff = [0] * self.n
-                coeff[k] = 1
-                candidates.append(coeff)
-        for a in range(len(nz)):
-            for b in range(a + 1, len(nz)):
-                ka, kb = nz[a], nz[b]
-                g = math.gcd(vals[ka], vals[kb])
-                coeff = [0] * self.n
-                coeff[ka] = vals[kb] // g
-                coeff[kb] = -(vals[ka] // g)
-                candidates.append(coeff)
-        for coeff in candidates:
-            vec = self.ghost_of(coeff)
-            if vec[i] != 0 and vec[j] == 0:
-                return vec
-        return None
 
     def idempotent_denominator(self, i: int) -> int:
         """Smallest m > 0 with m . e_i in R (e_i the i-th ghost idempotent).
@@ -185,10 +135,13 @@ class BRing:
         minimal m . e_i, so m is the exact annihilator bound used for the
         diagonal Ext exponent.
         """
-        target = [0] * self.n
-        target[i] = 1
-        coeffs = self.decompose_rational(target)
-        return math.lcm(*(c.denominator for c in coeffs))
+        D = self.denominator
+        return D // math.gcd(D, *(col[i] for col in self._adj_columns))
+
+    @cached_property
+    def dmat(self) -> CongruenceMatrix:
+        """The congruence matrix d(i, j) of this ring."""
+        return congruence_d(self)
 
 
 def _scaled_inverse(matrix: list[list[int]]) -> tuple[list[list[int]], int]:
@@ -224,7 +177,7 @@ def _scaled_inverse(matrix: list[list[int]]) -> tuple[list[list[int]], int]:
 
 def from_marks(table: MarksTable) -> BRing:
     """The Burnside ring as a subring of its ghost ring."""
-    return BRing(table.labels(), [table.row(h) for h in range(table.size)])
+    return table.ring
 
 
 class CongruenceMatrix:
@@ -299,7 +252,7 @@ def p_classes(ring: BRing, p: int,
     if not is_prime(p):
         raise InvalidPrime(f"{p} is not prime")
     if dmat is None:
-        dmat = congruence_d(ring)
+        dmat = ring.dmat
     n = ring.n
     assigned = [-1] * n
     classes: list[list[int]] = []

@@ -11,7 +11,7 @@ import json
 import sys
 
 from . import cache as cache_mod
-from .bring import BRing, congruence_d, from_marks, p_classes
+from .bring import BRing, from_marks, p_classes
 from .errors import BurnsideError, InvariantViolation
 from .exttor import (DegreeCell, ExtTorContext, ext_ranks, ext_report,
                      prime_factors, tor_report, verify_squarefree)
@@ -181,15 +181,15 @@ def cmd_dmatrix(args) -> int:
     ctx = _context(args)
     labels = ctx.ring.labels
     n = ctx.ring.n
-    dj = ctx.dmat.to_json()
-    partitions = [p_classes(ctx.ring, p, ctx.dmat).to_json()
-                  for p in ctx.primes()]
-    payload = {"group": ctx.group_name, **dj, "partitions": partitions}
+    dmat = ctx.ring.dmat
+    partitions = [p_classes(ctx.ring, p).to_json() for p in ctx.primes()]
+    payload = {"group": ctx.group_name, **dmat.to_json(),
+               "partitions": partitions}
     rows = []
     for i in range(n):
         cells = [labels[i]]
         for j in range(n):
-            cells.append("." if i == j else str(ctx.dmat.d(i, j)))
+            cells.append("." if i == j else str(dmat.d(i, j)))
         rows.append(cells)
     lines = [f"congruence numbers d(i, j) for {ctx.group_name}",
              _render([""] + labels, rows)]
@@ -228,16 +228,9 @@ def cmd_ext_tor(args) -> int:
         exact = run(ctx, i, j, min(L, ORACLE_DEGREE_CAP))
         for l, module in enumerate(exact):
             cell = report.degrees[l]
-            for pp in cell.p_parts:
-                oracle_rank = sum(1 for d in module.invariants if d % pp.p == 0)
-                if oracle_rank != pp.rank:
-                    raise InvariantViolation(
-                        f"oracle p-rank {oracle_rank} != report {pp.rank} "
-                        f"at degree {l}, p = {pp.p}")
-            if cell.module is not None and cell.module != module:
-                raise InvariantViolation(
-                    f"oracle module {module} != report {cell.module} "
-                    f"at degree {l}")
+            mismatch = _oracle_mismatch(cell, module)
+            if mismatch is not None:
+                raise InvariantViolation(mismatch)
             report.degrees[l] = DegreeCell(l, cell.p_parts, module, "oracle")
     name = "Ext^l" if args.kind == "ext" else "Tor_l"
     lines = [f"{name}(Z_{args.source}, Z_{args.target}) over "
@@ -308,8 +301,7 @@ def _verify_squarefree(args) -> int:
 def _verify_dress(args) -> int:
     group, name = _load_group(args)
     class_table = subgroup_classes(group)
-    ring = from_marks(table_of_marks(group, class_table))
-    dmat = congruence_d(ring)
+    dmat = from_marks(table_of_marks(group, class_table)).dmat
     ok = True
     for p in prime_factors(group.order):
         mismatches = 0
@@ -374,27 +366,33 @@ def _verify_oracle(args) -> int:
             ot = oracle_tor(ctx, i, j, L)
             for l in range(L + 1):
                 cells += 2
-                failures += not _cell_matches(er.degrees[l], oe[l])
-                failures += not _cell_matches(tr.degrees[l], ot[l])
+                failures += _oracle_mismatch(er.degrees[l], oe[l]) is not None
+                failures += _oracle_mismatch(tr.degrees[l], ot[l]) is not None
     status = "ok" if failures == 0 else f"{failures} FAILURES"
     print(f"oracle: {status} ({n * n} pairs, degrees 0..{L}, {cells} cells)")
     return 0 if failures == 0 else 1
 
 
-def _cell_matches(cell: DegreeCell, module) -> bool:
+def _oracle_mismatch(cell: DegreeCell, module) -> str | None:
+    """How the oracle's module disagrees with a report cell, or None.
+
+    The p-rank of the oracle's module is its number of invariant factors
+    divisible by p; it must equal the report's rank for every prime, those
+    the report leaves out included.  A known report module must equal it.
+    """
     reported = {pp.p: pp.rank for pp in cell.p_parts}
-    actual = {}
+    actual: dict[int, int] = {}
     for d in module.invariants:
         for p in prime_factors(d):
             actual[p] = actual.get(p, 0) + 1
-    if cell.l == 0:
-        if cell.module is not None and cell.module.free_rank != module.free_rank:
-            return False
-    if cell.l >= 1 and reported != actual:
-        return False
+    for p in sorted(reported.keys() | actual.keys()):
+        if reported.get(p, 0) != actual.get(p, 0):
+            return (f"oracle p-rank {actual.get(p, 0)} != report "
+                    f"{reported.get(p, 0)} at degree {cell.l}, p = {p}")
     if cell.module is not None and cell.module != module:
-        return False
-    return True
+        return (f"oracle module {module} != report {cell.module} "
+                f"at degree {cell.l}")
+    return None
 
 
 if __name__ == "__main__":

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .bring import BRing, CongruenceMatrix, congruence_d, from_marks
+from .bring import BRing, CongruenceMatrix, from_marks
 from .errors import InvariantViolation, NegativeRank
 from .marks import MarksTable
 from .modp import ModPAlgebra, blocks, build_modp
@@ -141,18 +141,22 @@ class ExtTorReport:
 
 
 class ExtTorContext:
-    """Shared caches for one B-ring: d-matrix, mod-p algebras, resolutions."""
+    """Shared caches for one B-ring: mod-p algebras and resolutions."""
 
     def __init__(self, ring: BRing, group_name: str = "",
                  group_order: int | None = None):
         self.ring = ring
         self.group_name = group_name
         self.group_order = group_order
-        self.dmat: CongruenceMatrix = congruence_d(ring)
         self._algebras: dict[int, ModPAlgebra] = {}
         self._m0: dict[int, int] = {}
         # oracle.IntegralResolution of Z_j by j, filled by the oracle
         self.integral_resolutions: dict = {}
+
+    @property
+    def dmat(self) -> CongruenceMatrix:
+        """The ring's congruence matrix, built once per ring."""
+        return self.ring.dmat
 
     @classmethod
     def from_marks(cls, table: MarksTable, group_name: str = "") -> "ExtTorContext":
@@ -170,7 +174,7 @@ class ExtTorContext:
 
     def algebra(self, p: int) -> ModPAlgebra:
         if p not in self._algebras:
-            self._algebras[p] = build_modp(self.ring, p, self.dmat)
+            self._algebras[p] = build_modp(self.ring, p)
         return self._algebras[p]
 
     def m0(self, i: int) -> int:

@@ -1,11 +1,15 @@
-"""Table of marks and Burnside ring arithmetic in ghost coordinates."""
+"""Table of marks, and Burnside ring elements over its [G/H] basis.
+
+The arithmetic of those elements is that of the table's `BRing`.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import cached_property
 
-from .errors import BasisMismatch, InvariantViolation, NonIntegralSolution
+from .bring import BRing
+from .errors import BasisMismatch, InvariantViolation
 from .permgroup import PermGroup, SubgroupClassTable, coset_action, subgroup_classes
 
 
@@ -27,6 +31,11 @@ class MarksTable:
 
     def row(self, h: int) -> list[int]:
         return list(self.matrix[h])
+
+    @cached_property
+    def ring(self) -> BRing:
+        """The Burnside ring with the rows of this table as its basis."""
+        return BRing(self.labels(), self.matrix)
 
     def basis_element(self, h: int) -> "BurnsideElement":
         coeffs = [0] * self.size
@@ -146,42 +155,14 @@ def verify_marks(table: MarksTable) -> None:
 
 def ghost(x: BurnsideElement) -> list[int]:
     """Evaluate all marks of x: the row vector coeffs^T . M."""
-    m = x.table.matrix
-    n = x.table.size
-    out = [0] * n
-    for h, c in enumerate(x.coeffs):
-        if c:
-            row = m[h]
-            for j in range(n):
-                out[j] += c * row[j]
-    return out
-
-
-def decompose_rational(table: MarksTable, vector) -> list[Fraction]:
-    """Solve coeffs^T . M = vector by back-substitution, over exact rationals."""
-    n = table.size
-    if len(vector) != n:
-        raise BasisMismatch("ghost vector has the wrong length")
-    m = table.matrix
-    coeffs = [Fraction(0)] * n
-    for j in range(n - 1, -1, -1):
-        acc = Fraction(vector[j])
-        for h in range(j + 1, n):
-            if m[h][j]:
-                acc -= coeffs[h] * m[h][j]
-        coeffs[j] = acc / m[j][j]
-    return coeffs
+    return x.table.ring.ghost_of(x.coeffs)
 
 
 def decompose(table: MarksTable, vector) -> BurnsideElement:
     """Inverse of ghost on its image; NonIntegralSolution off the image."""
-    coeffs = decompose_rational(table, vector)
-    for label, c in zip(table.labels(), coeffs):
-        if c.denominator != 1:
-            raise NonIntegralSolution(
-                f"coefficient {c} at class {label}: vector is in the ghost "
-                f"ring but not in the Burnside ring")
-    return BurnsideElement(table, tuple(int(c) for c in coeffs))
+    if len(vector) != table.size:
+        raise BasisMismatch("ghost vector has the wrong length")
+    return BurnsideElement(table, tuple(table.ring.decompose(vector)))
 
 
 def multiply(x: BurnsideElement, y: BurnsideElement) -> BurnsideElement:

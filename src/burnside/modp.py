@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .bring import BRing, CongruenceMatrix, p_classes
+from .bring import BRing, p_classes
 from .errors import (IdempotentLiftDivergence, InvalidPrime,
                      InvariantViolation, NotLocal)
 from .fplinalg import (FpLaneEchelon, FpLanes, fp_lane_kernel_of_columns,
@@ -17,12 +17,10 @@ class ModPAlgebra:
 
     theta sends an element to its ghost values mod p, one coordinate per
     p-equivalence class; it is a surjective algebra map whose kernel is
-    the radical.  `dmat` is the ring's congruence matrix when the caller
-    already holds it; otherwise `p_classes` computes it.
+    the radical.  The p-classes come from the ring's own d-matrix.
     """
 
-    def __init__(self, ring: BRing, p: int,
-                 dmat: CongruenceMatrix | None = None):
+    def __init__(self, ring: BRing, p: int):
         if not is_prime(p):
             raise InvalidPrime(f"{p} is not prime")
         self.ring = ring
@@ -32,7 +30,7 @@ class ModPAlgebra:
         sc = ring.structure_constants()
         self.sc = [[[c % p for c in sc[k][l]] for l in range(self.dim)]
                    for k in range(self.dim)]
-        self.partition = p_classes(ring, p, dmat)
+        self.partition = p_classes(ring, p)
         self.classes = self.partition.classes
         for cls in self.classes:
             for k in range(self.dim):
@@ -111,9 +109,8 @@ class ModPAlgebra:
                             "structure constants not associative")
 
 
-def build_modp(ring: BRing, p: int,
-               dmat: CongruenceMatrix | None = None) -> ModPAlgebra:
-    return ModPAlgebra(ring, p, dmat)
+def build_modp(ring: BRing, p: int) -> ModPAlgebra:
+    return ModPAlgebra(ring, p)
 
 
 def radical(algebra: ModPAlgebra) -> list[list[int]]:

@@ -352,7 +352,6 @@ class SubgroupClassTable:
     def __init__(self, group: PermGroup, classes: list[SubgroupClass]):
         self.group = group
         self.classes = classes
-        self._by_label = {c.label: i for i, c in enumerate(classes)}
 
     def __len__(self):
         return len(self.classes)
@@ -365,19 +364,6 @@ class SubgroupClassTable:
 
     def labels(self) -> list[str]:
         return [c.label for c in self.classes]
-
-    def index_of_label(self, label: str) -> int:
-        if label not in self._by_label:
-            raise KeyError(f"unknown class label {label!r}; "
-                           f"known: {', '.join(self.labels())}")
-        return self._by_label[label]
-
-    def class_of(self, sub: Subgroup) -> int:
-        """Index of the class containing the given subgroup."""
-        for i, c in enumerate(self.classes):
-            if c.order == sub.order and sub in c.members:
-                return i
-        raise InvalidSubgroup("subgroup not found in the class table")
 
 
 def subgroup_classes(group: PermGroup) -> SubgroupClassTable:

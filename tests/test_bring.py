@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from burnside.bring import (BRing, congruence_d, from_marks, p_classes,
@@ -143,3 +145,38 @@ def test_ghost_of_matches_marks_rows():
         coeffs = [0] * ring.n
         coeffs[h] = 1
         assert ring.ghost_of(coeffs) == ring.basis[h]
+
+
+D4_C3 = "(1 2 3 4),(1 3),(5 6 7)"
+
+
+def _fraction_idempotent_denominator(ring, i):
+    """lcm of the denominators of e_i's coordinates, solved over Q."""
+    from fractions import Fraction
+    n = ring.n
+    rows = [[Fraction(ring.basis[k][m]) for k in range(n)] + [Fraction(m == i)]
+            for m in range(n)]  # coeffs^T . basis = e_i, one row per index
+    for col in range(n):
+        piv = next(r for r in range(col, n) if rows[r][col] != 0)
+        rows[col], rows[piv] = rows[piv], rows[col]
+        rows[col] = [x / rows[col][col] for x in rows[col]]
+        for r in range(n):
+            if r != col and rows[r][col] != 0:
+                f = rows[r][col]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
+    return math.lcm(*(row[n].denominator for row in rows))
+
+
+@pytest.mark.parametrize("name", CORPUS + [D4_C3, None])
+def test_idempotent_denominator_matches_rational_solve(name):
+    ring = (BRing(["a", "b"], [[1, 1], [0, 2]]) if name is None
+            else get_context(name).ring)
+    for i in range(ring.n):
+        assert (ring.idempotent_denominator(i)
+                == _fraction_idempotent_denominator(ring, i))
+
+
+def test_ring_owns_its_congruence_matrix():
+    ctx = get_context("S4")
+    assert ctx.dmat is ctx.ring.dmat
+    assert ctx.ring is get_marks("S4").ring

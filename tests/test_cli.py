@@ -199,3 +199,26 @@ def test_one_congruence_matrix_per_context(capsys, tmp_path, monkeypatch):
         code, _, err = run(capsys, *argv, "--cache-dir", str(tmp_path))
         assert code == 0, err
         assert built == {CongruenceMatrix: 1, ExtTorContext: 1}, argv
+
+
+def test_ext_oracle_checks_primes_missing_from_the_report(capsys, tmp_path,
+                                                          monkeypatch):
+    # an oracle with an extra Z/3 at degree 1 must fail the cross-check
+    # even though the report lists only p = 2 there
+    import burnside.cli as cli
+    from burnside.exttor import ModuleType
+
+    real = cli.oracle_ext
+
+    def skewed(ctx, i, j, L):
+        out = real(ctx, i, j, L)
+        out[1] = ModuleType(out[1].free_rank, (3,) + out[1].invariants)
+        return out
+
+    monkeypatch.setattr(cli, "oracle_ext", skewed)
+    code, out, err = run(capsys, "ext", "--group", "C4", "--source", "1",
+                         "--target", "2", "--max-degree", "2", "--oracle",
+                         "--cache-dir", str(tmp_path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: oracle p-rank 1 != report 0 at degree 1, p = 3")
+    assert "Traceback" not in err

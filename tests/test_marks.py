@@ -155,3 +155,20 @@ def test_json_emission():
     # canonical representative is the lexicographically least in its class
     assert doc["classes"][1]["representative"] == [[0, 1, 2], [0, 2, 1]]
     json.dumps(doc)  # serializable
+
+
+@pytest.mark.parametrize("name", ["S3", "C4", "D4", "S4"])
+def test_decompose_agrees_with_ring(name):
+    table = get_marks(name)
+    for h in range(table.size):
+        for j in range(h, table.size):
+            vec = [a * b + c for a, b, c in zip(table.matrix[h], table.matrix[j],
+                                                 table.matrix[-1])]
+            assert decompose(table, vec).coeffs == tuple(
+                table.ring.decompose(vec))
+    off = [1] + [0] * (table.size - 1)
+    with pytest.raises(NonIntegralSolution) as via_marks:
+        decompose(table, off)
+    with pytest.raises(NonIntegralSolution) as via_ring:
+        table.ring.decompose(off)
+    assert str(via_marks.value) == str(via_ring.value)
