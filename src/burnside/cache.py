@@ -34,16 +34,51 @@ def _path_for(cache_dir: Path, fp: str) -> Path:
     return cache_dir / f"marks-{digest}.json"
 
 
+def _is_marks_document(marks) -> bool:
+    """Cheap shape checks of a cached marks payload.
+
+    Every class has a string label, an int order and a list representative
+    of that many elements; the matrix is square with one int row per
+    class, lower triangular with a positive diagonal, and its first column
+    is |G|/|H| (so matrix[i][0] * order_i == matrix[0][0]).
+    """
+    if not isinstance(marks, dict):
+        return False
+    classes, matrix = marks.get("classes"), marks.get("matrix")
+    if not (isinstance(classes, list) and isinstance(matrix, list)
+            and classes and len(matrix) == len(classes)):
+        return False
+    n = len(classes)
+    for i, (cls, row) in enumerate(zip(classes, matrix)):
+        if not (isinstance(cls, dict) and isinstance(cls.get("label"), str)
+                and type(cls.get("order")) is int
+                and isinstance(cls.get("representative"), list)
+                and len(cls["representative"]) == cls["order"]
+                and isinstance(row, list) and len(row) == n
+                and all(type(x) is int for x in row)):
+            return False
+        if (row[i] <= 0 or any(row[i + 1:])
+                or row[0] * cls["order"] != matrix[0][0]):
+            return False
+    return len({cls["label"] for cls in classes}) == n
+
+
 def load_marks_json(cache_dir: Path, group: PermGroup) -> dict | None:
-    """The cached marks document, or None on miss/stale/foreign entries."""
+    """The cached marks document, or None on miss/stale/foreign entries.
+
+    An entry that fails `_is_marks_document` counts as a miss, so the
+    caller recomputes it and overwrites the file.
+    """
     fp = fingerprint(group)
     path = _path_for(cache_dir, fp)
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError):
+    except (OSError, ValueError):  # unreadable, or not UTF-8 JSON
         return None
-    if doc.get("version") != CACHE_VERSION or doc.get("fingerprint") != fp:
+    if (not isinstance(doc, dict) or doc.get("version") != CACHE_VERSION
+            or doc.get("fingerprint") != fp
+            or not _is_marks_document(doc.get("marks"))):
         return None
     return doc["marks"]
 

@@ -1,9 +1,20 @@
 """Exact integer linear algebra: kernels, Smith normal form, lattice solves.
 
-Everything here works on matrices stored as lists of rows of Python ints,
-so coefficient growth is absorbed by arbitrary precision arithmetic.
+Dense matrices are lists of rows of Python ints, so coefficient growth is
+absorbed by arbitrary precision arithmetic.
 
-The oracle builds its resolutions with `kernel_of_columns` and reads
+Integer elimination runs on sparse rows: a row is a `dict[int, int]` from
+index to nonzero entry and its lead is `min(row)`.  Besides sign flips, two
+helpers do every update: `_add_multiple` (v += q * r in place, dropping
+cancelled entries) and `_bezout_pair` (the unimodular pair
+(x*u + y*v, ag*v - bg*u)).  One reduction loop, `_reduce`, drives
+`kernel_of_sparse_columns` (whose combination vectors are sparse rows
+too), `kernel_of_columns` (its dense-rows front end) and
+`lattice_span_basis` with `_reduce_above_pivots`.  The oracle's
+differentials have a few nonzeros per column, so a step costs the size of
+the rows it touches, not their length.
+
+The oracle builds its resolutions with `kernel_of_sparse_columns` and reads
 (co)homology off `smith_invariants` alone.  `quotient_structure` (kernel
 lattice modulo image lattice, through `solve_integer`) is no longer on
 that path: it stays as the independent reference the tests check the
@@ -13,6 +24,10 @@ Smith-form oracle against.
 from __future__ import annotations
 
 from .errors import InvariantViolation
+
+SparseRow = dict[int, int]
+# lead -> (row, combination); the combination is {} when not tracked
+Echelon = dict[int, tuple[SparseRow, SparseRow]]
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -91,52 +106,112 @@ def _diagonalize(A: list[list[int]], ncols: int):
     return D
 
 
-def kernel_of_columns(A: list[list[int]], ncols: int) -> list[list[int]]:
-    """Basis of the lattice {x in Z^ncols : A @ x = 0}.
+def _add_multiple(v: SparseRow, q: int, r: SparseRow) -> None:
+    """v += q * r in place on sparse rows, for q != 0; cancelled entries
+    are dropped so that `min(v)` stays the lead."""
+    for k, x in r.items():
+        y = v.get(k, 0) + q * x
+        if y:
+            v[k] = y
+        else:
+            del v[k]
+
+
+def _bezout_pair(u: SparseRow, v: SparseRow, x: int, y: int,
+                 ag: int, bg: int) -> tuple[SparseRow, SparseRow]:
+    """The sparse rows (x*u + y*v, ag*v - bg*u).
+
+    With x*a + y*b = g, ag = a/g and bg = b/g this is unimodular, and at
+    the common lead (entries a of u, b of v) it leaves g and 0.
+    """
+    top: SparseRow = {}
+    bottom: SparseRow = {}
+    for k in u.keys() | v.keys():
+        a, b = u.get(k, 0), v.get(k, 0)
+        t = x * a + y * b
+        if t:
+            top[k] = t
+        t = ag * b - bg * a
+        if t:
+            bottom[k] = t
+    return top, bottom
+
+
+def _dense(row: SparseRow, width: int) -> list[int]:
+    out = [0] * width
+    for k, x in row.items():
+        out[k] = x
+    return out
+
+
+def _reduce(echelon: Echelon, vec: SparseRow,
+            combo: SparseRow) -> SparseRow | None:
+    """Reduce the sparse row `vec` against `echelon` (lead -> (row, combo)).
+
+    `combo` undergoes the same operations as `vec`; it is empty, and stays
+    so, when the caller does not track combinations.  Returns the final
+    combination if `vec` reduces to zero, else None after inserting `vec`
+    under its new lead with a positive pivot.  A lead clash whose pivots
+    do not divide replaces the echelon row by the Bezout pair's top.
+    """
+    while vec:
+        lead = min(vec)
+        hit = echelon.get(lead)
+        if hit is None:
+            if vec[lead] < 0:
+                vec = {k: -x for k, x in vec.items()}
+                combo = {k: -x for k, x in combo.items()}
+            echelon[lead] = (vec, combo)
+            return None
+        rvec, rcombo = hit
+        a, b = rvec[lead], vec[lead]
+        if b % a == 0:
+            q = -(b // a)
+            _add_multiple(vec, q, rvec)
+            if rcombo:  # empty when combinations are not tracked
+                _add_multiple(combo, q, rcombo)
+        else:
+            g, x, y = xgcd(a, b)
+            ag, bg = a // g, b // g
+            new_rvec, vec = _bezout_pair(rvec, vec, x, y, ag, bg)
+            new_rcombo, combo = _bezout_pair(rcombo, combo, x, y, ag, bg)
+            echelon[lead] = (new_rvec, new_rcombo)
+    return combo
+
+
+def kernel_of_sparse_columns(columns: list[SparseRow]) -> list[list[int]]:
+    """Basis of the lattice {x : sum_j x_j * columns[j] = 0}, as dense
+    vectors of length len(columns), sorted.
 
     Columns are inserted one by one into an integer row echelon while a
-    combination vector tracks how each state row arises from the original
-    columns.  Every update is a unimodular operation on the tracked rows,
-    so the combinations emitted when a column reduces to zero form a
-    genuine Z-basis of the kernel, not merely a spanning set.
+    sparse combination vector (`{j: 1}` for column j) tracks how each state
+    row arises from the original columns.  Every update is a unimodular
+    operation on the tracked rows, so the combinations emitted when a
+    column reduces to zero form a genuine Z-basis of the kernel, not
+    merely a spanning set.
     """
-    if any(len(row) != ncols for row in A):
-        raise InvariantViolation(f"matrix rows do not all have {ncols} columns")
-    m = len(A)
-    echelon: dict[int, tuple[list[int], list[int]]] = {}
-    kernel: list[list[int]] = []
-    for j in range(ncols):
-        vec = [A[i][j] for i in range(m)]
-        combo = [0] * ncols
-        combo[j] = 1
-        while True:
-            lead = next((i for i, x in enumerate(vec) if x), -1)
-            if lead < 0:
-                kernel.append(combo)
-                break
-            hit = echelon.get(lead)
-            if hit is None:
-                if vec[lead] < 0:
-                    vec = [-x for x in vec]
-                    combo = [-x for x in combo]
-                echelon[lead] = (vec, combo)
-                break
-            rvec, rcombo = hit
-            a, b = rvec[lead], vec[lead]
-            if b % a == 0:
-                q = b // a
-                vec = [x - q * y for x, y in zip(vec, rvec)]
-                combo = [x - q * y for x, y in zip(combo, rcombo)]
-            else:
-                g, x, y = xgcd(a, b)
-                ag, bg = a // g, b // g
-                new_rvec = [x * u + y * v for u, v in zip(rvec, vec)]
-                new_rcombo = [x * u + y * v for u, v in zip(rcombo, combo)]
-                vec = [ag * v - bg * u for u, v in zip(rvec, vec)]
-                combo = [ag * v - bg * u for u, v in zip(rcombo, combo)]
-                echelon[lead] = (new_rvec, new_rcombo)
+    ncols = len(columns)
+    echelon: Echelon = {}
+    kernel = []
+    for j, col in enumerate(columns):
+        combo = _reduce(echelon, dict(col), {j: 1})
+        if combo is not None:
+            kernel.append(_dense(combo, ncols))
     kernel.sort(key=_vec_key)
     return kernel
+
+
+def kernel_of_columns(A: list[list[int]], ncols: int) -> list[list[int]]:
+    """Basis of the lattice {x in Z^ncols : A @ x = 0} for dense rows A;
+    see `kernel_of_sparse_columns`."""
+    if any(len(row) != ncols for row in A):
+        raise InvariantViolation(f"matrix rows do not all have {ncols} columns")
+    columns: list[SparseRow] = [{} for _ in range(ncols)]
+    for i, row in enumerate(A):
+        for j, x in enumerate(row):
+            if x:
+                columns[j][i] = x
+    return kernel_of_sparse_columns(columns)
 
 
 def _vec_key(vec):
@@ -244,56 +319,44 @@ def solve_integer(A: list[list[int]], B: list[list[int]]) -> list[list[int]]:
 
 
 def lattice_span_basis(vectors: list[list[int]]) -> list[list[int]]:
-    """Echelon basis of the lattice spanned by the given vectors.
+    """Hermite-reduced basis of the lattice spanned by the given vectors.
 
     Entries above each pivot are reduced modulo the pivot as rows come
     in; without that normalization the Bezout updates blow coefficients
     up exponentially in the number of insertions.
     """
-    echelon: dict[int, list[int]] = {}
+    width = len(vectors[0]) if vectors else 0
+    echelon: Echelon = {}
     for count, vec in enumerate(vectors):
-        vec = list(vec)
-        while True:
-            lead = next((i for i, x in enumerate(vec) if x), -1)
-            if lead < 0:
-                break
-            hit = echelon.get(lead)
-            if hit is None:
-                if vec[lead] < 0:
-                    vec = [-x for x in vec]
-                echelon[lead] = vec
-                break
-            a, b = hit[lead], vec[lead]
-            if b % a == 0:
-                qq = b // a
-                vec = [x - qq * y for x, y in zip(vec, hit)]
-            else:
-                g, x, y = xgcd(a, b)
-                ag, bg = a // g, b // g
-                echelon[lead] = [x * u + y * v for u, v in zip(hit, vec)]
-                vec = [ag * v - bg * u for u, v in zip(hit, vec)]
+        _reduce(echelon, {k: x for k, x in enumerate(vec) if x}, {})
         if count % 8 == 7:
             _reduce_above_pivots(echelon)
     _reduce_above_pivots(echelon)
-    return [echelon[lead] for lead in sorted(echelon)]
+    return [_dense(echelon[lead][0], width) for lead in sorted(echelon)]
 
 
-def _reduce_above_pivots(echelon: dict[int, list[int]]) -> None:
+def _reduce_above_pivots(echelon: Echelon) -> None:
     """Shrink every entry above a pivot modulo that pivot (unimodular).
 
-    Ascending pivot order matters: reducing at a pivot only touches
-    columns to its right, so previously normalized columns stay put and
-    the result is the unique Hermite-reduced basis of the row lattice.
+    Each row is reduced at the pivot columns it meets, left to right:
+    subtracting a multiple of the row at pivot p only touches columns
+    p and beyond, so columns already normalized stay put and the result
+    is the unique Hermite-reduced basis of the row lattice.  Rows are
+    taken bottom-up, so every row subtracted is already reduced.
     """
-    pivots = sorted(echelon)
-    for t, p in enumerate(pivots):
-        base = echelon[p]
-        a = base[p]
-        for u in pivots[:t]:
-            row = echelon[u]
-            qq = row[p] // a
-            if qq:
-                echelon[u] = [x - qq * y for x, y in zip(row, base)]
+    for u in sorted(echelon, reverse=True):
+        row = echelon[u][0]
+        p = u
+        while True:
+            for p in sorted(k for k in row if k > p and k in echelon):
+                base = echelon[p][0]
+                qq = row[p] // base[p]
+                if qq:
+                    # may create entries at later pivots: rescan past p
+                    _add_multiple(row, -qq, base)
+                    break
+            else:
+                break
 
 
 def quotient_structure(kernel_basis: list[list[int]],

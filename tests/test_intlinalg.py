@@ -1,11 +1,16 @@
+import hashlib
+import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from burnside.fplinalg import fp_rank
 from burnside.intlinalg import (_diagonalize, _invariant_factors,
-                                kernel_of_columns, mat_mul, quotient_structure,
-                                rank, smith_invariants, solve_integer, xgcd)
+                                kernel_of_columns, kernel_of_sparse_columns,
+                                lattice_span_basis, mat_mul,
+                                quotient_structure, rank, smith_invariants,
+                                solve_integer, xgcd)
 from burnside.oracle import IntegralResolution
 from util import get_context
 
@@ -108,3 +113,103 @@ def test_smith_invariants_of_v4_top_oracle_differential():
     for p in (2, 3):
         reduced = [[x % p for x in row] for row in E4]
         assert sum(d % p == 0 for d in invs) == len(invs) - fp_rank(reduced, p)
+
+
+# mostly zeros; the nonzeros pair up into leads that do not divide each
+# other (2, 3), (4, 6), (6, 10), (9, 15), so Bezout steps run
+SPARSE_ENTRIES = [0] * 8 + [1, -1, 2, -3, 4, 6, -6, 9, 10, -15]
+
+
+@st.composite
+def sparse_matrix(draw):
+    m, n = draw(st.integers(0, 6)), draw(st.integers(0, 8))
+    row = st.lists(st.sampled_from(SPARSE_ENTRIES), min_size=n, max_size=n)
+    return draw(st.lists(row, min_size=m, max_size=m)), n
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_matrix())
+def test_sparse_kernel_is_a_saturated_basis(data):
+    A, n = data
+    ker = kernel_of_columns(A, n)
+    for x in ker:
+        assert len(x) == n
+        assert all(sum(a * b for a, b in zip(row, x)) == 0 for row in A)
+    assert len(ker) == n - rank(A, n)
+    # saturated: Z^n / span(ker) is free, so the basis spans every
+    # integer kernel vector, not a sublattice of finite index
+    if ker:
+        assert set(smith_invariants(ker, n)) == {1}
+    columns = [{i: row[j] for i, row in enumerate(A) if row[j]}
+               for j in range(n)]
+    assert kernel_of_sparse_columns(columns) == ker
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_matrix())
+def test_sparse_hermite_basis_is_reduced(data):
+    A, n = data
+    basis = lattice_span_basis(A)
+    leads = [next(j for j, x in enumerate(row) if x) for row in basis]
+    assert leads == sorted(set(leads))
+    for t, (row, lead) in enumerate(zip(basis, leads)):
+        assert row[lead] > 0
+        assert all(0 <= other[lead] < row[lead] for other in basis[:t])
+    assert len(basis) == rank(A, n)
+    assert lattice_span_basis(basis) == basis
+
+
+def test_kernel_edge_cases():
+    # no rows: every unit vector is in the kernel
+    assert kernel_of_columns([], 3) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    # all-zero columns are unit kernel vectors
+    assert kernel_of_columns([[0, 2, 0], [0, 3, 0]], 3) == [[1, 0, 0],
+                                                            [0, 0, 1]]
+    # no columns: nothing to combine
+    assert kernel_of_columns([[], []], 0) == []
+    assert kernel_of_sparse_columns([]) == []
+    assert kernel_of_sparse_columns([{}, {0: 4}]) == [[1, 0]]
+    # the leads 4 and 6 do not divide: a Bezout step gives (-3, 2)
+    assert kernel_of_columns([[4, 6]], 2) == [[-3, 2]]
+    assert lattice_span_basis([]) == []
+    assert lattice_span_basis([[0, 0], [0, 0]]) == []
+    assert lattice_span_basis([[4, 6], [6, 9]]) == [[2, 3]]
+
+
+# sha256 of json.dumps of the kernel of the stage-4 differential of each
+# V4 oracle resolution (80 x 320), as computed by the dense elimination
+# that the sparse rows replaced
+V4_STAGE4_KERNELS = {
+    "1": "f8f899759a495fa36aec38e0f6e2033495a0391192a12dcc3c73c13ccfab9b88",
+    "2a": "76f63fd4330031b3a4cc075b29fd7a6a19c381678e8174f46a827b554badd410",
+    "2b": "4a1fd3d3f4536c6916d88cf1fa3d7e06ae46666f6f5862b1fa326e25245fcf86",
+    "2c": "531d5d1979360b6bd6d02a746f3d1646e5c1209a364c4b92da19945fe824d968",
+    "4": "2ce939675229e94e63009db6408a54a96ab656ede9da7e1ed8e3f7f7daac74f8",
+}
+
+
+@pytest.mark.parametrize("label", V4_STAGE4_KERNELS)
+def test_v4_stage4_oracle_kernel_is_pinned(label):
+    ring = get_context("V4").ring
+    n = ring.n
+    sc = ring.structure_constants()
+    res = IntegralResolution(ring, ring.index_of(label))
+    res.extend_to(4)
+    # the stage-4 differential, built densely: column t * n + k is b_k
+    # times column t of the stage-3 differential
+    m_prev, m_top = res.ranks[2], res.ranks[3]
+    A = [[0] * (m_top * n) for _ in range(m_prev * n)]
+    for t, col in enumerate(res.diffs[2]):
+        for k in range(n):
+            for s, e in enumerate(col):
+                for w, ew in enumerate(e):
+                    for m, cm in enumerate(sc[k][w]):
+                        A[s * n + m][t * n + k] += ew * cm
+    assert (len(A), len(A[0])) == (80, 320)
+    kernel = kernel_of_columns(A, 320)
+    assert len(kernel) == res.ranks[4] == 256
+    digest = hashlib.sha256(json.dumps(kernel).encode()).hexdigest()
+    assert digest == V4_STAGE4_KERNELS[label]
+    # the resolution's sparse build of the same differential agrees
+    assert [[x for part in col for x in part]
+            for col in res.diffs[3]] == kernel
