@@ -1,17 +1,19 @@
 """Exact computational algebra for Burnside rings of finite groups.
 
-Library layout: permutation groups (perm, permgroup), table of marks
-(marks), ghost subrings and congruence data (bring), mod-p blocks (modp),
-minimal resolutions (resolution), integral Ext/Tor reports (exttor) with
-a Smith-form oracle (oracle), and a CLI (cli) with a marks cache (cache).
+Library layout: permutation groups (perm, permgroup, with named groups and
+cycle parsing in groups), table of marks (marks), ghost subrings and
+congruence data (bring), mod-p blocks (modp), minimal resolutions
+(resolution), integral Ext/Tor reports (exttor) with a Smith-form oracle
+(oracle), exact linear algebra over F_p (fplinalg) and Z (intlinalg), the
+error taxonomy (errors), and a CLI (cli) with a marks cache (cache).
 """
 
 from .perm import Permutation
-from .permgroup import (PermGroup, Subgroup, SubgroupClassTable, coset_action,
+from .permgroup import (CosetAction, PermGroup, Subgroup, SubgroupClassTable,
                         enumerate_elements, normalizer, o_p, subgroup_classes)
 from .marks import BurnsideElement, MarksTable, decompose, ghost, multiply, table_of_marks
-from .bring import BRing, congruence_d, from_marks, p_classes, separators
-from .modp import ModPAlgebra, LocalBlock, blocks, build_modp, radical
+from .bring import BRing, congruence_d, p_classes, separators
+from .modp import ModPAlgebra, LocalBlock, blocks, radical
 from .resolution import (MinimalResolution, betti_growth_certificate,
                          betti_sequence, ext_dims_pair, tor_dims_pair)
 from .exttor import (ExtTorContext, ext_ranks, ext_report, hom_base,

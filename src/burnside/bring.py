@@ -14,14 +14,10 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from operator import mul
-from typing import TYPE_CHECKING
 
 from .errors import (InvalidPrime, InvariantViolation, NonIntegralSolution,
                      SeparationFailure)
 from .permgroup import is_prime
-
-if TYPE_CHECKING:
-    from .marks import MarksTable
 
 
 class BRing:
@@ -49,7 +45,6 @@ class BRing:
         self._adj_columns = [list(col) for col in zip(*adj)]
         self.unit_coeffs = self.decompose([1] * self.n)
         self._structure: list[list[list[int]]] | None = None
-        self._witness: dict[tuple[int, int], list[int]] = {}
         # no separation pass: the basis is nonsingular, so no two columns agree
         self._check_closure()
 
@@ -115,18 +110,11 @@ class BRing:
         """
         if i == j:
             raise ValueError("separation is only defined for distinct indices")
-        cached = self._witness.get((i, j))
-        if cached is not None:
-            return cached
         for vec in self.basis:
             if vec[i] != 0 and vec[j] == 0:
-                witness = list(vec)
-                break
-        else:
-            vec = next(v for v in self.basis if v[i] != v[j])
-            witness = [vec[j] - v for v in vec]
-        self._witness[(i, j)] = witness
-        return witness
+                return list(vec)
+        vec = next(v for v in self.basis if v[i] != v[j])
+        return [vec[j] - v for v in vec]
 
     def idempotent_denominator(self, i: int) -> int:
         """Smallest m > 0 with m . e_i in R (e_i the i-th ghost idempotent).
@@ -173,11 +161,6 @@ def _scaled_inverse(matrix: list[list[int]]) -> tuple[list[list[int]], int]:
                 rows[r] = [x // g for x in row] if g != 1 else row
     D = math.lcm(*(rows[i][i] for i in range(n)))
     return [[x * (D // rows[i][i]) for x in rows[i][n:]] for i in range(n)], D
-
-
-def from_marks(table: MarksTable) -> BRing:
-    """The Burnside ring as a subring of its ghost ring."""
-    return table.ring
 
 
 class CongruenceMatrix:
@@ -247,13 +230,10 @@ class PrimeEquivalence:
         return {"p": self.p, "classes": self.label_classes()}
 
 
-def p_classes(ring: BRing, p: int,
-              dmat: CongruenceMatrix | None = None) -> PrimeEquivalence:
+def p_classes(ring: BRing, p: int) -> PrimeEquivalence:
     if not is_prime(p):
         raise InvalidPrime(f"{p} is not prime")
-    if dmat is None:
-        dmat = ring.dmat
-    n = ring.n
+    dmat, n = ring.dmat, ring.n
     assigned = [-1] * n
     classes: list[list[int]] = []
     for i in range(n):

@@ -63,11 +63,20 @@ def _is_marks_document(marks) -> bool:
     return len({cls["label"] for cls in classes}) == n
 
 
+def _names_group_elements(marks: dict, group: PermGroup) -> bool:
+    """Every representative element is the image list of a group element,
+    so `verify --suite dress` can rebuild the class representatives."""
+    images = {g.images for g in group.elements}
+    return all(isinstance(g, list) and all(type(x) is int for x in g)
+               and tuple(g) in images
+               for cls in marks["classes"] for g in cls["representative"])
+
+
 def load_marks_json(cache_dir: Path, group: PermGroup) -> dict | None:
     """The cached marks document, or None on miss/stale/foreign entries.
 
-    An entry that fails `_is_marks_document` counts as a miss, so the
-    caller recomputes it and overwrites the file.
+    An entry that fails `_is_marks_document` or `_names_group_elements`
+    counts as a miss, so the caller recomputes it and overwrites the file.
     """
     fp = fingerprint(group)
     path = _path_for(cache_dir, fp)
@@ -78,7 +87,8 @@ def load_marks_json(cache_dir: Path, group: PermGroup) -> dict | None:
         return None
     if (not isinstance(doc, dict) or doc.get("version") != CACHE_VERSION
             or doc.get("fingerprint") != fp
-            or not _is_marks_document(doc.get("marks"))):
+            or not _is_marks_document(doc.get("marks"))
+            or not _names_group_elements(doc["marks"], group)):
         return None
     return doc["marks"]
 

@@ -7,11 +7,12 @@ Exit codes: 0 success or verification pass, 1 verification failure,
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 
 from . import cache as cache_mod
-from .bring import BRing, from_marks, p_classes
+from .bring import BRing, p_classes
 from .errors import BurnsideError, InvariantViolation
 from .exttor import (DegreeCell, ExtTorContext, ext_ranks, ext_report,
                      prime_factors, tor_report, verify_squarefree)
@@ -19,8 +20,10 @@ from .groups import parse_cycles, parse_group
 from .marks import table_of_marks
 from .modp import blocks, blocks_report
 from .oracle import ORACLE_DEGREE_CAP, oracle_ext, oracle_tor
-from .permgroup import (are_conjugate, enumerate_elements, is_prime, o_p,
-                        subgroup_classes)
+from .perm import Permutation
+from .permgroup import (Subgroup, are_conjugate, enumerate_elements, is_prime,
+                        o_p)
+from .resolution import shared_block
 
 
 def main(argv=None) -> int:
@@ -106,13 +109,12 @@ def _load_group(args):
     return enumerate_elements(parse_cycles(args.gens)), args.gens
 
 
-def _marks_json(args) -> dict:
-    """The marks document, named after this request's group spec.
+def _marks_json(args, group, name: str) -> dict:
+    """The marks document of `group`, named after this request's spec.
 
     Specs with the same fingerprint share a cache entry, so the stored
     payload carries no name; the name is added on every read.
     """
-    group, name = _load_group(args)
     cache_dir = cache_mod.resolve_cache_dir(args.cache_dir)
     doc = cache_mod.load_marks_json(cache_dir, group)
     if doc is None:
@@ -132,7 +134,7 @@ def _check_max_degree(args, least: int) -> None:
 
 
 def _context(args) -> ExtTorContext:
-    doc = _marks_json(args)
+    doc = _marks_json(args, *_load_group(args))
     labels = [c["label"] for c in doc["classes"]]
     ring = BRing(labels, doc["matrix"])
     order = doc["matrix"][0][0]
@@ -166,7 +168,7 @@ def _render(headers: list[str], rows: list[list[str]]) -> str:
 
 
 def cmd_marks(args) -> int:
-    doc = _marks_json(args)
+    doc = _marks_json(args, *_load_group(args))
     labels = [c["label"] for c in doc["classes"]]
     rows = []
     for c, row in zip(doc["classes"], doc["matrix"]):
@@ -252,12 +254,8 @@ def cmd_growth(args) -> int:
     i = _label_index(ctx, args.source)
     j = _label_index(ctx, args.target)
     ranks = ext_ranks(ctx, i, j, args.prime, args.max_degree)
-    algebra = ctx.algebra(args.prime)
-    if algebra.partition.same_class(i, j):
-        block = ctx.block_of(args.prime, i)
-        bounded = block.invariants()["tor_bounded"]
-    else:
-        bounded = True
+    block = shared_block(ctx.algebra(args.prime), i, j)
+    bounded = block is None or block.invariants()["tor_bounded"]
     verdict = "bounded" if bounded else "unbounded"
     payload = {"group": ctx.group_name, "p": args.prime,
                "source": args.source, "target": args.target,
@@ -272,6 +270,10 @@ def cmd_growth(args) -> int:
 
 def cmd_verify(args) -> int:
     suite = args.suite
+    if suite in ("dress", "blocks") and args.max_degree is not None:
+        raise BurnsideError(
+            f"--max-degree is taken only by --suite squarefree and "
+            f"--suite oracle, not by --suite {suite}")
     if suite == "squarefree":
         return _verify_squarefree(args)
     if suite == "dress":
@@ -300,15 +302,22 @@ def _verify_squarefree(args) -> int:
 
 def _verify_dress(args) -> int:
     group, name = _load_group(args)
-    class_table = subgroup_classes(group)
-    dmat = from_marks(table_of_marks(group, class_table)).dmat
+    doc = _marks_json(args, group, name)
+    classes = doc["classes"]
+    dmat = BRing([c["label"] for c in classes], doc["matrix"]).dmat
+    reps = [Subgroup(group, map(Permutation, c["representative"]))
+            for c in classes]
+    primes = prime_factors(group.order)
+    if not primes:
+        print(f"dress: not-applicable (|{name}| = {group.order} has no "
+              f"prime divisor)")
     ok = True
-    for p in prime_factors(group.order):
+    for p in primes:
         mismatches = 0
         checked = 0
-        ops = [o_p(c.representative, p) for c in class_table]
-        for i in range(len(class_table)):
-            for j in range(i + 1, len(class_table)):
+        ops = [o_p(rep, p) for rep in reps]
+        for i in range(len(reps)):
+            for j in range(i + 1, len(reps)):
                 checked += 1
                 lhs = dmat.d(i, j) % p == 0
                 rhs = are_conjugate(group, ops[i], ops[j])
@@ -321,31 +330,24 @@ def _verify_dress(args) -> int:
 
 
 def _verify_blocks(args) -> int:
+    """Blocks match the p-classes for each p dividing |G|, and are all
+    simple for the two least primes that do not."""
     ctx = _context(args)
+    order = ctx.group_order
+    coprime = (q for q in itertools.count(2) if is_prime(q) and order % q)
     ok = True
-    for p in prime_factors(ctx.group_order):
+    for p in prime_factors(order) + list(itertools.islice(coprime, 2)):
         algebra = ctx.algebra(p)
         algebra.check_associative()
-        bl = blocks(algebra)
-        sizes = [len(c) for c in algebra.classes]
-        good = (len(bl) == len(algebra.classes)
-                and [b.dim for b in bl] == sizes)
-        print(f"blocks p={p}: {'ok' if good else 'FAIL'} "
-              f"(count {len(bl)}, dims {[b.dim for b in bl]})")
-        ok = ok and good
-    coprime = []
-    q = 2
-    while len(coprime) < 2:
-        if is_prime(q) and ctx.group_order % q != 0:
-            coprime.append(q)
-        q += 1
-    for p in coprime:
-        algebra = ctx.algebra(p)
-        algebra.check_associative()
-        bl = blocks(algebra)
-        good = all(b.dim == 1 for b in bl)
-        print(f"blocks p={p} (coprime): "
-              f"{'semisimple ok' if good else 'FAIL'}")
+        dims = [b.dim for b in blocks(algebra)]
+        if order % p:
+            good = all(d == 1 for d in dims)
+            print(f"blocks p={p} (coprime): "
+                  f"{'semisimple ok' if good else 'FAIL'}")
+        else:
+            good = dims == [len(c) for c in algebra.classes]
+            print(f"blocks p={p}: {'ok' if good else 'FAIL'} "
+                  f"(count {len(dims)}, dims {dims})")
         ok = ok and good
     return 0 if ok else 1
 

@@ -11,11 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .bring import BRing, CongruenceMatrix, from_marks
+from .bring import BRing, CongruenceMatrix
 from .errors import InvariantViolation, NegativeRank
 from .marks import MarksTable
-from .modp import ModPAlgebra, blocks, build_modp
-from .permgroup import PermGroup
+from .modp import ModPAlgebra
 from .resolution import ext_dims_pair
 
 
@@ -143,13 +142,11 @@ class ExtTorReport:
 class ExtTorContext:
     """Shared caches for one B-ring: mod-p algebras and resolutions."""
 
-    def __init__(self, ring: BRing, group_name: str = "",
-                 group_order: int | None = None):
+    def __init__(self, ring: BRing, group_name: str, group_order: int):
         self.ring = ring
         self.group_name = group_name
         self.group_order = group_order
         self._algebras: dict[int, ModPAlgebra] = {}
-        self._m0: dict[int, int] = {}
         # oracle.IntegralResolution of Z_j by j, filled by the oracle
         self.integral_resolutions: dict = {}
 
@@ -159,9 +156,8 @@ class ExtTorContext:
         return self.ring.dmat
 
     @classmethod
-    def from_marks(cls, table: MarksTable, group_name: str = "") -> "ExtTorContext":
-        group: PermGroup = table.class_table.group
-        return cls(from_marks(table), group_name, group.order)
+    def from_marks(cls, table: MarksTable, group_name: str) -> "ExtTorContext":
+        return cls(table.ring, group_name, table.class_table.group.order)
 
     def primes(self) -> list[int]:
         """Primes dividing some d(i, j); all other p-parts vanish."""
@@ -174,26 +170,15 @@ class ExtTorContext:
 
     def algebra(self, p: int) -> ModPAlgebra:
         if p not in self._algebras:
-            self._algebras[p] = build_modp(self.ring, p)
+            self._algebras[p] = ModPAlgebra(self.ring, p)
         return self._algebras[p]
-
-    def m0(self, i: int) -> int:
-        if i not in self._m0:
-            self._m0[i] = self.ring.idempotent_denominator(i)
-        return self._m0[i]
 
     def exponent_bound(self, i: int, j: int) -> int:
         """Annihilator of Ext^l (l >= 1): d(i, j) off the diagonal, else the
         minimal m with m.e_i in R (both act as zero on every Ext group)."""
-        return self.m0(i) if i == j else self.dmat.d(i, j)
-
-    def betti(self, p: int, i: int, j: int, degree: int) -> list[int]:
-        return ext_dims_pair(self.algebra(p), i, j, degree)
-
-    def block_of(self, p: int, i: int):
-        algebra = self.algebra(p)
-        ci = algebra.partition.class_index_of(i)
-        return blocks(algebra)[ci]
+        if i == j:
+            return self.ring.idempotent_denominator(i)
+        return self.dmat.d(i, j)
 
 
 def hom_base(i: int, j: int) -> ModuleType:
@@ -215,7 +200,7 @@ def ext_ranks(ctx: ExtTorContext, i: int, j: int, p: int, L: int) -> list[int]:
         return [0] * L
     if L < 1:
         return []
-    b = ctx.betti(p, i, j, max(L - 1, 1))
+    b = ext_dims_pair(algebra, i, j, max(L - 1, 1))
     a = [0 if i == j else 1]
     for l in range(1, L):
         nxt = b[l] - a[-1]
@@ -236,7 +221,7 @@ def tor_ranks(ctx: ExtTorContext, i: int, j: int, p: int, L: int) -> list[int]:
     z = a[1:]
     algebra = ctx.algebra(p)
     if algebra.partition.same_class(i, j) and L >= 2:
-        y = ctx.betti(p, i, j, L)
+        y = ext_dims_pair(algebra, i, j, L)
         for l in range(1, L):
             if z[l - 1] != y[l + 1] - z[l]:
                 raise InvariantViolation(
@@ -331,7 +316,7 @@ def verify_squarefree(ctx: ExtTorContext, L: int) -> SquarefreeResult:
     Hom group and stays outside the periodicity claim.
     """
     order = ctx.group_order
-    if order is None or any(order % (p * p) == 0 for p in prime_factors(order)):
+    if any(order % (p * p) == 0 for p in prime_factors(order)):
         return SquarefreeResult(False, False)
     n = ctx.ring.n
     for i in range(n):
@@ -339,10 +324,7 @@ def verify_squarefree(ctx: ExtTorContext, L: int) -> SquarefreeResult:
             report = ext_report(ctx, i, j, L)
             for l in range(1, L - 1):
                 a, b = report.cell(l), report.cell(l + 2)
-                if a.module is None or b.module is None:
-                    return SquarefreeResult(
-                        True, False, (ctx.ring.labels[i], ctx.ring.labels[j], l))
-                if not a.same_value(b):
+                if a.module is None or b.module is None or not a.same_value(b):
                     return SquarefreeResult(
                         True, False, (ctx.ring.labels[i], ctx.ring.labels[j], l))
     return SquarefreeResult(True, True)

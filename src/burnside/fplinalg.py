@@ -6,11 +6,11 @@ is one Python int with one fixed-width lane per coordinate (`pack`,
 inserts and finds kernels for any prime.  `FpLanes` fixes the lane width:
 8 bits while p(p - 1) fits a byte (p <= 13, including 2), so a row
 operation is one multiply-add followed by one lane-wise reduction mod p;
-wider guarded lanes above.  The list entry points `FpLanes.nullspace`
-(and `fp_nullspace`) pack, run that kernel and unpack; `FpLanes.solve`
-(and `fp_solve`) reads its answer off a nullspace.  The minimal resolutions over GF(2) use a 1-bit twin of the
-core (`Gf2Echelon`, `gf2_kernel_of_columns`), where a row operation is a
-single XOR.
+wider guarded lanes above.  The list entry point `FpLanes.nullspace`
+packs, runs that kernel and unpacks; `FpLanes.solve` reads its answer
+off a nullspace.  The minimal resolutions over GF(2) use a 1-bit twin of
+the core (`Gf2Echelon`, `gf2_kernel_of_columns`), where a row operation
+is a single XOR.
 
 `FpEchelon` and `fp_rank` keep an independent list-based elimination as
 the reference: tests compare the packed kernels against it, and the
@@ -278,13 +278,3 @@ def unpack(v: int, n: int, width: int) -> list[int]:
     v &= (1 << (n * width)) - 1
     mask = (1 << width) - 1
     return [(v >> (k * width)) & mask for k in range(n)]
-
-
-def fp_nullspace(rows: list[list[int]], ncols: int, p: int) -> list[list[int]]:
-    """Basis of {x : A x = 0} for A given by rows."""
-    return FpLanes(p).nullspace(rows, ncols)
-
-
-def fp_solve(rows: list[list[int]], b: list[int], p: int) -> list[int] | None:
-    """One solution of A x = b, or None if inconsistent."""
-    return FpLanes(p).solve(rows, b)

@@ -10,7 +10,8 @@ from functools import cached_property
 
 from .bring import BRing
 from .errors import BasisMismatch, InvariantViolation
-from .permgroup import PermGroup, SubgroupClassTable, coset_action, subgroup_classes
+from .permgroup import (CosetAction, PermGroup, SubgroupClassTable,
+                        subgroup_classes)
 
 
 class MarksTable:
@@ -28,9 +29,6 @@ class MarksTable:
 
     def labels(self) -> list[str]:
         return self.class_table.labels()
-
-    def row(self, h: int) -> list[int]:
-        return list(self.matrix[h])
 
     @cached_property
     def ring(self) -> BRing:
@@ -114,7 +112,7 @@ def table_of_marks(group: PermGroup,
     reps = [c.representative for c in class_table]
     matrix = []
     for H in reps:
-        action = coset_action(group, H)
+        action = CosetAction(group, H)
         matrix.append([action.fixed_points(J) if H.order % J.order == 0 else 0
                        for J in reps])
     return MarksTable(class_table, matrix)

@@ -45,19 +45,7 @@ class ModPAlgebra:
         self._check()
 
     def mul(self, x: list[int], y: list[int]) -> list[int]:
-        p, n = self.p, self.dim
-        out = [0] * n
-        for k, a in enumerate(x):
-            if a:
-                row = self.sc[k]
-                for l, b in enumerate(y):
-                    if b:
-                        cl = row[l]
-                        ab = a * b
-                        for m in range(n):
-                            if cl[m]:
-                                out[m] = (out[m] + ab * cl[m]) % p
-        return out
+        return _mul(self.sc, self.p, x, y)
 
     def power(self, x: list[int], e: int) -> list[int]:
         acc = list(self.unit)
@@ -109,8 +97,22 @@ class ModPAlgebra:
                             "structure constants not associative")
 
 
-def build_modp(ring: BRing, p: int) -> ModPAlgebra:
-    return ModPAlgebra(ring, p)
+def _mul(table: list[list[list[int]]], p: int, x: list[int],
+         y: list[int]) -> list[int]:
+    """x * y mod p, for table[k][l] the coordinates of e_k * e_l."""
+    n = len(table)
+    out = [0] * n
+    for k, a in enumerate(x):
+        if a:
+            row = table[k]
+            for l, b in enumerate(y):
+                if b:
+                    cl = row[l]
+                    ab = a * b
+                    for m in range(n):
+                        if cl[m]:
+                            out[m] = (out[m] + ab * cl[m]) % p
+    return out
 
 
 def radical(algebra: ModPAlgebra) -> list[list[int]]:
@@ -192,19 +194,7 @@ class LocalBlock:
         return [ring.labels[i] for i in self.algebra.classes[self.class_index]]
 
     def mul_coords(self, x: list[int], y: list[int]) -> list[int]:
-        p, s = self.p, self.dim
-        out = [0] * s
-        for a, ca in enumerate(x):
-            if ca:
-                row = self.mult[a]
-                for b, cb in enumerate(y):
-                    if cb:
-                        cab = row[b]
-                        f = ca * cb
-                        for m in range(s):
-                            if cab[m]:
-                                out[m] = (out[m] + f * cab[m]) % p
-        return out
+        return _mul(self.mult, self.p, x, y)
 
     def m_squared_dim(self) -> int:
         ech = self.algebra.echelon()

@@ -25,8 +25,7 @@ from operator import mul
 from .errors import ResolutionTooLarge
 from .exttor import ExtTorContext, ModuleType
 from .fplinalg import fp_rank
-from .intlinalg import (kernel_of_columns, kernel_of_sparse_columns,
-                        smith_invariants)
+from .intlinalg import kernel_of_sparse_columns, smith_invariants
 
 ORACLE_DEGREE_CAP = 3
 DEFAULT_MAX_CELLS = 2_000_000
@@ -64,12 +63,12 @@ class IntegralResolution:
 
     def _extend_once(self) -> None:
         n = self.ring.n
+        m_top = self.ranks[-1]
         if not self.diffs:
-            rows = [[self.ring.basis[k][self.j] for k in range(n)]]
-            kernel = kernel_of_columns(rows, n)
-            columns = [[vec] for vec in kernel]
+            # the augmentation R -> Z_j: b_k goes to its mark at j
+            j = self.j
+            sparse = [{0: row[j]} if row[j] else {} for row in self.ring.basis]
         else:
-            m_top = self.ranks[-1]
             m_prev = self.ranks[-2]
             rows_dim = m_prev * n
             cols_dim = m_top * n
@@ -92,9 +91,9 @@ class IntegralResolution:
                                     idx = base + m
                                     acc[idx] = acc.get(idx, 0) + ew * cm
                     sparse.append({idx: x for idx, x in acc.items() if x})
-            kernel = kernel_of_sparse_columns(sparse)
-            columns = [[vec[s * n:(s + 1) * n] for s in range(m_top)]
-                       for vec in kernel]
+        kernel = kernel_of_sparse_columns(sparse)
+        columns = [[vec[s * n:(s + 1) * n] for s in range(m_top)]
+                   for vec in kernel]
         self.ranks.append(len(columns))
         self.diffs.append(columns)
 

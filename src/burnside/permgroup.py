@@ -489,7 +489,3 @@ class CosetAction:
             if self._image(g) == fixed:
                 mask |= 1 << g
         return Subgroup._from_mask(self.group, mask)
-
-
-def coset_action(group: PermGroup, sub: Subgroup) -> CosetAction:
-    return CosetAction(group, sub)

@@ -260,13 +260,10 @@ class MinimalResolution:
         return rank
 
 
-def betti_sequence(block: LocalBlock, degree: int = DEFAULT_DEGREE_CAP,
-                   max_matrix_bits: int = DEFAULT_MATRIX_BITS) -> list[int]:
+def betti_sequence(block: LocalBlock,
+                   degree: int = DEFAULT_DEGREE_CAP) -> list[int]:
     """(b_0, ..., b_degree) for the block's residue field."""
-    if max_matrix_bits == DEFAULT_MATRIX_BITS:
-        res = _resolution_cache(block)
-    else:
-        res = MinimalResolution(block, max_matrix_bits)
+    res = _resolution_cache(block)
     res.extend_to(degree)
     return res.betti[:degree + 1]
 

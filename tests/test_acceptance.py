@@ -15,7 +15,8 @@ from burnside.oracle import oracle_ext, oracle_ext_simple_dims, oracle_tor
 from burnside.bring import separators
 from burnside.permgroup import are_conjugate, o_p
 from burnside.resolution import (betti_growth_certificate, ext_dims_pair,
-                                 tor_dims_pair, _resolution_cache)
+                                 shared_block, tor_dims_pair,
+                                 _resolution_cache)
 from util import get_classes, get_context, get_group
 
 CORPUS = ["S3", "C4", "C6", "V4", "D4", "Q8", "S4"]
@@ -170,7 +171,7 @@ def test_criterion_6_unbounded_growth():
     for name, window in windows.items():
         ctx = get_context(name)
         i = ctx.ring.index_of("1")
-        block = ctx.block_of(2, i)
+        block = shared_block(ctx.algebra(2), i, i)
         res = _resolution_cache(block)
         res.extend_to(window)
         cert = betti_growth_certificate(block, res)

@@ -2,8 +2,7 @@ import math
 
 import pytest
 
-from burnside.bring import (BRing, congruence_d, from_marks, p_classes,
-                            separators)
+from burnside.bring import BRing, congruence_d, p_classes, separators
 from burnside.errors import (InvalidPrime, NonIntegralSolution,
                              SeparationFailure)
 from burnside.exttor import prime_factors
@@ -14,13 +13,13 @@ CORPUS = ["S3", "C4", "C6", "V4", "D4", "Q8", "S4"]
 
 
 def test_from_marks_s3():
-    ring = from_marks(get_marks("S3"))
+    ring = get_marks("S3").ring
     assert ring.labels == ["1", "2", "3", "6"]
     assert ring.unit_coeffs == [0, 0, 0, 1]
 
 
 def test_trivial_group_ring():
-    ring = from_marks(get_marks("C1"))
+    ring = get_marks("C1").ring
     assert ring.n == 1
     assert ring.basis == [[1]]
     sep = separators(ring)
@@ -53,11 +52,11 @@ def test_d_divides_group_order(name):
 
 def test_p_classes_examples():
     ctx = get_context("S3")
-    assert p_classes(ctx.ring, 2, ctx.dmat).label_classes() == [["1", "2"], ["3", "6"]]
-    assert p_classes(ctx.ring, 3, ctx.dmat).label_classes() == [["1", "3"], ["2"], ["6"]]
-    assert p_classes(ctx.ring, 5, ctx.dmat).label_classes() == [["1"], ["2"], ["3"], ["6"]]
+    assert p_classes(ctx.ring, 2).label_classes() == [["1", "2"], ["3", "6"]]
+    assert p_classes(ctx.ring, 3).label_classes() == [["1", "3"], ["2"], ["6"]]
+    assert p_classes(ctx.ring, 5).label_classes() == [["1"], ["2"], ["3"], ["6"]]
     ctx4 = get_context("C4")
-    assert p_classes(ctx4.ring, 2, ctx4.dmat).label_classes() == [["1", "2", "4"]]
+    assert p_classes(ctx4.ring, 2).label_classes() == [["1", "2", "4"]]
     with pytest.raises(InvalidPrime):
         p_classes(ctx.ring, 6)
 
@@ -67,7 +66,7 @@ def test_p_discrete_off_group_order(name):
     ctx = get_context(name)
     for p in (11, 13):
         if ctx.group_order % p:
-            part = p_classes(ctx.ring, p, ctx.dmat)
+            part = p_classes(ctx.ring, p)
             assert all(len(c) == 1 for c in part.classes)
 
 
@@ -121,8 +120,8 @@ def test_generic_basis_accepted():
     ring = BRing(["a", "b"], [[1, 1], [0, 2]])
     d = congruence_d(ring)
     assert d.d(0, 1) == 2
-    assert p_classes(ring, 2, d).classes == [[0, 1]]
-    assert p_classes(ring, 3, d).classes == [[0], [1]]
+    assert p_classes(ring, 2).classes == [[0, 1]]
+    assert p_classes(ring, 3).classes == [[0], [1]]
     sep = separators(ring)
     assert sep.ghosts[0][1] == 0 and sep.ghosts[0][0] != 0
 

@@ -104,3 +104,33 @@ def test_document_that_is_not_an_object_is_a_miss(tmp_path):
     path = next(tmp_path.glob("marks-*.json"))
     path.write_text("[1, 2]")
     assert load_marks_json(tmp_path, group) is None
+
+
+# `verify --suite dress` rebuilds the class representatives from the cached
+# element lists, so each one must name an element of the group
+BAD_REPRESENTATIVES = {
+    "not a permutation": [0, 0, 2],
+    "outside the group": [0, 1, 2, 3],
+    "nested list": [[0], 1, 2],
+    "not a list": 5,
+}
+
+
+@pytest.mark.parametrize("element", BAD_REPRESENTATIVES.values(),
+                         ids=BAD_REPRESENTATIVES)
+def test_foreign_representative_is_recomputed(capsys, tmp_path, element):
+    argv = ["verify", "--group", "S3", "--suite", "dress",
+            "--cache-dir", str(tmp_path)]
+    assert main(argv) == 0
+    fresh = capsys.readouterr().out
+    path = next(tmp_path.glob("marks-*.json"))
+    good = path.read_bytes()
+    doc = json.loads(good)
+    doc["marks"]["classes"][1]["representative"][1] = element
+    path.write_text(json.dumps(doc))
+    assert load_marks_json(tmp_path, get_group("S3")) is None
+    assert main(argv) == 0
+    out = capsys.readouterr()
+    assert out.out == fresh
+    assert "Traceback" not in out.err
+    assert path.read_bytes() == good

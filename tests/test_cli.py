@@ -222,3 +222,46 @@ def test_ext_oracle_checks_primes_missing_from_the_report(capsys, tmp_path,
     assert code == 2 and out == ""
     assert err.startswith("error: oracle p-rank 1 != report 0 at degree 1, p = 3")
     assert "Traceback" not in err
+
+
+def test_dress_on_the_trivial_group_is_not_applicable(capsys, tmp_path):
+    code, out, err = run(capsys, "verify", "--group", "C1", "--suite", "dress",
+                         "--cache-dir", str(tmp_path))
+    assert code == 0, err
+    assert out == "dress: not-applicable (|C1| = 1 has no prime divisor)\n"
+
+
+@pytest.mark.parametrize("suite", ["dress", "blocks"])
+@pytest.mark.parametrize("degree", ["-4", "0", "3"])
+def test_max_degree_rejected_by_suites_without_degrees(capsys, tmp_path,
+                                                       suite, degree):
+    code, out, err = run(capsys, "verify", "--group", "S3", "--suite", suite,
+                         "--max-degree", degree, "--cache-dir", str(tmp_path))
+    assert code == 2 and out == ""
+    assert "--suite squarefree" in err and "--suite oracle" in err
+    assert "Traceback" not in err
+
+
+def test_warm_dress_reads_the_marks_cache(capsys, tmp_path, monkeypatch):
+    # the second run must take its subgroup classes from the cached marks
+    # document, wherever a module binds the lattice function
+    import sys
+
+    from burnside.permgroup import subgroup_classes
+
+    argv = ("verify", "--group", "S4", "--suite", "dress",
+            "--cache-dir", str(tmp_path))
+    code, cold, err = run(capsys, *argv)
+    assert code == 0, err
+
+    def lattice(group):
+        raise RuntimeError("subgroup lattice recomputed on a warm cache")
+
+    for name, module in list(sys.modules.items()):
+        if name == "burnside" or name.startswith("burnside."):
+            for key, value in list(vars(module).items()):
+                if value is subgroup_classes:
+                    monkeypatch.setattr(module, key, lattice)
+    code, warm, err = run(capsys, *argv)
+    assert code == 0, err
+    assert warm == cold

@@ -3,6 +3,7 @@ import pytest
 from burnside.exttor import (ModuleType, ext_ranks, ext_report, hom_base,
                              prime_factors, tensor_base, tor_ranks, tor_report,
                              verify_squarefree)
+from burnside.resolution import ext_dims_pair
 from util import get_context
 
 
@@ -65,7 +66,7 @@ def test_rank_sum_identity():
                 if not algebra.partition.same_class(i, j):
                     continue
                 a = ext_ranks(ctx, i, j, p, 6)
-                b = ctx.betti(p, i, j, 5)
+                b = ext_dims_pair(ctx.algebra(p), i, j, 5)
                 for l in range(1, 6):
                     assert a[l - 1] + a[l] == b[l]
 

@@ -3,14 +3,13 @@ import random
 import pytest
 
 from burnside.fplinalg import (FpEchelon, FpLaneEchelon, FpLanes, Gf2Echelon,
-                               fp_nullspace, fp_rank, fp_solve,
-                               gf2_kernel_of_columns)
+                               fp_rank, gf2_kernel_of_columns)
 
 
 def test_fp_rank_and_nullspace():
     A = [[1, 2, 0], [2, 4, 0], [0, 0, 1]]
     assert fp_rank(A, 5) == 2
-    ns = fp_nullspace(A, 3, 5)
+    ns = FpLanes(5).nullspace(A, 3)
     assert len(ns) == 1
     x = ns[0]
     for row in A:
@@ -19,10 +18,10 @@ def test_fp_rank_and_nullspace():
 
 def test_fp_solve():
     A = [[1, 1], [0, 2]]
-    x = fp_solve(A, [0, 1], 3)
+    x = FpLanes(3).solve(A, [0, 1])
     assert x is not None
     assert [(A[i][0] * x[0] + A[i][1] * x[1]) % 3 for i in range(2)] == [0, 1]
-    assert fp_solve([[1, 1], [1, 1]], [0, 1], 2) is None
+    assert FpLanes(2).solve([[1, 1], [1, 1]], [0, 1]) is None
 
 
 def test_fp_echelon_membership():
@@ -109,14 +108,14 @@ def test_packed_nullspace_and_solve_agree_with_list_rank(p):
         rows = [[rng.randrange(p) if rng.random() < 0.6 else 0
                  for _ in range(ncols)] for _ in range(nrows)]
         rank = fp_rank(rows, p)
-        kernel = fp_nullspace(rows, ncols, p)
+        kernel = FpLanes(p).nullspace(rows, ncols)
         assert len(kernel) == ncols - rank
         assert fp_rank(kernel, p) == len(kernel)
         for x in kernel:
             assert all(sum(a * c for a, c in zip(row, x)) % p == 0
                        for row in rows)
         b = [rng.randrange(p) for _ in range(nrows)]
-        x = fp_solve(rows, b, p)
+        x = FpLanes(p).solve(rows, b)
         augmented = [row + [c] for row, c in zip(rows, b)]
         assert (x is not None) == (fp_rank(augmented, p) == rank)
         if x is not None:

@@ -5,7 +5,7 @@ import pytest
 from burnside.errors import NonIntegralSolution
 from burnside.marks import (decompose, double_count_mark, ghost, multiply,
                             verify_marks)
-from burnside.permgroup import Subgroup, are_conjugate, coset_action, normalizer
+from burnside.permgroup import CosetAction, Subgroup, are_conjugate, normalizer
 from util import get_group, get_marks
 
 S3_MATRIX = [[6, 0, 0, 0], [3, 1, 0, 0], [2, 0, 2, 0], [1, 1, 1, 1]]
@@ -59,7 +59,7 @@ def test_marks_count_fixed_points_of_coset_action(name):
     group = get_group(name)
     table = get_marks(name)
     for h in range(table.size):
-        action = coset_action(group, table.class_table[h].representative)
+        action = CosetAction(group, table.class_table[h].representative)
         for j in range(table.size):
             small = table.class_table[j].representative
             assert action.fixed_points(small) == table.matrix[h][j]
@@ -104,8 +104,8 @@ def test_multiply_examples():
 
 def _orbit_decomposition(group, table, h, j):
     """Brute force: orbits of G on (G/H) x (G/J), classified by stabilizer."""
-    ah = coset_action(group, table.class_table[h].representative)
-    aj = coset_action(group, table.class_table[j].representative)
+    ah = CosetAction(group, table.class_table[h].representative)
+    aj = CosetAction(group, table.class_table[j].representative)
     points = [(a, b) for a in range(ah.points) for b in range(aj.points)]
     coeffs = [0] * table.size
     remaining = set(points)

@@ -3,8 +3,8 @@ import pytest
 from burnside.errors import InvalidPrime, InvariantViolation
 from burnside.exttor import prime_factors
 from burnside.fplinalg import FpEchelon
-from burnside.modp import (ModPAlgebra, blocks, blocks_report, build_modp,
-                           nilpotent_span, radical)
+from burnside.modp import (ModPAlgebra, blocks, blocks_report, nilpotent_span,
+                           radical)
 from util import get_context
 
 CORPUS = ["S3", "C4", "C6", "V4", "D4", "Q8", "S4"]
@@ -19,7 +19,7 @@ def test_build_examples():
     assert len(a5.classes) == 4  # theta bijective
     assert get_context("C1").algebra(2).dim == 1
     with pytest.raises(InvalidPrime):
-        build_modp(ctx.ring, 4)
+        ModPAlgebra(ctx.ring, 4)
 
 
 def test_radical_dimensions():

@@ -2,7 +2,7 @@ import pytest
 
 from burnside.errors import CapExceeded, DegreeMismatch, InvalidPrime
 from burnside.perm import Permutation
-from burnside.permgroup import (Subgroup, coset_action, enumerate_elements,
+from burnside.permgroup import (CosetAction, Subgroup, enumerate_elements,
                                 normalizer, o_p)
 from util import get_classes, get_group
 
@@ -165,15 +165,15 @@ def test_o_p_idempotent_and_minimal():
 def test_coset_action_examples():
     s3 = get_group("S3")
     table = get_classes("S3")
-    regular = coset_action(s3, table[0].representative)
+    regular = CosetAction(s3, table[0].representative)
     assert regular.points == 6
     assert regular.kernel().order == 1
-    on3 = coset_action(s3, table[1].representative)
+    on3 = CosetAction(s3, table[1].representative)
     assert on3.points == 3
     assert on3.kernel().order == 1
     c4 = get_group("C4")
     t4 = get_classes("C4")
-    on2 = coset_action(c4, t4[1].representative)
+    on2 = CosetAction(c4, t4[1].representative)
     assert on2.points == 2
     assert on2.kernel() == t4[1].representative
 
@@ -183,7 +183,7 @@ def test_coset_action_kernel_is_core():
         group = get_group(name)
         for cls in get_classes(name):
             h = cls.representative
-            action = coset_action(group, h)
+            action = CosetAction(group, h)
             core = set(group.elements)
             for g in group.elements:
                 ginv = g.inverse()
@@ -194,7 +194,7 @@ def test_coset_action_kernel_is_core():
 def test_coset_action_is_homomorphism():
     s4 = get_group("S4")
     h = get_classes("S4")[3].representative
-    action = coset_action(s4, h)
+    action = CosetAction(s4, h)
     for a in s4.elements[:8]:
         for b in s4.elements[:8]:
             assert (action.permutation_of(a) * action.permutation_of(b)

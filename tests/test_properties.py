@@ -59,9 +59,9 @@ def test_transitive_coset_actions_burnside_count():
     for name in ("S4", "D4", "Q8"):
         group = get_group(name)
         table = get_marks(name)
-        from burnside.permgroup import coset_action
+        from burnside.permgroup import CosetAction
         for cls in table.class_table:
-            action = coset_action(group, cls.representative)
+            action = CosetAction(group, cls.representative)
             total = 0
             for g in group.elements:
                 perm = action.permutation_of(g)

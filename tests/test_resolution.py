@@ -7,7 +7,7 @@ from burnside.bring import BRing
 from burnside.errors import ResolutionTooLarge
 from burnside.exttor import prime_factors
 from burnside.fplinalg import fp_rank
-from burnside.modp import blocks
+from burnside.modp import ModPAlgebra, blocks
 from burnside.resolution import (MinimalResolution, betti_growth_certificate,
                                  betti_sequence, ext_dims_pair, shared_block,
                                  tor_dims_pair)
@@ -149,8 +149,7 @@ def _resolution_cache_for(block):
 def test_generic_ring_resolution():
     # dim-2 block of a synthetic basis behaves like dual numbers
     ring = BRing(["a", "b"], [[1, 1], [0, 2]])
-    from burnside.modp import build_modp
-    block = blocks(build_modp(ring, 2))[0]
+    block = blocks(ModPAlgebra(ring, 2))[0]
     assert block.dim == 2
     assert betti_sequence(block, 6) == [1] * 7
 
@@ -158,10 +157,9 @@ def test_generic_ring_resolution():
 def test_square_zero_closed_form_higher_embedding_dim():
     # synthetic one-class ring whose block has M^2 = 0 and e = 3: the
     # syzygies triple every step, b_l = 3^l
-    from burnside.modp import build_modp
     ring = BRing(["a", "b", "c", "d"],
                  [[1, 1, 1, 1], [0, 2, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2]])
-    algebra = build_modp(ring, 2)
+    algebra = ModPAlgebra(ring, 2)
     assert [len(c) for c in algebra.classes] == [4]
     block = blocks(algebra)[0]
     assert block.m_squared_dim() == 0
