@@ -9,19 +9,22 @@ helpers do every update: `_add_multiple` (v += q * r in place, dropping
 cancelled entries) and `_bezout_pair` (the unimodular pair
 (x*u + y*v, ag*v - bg*u)).  One reduction loop, `_reduce`, drives
 `kernel_of_sparse_columns` (whose combination vectors are sparse rows
-too), `kernel_of_columns` (its dense-rows front end) and
-`lattice_span_basis` with `_reduce_above_pivots`.  The oracle's
-differentials have a few nonzeros per column, so a step costs the size of
-the rows it touches, not their length.
+too), `kernel_of_columns` (its dense-rows front end) and the Hermite
+echelon with `_reduce_above_pivots` behind `lattice_span_basis` and
+`sparse_smith_invariants` (whose dense front end is `smith_invariants`).
+The oracle's differentials have a few nonzeros per column, so a step
+costs the size of the rows it touches, not their length.
 
-The oracle builds its resolutions with `kernel_of_sparse_columns` and reads
-(co)homology off `smith_invariants` alone.  `quotient_structure` (kernel
-lattice modulo image lattice, through `solve_integer`) is no longer on
-that path: it stays as the independent reference the tests check the
-Smith-form oracle against.
+The oracle builds its resolutions with `kernel_of_sparse_columns` and
+reads (co)homology off `sparse_smith_invariants` alone.
+`quotient_structure` (kernel lattice modulo image lattice, through
+`solve_integer`) is no longer on that path: it stays as the independent
+reference the tests check the Smith-form oracle against.
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterable
 
 from .errors import InvariantViolation
 
@@ -230,21 +233,35 @@ def rank(A: list[list[int]], ncols: int) -> int:
 
 
 def smith_invariants(A: list[list[int]], ncols: int) -> list[int]:
-    """Nonzero invariant factors d_1 | d_2 | ... of A, ascending.
+    """Nonzero invariant factors of A given by dense rows; see
+    `sparse_smith_invariants`."""
+    return sparse_smith_invariants(
+        [{k: x for k, x in enumerate(row) if x} for row in A], ncols)
 
-    The longer side of A is taken as the rows (transposing keeps the
-    Smith form), and `lattice_span_basis` first compresses those rows to
-    the Hermite-reduced basis of their lattice: rank many rows whose
-    entries are bounded by the pivots.  Row operations keep the Smith
-    form, so only that small matrix is diagonalized (Cohen, GTM 138,
-    section 2.4).  Diagonalizing the raw matrix instead lets entries blow
-    up: it does not finish in minutes on a 256 x 64 oracle differential.
+
+def sparse_smith_invariants(rows: list[SparseRow], ncols: int) -> list[int]:
+    """Nonzero invariant factors d_1 | d_2 | ... of the matrix with these
+    sparse rows over `ncols` columns, ascending.
+
+    The longer side is taken as the rows (transposing keeps the Smith
+    form), and those rows are first compressed to the Hermite-reduced
+    basis of their lattice: rank many rows whose entries are bounded by
+    the pivots.  Row operations keep the Smith form, so only that small
+    matrix is made dense and diagonalized (Cohen, GTM 138, section 2.4).
+    Diagonalizing the raw matrix instead lets entries blow up: it does not
+    finish in minutes on a 256 x 64 oracle differential.
     """
-    rows = A if len(A) >= ncols else [list(col) for col in zip(*A)]
-    hermite = lattice_span_basis(rows)
-    if not hermite:
+    if len(rows) < ncols:
+        cols: list[SparseRow] = [{} for _ in range(ncols)]
+        for i, row in enumerate(rows):
+            for j, x in row.items():
+                cols[j][i] = x
+        rows, ncols = cols, len(rows)
+    echelon = _hermite_echelon(rows)
+    if not echelon:
         return []
-    return _invariant_factors(_diagonalize(hermite, len(hermite[0])))
+    hermite = [_dense(echelon[lead][0], ncols) for lead in sorted(echelon)]
+    return _invariant_factors(_diagonalize(hermite, ncols))
 
 
 def _invariant_factors(D: list[list[int]]) -> list[int]:
@@ -326,13 +343,21 @@ def lattice_span_basis(vectors: list[list[int]]) -> list[list[int]]:
     up exponentially in the number of insertions.
     """
     width = len(vectors[0]) if vectors else 0
+    echelon = _hermite_echelon({k: x for k, x in enumerate(vec) if x}
+                               for vec in vectors)
+    return [_dense(echelon[lead][0], width) for lead in sorted(echelon)]
+
+
+def _hermite_echelon(rows: Iterable[SparseRow]) -> Echelon:
+    """The Hermite-reduced echelon of the lattice spanned by sparse rows;
+    the rows are copied, not consumed."""
     echelon: Echelon = {}
-    for count, vec in enumerate(vectors):
-        _reduce(echelon, {k: x for k, x in enumerate(vec) if x}, {})
+    for count, row in enumerate(rows):
+        _reduce(echelon, dict(row), {})
         if count % 8 == 7:
             _reduce_above_pivots(echelon)
     _reduce_above_pivots(echelon)
-    return [_dense(echelon[lead][0], width) for lead in sorted(echelon)]
+    return echelon
 
 
 def _reduce_above_pivots(echelon: Echelon) -> None:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import gcd
 
 from .bring import BRing, p_classes
 from .errors import (IdempotentLiftDivergence, InvalidPrime,
@@ -81,20 +82,47 @@ class ModPAlgebra:
             raise InvariantViolation("theta is not surjective")
 
     def check_associative(self) -> None:
-        """(e_k e_l) e_m == e_k (e_l e_m) for every basis triple.
+        """(e_k e_l) e_m == e_k (e_l e_m) mod p for every basis triple.
 
-        O(n^5), so it runs in `verify --suite blocks` and the tests, not
-        on every construction.
+        Both sides are built lane-packed from the current `sc`, one block
+        of n lanes per basis product.  `left[a]` holds e_a e_m in block m
+        and `right[b]` holds e_k e_b in block k, so one multiply-add per
+        nonzero coefficient of e_k e_l (then a lane-wise reduction) gives
+        (e_k e_l) e_m for every m, and likewise e_k (e_l e_m) for every k
+        from e_l e_m.  Blocks start on byte boundaries, so the n^3 triples
+        are compared as byte strings.  It runs in `verify --suite blocks`
+        and the tests, not on every construction.
         """
-        n, sc = self.dim, self.sc
-        basis = [[1 if t == k else 0 for t in range(n)] for k in range(n)]
-        for k in range(n):
-            for l in range(n):
-                for m in range(n):
-                    if (self.mul(sc[k][l], basis[m])
-                            != self.mul(basis[k], sc[l][m])):
-                        raise InvariantViolation(
-                            "structure constants not associative")
+        n, sc, lanes = self.dim, self.sc, self.lanes
+        p, w = self.p, lanes.width
+        # pad each block to whole bytes; padding lanes stay 0
+        per_byte = 8 // gcd(w, 8)
+        stride = -(-n // per_byte) * per_byte
+        nbytes = stride * w // 8
+        prod = [[pack(v, p, w) for v in row] for row in sc]
+        left = [sum(x << (m * stride * w) for m, x in enumerate(prod[a]))
+                for a in range(n)]
+        right = [sum(prod[k][b] << (k * stride * w) for k in range(n))
+                 for b in range(n)]
+
+        def combine(coeffs, table) -> bytes:
+            acc = 0
+            for a, c in enumerate(coeffs):
+                c %= p
+                if c:
+                    acc = lanes.reduce(acc + c * table[a])
+            return acc.to_bytes(n * nbytes, "little")
+
+        for l in range(n):
+            # lhs[k] = (e_k e_l) e_m over m; rhs[m][k] = e_k (e_l e_m)
+            lhs = [combine(sc[k][l], left) for k in range(n)]
+            rhs = []
+            for m in range(n):
+                raw = combine(sc[l][m], right)
+                rhs.append([raw[k * nbytes:(k + 1) * nbytes]
+                            for k in range(n)])
+            if lhs != [b"".join(blocks) for blocks in zip(*rhs)]:
+                raise InvariantViolation("structure constants not associative")
 
 
 def _mul(table: list[list[list[int]]], p: int, x: list[int],

@@ -11,21 +11,24 @@ per (l, i), torsion being the invariant factors > 1:
     Tor_l = Z^(m_l - r_l - r_{l+1}) + torsion of coker E_{l+1}
 
 as torsion of coker E_l lies in the saturated ker E_{l+1}, and a matrix and
-its transpose share a Smith form.  Each differential is built as sparse
-columns and its kernel taken on sparse rows (`kernel_of_sparse_columns`),
-since b_k times a column has few nonzeros.  `verify --suite oracle` for V4
-(E_4 is 256 x 64, the stage-4 differential 80 x 320) takes about 0.9 s on
-a shared 2-core host.
+its transpose share a Smith form.  Everything runs on the nonzero entries:
+each stage keeps the nonzero (s, w, c) triples of its differential's
+columns, the next stage's sparse columns (b_k times a column) are built
+from them and reduced on sparse rows (`kernel_of_sparse_columns`), and
+E_l comes out of the same triples as sparse rows for
+`sparse_smith_invariants`.  `diffs` and `evaluation_matrix` are dense
+views built on demand for the tests and `oracle_ext_simple_dims`.
+`verify --suite oracle` for V4 (E_4 is 256 x 64, the stage-4 differential
+80 x 320) takes about 0.7 s on a shared 2-core host.
 """
 
 from __future__ import annotations
 
-from operator import mul
-
 from .errors import ResolutionTooLarge
 from .exttor import ExtTorContext, ModuleType
 from .fplinalg import fp_rank
-from .intlinalg import kernel_of_sparse_columns, smith_invariants
+from .intlinalg import (SparseRow, kernel_of_sparse_columns,
+                        sparse_smith_invariants)
 
 ORACLE_DEGREE_CAP = 3
 DEFAULT_MAX_CELLS = 2_000_000
@@ -35,8 +38,8 @@ class IntegralResolution:
     """Free resolution of Z_j over the B-ring, with integer coefficients.
 
     Stage l is R^{m_l}; the differential columns are elements of the
-    previous free module stored as lists of coordinate vectors over the
-    ring basis.  Exactness holds by construction because each stage's
+    previous free module, stored as their nonzero coordinates over the
+    Z-basis b_w e_s.  Exactness holds by construction because each stage's
     generators form a Z-basis of the previous kernel lattice.
     """
 
@@ -45,7 +48,9 @@ class IntegralResolution:
         self.j = j
         self.max_cells = max_cells
         self.ranks = [1]
-        self.diffs: list[list[list[list[int]]]] = []
+        # per stage, per column of d_l: its nonzero (s, w, c), the
+        # coefficient c of b_w in coordinate s
+        self.triples: list[list[list[tuple[int, int, int]]]] = []
         # sc[k][w]: the nonzero (m, c) of b_k * b_w = sum_m c b_m
         self.sc = [[[(m, c) for m, c in enumerate(prod) if c] for prod in row]
                    for row in ring.structure_constants()]
@@ -57,6 +62,24 @@ class IntegralResolution:
     def depth(self) -> int:
         return len(self.ranks) - 1
 
+    @property
+    def diffs(self) -> list[list[list[list[int]]]]:
+        """d_1 .. d_depth, dense, built from `triples` on each call:
+        column t of d_l lists its m_{l-1} coordinates, each a vector over
+        the ring basis."""
+        n = self.ring.n
+        out = []
+        for m_prev, stage in zip(self.ranks, self.triples):
+            columns = []
+            for col in stage:
+                flat = [0] * (m_prev * n)
+                for s, w, c in col:
+                    flat[s * n + w] = c
+                columns.append([flat[s * n:(s + 1) * n]
+                                for s in range(m_prev)])
+            out.append(columns)
+        return out
+
     def extend_to(self, depth: int) -> None:
         while self.depth < depth:
             self._extend_once()
@@ -64,7 +87,7 @@ class IntegralResolution:
     def _extend_once(self) -> None:
         n = self.ring.n
         m_top = self.ranks[-1]
-        if not self.diffs:
+        if not self.triples:
             # the augmentation R -> Z_j: b_k goes to its mark at j
             j = self.j
             sparse = [{0: row[j]} if row[j] else {} for row in self.ring.basis]
@@ -74,34 +97,49 @@ class IntegralResolution:
             cols_dim = m_top * n
             if rows_dim * cols_dim > self.max_cells:
                 raise ResolutionTooLarge(
-                    f"integral stage {len(self.ranks)}: "
-                    f"{rows_dim} x {cols_dim} exceeds the cell budget")
+                    f"integral resolution reached degree {self.depth}; "
+                    f"stage {self.depth + 1} needs a {rows_dim} x {cols_dim} "
+                    f"matrix, {rows_dim * cols_dim} cells > max_cells "
+                    f"{self.max_cells}")
             # column t * n + k is b_k times column t of the last
             # differential, a sparse column over the Z-basis b_m e_s
             # (index s * n + m) of the free module below
             sparse = []
-            for col in self.diffs[-1]:
+            for col in self.triples[-1]:
                 for sck in self.sc:
                     acc: dict[int, int] = {}
-                    for s, e in enumerate(col):
+                    for s, w, c in col:
                         base = s * n
-                        for w, ew in enumerate(e):
-                            if ew:
-                                for m, cm in sck[w]:
-                                    idx = base + m
-                                    acc[idx] = acc.get(idx, 0) + ew * cm
+                        for m, cm in sck[w]:
+                            idx = base + m
+                            acc[idx] = acc.get(idx, 0) + c * cm
                     sparse.append({idx: x for idx, x in acc.items() if x})
         kernel = kernel_of_sparse_columns(sparse)
-        columns = [[vec[s * n:(s + 1) * n] for s in range(m_top)]
-                   for vec in kernel]
-        self.ranks.append(len(columns))
-        self.diffs.append(columns)
+        self.ranks.append(len(kernel))
+        self.triples.append([[(idx // n, idx % n, x)
+                              for idx, x in enumerate(vec) if x]
+                             for vec in kernel])
+
+    def evaluation_rows(self, l: int, i: int) -> list[SparseRow]:
+        """The rows of E_l = evaluation_matrix(l, i) as sparse rows over
+        m_{l-1} columns: each nonzero (s, w, c) of d_l adds c times the
+        mark of b_w at i."""
+        marks = [row[i] for row in self.ring.basis]
+        rows = []
+        for col in self.triples[l - 1]:
+            acc: SparseRow = {}
+            for s, w, c in col:
+                x = marks[w]
+                if x:
+                    acc[s] = acc.get(s, 0) + c * x
+            rows.append({s: x for s, x in acc.items() if x})
+        return rows
 
     def evaluation_matrix(self, l: int, i: int) -> list[list[int]]:
         """[pi_i(entry)] for d_l, shaped (m_l, m_{l-1})."""
-        marks = [row[i] for row in self.ring.basis]
-        return [[sum(map(mul, e, marks)) for e in col]
-                for col in self.diffs[l - 1]]
+        width = range(self.ranks[l - 1])
+        return [[row.get(s, 0) for s in width]
+                for row in self.evaluation_rows(l, i)]
 
     def smith_form(self, l: int, i: int) -> tuple[int, tuple[int, ...]]:
         """(rank, invariant factors > 1) of E_l = evaluation_matrix(l, i);
@@ -110,8 +148,8 @@ class IntegralResolution:
             return 0, ()
         key = (l, i)
         if key not in self.smith:
-            invs = smith_invariants(self.evaluation_matrix(l, i),
-                                    self.ranks[l - 1])
+            invs = sparse_smith_invariants(self.evaluation_rows(l, i),
+                                           self.ranks[l - 1])
             self.smith[key] = (len(invs), tuple(d for d in invs if d > 1))
         return self.smith[key]
 

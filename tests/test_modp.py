@@ -1,10 +1,11 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from burnside.errors import InvalidPrime, InvariantViolation
 from burnside.exttor import prime_factors
 from burnside.fplinalg import FpEchelon
-from burnside.modp import (ModPAlgebra, blocks, blocks_report, nilpotent_span,
-                           radical)
+from burnside.modp import (ModPAlgebra, _mul, blocks, blocks_report,
+                           nilpotent_span, radical)
 from util import get_context
 
 CORPUS = ["S3", "C4", "C6", "V4", "D4", "Q8", "S4"]
@@ -146,3 +147,54 @@ def test_check_associative_rejects_tampered_constants():
     algebra.sc[0][0] = [0, 0, 0, 1]
     with pytest.raises(InvariantViolation, match="not associative"):
         algebra.check_associative()
+
+
+def _associative_by_reference(algebra):
+    """The plain triple loop over `_mul`, both sides of every triple."""
+    n, sc, p = algebra.dim, algebra.sc, algebra.p
+    basis = [[1 if t == k else 0 for t in range(n)] for k in range(n)]
+    return all(_mul(sc, p, sc[k][l], basis[m])
+               == _mul(sc, p, basis[k], sc[l][m])
+               for k in range(n) for l in range(n) for m in range(n))
+
+
+# p = 17 runs on the wide guarded lanes, the others on byte lanes
+ASSOCIATIVITY_TABLES = [(name, p) for name in ("S3", "(1 2),(3 4),(5 6)")
+                        for p in (2, 3, 5, 17)]
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(ASSOCIATIVITY_TABLES), st.data())
+def test_packed_associativity_scan_matches_reference(table, data):
+    name, p = table
+    algebra = ModPAlgebra(get_context(name).ring, p)
+    n = algebra.dim
+    edit = data.draw(st.sampled_from(["none", "entry", "vector", "table"]))
+    if edit == "table":
+        # a few random structure constants and zeros elsewhere: associative
+        # often enough, and often without being commutative
+        entries = data.draw(st.lists(st.tuples(
+            *[st.integers(0, n - 1)] * 3, st.integers(1, p - 1)),
+            max_size=6), label="entries")
+        algebra.sc = [[[0] * n for _ in range(n)] for _ in range(n)]
+        for k, l, m, c in entries:
+            algebra.sc[k][l][m] = c
+    elif edit != "none":
+        k = data.draw(st.integers(0, n - 1), label="k")
+        l = data.draw(st.integers(0, n - 1), label="l")
+        vec = list(algebra.sc[k][l])
+        if edit == "entry":
+            vec[data.draw(st.integers(0, n - 1), label="m")] = data.draw(
+                st.integers(0, p - 1), label="value")
+        else:
+            vec = data.draw(st.lists(st.integers(0, p - 1), min_size=n,
+                                     max_size=n), label="e_k e_l")
+        algebra.sc[k][l] = vec
+        # left alone, e_l e_k keeps its old value: an asymmetric table
+        if data.draw(st.booleans(), label="mirror"):
+            algebra.sc[l][k] = list(vec)
+    if _associative_by_reference(algebra):
+        algebra.check_associative()
+    else:
+        with pytest.raises(InvariantViolation, match="not associative"):
+            algebra.check_associative()

@@ -4,7 +4,8 @@ from burnside.errors import ResolutionTooLarge
 from burnside.exttor import (ModuleType, ext_report, prime_factors, tor_report)
 from burnside.oracle import (IntegralResolution, oracle_ext,
                              oracle_ext_simple_dims, oracle_tor)
-from burnside.intlinalg import kernel_of_columns, mat_mul, quotient_structure
+from burnside.intlinalg import (kernel_of_columns, mat_mul, quotient_structure,
+                                smith_invariants)
 from burnside.resolution import ext_dims_pair
 from util import get_context
 
@@ -121,7 +122,8 @@ def test_oracle_degree_cap():
 def test_oracle_budget_guard():
     ctx = get_context("S3")
     res = IntegralResolution(ctx.ring, 0, max_cells=100)
-    with pytest.raises(ResolutionTooLarge):
+    with pytest.raises(ResolutionTooLarge,
+                       match=r"reached degree 2;.*max_cells 100$"):
         res.extend_to(4)
 
 
@@ -181,3 +183,27 @@ def test_smith_cache_matches_quotient_route(name, L, pairs):
         res.extend_to(L + 1)
         assert oracle_ext(ctx, i, j, L) == _reference_ext(res, i, L), (i, j)
         assert oracle_tor(ctx, i, j, L) == _reference_tor(res, i, L), (i, j)
+
+
+@pytest.mark.parametrize("name", ["S3", "C6", "V4"])
+def test_sparse_evaluation_matches_dense_reference(name):
+    ring = get_context(name).ring
+    n = ring.n
+    for j in range(n):
+        res = IntegralResolution(ring, j)
+        res.extend_to(4)
+        diffs = res.diffs
+        for l in range(1, 5):
+            width = res.ranks[l - 1]
+            for i in range(n):
+                marks = [row[i] for row in ring.basis]
+                dots = [[sum(c * x for c, x in zip(e, marks)) for e in col]
+                        for col in diffs[l - 1]]
+                rows = res.evaluation_rows(l, i)
+                assert [[row.get(s, 0) for s in range(width)]
+                        for row in rows] == dots
+                assert all(0 not in row.values() for row in rows)
+                assert res.evaluation_matrix(l, i) == dots
+                invs = smith_invariants(dots, width)
+                assert res.smith_form(l, i) == (
+                    len(invs), tuple(d for d in invs if d > 1))
