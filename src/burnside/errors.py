@@ -33,10 +33,6 @@ class SeparationFailure(BurnsideError):
     """A basis fails the pointwise separation condition."""
 
 
-class IdempotentLiftDivergence(BurnsideError):
-    """Idempotent lifting did not stabilize within the dimension bound."""
-
-
 class NotLocal(BurnsideError):
     """A block summand is not local with one-dimensional residue field."""
 

@@ -7,10 +7,9 @@ inserts and finds kernels for any prime.  `FpLanes` fixes the lane width:
 8 bits while p(p - 1) fits a byte (p <= 13, including 2), so a row
 operation is one multiply-add followed by one lane-wise reduction mod p;
 wider guarded lanes above.  The list entry point `FpLanes.nullspace`
-packs, runs that kernel and unpacks; `FpLanes.solve` reads its answer
-off a nullspace.  The minimal resolutions over GF(2) use a 1-bit twin of
-the core (`Gf2Echelon`, `gf2_kernel_of_columns`), where a row operation
-is a single XOR.
+packs, runs that kernel and unpacks.  The minimal resolutions over GF(2)
+use a 1-bit twin of the core (`Gf2Echelon`, `gf2_kernel_of_columns`),
+where a row operation is a single XOR.
 
 `FpEchelon` and `fp_rank` keep an independent list-based elimination as
 the reference: tests compare the packed kernels against it, and the
@@ -19,10 +18,6 @@ code path it checks.
 """
 
 from __future__ import annotations
-
-
-def fp_inv(a: int, p: int) -> int:
-    return pow(a, -1, p)
 
 
 class FpEchelon:
@@ -53,7 +48,7 @@ class FpEchelon:
         v = self.reduce(vec)
         for j, x in enumerate(v):
             if x:
-                inv = fp_inv(x, self.p)
+                inv = pow(x, -1, self.p)
                 self.rows[j] = [(inv * y) % self.p for y in v]
                 return True
         return False
@@ -146,7 +141,6 @@ class FpLanes:
 
     def __init__(self, p: int):
         self.p = p
-        self.inv = [0] + [fp_inv(a, p) for a in range(1, p)]
         self._masks: dict[int, tuple[int, int]] = {}  # wide lanes only
         if p * (p - 1) < 256:
             self.width = 8
@@ -188,20 +182,6 @@ class FpLanes:
         return [unpack(c, ncols, w)
                 for c in fp_lane_kernel_of_columns(cols, len(rows), self)]
 
-    def solve(self, rows: list[list[int]], b: list[int]) -> list[int] | None:
-        """One solution of A x = b, or None if inconsistent.
-
-        b is the last column of [A | b], so it lies in the column span of
-        A exactly when the last kernel vector has coefficient 1 at b; the
-        solution is minus the rest of that combination, which is supported
-        on the pivot columns of A.
-        """
-        n = len(rows[0]) if rows else 0
-        kernel = self.nullspace([row + [c] for row, c in zip(rows, b)], n + 1)
-        if not kernel or not kernel[-1][n]:
-            return None
-        return [-c % self.p for c in kernel[-1][:n]]
-
 
 class FpLaneEchelon:
     """Echelon row space over F_p with lane-packed rows (lowest lane pivots).
@@ -239,7 +219,9 @@ class FpLaneEchelon:
         lanes = self.lanes
         lead = ((v & -v).bit_length() - 1) // lanes.width
         f = (v >> (lead * lanes.width)) & lanes.lane_mask
-        self.rows[lead] = v if f == 1 else lanes.reduce(v * lanes.inv[f])
+        if f != 1:
+            v = lanes.reduce(v * pow(f, -1, lanes.p))
+        self.rows[lead] = v
 
     @property
     def dim(self) -> int:

@@ -6,8 +6,7 @@ from dataclasses import dataclass, field
 from math import gcd
 
 from .bring import BRing, p_classes
-from .errors import (IdempotentLiftDivergence, InvalidPrime,
-                     InvariantViolation, NotLocal)
+from .errors import InvalidPrime, InvariantViolation, NotLocal
 from .fplinalg import (FpLaneEchelon, FpLanes, fp_lane_kernel_of_columns,
                        pack, unpack)
 from .permgroup import is_prime
@@ -47,16 +46,6 @@ class ModPAlgebra:
 
     def mul(self, x: list[int], y: list[int]) -> list[int]:
         return _mul(self.sc, self.p, x, y)
-
-    def power(self, x: list[int], e: int) -> list[int]:
-        acc = list(self.unit)
-        base = list(x)
-        while e:
-            if e & 1:
-                acc = self.mul(acc, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return acc
 
     def pack(self, coords: list[int]) -> int:
         return pack(coords, self.p, self.lanes.width)
@@ -257,29 +246,36 @@ class LocalBlock:
 
 
 def blocks(algebra: ModPAlgebra) -> list[LocalBlock]:
-    """Block idempotents by p-th power lifting, one block per p-class.
+    """Block idempotents in closed form, one block per p-class C.
+
+    The block idempotent is the image of the ghost idempotent 1_C (Dress,
+    Yoshida).  1_C lies in R tensor Z_(p), so m . 1_C is in R for some m
+    prime to p; D . 1_C is in R for the ring's denominator D too, so
+    gcd(m, D) . 1_C is, and with it D' . 1_C for D' the p-free part of D.
+    Hence e_C = D'^-1 . decompose(D' . 1_C) mod p, one exact decomposition
+    per class (`NonIntegralSolution` if 1_C were not p-integral).
 
     Memoized on the algebra: blocks are immutable and later layers keep
     their resolutions on them.
     """
     if algebra._blocks is not None:
         return algebra._blocks
-    p, n = algebra.p, algebra.dim
+    ring, p, n = algebra.ring, algebra.p, algebra.dim
+    scale = ring.denominator
+    while scale % p == 0:
+        scale //= p
+    inv_scale = pow(scale, -1, p)
     out = []
     idempotents = []
-    for ci in range(len(algebra.classes)):
-        target = [1 if k == ci else 0 for k in range(len(algebra.classes))]
-        u = algebra.lanes.solve(algebra.theta, target)
-        if u is None:
-            raise InvariantViolation("theta is not surjective")
-        e = u
-        for _ in range(n + 1):
-            if algebra.mul(e, e) == e:
-                break
-            e = algebra.power(e, p)
-        else:
-            raise IdempotentLiftDivergence(
-                "p-th powering did not stabilize within the dimension bound")
+    for ci, cls in enumerate(algebra.classes):
+        ghost = [0] * n
+        for i in cls:
+            ghost[i] = scale
+        e = [c * inv_scale % p for c in ring.decompose(ghost)]
+        if algebra.mul(e, e) != e:
+            raise InvariantViolation(
+                f"block idempotent of the p-class of {ring.labels[cls[0]]} "
+                f"is not idempotent")
         idempotents.append(e)
         out.append(_build_block(algebra, ci, e))
     total = [0] * n

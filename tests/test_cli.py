@@ -54,6 +54,16 @@ def test_blocks_json(capsys, tmp_path):
     assert all(b["symmetric"] and b["bounded"] for b in doc["blocks"])
 
 
+def test_blocks_at_a_large_prime(capsys, tmp_path):
+    # no per-prime table: p = 2^31 - 1 costs what p = 13 does
+    code, out, _ = run(capsys, "blocks", "--group", "S3", "-p", "2147483647",
+                       "--format", "json", "--cache-dir", str(tmp_path))
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["p"] == 2147483647
+    assert [b["dim"] for b in doc["blocks"]] == [1, 1, 1, 1]
+
+
 def test_ext_json_with_oracle(capsys, tmp_path):
     code, out, _ = run(capsys, "ext", "--group", "S3", "--source", "1",
                        "--target", "1", "--max-degree", "4", "--oracle",

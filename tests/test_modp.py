@@ -1,11 +1,13 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from burnside.bring import BRing
 from burnside.errors import InvalidPrime, InvariantViolation
 from burnside.exttor import prime_factors
-from burnside.fplinalg import FpEchelon
+from burnside.fplinalg import FpEchelon, FpLanes
 from burnside.modp import (ModPAlgebra, _mul, blocks, blocks_report,
                            nilpotent_span, radical)
+from burnside.permgroup import is_prime
 from util import get_context
 
 CORPUS = ["S3", "C4", "C6", "V4", "D4", "Q8", "S4"]
@@ -122,6 +124,61 @@ def test_idempotents_are_orthogonal_decomposition():
         assert sq == b.idempotent
         total = [(x + y) % 2 for x, y in zip(total, b.idempotent)]
     assert total == algebra.unit
+
+
+def _lifted_idempotent(algebra, ci):
+    """Reference: a preimage u of delta_C under theta, lifted by p-th powers.
+
+    u is read off the kernel of [theta | delta_C]; in every block u is a
+    unit or nilpotent, so u^(p^k) reaches the block idempotent once p^k
+    passes the nilpotency index, which is at most the dimension.
+    """
+    p, n, sc = algebra.p, algebra.dim, algebra.sc
+    rows = [row + [int(k == ci)] for k, row in enumerate(algebra.theta)]
+    kernel = FpLanes(p).nullspace(rows, n + 1)
+    v = next(v for v in kernel if v[n])
+    scale = -pow(v[n], -1, p)
+    e = [c * scale % p for c in v[:n]]
+    for _ in range(n + 1):
+        if _mul(sc, p, e, e) == e:
+            return e
+        acc, base, k = list(algebra.unit), e, p
+        while k:
+            if k & 1:
+                acc = _mul(sc, p, acc, base)
+            base = _mul(sc, p, base, base)
+            k >>= 1
+        e = acc
+    pytest.fail("p-th powers did not stabilize")
+
+
+def _unimodular_change(ring):
+    """basis_k + basis_(k+1), last vector kept: an upper unitriangular
+    change of the Z-basis, so the same ring in other coordinates."""
+    basis = ring.basis
+    return BRing(ring.labels, [[a + b for a, b in zip(basis[k], basis[k + 1])]
+                               for k in range(ring.n - 1)] + [basis[-1]])
+
+
+def _primes_to_check(order):
+    coprime = [q for q in range(2, 100) if is_prime(q) and order % q][:2]
+    return prime_factors(order) + coprime
+
+
+@pytest.mark.parametrize("change", ["marks", "unimodular"])
+@pytest.mark.parametrize("name", CORPUS + ["(1 2),(3 4),(5 6)"])
+def test_closed_form_idempotents_match_lifting(name, change):
+    ctx = get_context(name)
+    ring = ctx.ring if change == "marks" else _unimodular_change(ctx.ring)
+    for p in _primes_to_check(ctx.group_order):
+        algebra = ModPAlgebra(ring, p)
+        for ci, block in enumerate(blocks(algebra)):
+            e = block.idempotent
+            assert algebra.mul(e, e) == e
+            assert [sum(a * b for a, b in zip(row, e)) % p
+                    for row in algebra.theta] == [
+                int(k == ci) for k in range(len(algebra.classes))]
+            assert e == _lifted_idempotent(algebra, ci)
 
 
 def test_blocks_report_schema():
