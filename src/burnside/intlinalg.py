@@ -15,6 +15,12 @@ echelon with `_reduce_above_pivots` behind `lattice_span_basis` and
 The oracle's differentials have a few nonzeros per column, so a step
 costs the size of the rows it touches, not their length.
 
+Most invariant factors of the oracle's matrices are 1, so
+`sparse_smith_invariants` first eliminates every +-1 pivot
+(`_eliminate_units`, a column -> rows index picking the pivots); only the
+small core left over goes through the Hermite echelon and the dense
+diagonalization.
+
 The oracle builds its resolutions with `kernel_of_sparse_columns` and
 reads (co)homology off `sparse_smith_invariants` alone.
 `quotient_structure` (kernel lattice modulo image lattice, through
@@ -241,27 +247,93 @@ def smith_invariants(A: list[list[int]], ncols: int) -> list[int]:
 
 def sparse_smith_invariants(rows: list[SparseRow], ncols: int) -> list[int]:
     """Nonzero invariant factors d_1 | d_2 | ... of the matrix with these
-    sparse rows over `ncols` columns, ascending.
+    sparse rows over `ncols` columns, ascending; `rows` is not modified.
 
     The longer side is taken as the rows (transposing keeps the Smith
-    form), and those rows are first compressed to the Hermite-reduced
-    basis of their lattice: rank many rows whose entries are bounded by
-    the pivots.  Row operations keep the Smith form, so only that small
-    matrix is made dense and diagonalized (Cohen, GTM 138, section 2.4).
-    Diagonalizing the raw matrix instead lets entries blow up: it does not
-    finish in minutes on a 256 x 64 oracle differential.
+    form).  Every unit pivot is eliminated first (`_eliminate_units`):
+    each one splits off an invariant factor 1, and most of the oracle's
+    factors are 1.  Only the core left over is compressed to the
+    Hermite-reduced basis of its row lattice: rank many rows whose entries
+    are bounded by the pivots.  Row operations keep the Smith form, so only
+    that small matrix, restricted to the columns it meets, is made dense
+    and diagonalized (Cohen, GTM 138, section 2.4).  Diagonalizing the raw
+    matrix instead lets entries blow up: it does not finish in minutes on
+    a 256 x 64 oracle differential.
     """
     if len(rows) < ncols:
         cols: list[SparseRow] = [{} for _ in range(ncols)]
         for i, row in enumerate(rows):
             for j, x in row.items():
                 cols[j][i] = x
-        rows, ncols = cols, len(rows)
-    echelon = _hermite_echelon(rows)
+        rows = cols
+    units, core = _eliminate_units(rows)
+    echelon = _hermite_echelon(core)
     if not echelon:
-        return []
-    hermite = [_dense(echelon[lead][0], ncols) for lead in sorted(echelon)]
-    return _invariant_factors(_diagonalize(hermite, ncols))
+        return [1] * units
+    hermite = [echelon[lead][0] for lead in sorted(echelon)]
+    width = sorted(set().union(*hermite))
+    dense = [[row.get(k, 0) for k in width] for row in hermite]
+    return [1] * units + _invariant_factors(_diagonalize(dense, len(width)))
+
+
+def _eliminate_units(rows: list[SparseRow]) -> tuple[int, list[SparseRow]]:
+    """Remove every +-1 pivot; return (number removed, rows left).
+
+    For a unit u at (r, c), adding multiples of row r clears column c in
+    every other row; column operations would then clear the rest of row r
+    without touching any other row, so the matrix is equivalent to
+    [u] (+) the rows left without column c (Dumas, Heckenbach, Saunders
+    and Welker 2003).  To limit fill-in, each pass walks the rows shortest
+    first and takes the unit whose column has the fewest entries; passes
+    repeat until no unit is left.  The column -> rows index `where` lets a
+    pivot touch only the rows that meet its column, and a row is copied
+    the first time it changes, so the caller's rows stay intact.
+    """
+    work = {i: row for i, row in enumerate(rows) if row}
+    where: dict[int, set[int]] = {}
+    for i, row in work.items():
+        for k in row:
+            where.setdefault(k, set()).add(i)
+    copied: set[int] = set()
+    units = 0
+    # a row that has no unit and is not changed by a pass has none after it
+    todo = list(work)
+    while todo:
+        changed: set[int] = set()
+        for r in sorted(todo, key=lambda i: (len(work[i]), i)):
+            row = work[r]
+            c = None
+            for k, x in row.items():
+                if (x == 1 or x == -1) and (
+                        c is None or len(where[k]) < len(where[c])):
+                    c = k
+            if c is None:
+                continue
+            units += 1
+            del work[r]
+            for k in row:
+                where[k].discard(r)
+            u = row[c]
+            rest = [(k, x) for k, x in row.items() if k != c]
+            for i in where.pop(c):
+                changed.add(i)
+                other = work[i]
+                if i not in copied:
+                    other = work[i] = dict(other)
+                    copied.add(i)
+                q = -u * other.pop(c)
+                for k, x in rest:
+                    y = other.get(k)
+                    if y is None:
+                        other[k] = q * x
+                        where[k].add(i)
+                    elif y + q * x:
+                        other[k] = y + q * x
+                    else:
+                        del other[k]
+                        where[k].discard(i)
+        todo = [i for i in changed if i in work]
+    return units, [row for row in work.values() if row]
 
 
 def _invariant_factors(D: list[list[int]]) -> list[int]:

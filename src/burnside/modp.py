@@ -74,44 +74,80 @@ class ModPAlgebra:
         """(e_k e_l) e_m == e_k (e_l e_m) mod p for every basis triple.
 
         Both sides are built lane-packed from the current `sc`, one block
-        of n lanes per basis product.  `left[a]` holds e_a e_m in block m
-        and `right[b]` holds e_k e_b in block k, so one multiply-add per
-        nonzero coefficient of e_k e_l (then a lane-wise reduction) gives
-        (e_k e_l) e_m for every m, and likewise e_k (e_l e_m) for every k
-        from e_l e_m.  Blocks start on byte boundaries, so the n^3 triples
-        are compared as byte strings.  It runs in `verify --suite blocks`
-        and the tests, not on every construction.
+        of n lanes per basis product (`join_blocks`).  `left[a]` holds
+        e_a e_m in block m and `right[b]` holds e_k e_b in block k, so one
+        `combine` with the coefficients of e_k e_l gives (e_k e_l) e_m for
+        every m, and likewise e_k (e_l e_m) for every k from e_l e_m.
+        Blocks start on byte boundaries, so the n^3 triples are compared
+        as byte strings.  It runs in `verify --suite blocks` and the
+        tests, not on every construction.
         """
-        n, sc, lanes = self.dim, self.sc, self.lanes
-        p, w = self.p, lanes.width
-        # pad each block to whole bytes; padding lanes stay 0
-        per_byte = 8 // gcd(w, 8)
-        stride = -(-n // per_byte) * per_byte
-        nbytes = stride * w // 8
-        prod = [[pack(v, p, w) for v in row] for row in sc]
-        left = [sum(x << (m * stride * w) for m, x in enumerate(prod[a]))
-                for a in range(n)]
-        right = [sum(prod[k][b] << (k * stride * w) for k in range(n))
+        n, sc = self.dim, self.sc
+        nbytes = self.block_bits // 8
+        prod = [[self.pack(v) for v in row] for row in sc]
+        left = [self.join_blocks(row) for row in prod]
+        right = [self.join_blocks(prod[k][b] for k in range(n))
                  for b in range(n)]
 
-        def combine(coeffs, table) -> bytes:
-            acc = 0
-            for a, c in enumerate(coeffs):
-                c %= p
-                if c:
-                    acc = lanes.reduce(acc + c * table[a])
-            return acc.to_bytes(n * nbytes, "little")
+        def as_bytes(coeffs, table) -> bytes:
+            return self.combine(coeffs, table).to_bytes(n * nbytes, "little")
 
         for l in range(n):
             # lhs[k] = (e_k e_l) e_m over m; rhs[m][k] = e_k (e_l e_m)
-            lhs = [combine(sc[k][l], left) for k in range(n)]
+            lhs = [as_bytes(sc[k][l], left) for k in range(n)]
             rhs = []
             for m in range(n):
-                raw = combine(sc[l][m], right)
+                raw = as_bytes(sc[l][m], right)
                 rhs.append([raw[k * nbytes:(k + 1) * nbytes]
                             for k in range(n)])
             if lhs != [b"".join(blocks) for blocks in zip(*rhs)]:
                 raise InvariantViolation("structure constants not associative")
+
+    @property
+    def block_bits(self) -> int:
+        """Bits per block of n lanes in `join_blocks`: whole bytes, so
+        padding lanes stay 0 and blocks can be cut out as byte strings."""
+        per_byte = 8 // gcd(self.lanes.width, 8)
+        return -(-self.dim // per_byte) * per_byte * self.lanes.width
+
+    def join_blocks(self, packed) -> int:
+        """Packed vectors in one int, vector t in block t."""
+        bits = self.block_bits
+        return sum(v << (t * bits) for t, v in enumerate(packed))
+
+    def split_blocks(self, v: int, count: int) -> list[int]:
+        """The first `count` blocks of `v`, as packed vectors."""
+        bits = self.block_bits
+        mask = (1 << bits) - 1
+        return [(v >> (t * bits)) & mask for t in range(count)]
+
+    def combine(self, coeffs: list[int], table: list[int]) -> int:
+        """sum_a coeffs[a] * table[a], every lane reduced mod p."""
+        acc = 0
+        p, reduce = self.p, self.lanes.reduce
+        for a, c in enumerate(coeffs):
+            c %= p
+            if c:
+                acc = reduce(acc + c * table[a])
+        return acc
+
+    def left_table(self) -> list[int]:
+        """left[a] holds e_a e_m in block m (`join_blocks`), from `sc`."""
+        return [self.join_blocks(self.pack(v) for v in row)
+                for row in self.sc]
+
+    def products(self, left: list[int], xs: list[list[int]],
+                 ys: list[list[int]]) -> list[list[int]]:
+        """[[pack(x * y) for y in ys] for x in xs] from `left_table`.
+
+        One `combine` per y gives y e_m for every m; regrouped so that
+        block t of by_m[m] holds y_t e_m, one more per x gives x y_t for
+        every t, as the algebra is commutative (`_check`).
+        """
+        n = self.dim
+        cols = [self.split_blocks(self.combine(y, left), n) for y in ys]
+        by_m = [self.join_blocks(col[m] for col in cols) for m in range(n)]
+        return [self.split_blocks(self.combine(x, by_m), len(ys)) for x in xs]
 
 
 def _mul(table: list[list[list[int]]], p: int, x: list[int],
@@ -253,7 +289,10 @@ def blocks(algebra: ModPAlgebra) -> list[LocalBlock]:
     prime to p; D . 1_C is in R for the ring's denominator D too, so
     gcd(m, D) . 1_C is, and with it D' . 1_C for D' the p-free part of D.
     Hence e_C = D'^-1 . decompose(D' . 1_C) mod p, one exact decomposition
-    per class (`NonIntegralSolution` if 1_C were not p-integral).
+    per class (`NonIntegralSolution` if 1_C were not p-integral).  The
+    products behind the blocks and the orthogonality check are lane-packed
+    combinations over `left_table` (`products`); `mul` squares each
+    idempotent.
 
     Memoized on the algebra: blocks are immutable and later layers keep
     their resolutions on them.
@@ -265,6 +304,7 @@ def blocks(algebra: ModPAlgebra) -> list[LocalBlock]:
     while scale % p == 0:
         scale //= p
     inv_scale = pow(scale, -1, p)
+    left = algebra.left_table()
     out = []
     idempotents = []
     for ci, cls in enumerate(algebra.classes):
@@ -277,17 +317,16 @@ def blocks(algebra: ModPAlgebra) -> list[LocalBlock]:
                 f"block idempotent of the p-class of {ring.labels[cls[0]]} "
                 f"is not idempotent")
         idempotents.append(e)
-        out.append(_build_block(algebra, ci, e))
+        out.append(_build_block(algebra, left, ci, e))
     total = [0] * n
     for e in idempotents:
         total = [(a + b) % p for a, b in zip(total, e)]
     if total != algebra.unit:
         raise InvariantViolation("block idempotents do not sum to the unit")
-    for a in range(len(idempotents)):
-        for b in range(a + 1, len(idempotents)):
-            if any(algebra.mul(idempotents[a], idempotents[b])):
-                raise InvariantViolation(
-                    "block idempotents are not orthogonal")
+    prods = algebra.products(left, idempotents, idempotents)
+    if any(prods[a][b] for a in range(len(idempotents))
+           for b in range(a + 1, len(idempotents))):
+        raise InvariantViolation("block idempotents are not orthogonal")
     if sum(b.dim for b in out) != n:
         raise InvariantViolation(
             "block dimensions do not add up to dim R/pR")
@@ -295,16 +334,15 @@ def blocks(algebra: ModPAlgebra) -> list[LocalBlock]:
     return out
 
 
-def _build_block(algebra: ModPAlgebra, class_index: int,
+def _build_block(algebra: ModPAlgebra, left: list[int], class_index: int,
                  idem: list[int]) -> LocalBlock:
-    p, n = algebra.p, algebra.dim
+    p, n, w = algebra.p, algebra.dim, algebra.lanes.width
     ech = algebra.echelon()
     span = []
-    for k in range(n):
-        ek = [1 if t == k else 0 for t in range(n)]
-        v = algebra.mul(idem, ek)
-        if ech.insert(algebra.pack(v)):
-            span.append(v)
+    # idem * e_k for every k from one combination over the table
+    for v in algebra.split_blocks(algebra.combine(idem, left), n):
+        if ech.insert(v):
+            span.append(unpack(v, n, w))
     expected = len(algebra.classes[class_index])
     if len(span) != expected:
         raise InvariantViolation(
@@ -329,11 +367,11 @@ def _build_block(algebra: ModPAlgebra, class_index: int,
     # kernel vector, 1 at its own column and minus its coordinates on the
     # basis columns, in column order
     columns = [algebra.pack(v) for v in basis]
-    columns += [algebra.pack(algebra.mul(x, y)) for x in basis for y in basis]
+    for row in algebra.products(left, basis, basis):
+        columns += row
     kernel = fp_lane_kernel_of_columns(columns, n, algebra.lanes)
     if len(kernel) != s * s:
         raise InvariantViolation("block is not closed under products")
-    w = algebra.lanes.width
     coords = [[-c % p for c in unpack(k, s, w)] for k in kernel]
     mult = [coords[a * s:(a + 1) * s] for a in range(s)]
     return LocalBlock(algebra, class_index, idem, basis, mult)

@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from burnside.fplinalg import fp_rank
-from burnside.intlinalg import (_diagonalize, _invariant_factors,
-                                kernel_of_columns, kernel_of_sparse_columns,
-                                lattice_span_basis, mat_mul,
-                                quotient_structure, rank, smith_invariants,
-                                solve_integer, xgcd)
+from burnside.intlinalg import (_diagonalize, _eliminate_units,
+                                _invariant_factors, kernel_of_columns,
+                                kernel_of_sparse_columns, lattice_span_basis,
+                                mat_mul, quotient_structure, rank,
+                                smith_invariants, solve_integer,
+                                sparse_smith_invariants, xgcd)
 from burnside.oracle import IntegralResolution
 from util import get_context
 
@@ -157,6 +158,73 @@ def test_sparse_hermite_basis_is_reduced(data):
         assert all(0 <= other[lead] < row[lead] for other in basis[:t])
     assert len(basis) == rank(A, n)
     assert lattice_span_basis(basis) == basis
+
+
+# no entry is +-1, so the unit pass finds no pivot and the Hermite step
+# does all the work
+UNIT_FREE_ENTRIES = [0] * 8 + [2, -3, 4, 6, -6, 9, 10, -15]
+
+
+@st.composite
+def unit_free_matrix(draw):
+    m, n = draw(st.integers(0, 6)), draw(st.integers(0, 8))
+    row = st.lists(st.sampled_from(UNIT_FREE_ENTRIES), min_size=n, max_size=n)
+    return draw(st.lists(row, min_size=m, max_size=m)), n
+
+
+@st.composite
+def unit_rich_matrix(draw):
+    """A signed permutation block beside sparse noise, columns shuffled.
+
+    A pivot in row r only adds row r to other rows, and row r is zero in
+    every other row's permutation column, so each row keeps its own unit
+    whatever is pivoted first: the unit pass alone finds every factor.
+    """
+    k, extra = draw(st.integers(0, 6)), draw(st.integers(0, 4))
+    signs = draw(st.lists(st.sampled_from([1, -1]), min_size=k, max_size=k))
+    noise = st.lists(st.sampled_from(SPARSE_ENTRIES), min_size=extra,
+                     max_size=extra)
+    rows = [[sign if j == i else 0 for j in range(k)] + draw(noise)
+            for i, sign in enumerate(signs)]
+    order = draw(st.permutations(range(k + extra)))
+    return [[row[j] for j in order] for row in rows], k + extra
+
+
+def _sparse_rows(A):
+    return [{j: x for j, x in enumerate(row) if x} for row in A]
+
+
+def _check_smith_core(A, n):
+    """sparse_smith_invariants against plain diagonalization, in both
+    orientations, leaving the rows it is given as they were."""
+    expect = _invariant_factors(_diagonalize(A, n)) if A else []
+    for rows, ncols in ((_sparse_rows(A), n),
+                        (_sparse_rows([list(c) for c in zip(*A)]), len(A))):
+        before = [dict(row) for row in rows]
+        assert sparse_smith_invariants(rows, ncols) == expect
+        assert rows == before
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_matrix())
+def test_sparse_smith_core_matches_diagonalize(data):
+    _check_smith_core(*data)
+
+
+@settings(max_examples=100, deadline=None)
+@given(unit_free_matrix())
+def test_sparse_smith_core_without_units(data):
+    A, n = data
+    assert _eliminate_units(_sparse_rows(A))[0] == 0
+    _check_smith_core(A, n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(unit_rich_matrix())
+def test_sparse_smith_core_on_units_alone(data):
+    A, n = data
+    assert _eliminate_units(_sparse_rows(A)) == (len(A), [])
+    _check_smith_core(A, n)
 
 
 def test_kernel_edge_cases():

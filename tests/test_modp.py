@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 from burnside.bring import BRing
 from burnside.errors import InvalidPrime, InvariantViolation
 from burnside.exttor import prime_factors
-from burnside.fplinalg import FpEchelon, FpLanes
+from burnside.fplinalg import FpEchelon, FpLanes, pack
 from burnside.modp import (ModPAlgebra, _mul, blocks, blocks_report,
                            nilpotent_span, radical)
 from burnside.permgroup import is_prime
@@ -179,6 +179,52 @@ def test_closed_form_idempotents_match_lifting(name, change):
                     for row in algebra.theta] == [
                 int(k == ci) for k in range(len(algebra.classes))]
             assert e == _lifted_idempotent(algebra, ci)
+
+
+def _block_by_reference(algebra, ci, idem):
+    """The basis of the block of `idem` from list products (`_mul`): its
+    span from idem * e_k in order of k, then idem and the maximal ideal."""
+    p, n, sc = algebra.p, algebra.dim, algebra.sc
+    ech = FpEchelon(p)
+    span = []
+    for k in range(n):
+        v = _mul(sc, p, idem, [int(t == k) for t in range(n)])
+        if ech.insert(v):
+            span.append(v)
+    row = [[sum(a * b for a, b in zip(algebra.theta[ci], v)) % p
+            for v in span]]
+    ideal = [[sum(c * v[t] for c, v in zip(coord, span)) % p
+              for t in range(n)]
+             for coord in algebra.lanes.nullspace(row, len(span))]
+    return [idem] + ideal
+
+
+@pytest.mark.parametrize("name", ["S3", "(1 2),(3 4),(5 6)",
+                                  "(1 2 3 4),(1 3),(5 6 7)"])
+def test_packed_block_construction_matches_list_products(name):
+    ctx = get_context(name)
+    for p in (2, 3, 5):
+        algebra = ctx.algebra(p)
+        n, sc = algebra.dim, algebra.sc
+        bl = blocks(algebra)
+        idempotents = [b.idempotent for b in bl]
+        for ci, block in enumerate(bl):
+            e = idempotents[ci]
+            assert _mul(sc, p, e, e) == e
+            assert block.basis == _block_by_reference(algebra, ci, e)
+            # mult holds the coordinates of each product in the basis
+            for a, x in enumerate(block.basis):
+                for b, y in enumerate(block.basis):
+                    coords = block.mult[a][b]
+                    assert _mul(sc, p, x, y) == [
+                        sum(c * v[t] for c, v in zip(coords, block.basis)) % p
+                        for t in range(n)]
+        # the products behind the orthogonality check of `blocks`
+        w = algebra.lanes.width
+        assert algebra.products(algebra.left_table(), idempotents,
+                                idempotents) == [
+            [pack(_mul(sc, p, x, y), p, w) for y in idempotents]
+            for x in idempotents]
 
 
 def test_blocks_report_schema():
