@@ -73,10 +73,12 @@ def _named_degree(name: str) -> int:
     return 4 if name.upper() == "V4" else 8
 
 
-def _cycle_perm(degree: int, cycle: list[int]) -> Permutation:
+def _cycle_perm(degree: int, *cycles: list[int]) -> Permutation:
+    """The permutation of range(degree) made of the disjoint `cycles`."""
     images = list(range(degree))
-    for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-        images[a] = b
+    for cycle in cycles:
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            images[a] = b
     return Permutation(images)
 
 
@@ -122,14 +124,7 @@ def parse_cycles(text: str) -> list[Permutation]:
             seen.update(c)
         parsed.append(cycles)
     degree = max(degree, 1)
-    gens = []
-    for cycles in parsed:
-        images = list(range(degree))
-        for c in cycles:
-            for a, b in zip(c, c[1:] + c[:1]):
-                images[a] = b
-        gens.append(Permutation(images))
-    return gens
+    return [_cycle_perm(degree, *cycles) for cycles in parsed]
 
 
 def _split_generators(text: str) -> list[str]:

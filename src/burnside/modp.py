@@ -41,11 +41,12 @@ class ModPAlgebra:
         self.theta = [[ring.basis[k][i] % p for k in range(self.dim)]
                       for i in reps]
         self.unit = [c % p for c in ring.unit_coeffs]
+        # block m of left[a] holds e_a e_m (`join_blocks`): every product
+        # of the algebra is a lane-packed combination over this table
+        self.left = [self.join_blocks(self.pack(v) for v in row)
+                     for row in self.sc]
         self._blocks: list[LocalBlock] | None = None  # filled by blocks()
         self._check()
-
-    def mul(self, x: list[int], y: list[int]) -> list[int]:
-        return _mul(self.sc, self.p, x, y)
 
     def pack(self, coords: list[int]) -> int:
         return pack(coords, self.p, self.lanes.width)
@@ -54,12 +55,16 @@ class ModPAlgebra:
         return FpLaneEchelon(self.lanes)
 
     def _check(self) -> None:
-        """Unit, commutativity and surjectivity of theta (cheap checks)."""
-        n, sc = self.dim, self.sc
+        """Unit, commutativity and surjectivity of theta (cheap checks).
+
+        One `combine` of the unit over `left` gives unit * e_m in block m,
+        which must be e_m for every m.
+        """
+        n, sc, w = self.dim, self.sc, self.lanes.width
+        identity = self.join_blocks(1 << (m * w) for m in range(n))
+        if self.combine(self.unit, self.left) != identity:
+            raise InvariantViolation("unit element fails on the basis")
         for k in range(n):
-            ek = [1 if t == k else 0 for t in range(n)]
-            if self.mul(self.unit, ek) != ek:
-                raise InvariantViolation("unit element fails on the basis")
             for l in range(k + 1, n):
                 if sc[k][l] != sc[l][k]:
                     raise InvariantViolation(
@@ -131,28 +136,27 @@ class ModPAlgebra:
                 acc = reduce(acc + c * table[a])
         return acc
 
-    def left_table(self) -> list[int]:
-        """left[a] holds e_a e_m in block m (`join_blocks`), from `sc`."""
-        return [self.join_blocks(self.pack(v) for v in row)
-                for row in self.sc]
-
-    def products(self, left: list[int], xs: list[list[int]],
+    def products(self, xs: list[list[int]],
                  ys: list[list[int]]) -> list[list[int]]:
-        """[[pack(x * y) for y in ys] for x in xs] from `left_table`.
+        """[[pack(x * y) for y in ys] for x in xs] from `left`.
 
         One `combine` per y gives y e_m for every m; regrouped so that
         block t of by_m[m] holds y_t e_m, one more per x gives x y_t for
         every t, as the algebra is commutative (`_check`).
         """
         n = self.dim
-        cols = [self.split_blocks(self.combine(y, left), n) for y in ys]
+        cols = [self.split_blocks(self.combine(y, self.left), n) for y in ys]
         by_m = [self.join_blocks(col[m] for col in cols) for m in range(n)]
         return [self.split_blocks(self.combine(x, by_m), len(ys)) for x in xs]
 
 
 def _mul(table: list[list[list[int]]], p: int, x: list[int],
          y: list[int]) -> list[int]:
-    """x * y mod p, for table[k][l] the coordinates of e_k * e_l."""
+    """x * y mod p, for table[k][l] the coordinates of e_k * e_l.
+
+    The list-product reference for the packed `ModPAlgebra.products`; only
+    the exhaustive `nilpotent_span` scan multiplies through it.
+    """
     n = len(table)
     out = [0] * n
     for k, a in enumerate(x):
@@ -170,19 +174,16 @@ def _mul(table: list[list[list[int]]], p: int, x: list[int],
 
 def radical(algebra: ModPAlgebra) -> list[list[int]]:
     """Basis of ker(theta); verified nilpotent by repeated squaring."""
-    basis = algebra.lanes.nullspace(algebra.theta, algebra.dim)
+    n, w = algebra.dim, algebra.lanes.width
+    basis = algebra.lanes.nullspace(algebra.theta, n)
     current = list(basis)
-    for _ in range(algebra.dim + 1):
+    for _ in range(n + 1):
         if not current:
             break
         ech = algebra.echelon()
-        nxt = []
-        for x in current:
-            for y in current:
-                prod = algebra.mul(x, y)
-                if ech.insert(algebra.pack(prod)):
-                    nxt.append(prod)
-        current = nxt
+        current = [unpack(v, n, w)
+                   for row in algebra.products(current, current)
+                   for v in row if ech.insert(v)]
     else:
         raise InvariantViolation("kernel of theta is not nilpotent")
     return basis
@@ -204,7 +205,7 @@ def nilpotent_span(algebra: ModPAlgebra) -> list[list[int]]:
         x = list(coords)
         y = list(x)
         for _ in range(n + 1):
-            y = algebra.mul(y, y)
+            y = _mul(algebra.sc, p, y, y)
         if not any(y) and any(x) and ech.insert(algebra.pack(x)):
             out.append(x)
         k = 0
@@ -246,9 +247,6 @@ class LocalBlock:
         ring = self.algebra.ring
         return [ring.labels[i] for i in self.algebra.classes[self.class_index]]
 
-    def mul_coords(self, x: list[int], y: list[int]) -> list[int]:
-        return _mul(self.mult, self.p, x, y)
-
     def m_squared_dim(self) -> int:
         ech = self.algebra.echelon()
         s = self.dim
@@ -289,10 +287,9 @@ def blocks(algebra: ModPAlgebra) -> list[LocalBlock]:
     prime to p; D . 1_C is in R for the ring's denominator D too, so
     gcd(m, D) . 1_C is, and with it D' . 1_C for D' the p-free part of D.
     Hence e_C = D'^-1 . decompose(D' . 1_C) mod p, one exact decomposition
-    per class (`NonIntegralSolution` if 1_C were not p-integral).  The
-    products behind the blocks and the orthogonality check are lane-packed
-    combinations over `left_table` (`products`); `mul` squares each
-    idempotent.
+    per class (`NonIntegralSolution` if 1_C were not p-integral).  One
+    `products` of the idempotents with themselves gives both checks: its
+    diagonal holds their squares, the rest their pairwise products.
 
     Memoized on the algebra: blocks are immutable and later layers keep
     their resolutions on them.
@@ -304,26 +301,22 @@ def blocks(algebra: ModPAlgebra) -> list[LocalBlock]:
     while scale % p == 0:
         scale //= p
     inv_scale = pow(scale, -1, p)
-    left = algebra.left_table()
-    out = []
     idempotents = []
-    for ci, cls in enumerate(algebra.classes):
+    for cls in algebra.classes:
         ghost = [0] * n
         for i in cls:
             ghost[i] = scale
-        e = [c * inv_scale % p for c in ring.decompose(ghost)]
-        if algebra.mul(e, e) != e:
+        idempotents.append([c * inv_scale % p for c in ring.decompose(ghost)])
+    prods = algebra.products(idempotents, idempotents)
+    out = []
+    for ci, e in enumerate(idempotents):
+        if prods[ci][ci] != algebra.pack(e):
             raise InvariantViolation(
-                f"block idempotent of the p-class of {ring.labels[cls[0]]} "
-                f"is not idempotent")
-        idempotents.append(e)
-        out.append(_build_block(algebra, left, ci, e))
-    total = [0] * n
-    for e in idempotents:
-        total = [(a + b) % p for a, b in zip(total, e)]
-    if total != algebra.unit:
+                f"block idempotent of the p-class of "
+                f"{ring.labels[algebra.classes[ci][0]]} is not idempotent")
+        out.append(_build_block(algebra, ci, e))
+    if [sum(col) % p for col in zip(*idempotents)] != algebra.unit:
         raise InvariantViolation("block idempotents do not sum to the unit")
-    prods = algebra.products(left, idempotents, idempotents)
     if any(prods[a][b] for a in range(len(idempotents))
            for b in range(a + 1, len(idempotents))):
         raise InvariantViolation("block idempotents are not orthogonal")
@@ -334,40 +327,33 @@ def blocks(algebra: ModPAlgebra) -> list[LocalBlock]:
     return out
 
 
-def _build_block(algebra: ModPAlgebra, left: list[int], class_index: int,
+def _build_block(algebra: ModPAlgebra, class_index: int,
                  idem: list[int]) -> LocalBlock:
     p, n, w = algebra.p, algebra.dim, algebra.lanes.width
     ech = algebra.echelon()
-    span = []
     # idem * e_k for every k from one combination over the table
-    for v in algebra.split_blocks(algebra.combine(idem, left), n):
-        if ech.insert(v):
-            span.append(unpack(v, n, w))
+    multiples = algebra.split_blocks(algebra.combine(idem, algebra.left), n)
+    span = [v for v in multiples if ech.insert(v)]
     expected = len(algebra.classes[class_index])
     if len(span) != expected:
         raise InvariantViolation(
             f"block dimension {len(span)} != class size {expected}")
     # the maximal ideal: block elements with zero theta at this class
     theta_row = algebra.theta[class_index]
-    rows = [[sum(r * c for r, c in zip(theta_row, v)) % p for v in span]]
+    rows = [[sum(r * c for r, c in zip(theta_row, unpack(v, n, w))) % p
+             for v in span]]
     m_coords = algebra.lanes.nullspace(rows, len(span))
     if len(m_coords) != len(span) - 1:
         raise NotLocal("residue field is not one-dimensional")
-    mbasis = []
-    for coord in m_coords:
-        vec = [0] * n
-        for c, v in zip(coord, span):
-            if c:
-                vec = [(x + c * y) % p for x, y in zip(vec, v)]
-        mbasis.append(vec)
-    basis = [idem] + mbasis
+    columns = [algebra.pack(idem)] + [algebra.combine(coord, span)
+                                      for coord in m_coords]
+    basis = [idem] + [unpack(v, n, w) for v in columns[1:]]
     s = len(basis)
     # one kernel over the columns [basis | every product e_a * e_b]: the
     # basis is independent, so each product inside the block leaves one
     # kernel vector, 1 at its own column and minus its coordinates on the
     # basis columns, in column order
-    columns = [algebra.pack(v) for v in basis]
-    for row in algebra.products(left, basis, basis):
+    for row in algebra.products(basis, basis):
         columns += row
     kernel = fp_lane_kernel_of_columns(columns, n, algebra.lanes)
     if len(kernel) != s * s:

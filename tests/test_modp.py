@@ -1,8 +1,10 @@
+import copy
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from burnside.bring import BRing
-from burnside.errors import InvalidPrime, InvariantViolation
+from burnside.errors import InvalidPrime, InvariantViolation, NotLocal
 from burnside.exttor import prime_factors
 from burnside.fplinalg import FpEchelon, FpLanes, pack
 from burnside.modp import (ModPAlgebra, _mul, blocks, blocks_report,
@@ -120,7 +122,7 @@ def test_idempotents_are_orthogonal_decomposition():
     bl = blocks(algebra)
     total = [0] * algebra.dim
     for b in bl:
-        sq = algebra.mul(b.idempotent, b.idempotent)
+        sq = _mul(algebra.sc, 2, b.idempotent, b.idempotent)
         assert sq == b.idempotent
         total = [(x + y) % 2 for x, y in zip(total, b.idempotent)]
     assert total == algebra.unit
@@ -174,7 +176,7 @@ def test_closed_form_idempotents_match_lifting(name, change):
         algebra = ModPAlgebra(ring, p)
         for ci, block in enumerate(blocks(algebra)):
             e = block.idempotent
-            assert algebra.mul(e, e) == e
+            assert _mul(algebra.sc, p, e, e) == e
             assert [sum(a * b for a, b in zip(row, e)) % p
                     for row in algebra.theta] == [
                 int(k == ci) for k in range(len(algebra.classes))]
@@ -221,8 +223,7 @@ def test_packed_block_construction_matches_list_products(name):
                         for t in range(n)]
         # the products behind the orthogonality check of `blocks`
         w = algebra.lanes.width
-        assert algebra.products(algebra.left_table(), idempotents,
-                                idempotents) == [
+        assert algebra.products(idempotents, idempotents) == [
             [pack(_mul(sc, p, x, y), p, w) for y in idempotents]
             for x in idempotents]
 
@@ -240,6 +241,53 @@ def test_structure_constants_are_associative(name):
     ctx = get_context(name)
     for p in prime_factors(ctx.group_order):
         ctx.algebra(p).check_associative()
+
+
+def test_algebra_rejects_wrong_unit():
+    ring = copy.copy(get_context("S3").ring)
+    ring.unit_coeffs = [1, 0, 0, 0]  # [S3/1], not the unit [S3/S3]
+    with pytest.raises(InvariantViolation, match="unit element fails"):
+        ModPAlgebra(ring, 2)
+
+
+def _c4_mod_3():
+    """C4 mod 3, its blocks not built yet.
+
+    It is semisimple; in the marks basis [C4/1], [C4/C2], [C4/C4] its
+    block idempotents are e_1 = [C4/1], e_2 = 2 [C4/1] + 2 [C4/C2] and
+    e_4 = [C4/C2] + [C4/C4], so only e_4 has a [C4/C4] coordinate.
+    """
+    ring = get_context("C4").ring
+    assert [b.idempotent for b in blocks(ModPAlgebra(ring, 3))] == [
+        [1, 0, 0], [2, 2, 0], [0, 1, 1]]
+    return ModPAlgebra(ring, 3)
+
+
+def test_blocks_reject_tampered_square():
+    # the table claims [C4/C4] e_m = 0, so e_4^2 reads [C4/C2] e_4 = 0
+    algebra = _c4_mod_3()
+    algebra.left[2] = 0
+    with pytest.raises(InvariantViolation,
+                       match="p-class of 4 is not idempotent"):
+        blocks(algebra)
+
+
+def test_blocks_reject_tampered_orthogonality():
+    # the table claims [C4/C4] [C4/1] = [C4/1] + e_4 (block 0 of left[2]);
+    # e_4 has no [C4/1] coordinate, so every square and every block stays
+    # as it was, but e_1 e_4 now reads e_4
+    algebra = _c4_mod_3()
+    algebra.left[2] += algebra.pack([0, 1, 1])
+    with pytest.raises(InvariantViolation, match="not orthogonal"):
+        blocks(algebra)
+
+
+def test_blocks_reject_non_local_block():
+    # theta vanishing on the block of C4 leaves no residue field
+    algebra = _c4_mod_3()
+    algebra.theta[2] = [0, 0, 0]
+    with pytest.raises(NotLocal):
+        blocks(algebra)
 
 
 def test_check_associative_rejects_tampered_constants():

@@ -7,7 +7,7 @@ from burnside.bring import BRing
 from burnside.errors import ResolutionTooLarge
 from burnside.exttor import prime_factors
 from burnside.fplinalg import fp_rank
-from burnside.modp import ModPAlgebra, blocks
+from burnside.modp import ModPAlgebra, _mul, blocks
 from burnside.resolution import (MinimalResolution, betti_growth_certificate,
                                  betti_sequence, ext_dims_pair, shared_block,
                                  tor_dims_pair)
@@ -195,7 +195,7 @@ def test_packed_column_matches_mul_coords(p, random_table, data):
     gen = ops.pack([c for comp in comps for c in comp])
     for b in range(s):
         eb = [1 if t == b else 0 for t in range(s)]
-        expected = [c for comp in comps for c in block.mul_coords(comp, eb)]
+        expected = [c for comp in comps for c in _mul(block.mult, p, comp, eb)]
         assert _unpack(ops, ops.column(gen, n, b), n * s) == expected
 
 
