@@ -186,6 +186,12 @@ class CongruenceMatrix:
             raise ValueError("d(i, j) is only defined for distinct indices")
         return self._d[i][j]
 
+    def same_p_class(self, i: int, j: int, p: int) -> bool:
+        """Whether i == j or p | d(i, j): i and j lie in one p-class.
+
+        `p` must be a prime; callers check it before asking."""
+        return i == j or self._d[i][j] % p == 0
+
     def d_by_label(self, a: str, b: str) -> int:
         return self.d(self.ring.index_of(a), self.ring.index_of(b))
 
@@ -208,20 +214,20 @@ def congruence_d(ring: BRing) -> CongruenceMatrix:
 
 @dataclass
 class PrimeEquivalence:
-    """Partition of the index set by p | d(i, j), reflexively closed."""
+    """Partition of the index set by p | d(i, j), reflexively closed.
+
+    `class_of[i]` is the position in `classes` of the class holding i."""
 
     p: int
     classes: list[list[int]]
+    class_of: list[int]
     ring: BRing
 
     def class_index_of(self, i: int) -> int:
-        for k, cls in enumerate(self.classes):
-            if i in cls:
-                return k
-        raise ValueError(f"index {i} not in any class")
+        return self.class_of[i]
 
     def same_class(self, i: int, j: int) -> bool:
-        return self.class_index_of(i) == self.class_index_of(j)
+        return self.class_of[i] == self.class_of[j]
 
     def label_classes(self) -> list[list[str]]:
         return [[self.ring.labels[i] for i in cls] for cls in self.classes]
@@ -242,19 +248,17 @@ def p_classes(ring: BRing, p: int) -> PrimeEquivalence:
         cls = [i]
         assigned[i] = len(classes)
         for j in range(i + 1, n):
-            if assigned[j] < 0 and dmat.d(i, j) % p == 0:
+            if assigned[j] < 0 and dmat.same_p_class(i, j, p):
                 cls.append(j)
                 assigned[j] = len(classes)
         classes.append(cls)
-    # transitivity is guaranteed by the definition of d; assert anyway
+    # transitivity is guaranteed by the definition of d; check anyway
     for i in range(n):
         for j in range(n):
-            if i != j:
-                same = assigned[i] == assigned[j]
-                if same != (dmat.d(i, j) % p == 0):
-                    raise InvariantViolation(
-                        "p-divisibility of d is not transitive")
-    return PrimeEquivalence(p, classes, ring)
+            if (assigned[i] == assigned[j]) != dmat.same_p_class(i, j, p):
+                raise InvariantViolation(
+                    "p-divisibility of d is not transitive")
+    return PrimeEquivalence(p, classes, assigned, ring)
 
 
 @dataclass

@@ -184,7 +184,7 @@ def cmd_dmatrix(args) -> int:
     labels = ctx.ring.labels
     n = ctx.ring.n
     dmat = ctx.ring.dmat
-    partitions = [p_classes(ctx.ring, p).to_json() for p in ctx.primes()]
+    partitions = [p_classes(ctx.ring, p).to_json() for p in ctx.primes]
     payload = {"group": ctx.group_name, **dmat.to_json(),
                "partitions": partitions}
     rows = []
@@ -254,7 +254,8 @@ def cmd_growth(args) -> int:
     i = _label_index(ctx, args.source)
     j = _label_index(ctx, args.target)
     ranks = ext_ranks(ctx, i, j, args.prime, args.max_degree)
-    block = shared_block(ctx.algebra(args.prime), i, j)
+    block = (shared_block(ctx.algebra(args.prime), i, j)
+             if ctx.dmat.same_p_class(i, j, args.prime) else None)
     bounded = block is None or block.invariants()["tor_bounded"]
     verdict = "bounded" if bounded else "unbounded"
     payload = {"group": ctx.group_name, "p": args.prime,

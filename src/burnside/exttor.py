@@ -10,11 +10,13 @@ is pinned down exactly as (Z/p)^rank whenever its bound has p-valuation 1.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .bring import BRing, CongruenceMatrix
-from .errors import InvariantViolation, NegativeRank
+from .errors import InvalidPrime, InvariantViolation, NegativeRank
 from .marks import MarksTable
 from .modp import ModPAlgebra
+from .permgroup import is_prime
 from .resolution import ext_dims_pair
 
 
@@ -159,6 +161,7 @@ class ExtTorContext:
     def from_marks(cls, table: MarksTable, group_name: str) -> "ExtTorContext":
         return cls(table.ring, group_name, table.class_table.group.order)
 
+    @cached_property
     def primes(self) -> list[int]:
         """Primes dividing some d(i, j); all other p-parts vanish."""
         seen = set()
@@ -194,13 +197,18 @@ def tensor_base(ctx: ExtTorContext, i: int, j: int) -> ModuleType:
 
 
 def ext_ranks(ctx: ExtTorContext, i: int, j: int, p: int, L: int) -> list[int]:
-    """p-ranks a_1..a_L of Ext^l(Z_i, Z_j) via a_{l+1} = b_l - a_l."""
-    algebra = ctx.algebra(p)
-    if not algebra.partition.same_class(i, j):
+    """p-ranks a_1..a_L of Ext^l(Z_i, Z_j) via a_{l+1} = b_l - a_l.
+
+    Zero across p-classes, read off the d-matrix; R/pR is built only for
+    a pair that shares a block.
+    """
+    if not is_prime(p):
+        raise InvalidPrime(f"{p} is not prime")
+    if not ctx.dmat.same_p_class(i, j, p):
         return [0] * L
     if L < 1:
         return []
-    b = ext_dims_pair(algebra, i, j, max(L - 1, 1))
+    b = ext_dims_pair(ctx.algebra(p), i, j, max(L - 1, 1))
     a = [0 if i == j else 1]
     for l in range(1, L):
         nxt = b[l] - a[-1]
@@ -220,12 +228,9 @@ def _p_part_cells(ctx: ExtTorContext, i: int, j: int, L: int,
                   rank_fn) -> list[list[PPart]]:
     """Per-degree p-parts for degrees 1..L using the given rank sequence."""
     per_degree: list[list[PPart]] = [[] for _ in range(L)]
-    for p in ctx.primes():
-        algebra = ctx.algebra(p)
-        if not algebra.partition.same_class(i, j):
-            continue
-        ranks = rank_fn(p)
-        bound = ctx.exponent_bound(i, j)
+    bound = ctx.exponent_bound(i, j)
+    for p in ctx.primes:
+        ranks = rank_fn(p)  # zero for a pair that p does not join
         v = p_valuation(bound, p)
         exact = v == 1
         for l in range(1, L + 1):

@@ -24,23 +24,44 @@ def is_prime(p: int) -> bool:
 
 
 class PermGroup:
-    """A finite group of permutations with all elements enumerated.
+    """A finite group of permutations, closed from its generators once.
 
     Element order is the breadth-first closure order from the identity,
     multiplying generators on the right in their given order; it is
-    deterministic and reused everywhere downstream.  Past enumeration,
-    the group layer works on indices into `elements`: `table` is the
-    Cayley table, built once on first use.
+    deterministic and reused everywhere downstream.  The closure forms
+    each product elements[x] * generators[s] once and keeps its index in
+    `_right[s][x]`, so past construction the group layer works on
+    indices into `elements`: `table` is the Cayley table, built from
+    those indices on first use.  Raises CapExceeded once the closure
+    grows past `cap`.
     """
 
     def __init__(self, degree: int, generators: list[Permutation],
-                 elements: list[Permutation]):
+                 cap: int = DEFAULT_ORDER_CAP):
         self.degree = degree
         self.generators = list(generators)
-        self.elements = list(elements)
+        identity = Permutation.identity(degree)
+        self.elements = elements = [identity]
+        self._index = index = {identity: 0}
+        self.identity_index = 0
+        self._right = [[] for _ in self.generators]
+        # (y, x, r): element y was first reached as elements[x] * s, where
+        # r = _right[s]; `elements` grows while it is scanned, so the scan
+        # is first in, first out and visits the elements breadth first
+        self._steps = []
+        for x, g in enumerate(elements):
+            for s, r in zip(self.generators, self._right):
+                gs = g * s
+                y = index.get(gs)
+                if y is None:
+                    y = len(elements)
+                    if y >= cap:
+                        raise CapExceeded(f"group order exceeds cap {cap}")
+                    index[gs] = y
+                    elements.append(gs)
+                    self._steps.append((y, x, r))
+                r.append(y)
         self.order = len(elements)
-        self._index = {g: i for i, g in enumerate(elements)}
-        self.identity_index = self._index[Permutation.identity(degree)]
 
     def __contains__(self, g: Permutation) -> bool:
         return g in self._index
@@ -61,33 +82,16 @@ class PermGroup:
     def table(self) -> list[list[int]]:
         """table[a][b] is the index of elements[a] * elements[b].
 
-        Every element b past the identity is reached in a breadth-first
-        walk as elements[p] * s for a generator s, so row a follows from
-        a * b = (a * p) * s with one list lookup per entry.
+        Replays the closure: every element y past the identity (index 0)
+        was first reached as elements[x] * s for a generator s, so row a
+        follows from a * y = (a * x) * s with one lookup in `_right` per
+        entry.
         """
-        elements, index = self.elements, self._index
-        right = [[index[x * s] for x in elements] for s in self.generators]
-        e = self.identity_index
-        steps = []
-        seen = {e}
-        frontier = [e]
-        while frontier:
-            new = []
-            for x in frontier:
-                for r in right:
-                    y = r[x]
-                    if y not in seen:
-                        seen.add(y)
-                        steps.append((y, x, r))
-                        new.append(y)
-            frontier = new
-        if len(seen) != self.order:
-            raise ValueError("elements are not generated by the generators")
         table = []
         for a in range(self.order):
             row = [0] * self.order
-            row[e] = a
-            for y, x, r in steps:
+            row[0] = a
+            for y, x, r in self._steps:
                 row[y] = r[row[x]]
             table.append(row)
         return table
@@ -154,7 +158,7 @@ def _bits(mask: int) -> list[int]:
 
 def enumerate_elements(generators: list[Permutation], degree: int | None = None,
                        cap: int = DEFAULT_ORDER_CAP) -> PermGroup:
-    """Close a generator list under composition, breadth first from the identity.
+    """Check a generator list and close it into a PermGroup.
 
     With no generators, `degree` must be given (the trivial group needs a
     point count). Raises CapExceeded once the closure grows past `cap`.
@@ -168,25 +172,7 @@ def enumerate_elements(generators: list[Permutation], degree: int | None = None,
         degree = 1
     if degree < 1:
         raise ValueError("degree must be at least 1")
-
-    identity = Permutation.identity(degree)
-    elements = [identity]
-    seen = {identity}
-    frontier = [identity]
-    while frontier:
-        new = []
-        for x in frontier:
-            for g in generators:
-                y = x * g
-                if y not in seen:
-                    seen.add(y)
-                    elements.append(y)
-                    new.append(y)
-                    if len(elements) > cap:
-                        raise CapExceeded(
-                            f"group order exceeds cap {cap}")
-        frontier = new
-    return PermGroup(degree, generators, elements)
+    return PermGroup(degree, generators, cap)
 
 
 class Subgroup:
@@ -195,59 +181,47 @@ class Subgroup:
     `mask` has bit i set for each member elements[i] of the group;
     `indices` lists the members in lexicographic image order, the order
     of `elements`.  Subgroups of different group objects never compare
-    equal.
+    equal.  `gens`, `elements` and `element_set` are computed on first
+    use; `cached_property` stores them in the instance dict, past the
+    immutability guard of `__setattr__`.
     """
-
-    __slots__ = ("group", "mask", "order", "indices", "_gens", "_elements",
-                 "_element_set")
 
     def __init__(self, group: PermGroup, elements):
         mask = 0
         for g in elements:
             mask |= 1 << group.index_of(g)
-        self._init(group, mask, None)
+        self._init(group, mask)
 
     @classmethod
     def _from_mask(cls, group: PermGroup, mask: int,
                    gens: list[int] | None = None) -> "Subgroup":
         sub = object.__new__(cls)
-        sub._init(group, mask, gens)
+        sub._init(group, mask)
+        if gens is not None:
+            sub.__dict__["gens"] = gens
         return sub
 
-    def _init(self, group, mask, gens):
+    def _init(self, group, mask):
         indices = tuple(sorted(_bits(mask), key=group.ranks.__getitem__))
-        init = object.__setattr__
-        init(self, "group", group)
-        init(self, "mask", mask)
-        init(self, "order", len(indices))
-        init(self, "indices", indices)
-        init(self, "_gens", gens)
-        init(self, "_elements", None)
-        init(self, "_element_set", None)
+        self.__dict__.update(group=group, mask=mask, order=len(indices),
+                             indices=indices)
 
     def __setattr__(self, name, value):
         raise AttributeError("Subgroup is immutable")
 
-    @property
+    @cached_property
     def gens(self) -> list[int]:
         """Indices of a generating set."""
-        if self._gens is None:
-            object.__setattr__(self, "_gens", self.group.generate(self.indices)[1])
-        return self._gens
+        return self.group.generate(self.indices)[1]
 
-    @property
+    @cached_property
     def elements(self) -> tuple[Permutation, ...]:
-        if self._elements is None:
-            elements = self.group.elements
-            object.__setattr__(self, "_elements",
-                               tuple(elements[i] for i in self.indices))
-        return self._elements
+        elements = self.group.elements
+        return tuple(elements[i] for i in self.indices)
 
-    @property
+    @cached_property
     def element_set(self) -> frozenset[Permutation]:
-        if self._element_set is None:
-            object.__setattr__(self, "_element_set", frozenset(self.elements))
-        return self._element_set
+        return frozenset(self.elements)
 
     def rank_key(self) -> tuple[int, ...]:
         """Ranks of the members; compares as their image tuples do."""

@@ -85,6 +85,20 @@ def test_tor_table(capsys, tmp_path):
     assert "l=0: Z/2" in out
 
 
+@pytest.mark.parametrize("p", ["0", "4"])
+@pytest.mark.parametrize("argv", [
+    ("growth", "--group", "S3", "--source", "1", "--target", "2"),
+    ("growth", "--group", "S3", "--source", "1", "--target", "3"),
+    ("blocks", "--group", "S3"),
+])
+def test_non_prime_p_exits_2(capsys, tmp_path, argv, p):
+    code, out, err = run(capsys, *argv, "-p", p, "--cache-dir", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert f"{p} is not prime" in err
+    assert "Traceback" not in err
+
+
 def test_growth_command(capsys, tmp_path):
     code, out, _ = run(capsys, "growth", "--group", "C4", "-p", "2",
                        "--max-degree", "8", "--cache-dir", str(tmp_path))
@@ -209,6 +223,28 @@ def test_one_congruence_matrix_per_context(capsys, tmp_path, monkeypatch):
         code, _, err = run(capsys, *argv, "--cache-dir", str(tmp_path))
         assert code == 0, err
         assert built == {CongruenceMatrix: 1, ExtTorContext: 1}, argv
+
+
+def test_growth_builds_r_mod_p_only_for_a_shared_block(capsys, tmp_path,
+                                                    monkeypatch):
+    # S3 classes 1 and 2 have d = 2: they share no block at p = 3
+    from burnside.modp import ModPAlgebra
+
+    built = []
+    init = ModPAlgebra.__init__
+
+    def counted(self, ring, p):
+        built.append(p)
+        init(self, ring, p)
+    monkeypatch.setattr(ModPAlgebra, "__init__", counted)
+    for p, want in (("3", []), ("2", ["2"])):
+        code, out, err = run(capsys, "growth", "--group", "S3", "-p", p,
+                             "--source", "1", "--target", "2",
+                             "--max-degree", "4", "--cache-dir", str(tmp_path))
+        assert code == 0, err
+        assert "verdict: bounded" in out
+        assert [str(q) for q in built] == want
+        built.clear()
 
 
 def test_ext_oracle_checks_primes_missing_from_the_report(capsys, tmp_path,

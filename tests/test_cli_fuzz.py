@@ -88,7 +88,8 @@ def gens_argv(draw):
         ["marks", "dmatrix", "blocks", "ext", "tor", "growth", "verify"]))
     argv = [command, "--gens", draw(cycle_string())]
     if command in ("blocks", "growth"):
-        argv += ["-p", str(draw(st.sampled_from([2, 3, 4, 5])))]
+        argv += ["-p", str(draw(st.sampled_from(
+            [2, 3, 4, 5, 0, 1, -3, 6, 9])))]
     if command in ("ext", "tor", "growth"):
         argv += ["--source", draw(st.sampled_from(LABELS)),
                  "--target", draw(st.sampled_from(LABELS))]

@@ -1,10 +1,11 @@
 import pytest
 
-from burnside.exttor import (ModuleType, ext_ranks, ext_report, hom_base,
-                             prime_factors, tensor_base, tor_ranks, tor_report,
-                             verify_squarefree)
+from burnside.errors import InvalidPrime
+from burnside.exttor import (ExtTorContext, ModuleType, ext_ranks, ext_report,
+                             hom_base, prime_factors, tensor_base, tor_ranks,
+                             tor_report, verify_squarefree)
 from burnside.resolution import ext_dims_pair
-from util import get_context
+from util import get_context, get_marks
 
 
 def test_module_type_formatting():
@@ -145,10 +146,48 @@ def test_verify_squarefree_not_applicable():
     assert result.verdict == "not-applicable"
 
 
+@pytest.mark.parametrize("p", [0, 1, 4, -3])
+@pytest.mark.parametrize("pair", [(0, 0), (0, 1), (0, 2)])
+def test_ranks_reject_a_non_prime(p, pair):
+    # d(0, 1) = 2 and d(0, 2) = 3: the prime is checked before the
+    # d-matrix is read, also for a pair that no prime but 2 or 3 joins
+    ctx = get_context("S3")
+    with pytest.raises(InvalidPrime):
+        ext_ranks(ctx, *pair, p, 4)
+    with pytest.raises(InvalidPrime):
+        tor_ranks(ctx, *pair, p, 4)
+
+
+def test_reports_build_algebras_only_where_the_pair_shares_a_block():
+    # S3 classes 1 and 2 have d = 2, so only R/2R is needed
+    ctx = ExtTorContext.from_marks(get_marks("S3"), "S3")
+    assert ctx.primes == [2, 3]
+    ext_report(ctx, 0, 1, 4)
+    assert sorted(ctx._algebras) == [2]
+    tor_report(ctx, 0, 3, 4)  # d = 1: no block is shared at any prime
+    assert sorted(ctx._algebras) == [2]
+    ext_report(ctx, 0, 0, 4)
+    assert sorted(ctx._algebras) == [2, 3]
+
+
+def test_p_class_lookup_matches_the_d_matrix():
+    for name in ("S3", "D4", "S4", "C30"):
+        ctx = get_context(name)
+        n = ctx.ring.n
+        for p in ctx.primes:
+            part = ctx.algebra(p).partition
+            for i in range(n):
+                assert i in part.classes[part.class_index_of(i)]
+                for j in range(n):
+                    want = i == j or ctx.dmat.d(i, j) % p == 0
+                    assert part.same_class(i, j) == want
+                    assert ctx.dmat.same_p_class(i, j, p) == want
+
+
 def test_primes_scanned():
-    assert get_context("S3").primes() == [2, 3]
-    assert get_context("C30").primes() == [2, 3, 5]
-    assert get_context("C1").primes() == []
+    assert get_context("S3").primes == [2, 3]
+    assert get_context("C30").primes == [2, 3, 5]
+    assert get_context("C1").primes == []
 
 
 def test_exact_parity_pattern_when_p_exactly_divides_order():

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from burnside.errors import NonIntegralSolution
+from burnside.errors import BasisMismatch, NonIntegralSolution
 from burnside.marks import (decompose, double_count_mark, ghost, multiply,
                             verify_marks)
 from burnside.permgroup import CosetAction, Subgroup, are_conjugate, normalizer
@@ -172,3 +172,19 @@ def test_decompose_agrees_with_ring(name):
     with pytest.raises(NonIntegralSolution) as via_ring:
         table.ring.decompose(off)
     assert str(via_marks.value) == str(via_ring.value)
+
+
+def test_basis_mismatch():
+    s3, c6 = get_marks("S3"), get_marks("C6")
+    assert s3.size == c6.size == 4
+    x, y = s3.element([1, 0, 0, 0]), c6.element([1, 0, 0, 0])
+    with pytest.raises(BasisMismatch):
+        x + y
+    with pytest.raises(BasisMismatch):
+        x - y
+    with pytest.raises(BasisMismatch):
+        x * y
+    with pytest.raises(BasisMismatch):
+        s3.element([1, 0, 0])
+    with pytest.raises(BasisMismatch):
+        decompose(s3, [6, 3, 2, 1, 0])

@@ -1,6 +1,7 @@
 import pytest
 
-from burnside.errors import CapExceeded, DegreeMismatch, InvalidPrime
+from burnside.errors import (CapExceeded, DegreeMismatch, InvalidPrime,
+                             InvalidSubgroup)
 from burnside.perm import Permutation
 from burnside.permgroup import (CosetAction, Subgroup, enumerate_elements,
                                 normalizer, o_p)
@@ -48,6 +49,51 @@ def test_enumerate_errors():
     with pytest.raises(CapExceeded):
         enumerate_elements([Permutation([1, 0, 2]), Permutation([0, 2, 1])],
                            cap=5)
+
+
+@pytest.mark.parametrize("name", ["S3", "D4", "Q8", "A4", "D10"])
+def test_closure_order_is_breadth_first(name):
+    # element indices, ranks and labels all rest on this order: level by
+    # level from the identity, generators on the right in their order
+    group = get_group(name)
+    identity = Permutation.identity(group.degree)
+    expected, seen, frontier = [identity], {identity}, [identity]
+    while frontier:
+        new = []
+        for x in frontier:
+            for s in group.generators:
+                y = x * s
+                if y not in seen:
+                    seen.add(y)
+                    new.append(y)
+        expected += new
+        frontier = new
+    assert group.elements == expected
+    for a, row in enumerate(group.table):
+        assert [group.elements[b] for b in row] == [
+            group.elements[a] * g for g in group.elements]
+
+
+@pytest.mark.parametrize("name", ["S3", "Q8", "A4", "D10"])
+def test_cap_boundary(name):
+    group = get_group(name)
+    assert enumerate_elements(group.generators,
+                              cap=group.order).elements == group.elements
+    with pytest.raises(CapExceeded):
+        enumerate_elements(group.generators, cap=group.order - 1)
+
+
+def test_subgroup_outside_the_group_is_rejected():
+    s3 = get_group("S3")
+    with pytest.raises(InvalidSubgroup):
+        Subgroup(s3, [Permutation([1, 2, 0]), Permutation([0, 2, 1, 3])])
+    # a subgroup belongs to the group object it was built from
+    other = enumerate_elements(list(s3.generators))
+    h = get_classes("S3")[1].representative
+    with pytest.raises(InvalidSubgroup):
+        CosetAction(other, h)
+    with pytest.raises(InvalidSubgroup):
+        normalizer(other, h)
 
 
 @pytest.mark.parametrize("name,count,orders", [
