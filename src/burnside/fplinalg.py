@@ -11,6 +11,12 @@ packs, runs that kernel and unpacks.  The minimal resolutions over GF(2)
 use a 1-bit twin of the core (`Gf2Echelon`, `gf2_kernel_of_columns`),
 where a row operation is a single XOR.
 
+Both echelons key their rows by top lane, the highest nonzero one:
+`bit_length` finds it without scanning the vector, a shift reads its
+coefficient, and a kernel basis comes out with kernel vector j ending in
+coefficient 1 at the lane of its own column j.  The minimal resolutions
+read their generators off that form.
+
 `FpEchelon` and `fp_rank` keep an independent list-based elimination as
 the reference: tests compare the packed kernels against it, and the
 integral oracle ranks with it so that the cross-check does not share the
@@ -74,7 +80,7 @@ def fp_rank(rows: list[list[int]], p: int) -> int:
 # GF(2) fast path: a vector is an int, bit i <-> coordinate i.
 
 class Gf2Echelon:
-    """Echelon row space over GF(2) with int-packed rows (lowest bit pivots)."""
+    """Echelon row space over GF(2) with int-packed rows, keyed by top bit."""
 
     __slots__ = ("rows",)
 
@@ -84,8 +90,7 @@ class Gf2Echelon:
     def reduce(self, v: int) -> int:
         rows = self.rows
         while v:
-            piv = v & -v
-            row = rows.get(piv)
+            row = rows.get(v.bit_length() - 1)
             if row is None:
                 return v
             v ^= row
@@ -94,7 +99,7 @@ class Gf2Echelon:
     def insert(self, v: int) -> bool:
         v = self.reduce(v)
         if v:
-            self.rows[v & -v] = v
+            self.rows[v.bit_length() - 1] = v
             return True
         return False
 
@@ -107,17 +112,18 @@ def gf2_kernel_of_columns(cols: list[int]) -> list[int]:
     """Combination masks c (bit j <-> column j) with XOR of chosen columns 0.
 
     The masks form a basis of the nullspace of the matrix whose columns
-    are the given ints.
+    are the given ints.  Columns are reduced by top bit, so mask j has its
+    top bit at j: the basis is in echelon form by top lane.
     """
     kernel = []
     ech: dict[int, tuple[int, int]] = {}
     for j, v in enumerate(cols):
         combo = 1 << j
         while v:
-            piv = v & -v
-            hit = ech.get(piv)
+            top = v.bit_length()
+            hit = ech.get(top)
             if hit is None:
-                ech[piv] = (v, combo)
+                ech[top] = (v, combo)
                 break
             v ^= hit[0]
             combo ^= hit[1]
@@ -152,7 +158,6 @@ class FpLanes:
             top = self.limit.bit_length() - p.bit_length()
             self._steps = [p << t for t in range(top, -1, -1)
                            if p << t <= self.limit]
-        self.lane_mask = (1 << self.width) - 1
 
     def reduce(self, v: int) -> int:
         """Every lane mod p, for lanes holding at most `limit`."""
@@ -180,13 +185,14 @@ class FpLanes:
         p, w = self.p, self.width
         cols = [pack([row[j] for row in rows], p, w) for j in range(ncols)]
         return [unpack(c, ncols, w)
-                for c in fp_lane_kernel_of_columns(cols, len(rows), self)]
+                for c in fp_lane_kernel_of_columns(cols, self)]
 
 
 class FpLaneEchelon:
-    """Echelon row space over F_p with lane-packed rows (lowest lane pivots).
+    """Echelon row space over F_p with lane-packed rows, keyed by top lane.
 
-    Rows are stored with leading coefficient 1.  Reducing by a row is
+    Rows are stored with top coefficient 1.  Nothing lies above the top
+    lane, so a shift reads its coefficient f, and reducing by a row is
     `v + (p - f) * row` followed by one lane-wise reduction.
     """
 
@@ -198,13 +204,13 @@ class FpLaneEchelon:
 
     def reduce(self, v: int) -> int:
         rows, lanes = self.rows, self.lanes
-        w, mask, p, mod = lanes.width, lanes.lane_mask, lanes.p, lanes.reduce
+        w, p, mod = lanes.width, lanes.p, lanes.reduce
         while v:
-            lead = ((v & -v).bit_length() - 1) // w
-            row = rows.get(lead)
+            top = (v.bit_length() - 1) // w
+            row = rows.get(top)
             if row is None:
                 return v
-            v = mod(v + (p - ((v >> (lead * w)) & mask)) * row)
+            v = mod(v + (p - (v >> (top * w))) * row)
         return v
 
     def insert(self, v: int) -> bool:
@@ -217,46 +223,55 @@ class FpLaneEchelon:
     def _store(self, v: int) -> None:
         """Add a vector already reduced against the rows, made monic."""
         lanes = self.lanes
-        lead = ((v & -v).bit_length() - 1) // lanes.width
-        f = (v >> (lead * lanes.width)) & lanes.lane_mask
+        top = (v.bit_length() - 1) // lanes.width
+        f = v >> (top * lanes.width)
         if f != 1:
             v = lanes.reduce(v * pow(f, -1, lanes.p))
-        self.rows[lead] = v
+        self.rows[top] = v
 
     @property
     def dim(self) -> int:
         return len(self.rows)
 
 
-def fp_lane_kernel_of_columns(cols: list[int], nrows: int,
-                              lanes: FpLanes) -> list[int]:
+def fp_lane_kernel_of_columns(cols: list[int], lanes: FpLanes) -> list[int]:
     """Combinations c (lane j <-> column j) with sum c_j * column_j = 0.
 
     The combinations form a basis of the nullspace of the matrix whose
-    columns are the given packed vectors of `nrows` lanes.  Column j is
-    eliminated together with its unit combination, packed above lane
-    `nrows`, so one row operation updates both; a column whose matrix
-    part vanishes leaves its combination as a kernel vector.
+    columns are the given packed vectors.  Column j is shifted above
+    `len(cols)` lanes and eliminated together with its unit combination
+    in lane j below, so one row operation updates both; a column whose
+    matrix part vanishes leaves its combination as a kernel vector, with
+    coefficient 1 at lane j and nothing above: the basis is in echelon
+    form by top lane.
     """
     ech = FpLaneEchelon(lanes)
-    shift = nrows * lanes.width
+    w = lanes.width
+    shift = len(cols) * w
     kernel = []
     for j, col in enumerate(cols):
-        v = ech.reduce(col | 1 << (shift + j * lanes.width))
-        if (v & -v) >> shift:
-            kernel.append(v >> shift)
-        else:
+        v = ech.reduce(col << shift | 1 << (j * w))
+        if v >> shift:
             ech._store(v)
+        else:
+            kernel.append(v)
     return kernel
 
 
 def pack(coords, p: int, width: int) -> int:
-    """Coordinates mod p, coordinate k in lane k of `width` bits."""
+    """Coordinates mod p, coordinate k in lane k of `width` bits.
+
+    Byte lanes (p <= 13) go through one `bytes` call.
+    """
+    if width == 8:
+        return int.from_bytes(bytes([c % p for c in coords]), "little")
     return sum((c % p) << (k * width) for k, c in enumerate(coords))
 
 
 def unpack(v: int, n: int, width: int) -> list[int]:
     """The first n lanes of a packed vector."""
     v &= (1 << (n * width)) - 1
+    if width == 8:
+        return list(v.to_bytes(n, "little"))
     mask = (1 << width) - 1
     return [(v >> (k * width)) & mask for k in range(n)]

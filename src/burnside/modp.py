@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import gcd
 
 from .bring import BRing, p_classes
@@ -247,13 +248,24 @@ class LocalBlock:
         ring = self.algebra.ring
         return [ring.labels[i] for i in self.algebra.classes[self.class_index]]
 
-    def m_squared_dim(self) -> int:
-        ech = self.algebra.echelon()
-        s = self.dim
+    @cached_property
+    def m_generators(self) -> tuple[int, ...]:
+        """The indices a >= 1 whose e_a span M modulo M^2, least first.
+
+        One echelon holds M^2, the span of the e_a e_b (a, b >= 1); each
+        e_a it does not yet contain joins it and is a generator.  By
+        Nakayama these e_a generate M, so M.K is the sum of the e_a K.
+        """
+        algebra, s = self.algebra, self.dim
+        ech = algebra.echelon()
         for a in range(1, s):
             for b in range(a, s):
-                ech.insert(self.algebra.pack(self.mult[a][b]))
-        return ech.dim
+                ech.insert(algebra.pack(self.mult[a][b]))
+        w = algebra.lanes.width
+        return tuple(a for a in range(1, s) if ech.insert(1 << (a * w)))
+
+    def m_squared_dim(self) -> int:
+        return self.dim - 1 - len(self.m_generators)
 
     def socle_dim(self) -> int:
         """dim of the annihilator of the maximal ideal inside the block."""
@@ -266,9 +278,7 @@ class LocalBlock:
         return len(self.algebra.lanes.nullspace(rows, s))
 
     def invariants(self) -> dict:
-        m_dim = self.dim - 1
-        m2 = self.m_squared_dim()
-        m_mod_m2 = m_dim - m2
+        m_mod_m2 = len(self.m_generators)
         socle = self.socle_dim()
         return {
             "dim": self.dim,
@@ -355,7 +365,7 @@ def _build_block(algebra: ModPAlgebra, class_index: int,
     # basis columns, in column order
     for row in algebra.products(basis, basis):
         columns += row
-    kernel = fp_lane_kernel_of_columns(columns, n, algebra.lanes)
+    kernel = fp_lane_kernel_of_columns(columns, algebra.lanes)
     if len(kernel) != s * s:
         raise InvariantViolation("block is not closed under products")
     coords = [[-c % p for c in unpack(k, s, w)] for k in kernel]

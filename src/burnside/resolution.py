@@ -2,8 +2,20 @@
 
 The Betti number b_l is the rank of the l-th free module, equivalently
 dim Ext^l(k, k) = dim Tor_l(k, k).  Construction is the direct one: push a
-minimal generating set of each kernel into the next free module, where
-generators are kernel vectors reduced modulo (maximal ideal) * kernel.
+minimal generating set of each kernel K into the next free module, that
+is, kernel vectors whose classes form a basis of K / M.K.
+
+Minimal generators.  The kernel basis comes out of the elimination in
+echelon form by top lane (`fplinalg`): vector j ends in coefficient 1 at
+lane j, the lane of its own column, and the stage-0 kernel e_1..e_{s-1}
+has the same form.  The products e_a . kappa, for kappa in the basis and
+e_a in the generators of M modulo M^2 (`LocalBlock.m_generators`; they
+span M.K by Nakayama), go into an echelon keyed by top lane, so every
+nonzero vector of M.K has its top lane at one of its pivots.  The basis
+vectors whose top lane is not a pivot are the generators: any nonzero
+combination of them has its top lane off the pivots, so they are
+independent modulo M.K, and they number dim K - dim M.K.  No kernel
+vector is reduced.
 
 Free ranks of unbounded blocks grow geometrically, so beyond a feasible
 window the exact computation is supplemented by a growth certificate: for
@@ -83,6 +95,10 @@ class _LaneOps:
     def entries_in_maximal_ideal(self, flat: int, n_components: int) -> bool:
         return not flat & self.lead_mask(n_components)
 
+    def top_lane(self, flat: int) -> int:
+        """The highest nonzero lane of a nonzero vector."""
+        return (flat.bit_length() - 1) // self.width
+
 
 class _Gf2Ops(_LaneOps):
     """GF(2): one-bit lanes, so lanes add by XOR without carries."""
@@ -98,7 +114,7 @@ class _Gf2Ops(_LaneOps):
             out ^= ((gen >> shift) & mask) * prod
         return out
 
-    def kernel_of_columns(self, cols: list[int], nrows: int) -> list[int]:
+    def kernel_of_columns(self, cols: list[int]) -> list[int]:
         return gf2_kernel_of_columns(cols)
 
     def echelon(self):
@@ -132,8 +148,8 @@ class _FpOps(_LaneOps):
                 pending = 0
         return mod(out) if pending else out
 
-    def kernel_of_columns(self, cols: list[int], nrows: int) -> list[int]:
-        return fp_lane_kernel_of_columns(cols, nrows, self.lanes)
+    def kernel_of_columns(self, cols: list[int]) -> list[int]:
+        return fp_lane_kernel_of_columns(cols, self.lanes)
 
     def echelon(self):
         return FpLaneEchelon(self.lanes)
@@ -148,13 +164,17 @@ class MinimalResolution:
     The kernel of the top differential is computed lazily: extending to
     degree L materializes the generator columns of d_1..d_L but only the
     kernels of d_1..d_{L-1}, which is what minimality of the first L
-    stages actually requires.
+    stages actually requires.  Each stage keeps, as the columns of the
+    next differential, the kernel basis vectors whose top lane is not a
+    pivot of M.K (module docstring); `multipliers` are the indices of the
+    e_a that M.K is built from.
     """
 
     def __init__(self, block: LocalBlock, max_matrix_bits: int = DEFAULT_MATRIX_BITS):
         self.block = block
         self.max_matrix_bits = max_matrix_bits
         self.ops = _Gf2Ops(block) if block.p == 2 else _FpOps(block)
+        self.multipliers = block.m_generators
         self.betti = [1]
         self.differentials: list[list[int]] = []  # d_l as generator columns
         # kernel of the augmentation F_0 = S -> k is the maximal ideal,
@@ -184,27 +204,31 @@ class MinimalResolution:
         if self._kernel is None:
             self._compute_top_kernel()
         ops = self.ops
+        kernel = self._kernel
         s = self.block.dim
         n_prev = self.betti[-1]
-        self._check_budget(len(self.betti), n_prev * s, len(self._kernel) * s)
-        # minimal generators: kernel basis reduced modulo M * kernel
-        mspan = ops.echelon()
-        for kappa in self._kernel:
-            for a in range(1, s):
-                mspan.insert(ops.column(kappa, n_prev, a))
-        mk_dim = mspan.dim
-        gens = []
-        for kappa in self._kernel:
-            residual = mspan.reduce(kappa)
-            if residual:
-                gens.append(residual)
-                mspan.insert(residual)
+        self._check_budget(len(self.betti), n_prev * s, len(kernel) * s)
+        # M.K is the sum of e_a K over the generators e_a of M (Nakayama);
+        # its echelon keyed by top lane has a pivot at the top lane of
+        # every nonzero vector of M.K
+        mk = ops.echelon()
+        for kappa in kernel:
+            for a in self.multipliers:
+                mk.insert(ops.column(kappa, n_prev, a))
+        pivots = mk.rows
+        tops = [ops.top_lane(kappa) for kappa in kernel]
+        if not pivots.keys() <= set(tops):
+            raise InvariantViolation(
+                "M.K has a pivot off the top lanes of the kernel")
+        # any combination of these has its top lane off the pivots, so
+        # they are independent modulo M.K, and they number dim K - dim M.K
+        gens = [kappa for kappa, t in zip(kernel, tops) if t not in pivots]
         for g in gens:
             if not ops.entries_in_maximal_ideal(g, n_prev):
                 raise InvariantViolation(
                     "differential entry outside the maximal ideal")
         n_new = len(gens)
-        if n_new != len(self._kernel) - mk_dim or mspan.dim != len(self._kernel):
+        if n_new != len(kernel) - len(pivots):
             raise InvariantViolation("minimal generator count mismatch")
         self.betti.append(n_new)
         self.differentials.append(gens)
@@ -222,7 +246,7 @@ class MinimalResolution:
         for g in self.differentials[top - 1]:
             for a in range(s):
                 columns.append(ops.column(g, n_prev, a))
-        kernel = ops.kernel_of_columns(columns, rows_dim)
+        kernel = ops.kernel_of_columns(columns)
         # exactness bookkeeping: rank d_l equals dim ker d_{l-1}, so the
         # kernel dimension matches the rank-nullity recursion
         if len(kernel) != self.kernel_dims[top]:

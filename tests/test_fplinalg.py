@@ -1,9 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from burnside.fplinalg import (FpEchelon, FpLaneEchelon, FpLanes, Gf2Echelon,
-                               fp_rank, gf2_kernel_of_columns)
+                               fp_lane_kernel_of_columns, fp_rank,
+                               gf2_kernel_of_columns, pack, unpack)
 
 
 def test_fp_rank_and_nullspace():
@@ -106,3 +108,44 @@ def test_packed_nullspace_and_solve_agree_with_list_rank(p):
         for x in kernel:
             assert all(sum(a * c for a, c in zip(row, x)) % p == 0
                        for row in rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7, 11, 13, 17, 257]), st.data())
+def test_pack_matches_the_generator_form(p, data):
+    # byte lanes (p <= 13) take the `bytes` path, the rest the shifts;
+    # coordinates may be negative or exceed p, and reduce mod p either way
+    width = data.draw(st.sampled_from(sorted({1, FpLanes(p).width})
+                                      if p == 2 else [FpLanes(p).width]))
+    coords = data.draw(st.lists(st.integers(-3 * p, 3 * p), max_size=70))
+    packed = pack(coords, p, width)
+    assert packed == sum((c % p) << (k * width) for k, c in enumerate(coords))
+    n = data.draw(st.integers(0, len(coords) + 3))
+    residues = [c % p for c in coords] + [0] * 3
+    assert unpack(packed, n, width) == residues[:n]
+    # lanes above the first n never leak into the unpacked ones
+    assert unpack(packed | 1 << (n * width), n, width) == residues[:n]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 17])
+def test_kernels_come_in_echelon_form_by_top_lane(p):
+    # kernel vector j ends in coefficient 1 at the lane of a column that
+    # depends on the columns before it, which the resolutions rely on
+    rng = random.Random(10 + p)
+    lanes = FpLanes(p)
+    for _ in range(40):
+        nrows, ncols = rng.randint(1, 6), rng.randint(1, 9)
+        cols = [[rng.randrange(p) if rng.random() < 0.5 else 0
+                 for _ in range(nrows)] for _ in range(ncols)]
+        dependent = [j for j in range(ncols)
+                     if fp_rank(cols[:j + 1], p) == fp_rank(cols[:j], p)]
+        if p == 2:
+            kernel = gf2_kernel_of_columns([_pack(c, 1) for c in cols])
+            width = 1
+        else:
+            kernel = fp_lane_kernel_of_columns(
+                [_pack(c, lanes.width) for c in cols], lanes)
+            width = lanes.width
+        tops = [(v.bit_length() - 1) // width for v in kernel]
+        assert tops == dependent
+        assert all(v >> (t * width) == 1 for v, t in zip(kernel, tops))

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from burnside.bring import BRing
-from burnside.errors import ResolutionTooLarge
+from burnside.errors import InvariantViolation, ResolutionTooLarge
 from burnside.exttor import prime_factors
 from burnside.fplinalg import fp_rank
 from burnside.modp import ModPAlgebra, _mul, blocks
@@ -208,7 +208,7 @@ def test_packed_kernel_of_columns(p, data):
     entry = st.integers(0, p - 1)
     cols = [data.draw(st.lists(entry, min_size=nrows, max_size=nrows))
             for _ in range(ncols)]
-    combos = ops.kernel_of_columns([ops.pack(c) for c in cols], nrows)
+    combos = ops.kernel_of_columns([ops.pack(c) for c in cols])
     rows = [[cols[j][i] for j in range(ncols)] for i in range(nrows)]
     assert len(combos) == ncols - fp_rank(rows, p)
     for combo in combos:
@@ -253,3 +253,100 @@ def test_reduced_rank_counts_residue_entries():
     broken.differentials[0] = [broken.ops.pack([2, 1])]
     assert broken.reduced_differential(1) == [[2]]
     assert broken.reduced_rank(1) == 1
+
+
+def _residual_betti(block, degree):
+    """Betti numbers by the residual algorithm: M.K spanned from every
+    e_1..e_{s-1}, each kernel vector reduced modulo M.K and the residuals
+    found so far, and each nonzero residual kept as a generator."""
+    ops = MinimalResolution(block).ops
+    s = block.dim
+    betti = [1]
+    kernel = [1 << (a * ops.width) for a in range(1, s)]
+    for l in range(degree):
+        n_prev = betti[-1]
+        span = ops.echelon()
+        for kappa in kernel:
+            for a in range(1, s):
+                span.insert(ops.column(kappa, n_prev, a))
+        gens = []
+        for kappa in kernel:
+            residual = span.reduce(kappa)
+            if residual:
+                gens.append(residual)
+                span.insert(residual)
+        betti.append(len(gens))
+        if l + 1 < degree:
+            kernel = ops.kernel_of_columns(
+                [ops.column(g, n_prev, a) for g in gens for a in range(s)])
+    return betti
+
+
+RESIDUAL_CORPUS = [
+    ("V4", 2, 6), ("D4", 2, 4), ("Q8", 2, 4), ("C4", 2, 7), ("C8", 2, 5),
+    ("S3", 2, 6), ("S3", 3, 6), ("A4", 2, 4), ("S4", 2, 3), ("S4", 3, 5),
+    ("C6", 3, 6), ("C12", 2, 4), ("C12", 3, 5), ("D6", 2, 4),
+    ("(1 2),(3 4),(5 6)", 2, 3), ("C9", 3, 7), ("C27", 3, 4),
+    ("(1 2 3),(4 5 6)", 3, 4), ("C25", 5, 5), ("D5", 5, 6), ("C10", 5, 6),
+    ("C49", 7, 4), ("D17", 17, 5),
+]
+
+
+@pytest.mark.parametrize("name, p, degree", RESIDUAL_CORPUS)
+def test_betti_numbers_match_the_residual_algorithm(name, p, degree):
+    for block in blocks(get_context(name).algebra(p)):
+        res = MinimalResolution(block)
+        res.extend_to(degree)
+        assert res.betti == _residual_betti(block, degree), (name, p)
+
+
+@pytest.mark.parametrize("name, p, degree", [
+    ("V4", 2, 5), ("D4", 2, 3), ("Q8", 2, 4), ("C9", 3, 5),
+    ("(1 2 3),(4 5 6)", 3, 3), ("C25", 5, 4), ("D17", 17, 4)])
+def test_generators_form_a_basis_of_k_mod_mk(name, p, degree):
+    block = _block(name, p)
+    res = MinimalResolution(block)
+    ops, s = res.ops, block.dim
+    for l in range(degree):
+        if l:
+            res._compute_top_kernel()
+        kernel = list(res._kernel)
+        res.extend_to(l + 1)
+        n_prev = res.betti[l]
+        # M.K from every basis element of M, not only the multipliers
+        span = ops.echelon()
+        for kappa in kernel:
+            for a in range(1, s):
+                span.insert(ops.column(kappa, n_prev, a))
+        mk_dim = span.dim
+        gens = res.differentials[l]
+        assert all(span.insert(g) for g in gens), (name, l)
+        assert not any(span.reduce(kappa) for kappa in kernel), (name, l)
+        assert span.dim == len(kernel) == mk_dim + len(gens)
+
+
+@pytest.mark.parametrize("name, p, count, dim_m", [
+    ("V4", 2, 3, 4), ("D4", 2, 5, 7), ("Q8", 2, 4, 5),
+    ("(1 2 3),(4 5 6)", 3, 4, 5), ("C4", 2, 2, 2), ("C9", 3, 2, 2)])
+def test_multipliers_are_the_generators_of_m_mod_m_squared(name, p, count,
+                                                            dim_m):
+    block = _block(name, p)
+    res = MinimalResolution(block)
+    assert block.dim - 1 == dim_m
+    assert len(res.multipliers) == count
+    assert res.multipliers == block.m_generators
+    assert count == block.invariants()["m_mod_m2_dim"]
+    assert block.m_squared_dim() == dim_m - count
+
+
+@pytest.mark.parametrize("name, p, entry", [
+    ("V4", 2, (1, 2, 0)), ("C9", 3, (1, 1, 0))])
+def test_corrupted_product_raises(name, p, entry):
+    # e_a e_b gains a unit coordinate, so M.K leaves K
+    block = _block(name, p)
+    a, b, m = entry
+    mult = [[list(coords) for coords in row] for row in block.mult]
+    mult[a][b][m] = (mult[a][b][m] + 1) % p
+    broken = dataclasses.replace(block, mult=mult)
+    with pytest.raises(InvariantViolation, match="pivot off the top lanes"):
+        MinimalResolution(broken).extend_to(4)
