@@ -248,34 +248,61 @@ class LocalBlock:
         ring = self.algebra.ring
         return [ring.labels[i] for i in self.algebra.classes[self.class_index]]
 
-    @cached_property
-    def m_generators(self) -> tuple[int, ...]:
-        """The indices a >= 1 whose e_a span M modulo M^2, least first.
+    def _independent_modulo(self, ideal) -> tuple[int, ...]:
+        """The indices a >= 1 whose e_a are independent modulo M^2 plus the
+        span of `ideal` (block coordinates), least first.
 
-        One echelon holds M^2, the span of the e_a e_b (a, b >= 1); each
-        e_a it does not yet contain joins it and is a generator.  By
-        Nakayama these e_a generate M, so M.K is the sum of the e_a K.
+        One echelon holds M^2, the span of the e_a e_b (a, b >= 1), and
+        `ideal`; each e_a it does not yet contain joins it.
         """
         algebra, s = self.algebra, self.dim
         ech = algebra.echelon()
         for a in range(1, s):
             for b in range(a, s):
                 ech.insert(algebra.pack(self.mult[a][b]))
+        for x in ideal:
+            ech.insert(algebra.pack(x))
         w = algebra.lanes.width
         return tuple(a for a in range(1, s) if ech.insert(1 << (a * w)))
+
+    @cached_property
+    def m_generators(self) -> tuple[int, ...]:
+        """The indices a >= 1 whose e_a span M modulo M^2, least first.
+
+        By Nakayama these e_a generate M.
+        """
+        return self._independent_modulo(())
+
+    @cached_property
+    def multipliers(self) -> tuple[int, ...]:
+        """The indices a >= 1 whose e_a are independent modulo
+        M^2 + Ann(M), least first; a subset of `m_generators`.
+
+        For a submodule K of M.F (F free), Ann(M) kills K, so with L the
+        span of these e_a, M.K = L.K + M^2.K = L.K + M.(M.K), and by
+        Nakayama M.K = L.K, the sum of the e_a K.  Square-zero blocks have
+        M = Ann(M), hence no multipliers: there M.K = 0.
+        """
+        return self._independent_modulo(self.socle)
 
     def m_squared_dim(self) -> int:
         return self.dim - 1 - len(self.m_generators)
 
-    def socle_dim(self) -> int:
-        """dim of the annihilator of the maximal ideal inside the block."""
+    @cached_property
+    def socle(self) -> list[list[int]]:
+        """Basis of Ann(M) inside the block, in block coordinates.
+
+        x is in it when x * e_a = 0 for every basis element e_a of M; for
+        a one-dimensional block M = 0 and the socle is the whole block.
+        """
         s = self.dim
-        if s == 1:
-            return 1
-        # x is in the socle when x * e_a = 0 for every basis element of M
         rows = [[self.mult[b][a][m] for b in range(s)]
                 for a in range(1, s) for m in range(s)]
-        return len(self.algebra.lanes.nullspace(rows, s))
+        return self.algebra.lanes.nullspace(rows, s)
+
+    def socle_dim(self) -> int:
+        """dim of the annihilator of the maximal ideal inside the block."""
+        return len(self.socle)
 
     def invariants(self) -> dict:
         m_mod_m2 = len(self.m_generators)

@@ -9,13 +9,23 @@ Minimal generators.  The kernel basis comes out of the elimination in
 echelon form by top lane (`fplinalg`): vector j ends in coefficient 1 at
 lane j, the lane of its own column, and the stage-0 kernel e_1..e_{s-1}
 has the same form.  The products e_a . kappa, for kappa in the basis and
-e_a in the generators of M modulo M^2 (`LocalBlock.m_generators`; they
-span M.K by Nakayama), go into an echelon keyed by top lane, so every
-nonzero vector of M.K has its top lane at one of its pivots.  The basis
-vectors whose top lane is not a pivot are the generators: any nonzero
-combination of them has its top lane off the pivots, so they are
+e_a in the block's multipliers, go into an echelon keyed by top lane, so
+every nonzero vector of M.K has its top lane at one of its pivots.  The
+basis vectors whose top lane is not a pivot are the generators: any
+nonzero combination of them has its top lane off the pivots, so they are
 independent modulo M.K, and they number dim K - dim M.K.  No kernel
 vector is reduced.
+
+The multipliers (`LocalBlock.multipliers`) are the e_a independent
+modulo M^2 + Ann(M).  Every kernel K lies in M.F, as the mask test on
+each of its vectors checks, so Ann(M) kills K, and with L the span of
+the multipliers M.K = L.K + M.(M.K); by Nakayama M.K = L.K.  A
+square-zero block has M = Ann(M), no multipliers and M.K = 0, so there
+every kernel vector is a generator and no product is formed.
+
+The idempotent column.  The differential's columns are the products
+e_a . g for every generator g and every a; e_0 is the block idempotent,
+the unit of the block, so the column of e_0 is g itself.
 
 Free ranks of unbounded blocks grow geometrically, so beyond a feasible
 window the exact computation is supplemented by a growth certificate: for
@@ -166,15 +176,18 @@ class MinimalResolution:
     kernels of d_1..d_{L-1}, which is what minimality of the first L
     stages actually requires.  Each stage keeps, as the columns of the
     next differential, the kernel basis vectors whose top lane is not a
-    pivot of M.K (module docstring); `multipliers` are the indices of the
-    e_a that M.K is built from.
+    pivot of M.K (module docstring).  `multipliers` are the indices of the
+    e_a that M.K is built from: those independent modulo M^2 + Ann(M),
+    which suffice by Nakayama because every kernel lies in M times its
+    free module.  The column of the idempotent e_0 in each differential
+    is the generator itself, and is taken as such.
     """
 
     def __init__(self, block: LocalBlock, max_matrix_bits: int = DEFAULT_MATRIX_BITS):
         self.block = block
         self.max_matrix_bits = max_matrix_bits
         self.ops = _Gf2Ops(block) if block.p == 2 else _FpOps(block)
-        self.multipliers = block.m_generators
+        self.multipliers = block.multipliers
         self.betti = [1]
         self.differentials: list[list[int]] = []  # d_l as generator columns
         # kernel of the augmentation F_0 = S -> k is the maximal ideal,
@@ -208,9 +221,13 @@ class MinimalResolution:
         s = self.block.dim
         n_prev = self.betti[-1]
         self._check_budget(len(self.betti), n_prev * s, len(kernel) * s)
-        # M.K is the sum of e_a K over the generators e_a of M (Nakayama);
-        # its echelon keyed by top lane has a pivot at the top lane of
-        # every nonzero vector of M.K
+        # K lies in M.F, so Ann(M) kills it and M.K is the sum of e_a K
+        # over the multipliers (Nakayama); its echelon keyed by top lane
+        # has a pivot at the top lane of every nonzero vector of M.K
+        for kappa in kernel:
+            if not ops.entries_in_maximal_ideal(kappa, n_prev):
+                raise InvariantViolation(
+                    "differential entry outside the maximal ideal")
         mk = ops.echelon()
         for kappa in kernel:
             for a in self.multipliers:
@@ -223,10 +240,6 @@ class MinimalResolution:
         # any combination of these has its top lane off the pivots, so
         # they are independent modulo M.K, and they number dim K - dim M.K
         gens = [kappa for kappa, t in zip(kernel, tops) if t not in pivots]
-        for g in gens:
-            if not ops.entries_in_maximal_ideal(g, n_prev):
-                raise InvariantViolation(
-                    "differential entry outside the maximal ideal")
         n_new = len(gens)
         if n_new != len(kernel) - len(pivots):
             raise InvariantViolation("minimal generator count mismatch")
@@ -242,9 +255,12 @@ class MinimalResolution:
         n_prev = self.betti[top - 1]
         rows_dim = n_prev * s
         self._check_budget(top, rows_dim, self.betti[top] * s)
+        if top == 1:
+            self._check_idempotent_is_identity()
         columns = []
         for g in self.differentials[top - 1]:
-            for a in range(s):
+            columns.append(g)  # e_0 . g
+            for a in range(1, s):
                 columns.append(ops.column(g, n_prev, a))
         kernel = ops.kernel_of_columns(columns)
         # exactness bookkeeping: rank d_l equals dim ker d_{l-1}, so the
@@ -254,6 +270,17 @@ class MinimalResolution:
                 f"kernel dimension {len(kernel)} at stage {top} differs "
                 f"from the exactness recursion {self.kernel_dims[top]}")
         self._kernel = kernel
+
+    def _check_idempotent_is_identity(self) -> None:
+        """e_0 e_a = e_a e_0 = e_a for every a, so the column of e_0 in a
+        differential is the generator itself.  Checked once per
+        resolution, before the first differential's columns are built."""
+        mult, s = self.block.mult, self.block.dim
+        for a in range(s):
+            unit = [int(m == a) for m in range(s)]
+            if mult[0][a] != unit or mult[a][0] != unit:
+                raise InvariantViolation(
+                    f"the block idempotent e_0 is not the identity on e_{a}")
 
     def reduced_differential(self, l: int) -> list[list[int]]:
         """d_l tensored with k: the matrix of residue-field entries."""

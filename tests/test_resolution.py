@@ -325,16 +325,25 @@ def test_generators_form_a_basis_of_k_mod_mk(name, p, degree):
         assert span.dim == len(kernel) == mk_dim + len(gens)
 
 
+# the e_a that survive modulo M^2 + Ann(M); square-zero blocks have none
+MULTIPLIER_COUNTS = {"V4": 2, "D4": 4, "Q8": 2, "(1 2 3),(4 5 6)": 3,
+                     "C4": 0, "C9": 0}
+
+
 @pytest.mark.parametrize("name, p, count, dim_m", [
     ("V4", 2, 3, 4), ("D4", 2, 5, 7), ("Q8", 2, 4, 5),
     ("(1 2 3),(4 5 6)", 3, 4, 5), ("C4", 2, 2, 2), ("C9", 3, 2, 2)])
 def test_multipliers_are_the_generators_of_m_mod_m_squared(name, p, count,
                                                             dim_m):
+    # count generators of M modulo M^2; the multipliers are those of them
+    # that stay independent modulo M^2 + Ann(M)
     block = _block(name, p)
     res = MinimalResolution(block)
     assert block.dim - 1 == dim_m
-    assert len(res.multipliers) == count
-    assert res.multipliers == block.m_generators
+    assert len(block.m_generators) == count
+    assert res.multipliers == block.multipliers
+    assert len(res.multipliers) == MULTIPLIER_COUNTS[name]
+    assert set(res.multipliers) <= set(block.m_generators)
     assert count == block.invariants()["m_mod_m2_dim"]
     assert block.m_squared_dim() == dim_m - count
 
@@ -350,3 +359,73 @@ def test_corrupted_product_raises(name, p, entry):
     broken = dataclasses.replace(block, mult=mult)
     with pytest.raises(InvariantViolation, match="pivot off the top lanes"):
         MinimalResolution(broken).extend_to(4)
+
+
+@pytest.mark.parametrize("name, p, a, left", [
+    ("V4", 2, 2, True), ("V4", 2, 0, False), ("C9", 3, 1, False),
+    ("C9", 3, 2, True)])
+def test_idempotent_that_is_not_the_identity_raises(name, p, a, left):
+    # e_0 e_a (or e_a e_0) gains a coordinate, so the column of e_0 is
+    # no longer the generator itself
+    block = _block(name, p)
+    mult = [[list(coords) for coords in row] for row in block.mult]
+    coords = mult[0][a] if left else mult[a][0]
+    coords[-1] = (coords[-1] + 1) % p
+    broken = dataclasses.replace(block, mult=mult)
+    with pytest.raises(InvariantViolation, match="e_0 is not the identity"):
+        MinimalResolution(broken).extend_to(4)
+
+
+def _stage_kernels(block, degree):
+    """(resolution, kernel of d_l, n_l) for l = 0..degree-1, where the
+    stage-0 kernel is M inside F_0."""
+    res = MinimalResolution(block)
+    for l in range(degree):
+        if l:
+            res._compute_top_kernel()
+        kernel = list(res._kernel)
+        yield res, kernel, res.betti[l]
+        res.extend_to(l + 1)
+
+
+def _mk_pivots(ops, kernel, n, multipliers):
+    span = ops.echelon()
+    for kappa in kernel:
+        for a in multipliers:
+            span.insert(ops.column(kappa, n, a))
+    return span.rows.keys()
+
+
+@pytest.mark.parametrize("name, p, degree", RESIDUAL_CORPUS)
+def test_multipliers_span_m_k(name, p, degree):
+    for block in blocks(get_context(name).algebra(p)):
+        for res, kernel, n in _stage_kernels(block, degree):
+            assert (_mk_pivots(res.ops, kernel, n, res.multipliers)
+                    == _mk_pivots(res.ops, kernel, n, range(1, block.dim)))
+
+
+@pytest.mark.parametrize("name, p, degree", RESIDUAL_CORPUS)
+def test_socle_kills_every_kernel(name, p, degree):
+    for block in blocks(get_context(name).algebra(p)):
+        lanes = block.algebra.lanes
+        for res, kernel, n in _stage_kernels(block, degree):
+            for x in block.socle:
+                for kappa in kernel:
+                    prod = 0
+                    for a, c in enumerate(x):
+                        if c:
+                            col = res.ops.column(kappa, n, a)
+                            prod = (prod ^ col if p == 2
+                                    else lanes.reduce(prod + c * col))
+                    assert prod == 0, (name, p)
+
+
+@pytest.mark.parametrize("name, p", [("V4", 2), ("C9", 3), ("S3", 2)])
+def test_kernel_vector_with_a_unit_entry_raises(name, p):
+    # Ann(M) kills K only if K lies in M.F; a kernel vector with a
+    # residue entry is caught before M.K is built without Ann(M)
+    res = MinimalResolution(_block(name, p))
+    res._kernel = [res._kernel[0] | 1] + res._kernel[1:]
+    with pytest.raises(InvariantViolation,
+                       match="differential entry outside the maximal ideal"):
+        res.extend_to(1)
