@@ -3,9 +3,9 @@
 A `BRing` is given by a Z-basis; the table of marks gives one through
 `MarksTable.ring`, but any basis may be tested without a group.  All
 arithmetic is integer: coordinates come from adj = D . basis^-1, products
-from the integer structure constants, and the ring owns its congruence
-matrix d(i, j).  Everything downstream (p-equivalence, blocks, Ext/Tor)
-only sees this interface.
+from the one sparse copy of the structure constants, and the ring owns its
+congruence matrix d(i, j).  Everything downstream (p-equivalence, blocks,
+Ext/Tor) only sees this interface.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ class BRing:
 
     The basis must be square (separation forces R to have full rank) and
     the all-ones vector must decompose integrally.  Pairwise basis
-    products must decompose integrally as well; their coordinates are the
-    integer structure constants reused by the mod-p and oracle layers.
+    products must decompose integrally as well; their nonzero coordinates
+    are the structure constants read by the mod-p and oracle layers.
 
     Decomposition is integer only.  The ring keeps adj = D . basis^-1,
     by columns, for the least positive integer D (`denominator`), so a
@@ -44,7 +44,7 @@ class BRing:
         adj, self.denominator = _scaled_inverse(self.basis)
         self._adj_columns = [list(col) for col in zip(*adj)]
         self.unit_coeffs = self.decompose([1] * self.n)
-        self._structure: list[list[list[int]]] | None = None
+        self._structure: list[list[list[tuple[int, int]]]] | None = None
         # no separation pass: the basis is nonsingular, so no two columns agree
         self._check_closure()
 
@@ -78,8 +78,9 @@ class BRing:
                     out[j] += c * row[j]
         return out
 
-    def structure_constants(self) -> list[list[list[int]]]:
-        """c[k][l] = coordinates of basis_k . basis_l (pointwise product).
+    def structure_constants(self) -> list[list[list[tuple[int, int]]]]:
+        """c[k][l] = the nonzero (m, c) of basis_k . basis_l = sum c basis_m
+        (pointwise product), in increasing m.
 
         Products commute, so c[l][k] is c[k][l]; the first non-integral
         product met in (k, l) order has l >= k, so only those are solved.
@@ -90,7 +91,8 @@ class BRing:
             for k in range(n):
                 for l in range(k, n):
                     coords = self.decompose(list(map(mul, basis[k], basis[l])))
-                    sc[k][l] = sc[l][k] = coords
+                    sc[k][l] = sc[l][k] = [(m, c) for m, c in enumerate(coords)
+                                           if c]
             self._structure = sc
         return self._structure
 

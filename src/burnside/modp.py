@@ -28,9 +28,6 @@ class ModPAlgebra:
         self.p = p
         self.dim = ring.n
         self.lanes = FpLanes(p)
-        sc = ring.structure_constants()
-        self.sc = [[[c % p for c in sc[k][l]] for l in range(self.dim)]
-                   for k in range(self.dim)]
         self.partition = p_classes(ring, p)
         self.classes = self.partition.classes
         for cls in self.classes:
@@ -42,10 +39,12 @@ class ModPAlgebra:
         self.theta = [[ring.basis[k][i] % p for k in range(self.dim)]
                       for i in reps]
         self.unit = [c % p for c in ring.unit_coeffs]
-        # block m of left[a] holds e_a e_m (`join_blocks`): every product
-        # of the algebra is a lane-packed combination over this table
-        self.left = [self.join_blocks(self.pack(v) for v in row)
-                     for row in self.sc]
+        # block m of left[a] holds e_a e_m (`join_blocks`), packed from the
+        # ring's (m, c) pairs; every product of the algebra combines over it
+        w = self.lanes.width
+        self.left = [self.join_blocks(
+            sum((c % p) << (m * w) for m, c in pairs) for pairs in row)
+            for row in ring.structure_constants()]
         self._blocks: list[LocalBlock] | None = None  # filled by blocks()
         self._check()
 
@@ -59,17 +58,17 @@ class ModPAlgebra:
         """Unit, commutativity and surjectivity of theta (cheap checks).
 
         One `combine` of the unit over `left` gives unit * e_m in block m,
-        which must be e_m for every m.
+        which must be e_m for every m; block l of `left[k]` is e_k e_l,
+        which must be block k of `left[l]`.
         """
-        n, sc, w = self.dim, self.sc, self.lanes.width
+        n, w = self.dim, self.lanes.width
         identity = self.join_blocks(1 << (m * w) for m in range(n))
         if self.combine(self.unit, self.left) != identity:
             raise InvariantViolation("unit element fails on the basis")
-        for k in range(n):
-            for l in range(k + 1, n):
-                if sc[k][l] != sc[l][k]:
-                    raise InvariantViolation(
-                        "structure constants not commutative")
+        table = [self.split_blocks(v, n) for v in self.left]
+        if any(table[k][l] != table[l][k]
+               for k in range(n) for l in range(k + 1, n)):
+            raise InvariantViolation("structure constants not commutative")
         ech = self.echelon()
         for row in self.theta:
             ech.insert(self.pack(row))
@@ -79,31 +78,31 @@ class ModPAlgebra:
     def check_associative(self) -> None:
         """(e_k e_l) e_m == e_k (e_l e_m) mod p for every basis triple.
 
-        Both sides are built lane-packed from the current `sc`, one block
-        of n lanes per basis product (`join_blocks`).  `left[a]` holds
-        e_a e_m in block m and `right[b]` holds e_k e_b in block k, so one
-        `combine` with the coefficients of e_k e_l gives (e_k e_l) e_m for
-        every m, and likewise e_k (e_l e_m) for every k from e_l e_m.
-        Blocks start on byte boundaries, so the n^3 triples are compared
-        as byte strings.  It runs in `verify --suite blocks` and the
-        tests, not on every construction.
+        Both sides come from `left`, the table every product uses:
+        `left[a]` holds e_a e_m in block m, its transpose `right[b]` holds
+        e_k e_b in block k, and the coefficients of e_k e_l are read out
+        of block l of `left[k]`.  One `combine` with them gives
+        (e_k e_l) e_m for every m, and likewise e_k (e_l e_m) for every k
+        from e_l e_m.  Blocks start on byte boundaries, so the n^3 triples
+        are compared as byte strings.  It runs in `verify --suite blocks`
+        and the tests, not on every construction.
         """
-        n, sc = self.dim, self.sc
+        n, w, left = self.dim, self.lanes.width, self.left
         nbytes = self.block_bits // 8
-        prod = [[self.pack(v) for v in row] for row in sc]
-        left = [self.join_blocks(row) for row in prod]
+        prod = [self.split_blocks(v, n) for v in left]
         right = [self.join_blocks(prod[k][b] for k in range(n))
                  for b in range(n)]
+        coords = [[unpack(v, n, w) for v in row] for row in prod]
 
         def as_bytes(coeffs, table) -> bytes:
             return self.combine(coeffs, table).to_bytes(n * nbytes, "little")
 
         for l in range(n):
             # lhs[k] = (e_k e_l) e_m over m; rhs[m][k] = e_k (e_l e_m)
-            lhs = [as_bytes(sc[k][l], left) for k in range(n)]
+            lhs = [as_bytes(coords[k][l], left) for k in range(n)]
             rhs = []
             for m in range(n):
-                raw = as_bytes(sc[l][m], right)
+                raw = as_bytes(coords[l][m], right)
                 rhs.append([raw[k * nbytes:(k + 1) * nbytes]
                             for k in range(n)])
             if lhs != [b"".join(blocks) for blocks in zip(*rhs)]:
@@ -151,26 +150,24 @@ class ModPAlgebra:
         return [self.split_blocks(self.combine(x, by_m), len(ys)) for x in xs]
 
 
-def _mul(table: list[list[list[int]]], p: int, x: list[int],
+def _mul(table: list[list[list[tuple[int, int]]]], p: int, x: list[int],
          y: list[int]) -> list[int]:
-    """x * y mod p, for table[k][l] the coordinates of e_k * e_l.
+    """x * y mod p, for table[k][l] the nonzero (m, c) of e_k * e_l, as in
+    `BRing.structure_constants`.
 
     The list-product reference for the packed `ModPAlgebra.products`; only
     the exhaustive `nilpotent_span` scan multiplies through it.
     """
-    n = len(table)
-    out = [0] * n
+    out = [0] * len(table)
     for k, a in enumerate(x):
         if a:
             row = table[k]
             for l, b in enumerate(y):
                 if b:
-                    cl = row[l]
                     ab = a * b
-                    for m in range(n):
-                        if cl[m]:
-                            out[m] = (out[m] + ab * cl[m]) % p
-    return out
+                    for m, c in row[l]:
+                        out[m] += ab * c
+    return [v % p for v in out]
 
 
 def radical(algebra: ModPAlgebra) -> list[list[int]]:
@@ -199,6 +196,7 @@ def nilpotent_span(algebra: ModPAlgebra) -> list[list[int]]:
     n, p = algebra.dim, algebra.p
     if p ** n > 1 << 16:
         raise ValueError("algebra too large for the exhaustive nilpotency scan")
+    sc = algebra.ring.structure_constants()
     ech = algebra.echelon()
     out = []
     coords = [0] * n
@@ -206,7 +204,7 @@ def nilpotent_span(algebra: ModPAlgebra) -> list[list[int]]:
         x = list(coords)
         y = list(x)
         for _ in range(n + 1):
-            y = _mul(algebra.sc, p, y, y)
+            y = _mul(sc, p, y, y)
         if not any(y) and any(x) and ech.insert(algebra.pack(x)):
             out.append(x)
         k = 0

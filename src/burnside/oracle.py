@@ -52,9 +52,6 @@ class IntegralResolution:
         # per stage, per column of d_l: its nonzero (s, w, c), the
         # coefficient c of b_w in coordinate s
         self.triples: list[list[list[tuple[int, int, int]]]] = []
-        # sc[k][w]: the nonzero (m, c) of b_k * b_w = sum_m c b_m
-        self.sc = [[[(m, c) for m, c in enumerate(prod) if c] for prod in row]
-                   for row in ring.structure_constants()]
         # (l, i) -> (rank, invariant factors > 1) of evaluation_matrix(l, i),
         # filled by smith_form
         self.smith: dict[tuple[int, int], tuple[int, tuple[int, ...]]] = {}
@@ -104,10 +101,12 @@ class IntegralResolution:
                     f"{self.max_cells}")
             # column t * n + k is b_k times column t of the last
             # differential, a sparse column over the Z-basis b_m e_s
-            # (index s * n + m) of the free module below
+            # (index s * n + m) of the free module below; sck[w] lists the
+            # nonzero (m, c) of b_k * b_w = sum_m c b_m
+            sc = self.ring.structure_constants()
             sparse = []
             for col in self.triples[-1]:
-                for sck in self.sc:
+                for sck in sc:
                     acc: dict[int, int] = {}
                     for s, w, c in col:
                         base = s * n

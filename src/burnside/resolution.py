@@ -381,9 +381,7 @@ def ext_dims_pair(algebra: ModPAlgebra, i: int, j: int,
     block = shared_block(algebra, i, j)
     if block is None:
         return [0] * (degree + 1)
-    res = _resolution_cache(block)
-    res.extend_to(degree)
-    return res.betti[:degree + 1]
+    return betti_sequence(block, degree)
 
 
 def tor_dims_pair(algebra: ModPAlgebra, i: int, j: int,

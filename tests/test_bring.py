@@ -7,7 +7,8 @@ from burnside.errors import (InvalidPrime, NonIntegralSolution,
                              SeparationFailure)
 from burnside.exttor import prime_factors
 from burnside.permgroup import are_conjugate, o_p
-from util import get_classes, get_context, get_group, get_marks
+from util import (get_classes, get_context, get_group, get_marks,
+                  unimodular_change)
 
 CORPUS = ["S3", "C4", "C6", "V4", "D4", "Q8", "S4"]
 
@@ -179,3 +180,27 @@ def test_ring_owns_its_congruence_matrix():
     ctx = get_context("S4")
     assert ctx.dmat is ctx.ring.dmat
     assert ctx.ring is get_marks("S4").ring
+
+
+@pytest.mark.parametrize("change", ["marks", "unimodular"])
+@pytest.mark.parametrize("name", CORPUS)
+def test_structure_constants_are_sparse_and_exact(name, change):
+    ring = get_context(name).ring
+    if change == "unimodular":
+        ring = unimodular_change(ring)
+    n, basis = ring.n, ring.basis
+    sc = ring.structure_constants()
+    assert ring.structure_constants() is sc
+    for k in range(n):
+        for l in range(n):
+            pairs = sc[k][l]
+            # one list for (k, l) and (l, k), nonzero and in increasing m
+            assert pairs is sc[l][k]
+            assert all(c != 0 for _, c in pairs)
+            ms = [m for m, _ in pairs]
+            assert ms == sorted(set(ms)) and set(ms) <= set(range(n))
+            # sum c . basis_m is the pointwise product basis_k . basis_l
+            ghost = [0] * n
+            for m, c in pairs:
+                ghost = [g + c * x for g, x in zip(ghost, basis[m])]
+            assert ghost == [a * b for a, b in zip(basis[k], basis[l])]

@@ -1,8 +1,16 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from burnside.cli import main
+
+
+# `blocks -p p` and `growth -p p --max-degree 6` for every p | |G|, and `ext`
+# and `tor` from class 1 to the second class at `--max-degree 4`, for S3,
+# C4, C6, V4, D4, Q8 and S4: the JSON on stdout, byte for byte
+REPORT_GOLDEN = json.loads(
+    (Path(__file__).parent / "data" / "cli_golden.json").read_text())
 
 
 def run(capsys, *argv):
@@ -62,6 +70,13 @@ def test_blocks_at_a_large_prime(capsys, tmp_path):
     doc = json.loads(out)
     assert doc["p"] == 2147483647
     assert [b["dim"] for b in doc["blocks"]] == [1, 1, 1, 1]
+
+
+@pytest.mark.parametrize("case", REPORT_GOLDEN,
+                         ids=lambda case: " ".join(case["argv"]))
+def test_report_json_is_byte_identical(capsys, tmp_path, case):
+    assert main(case["argv"] + ["--cache-dir", str(tmp_path)]) == 0
+    assert capsys.readouterr().out == case["stdout"]
 
 
 def test_ext_json_with_oracle(capsys, tmp_path):

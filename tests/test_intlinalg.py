@@ -271,7 +271,7 @@ def test_v4_stage4_oracle_kernel_is_pinned(label):
         for k in range(n):
             for s, e in enumerate(col):
                 for w, ew in enumerate(e):
-                    for m, cm in enumerate(sc[k][w]):
+                    for m, cm in sc[k][w]:
                         A[s * n + m][t * n + k] += ew * cm
     assert (len(A), len(A[0])) == (80, 320)
     kernel = kernel_of_columns(A, 320)

@@ -3,14 +3,13 @@ import copy
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from burnside.bring import BRing
 from burnside.errors import InvalidPrime, InvariantViolation, NotLocal
 from burnside.exttor import prime_factors
 from burnside.fplinalg import FpEchelon, FpLanes, pack
 from burnside.modp import (ModPAlgebra, _mul, blocks, blocks_report,
                            nilpotent_span, radical)
 from burnside.permgroup import is_prime
-from util import get_context
+from util import get_context, unimodular_change
 
 CORPUS = ["S3", "C4", "C6", "V4", "D4", "Q8", "S4"]
 SQUARE_FREE = ["S3", "C6", "C10", "C30", "D5"]
@@ -120,9 +119,10 @@ def test_idempotents_are_orthogonal_decomposition():
     ctx = get_context("S4")
     algebra = ctx.algebra(2)
     bl = blocks(algebra)
+    sc = algebra.ring.structure_constants()
     total = [0] * algebra.dim
     for b in bl:
-        sq = _mul(algebra.sc, 2, b.idempotent, b.idempotent)
+        sq = _mul(sc, 2, b.idempotent, b.idempotent)
         assert sq == b.idempotent
         total = [(x + y) % 2 for x, y in zip(total, b.idempotent)]
     assert total == algebra.unit
@@ -135,7 +135,8 @@ def _lifted_idempotent(algebra, ci):
     unit or nilpotent, so u^(p^k) reaches the block idempotent once p^k
     passes the nilpotency index, which is at most the dimension.
     """
-    p, n, sc = algebra.p, algebra.dim, algebra.sc
+    p, n = algebra.p, algebra.dim
+    sc = algebra.ring.structure_constants()
     rows = [row + [int(k == ci)] for k, row in enumerate(algebra.theta)]
     kernel = FpLanes(p).nullspace(rows, n + 1)
     v = next(v for v in kernel if v[n])
@@ -154,14 +155,6 @@ def _lifted_idempotent(algebra, ci):
     pytest.fail("p-th powers did not stabilize")
 
 
-def _unimodular_change(ring):
-    """basis_k + basis_(k+1), last vector kept: an upper unitriangular
-    change of the Z-basis, so the same ring in other coordinates."""
-    basis = ring.basis
-    return BRing(ring.labels, [[a + b for a, b in zip(basis[k], basis[k + 1])]
-                               for k in range(ring.n - 1)] + [basis[-1]])
-
-
 def _primes_to_check(order):
     coprime = [q for q in range(2, 100) if is_prime(q) and order % q][:2]
     return prime_factors(order) + coprime
@@ -171,12 +164,12 @@ def _primes_to_check(order):
 @pytest.mark.parametrize("name", CORPUS + ["(1 2),(3 4),(5 6)"])
 def test_closed_form_idempotents_match_lifting(name, change):
     ctx = get_context(name)
-    ring = ctx.ring if change == "marks" else _unimodular_change(ctx.ring)
+    ring = ctx.ring if change == "marks" else unimodular_change(ctx.ring)
     for p in _primes_to_check(ctx.group_order):
         algebra = ModPAlgebra(ring, p)
         for ci, block in enumerate(blocks(algebra)):
             e = block.idempotent
-            assert _mul(algebra.sc, p, e, e) == e
+            assert _mul(ring.structure_constants(), p, e, e) == e
             assert [sum(a * b for a, b in zip(row, e)) % p
                     for row in algebra.theta] == [
                 int(k == ci) for k in range(len(algebra.classes))]
@@ -186,7 +179,8 @@ def test_closed_form_idempotents_match_lifting(name, change):
 def _block_by_reference(algebra, ci, idem):
     """The basis of the block of `idem` from list products (`_mul`): its
     span from idem * e_k in order of k, then idem and the maximal ideal."""
-    p, n, sc = algebra.p, algebra.dim, algebra.sc
+    p, n = algebra.p, algebra.dim
+    sc = algebra.ring.structure_constants()
     ech = FpEchelon(p)
     span = []
     for k in range(n):
@@ -207,7 +201,7 @@ def test_packed_block_construction_matches_list_products(name):
     ctx = get_context(name)
     for p in (2, 3, 5):
         algebra = ctx.algebra(p)
-        n, sc = algebra.dim, algebra.sc
+        n, sc = algebra.dim, ctx.ring.structure_constants()
         bl = blocks(algebra)
         idempotents = [b.idempotent for b in bl]
         for ci, block in enumerate(bl):
@@ -290,22 +284,48 @@ def test_blocks_reject_non_local_block():
         blocks(algebra)
 
 
+def test_algebra_rejects_non_commutative_constants():
+    # [S3/1] [S3/C2] = 3 [S3/1]; the copy claims [S3/C2] [S3/1] =
+    # 3 [S3/1] + [S3/C2], which differs mod 2
+    ring = copy.copy(get_context("S3").ring)
+    sc = [list(row) for row in ring.structure_constants()]
+    assert sc[0][1] == [(0, 3)]
+    sc[1][0] = [(0, 3), (1, 1)]
+    ring._structure = sc
+    with pytest.raises(InvariantViolation, match="not commutative"):
+        ModPAlgebra(ring, 2)
+
+
 def test_check_associative_rejects_tampered_constants():
     # in the marks basis of S3 mod 3, [S3/1]^2 = 6 [S3/1] = 0; declaring it
-    # the unit [S3/S3] gives ([S3/1]^2) [S3/C2] = [S3/C2], while
-    # [S3/1] ([S3/1] [S3/C2]) = [S3/1] (3 [S3/1]) = 0
+    # the unit [S3/S3] (block 0 of left[0]) gives ([S3/1]^2) [S3/C2] =
+    # [S3/C2], while [S3/1] ([S3/1] [S3/C2]) = [S3/1] (3 [S3/1]) = 0
     algebra = ModPAlgebra(get_context("S3").ring, 3)
-    algebra.sc[0][0] = [0, 0, 0, 1]
+    blocks_0 = algebra.split_blocks(algebra.left[0], algebra.dim)
+    blocks_0[0] = algebra.pack([0, 0, 0, 1])
+    algebra.left[0] = algebra.join_blocks(blocks_0)
     with pytest.raises(InvariantViolation, match="not associative"):
         algebra.check_associative()
 
 
-def _associative_by_reference(algebra):
-    """The plain triple loop over `_mul`, both sides of every triple."""
-    n, sc, p = algebra.dim, algebra.sc, algebra.p
+def test_check_associative_accepts_non_commutative_table():
+    # e_a e_b = e_a for every a, b: (xy)z = x = x(yz), though e_a e_b and
+    # e_b e_a differ; a scan that swapped the two factors would reject it
+    algebra = ModPAlgebra(get_context("S3").ring, 2)
+    n = algebra.dim
+    algebra.left = [algebra.join_blocks([1 << (a * algebra.lanes.width)] * n)
+                    for a in range(n)]
+    algebra.check_associative()
+
+
+def _associative_by_reference(table, p):
+    """The plain triple loop over `_mul`, both sides of every triple, for
+    table[k][l] the nonzero (m, c) of e_k e_l."""
+    n = len(table)
     basis = [[1 if t == k else 0 for t in range(n)] for k in range(n)]
-    return all(_mul(sc, p, sc[k][l], basis[m])
-               == _mul(sc, p, basis[k], sc[l][m])
+    dense = [[_mul(table, p, x, y) for y in basis] for x in basis]
+    return all(_mul(table, p, dense[k][l], basis[m])
+               == _mul(table, p, basis[k], dense[l][m])
                for k in range(n) for l in range(n) for m in range(n))
 
 
@@ -318,8 +338,12 @@ ASSOCIATIVITY_TABLES = [(name, p) for name in ("S3", "(1 2),(3 4),(5 6)")
 @given(st.sampled_from(ASSOCIATIVITY_TABLES), st.data())
 def test_packed_associativity_scan_matches_reference(table, data):
     name, p = table
-    algebra = ModPAlgebra(get_context(name).ring, p)
+    ring = get_context(name).ring
+    algebra = ModPAlgebra(ring, p)
     n = algebra.dim
+    basis = [[1 if t == k else 0 for t in range(n)] for k in range(n)]
+    sc = [[_mul(ring.structure_constants(), p, x, y) for y in basis]
+          for x in basis]
     edit = data.draw(st.sampled_from(["none", "entry", "vector", "table"]))
     if edit == "table":
         # a few random structure constants and zeros elsewhere: associative
@@ -327,24 +351,30 @@ def test_packed_associativity_scan_matches_reference(table, data):
         entries = data.draw(st.lists(st.tuples(
             *[st.integers(0, n - 1)] * 3, st.integers(1, p - 1)),
             max_size=6), label="entries")
-        algebra.sc = [[[0] * n for _ in range(n)] for _ in range(n)]
+        sc = [[[0] * n for _ in range(n)] for _ in range(n)]
         for k, l, m, c in entries:
-            algebra.sc[k][l][m] = c
+            sc[k][l][m] = c
     elif edit != "none":
         k = data.draw(st.integers(0, n - 1), label="k")
         l = data.draw(st.integers(0, n - 1), label="l")
-        vec = list(algebra.sc[k][l])
+        vec = list(sc[k][l])
         if edit == "entry":
             vec[data.draw(st.integers(0, n - 1), label="m")] = data.draw(
                 st.integers(0, p - 1), label="value")
         else:
             vec = data.draw(st.lists(st.integers(0, p - 1), min_size=n,
                                      max_size=n), label="e_k e_l")
-        algebra.sc[k][l] = vec
+        sc[k][l] = vec
         # left alone, e_l e_k keeps its old value: an asymmetric table
         if data.draw(st.booleans(), label="mirror"):
-            algebra.sc[l][k] = list(vec)
-    if _associative_by_reference(algebra):
+            sc[l][k] = list(vec)
+    # the scanned table gets the edited constants, block l of left[k]
+    # holding e_k e_l, and the reference reads the same ones as pairs
+    algebra.left = [algebra.join_blocks(algebra.pack(v) for v in row)
+                    for row in sc]
+    table = [[[(m, c) for m, c in enumerate(v) if c] for v in row]
+             for row in sc]
+    if _associative_by_reference(table, p):
         algebra.check_associative()
     else:
         with pytest.raises(InvariantViolation, match="not associative"):

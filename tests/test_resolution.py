@@ -193,9 +193,11 @@ def test_packed_column_matches_mul_coords(p, random_table, data):
     comps = [data.draw(st.lists(entry, min_size=s, max_size=s))
              for _ in range(n)]
     gen = ops.pack([c for comp in comps for c in comp])
+    table = [[[(m, c) for m, c in enumerate(v) if c] for v in row]
+             for row in block.mult]
     for b in range(s):
         eb = [1 if t == b else 0 for t in range(s)]
-        expected = [c for comp in comps for c in _mul(block.mult, p, comp, eb)]
+        expected = [c for comp in comps for c in _mul(table, p, comp, eb)]
         assert _unpack(ops, ops.column(gen, n, b), n * s) == expected
 
 

@@ -1,5 +1,7 @@
-"""Shared caches so tests reuse groups, marks tables, and contexts."""
+"""Shared caches so tests reuse groups, marks tables, and contexts, and a
+change of basis of a ring."""
 
+from burnside.bring import BRing
 from burnside.exttor import ExtTorContext
 from burnside.groups import parse_group
 from burnside.marks import table_of_marks
@@ -33,3 +35,11 @@ def get_context(name) -> ExtTorContext:
     if name not in _CTX:
         _CTX[name] = ExtTorContext.from_marks(get_marks(name), name)
     return _CTX[name]
+
+
+def unimodular_change(ring) -> BRing:
+    """basis_k + basis_(k+1), last vector kept: an upper unitriangular
+    change of the Z-basis, so the same ring in other coordinates."""
+    basis = ring.basis
+    return BRing(ring.labels, [[a + b for a, b in zip(basis[k], basis[k + 1])]
+                               for k in range(ring.n - 1)] + [basis[-1]])
