@@ -21,11 +21,12 @@ Most invariant factors of the oracle's matrices are 1, so
 small core left over goes through the Hermite echelon and the dense
 diagonalization.
 
-The oracle builds its resolutions with `kernel_of_sparse_columns` and
-reads (co)homology off `sparse_smith_invariants` alone.
-`quotient_structure` (kernel lattice modulo image lattice, through
-`solve_integer`) is no longer on that path: it stays as the independent
-reference the tests check the Smith-form oracle against.
+The oracle reads (co)homology off `sparse_smith_invariants` alone; its
+resolutions are bar complexes read off the structure constants, with no
+kernel eliminated.  The kernel routines (`kernel_of_sparse_columns`,
+`kernel_of_columns`) and `quotient_structure` (kernel lattice modulo
+image lattice, through `solve_integer`) stay only as the independent
+references the tests check the oracle against.
 """
 
 from __future__ import annotations

@@ -1,11 +1,32 @@
 """Brute-force Ext/Tor oracle: integral free resolutions plus Smith form.
 
-Independent of the recurrence path: a (non-minimal) free resolution of Z_j
-takes a Z-basis of each kernel lattice as the next generating set.  Its
-differential d_l evaluated through mark i is E_l = `evaluation_matrix(l, i)`
-(m_l x m_{l-1}); Hom(-, Z_i) has maps E_l and - (x) Z_i maps E_l^T.  With
-r_l = rank E_l and r_0 = 0, both groups are read off one cached Smith form
-per (l, i), torsion being the invariant factors > 1:
+Independent of the recurrence path: Z_j, the integers with R acting through
+mark j, is resolved by the normalized bar resolution (Mac Lane, *Homology*,
+ch. X)
+
+    ... -> R (x) Rbar^(x)l (x) Z_j -> ... -> R (x) Rbar (x) Z_j -> R -> Z_j,
+
+where Rbar = R / Z.1 has the Z-basis of the b_a other than 1 = [G/G]
+(basis index w0), so stage l is R^m_l with m_l = (n-1)^l.  Its generators
+are built up one factor at a time: generator (a, y) of stage l+1 puts b_a
+in front of generator y of stage l.  The differential needs no
+elimination; it is read off the structure constants through the Z-linear
+contracting homotopy s(b_w y) = (w, y) (zero for w = w0):
+
+    d_1(a)      = b_a - phi_j(b_a) . 1
+    d_{l+1}(a, y) = b_a . y - s(b_a . d_l(y)),
+
+so column (a, y) of d_{l+1} is b_a at coordinate y, minus c . c_m . 1
+at coordinate (m, s) for each nonzero (s, w, c) of column y of d_l and each
+nonzero (m, c_m) of b_a . b_w with m != w0.  By induction d s + s d = id
+(s s = 0 because 1 dies in Rbar, and phi_j(1) = 1 starts it), so the
+complex is exact over Z, saturation included: every cycle z is d(s z).
+
+Each differential d_l evaluated through mark i is E_l =
+`evaluation_matrix(l, i)` (m_l x m_{l-1}); Hom(-, Z_i) has maps E_l and
+- (x) Z_i maps E_l^T.  With r_l = rank E_l and r_0 = 0, both groups are
+read off one cached Smith form per (l, i), torsion being the invariant
+factors > 1:
 
     Ext^l = Z^(m_l - r_l - r_{l+1}) + torsion of coker E_l
     Tor_l = Z^(m_l - r_l - r_{l+1}) + torsion of coker E_{l+1}
@@ -13,41 +34,52 @@ per (l, i), torsion being the invariant factors > 1:
 as torsion of coker E_l lies in the saturated ker E_{l+1}, and a matrix and
 its transpose share a Smith form.  Everything runs on the nonzero entries:
 each stage keeps the nonzero (s, w, c) triples of its differential's
-columns, the next stage's sparse columns (b_k times a column) are built
-from them and reduced on sparse rows (`kernel_of_sparse_columns`), and
-E_l comes out of the same triples as sparse rows for
-`sparse_smith_invariants`, which splits off the unit pivots before its
-Hermite step.  `diffs` and `evaluation_matrix` are dense views built on
-demand for the tests and `oracle_ext_simple_dims`.  `verify --suite
-oracle` for V4 (E_4 is 256 x 64, the stage-4 differential 80 x 320) takes
-about 0.45 s on a shared 2-core host.
+columns, the next stage's columns are built from them, and E_l comes out
+of the same triples as sparse rows for `sparse_smith_invariants`, which
+splits off the unit pivots before its Hermite step.  `diffs` and
+`evaluation_matrix` are dense views built on demand for the tests and
+`oracle_ext_simple_dims`.  The oracle reads only the structure constants
+and the marks, no block or p-local data.  On a shared 2-core host,
+`verify --suite oracle` takes about 0.3 s per process for V4 and for A4
+(E_4 is 256 x 64) and 3-5 s for D4 (E_4 is 2401 x 343), nearly all of it
+in the Smith forms.
 """
 
 from __future__ import annotations
 
-from .errors import ResolutionTooLarge
+from .errors import InvariantViolation, ResolutionTooLarge
 from .exttor import ExtTorContext, ModuleType
 from .fplinalg import fp_rank
-from .intlinalg import (SparseRow, kernel_of_sparse_columns,
-                        sparse_smith_invariants)
+from .intlinalg import SparseRow, sparse_smith_invariants
 
 ORACLE_DEGREE_CAP = 3
 DEFAULT_MAX_CELLS = 2_000_000
 
 
 class IntegralResolution:
-    """Free resolution of Z_j over the B-ring, with integer coefficients.
+    """The normalized bar resolution of Z_j over the B-ring, over Z.
 
-    Stage l is R^{m_l}; the differential columns are elements of the
-    previous free module, stored as their nonzero coordinates over the
-    Z-basis b_w e_s.  Exactness holds by construction because each stage's
-    generators form a Z-basis of the previous kernel lattice.
+    Stage l is R^{m_l} with m_l = (n-1)^l; the differential columns are
+    elements of the previous free module, stored as their nonzero
+    coordinates over the Z-basis b_w e_s.  Generator (a, y) of stage l+1
+    has index y * (n-1) + (position of a among the basis indices other
+    than 1).  Exactness is the bar complex's contracting homotopy (module
+    docstring); the ring's basis must contain 1.
     """
 
     def __init__(self, ring, j: int, max_cells: int = DEFAULT_MAX_CELLS):
+        unit = ring.unit_coeffs
+        if sorted(unit) != [0] * (ring.n - 1) + [1]:
+            raise InvariantViolation(
+                "the bar resolution needs 1 as a basis vector of the ring; "
+                f"1 has coordinates {unit}")
         self.ring = ring
         self.j = j
         self.max_cells = max_cells
+        # basis index of 1, and the positions of the others, the Z-basis
+        # of R / Z.1
+        self.one = unit.index(1)
+        self.bar = [a for a in range(ring.n) if a != self.one]
         self.ranks = [1]
         # per stage, per column of d_l: its nonzero (s, w, c), the
         # coefficient c of b_w in coordinate s
@@ -83,14 +115,18 @@ class IntegralResolution:
             self._extend_once()
 
     def _extend_once(self) -> None:
-        n = self.ring.n
-        m_top = self.ranks[-1]
+        one, bar = self.one, self.bar
         if not self.triples:
-            # the augmentation R -> Z_j: b_k goes to its mark at j
+            # d_1(a) = b_a - phi_j(b_a) . 1 over the augmentation R -> Z_j
             j = self.j
-            sparse = [{0: row[j]} if row[j] else {} for row in self.ring.basis]
+            stage = []
+            for a in bar:
+                mark = self.ring.basis[a][j]
+                stage.append([(0, a, 1), (0, one, -mark)] if mark
+                             else [(0, a, 1)])
         else:
-            m_prev = self.ranks[-2]
+            n = self.ring.n
+            m_prev, m_top = self.ranks[-2], self.ranks[-1]
             rows_dim = m_prev * n
             cols_dim = m_top * n
             if rows_dim * cols_dim > self.max_cells:
@@ -99,26 +135,28 @@ class IntegralResolution:
                     f"stage {self.depth + 1} needs a {rows_dim} x {cols_dim} "
                     f"matrix, {rows_dim * cols_dim} cells > max_cells "
                     f"{self.max_cells}")
-            # column t * n + k is b_k times column t of the last
-            # differential, a sparse column over the Z-basis b_m e_s
-            # (index s * n + m) of the free module below; sck[w] lists the
-            # nonzero (m, c) of b_k * b_w = sum_m c b_m
+            # column (a, y) is b_a at coordinate y minus s(b_a . d(y)); s
+            # sends b_m e_s to 1 at coordinate (m, s), index
+            # s * (n-1) + pos[m], and kills b_1 e_s, so shifted[a][w] lists
+            # (pos[m], c) for the nonzero (m, c) of b_a * b_w with m != 1
             sc = self.ring.structure_constants()
-            sparse = []
-            for col in self.triples[-1]:
-                for sck in sc:
+            width = len(bar)
+            pos = {m: k for k, m in enumerate(bar)}
+            shifted = [[[(pos[m], c) for m, c in prod if m != one]
+                        for prod in sc[a]] for a in bar]
+            stage = []
+            for y, col in enumerate(self.triples[-1]):
+                for a, sca in zip(bar, shifted):
                     acc: dict[int, int] = {}
                     for s, w, c in col:
-                        base = s * n
-                        for m, cm in sck[w]:
-                            idx = base + m
-                            acc[idx] = acc.get(idx, 0) + c * cm
-                    sparse.append({idx: x for idx, x in acc.items() if x})
-        kernel = kernel_of_sparse_columns(sparse)
-        self.ranks.append(len(kernel))
-        self.triples.append([[(idx // n, idx % n, x)
-                              for idx, x in enumerate(vec) if x]
-                             for vec in kernel])
+                        base = s * width
+                        for k, cm in sca[w]:
+                            idx = base + k
+                            acc[idx] = acc.get(idx, 0) - c * cm
+                    stage.append([(y, a, 1)] + [(idx, one, x) for idx, x
+                                                in sorted(acc.items()) if x])
+        self.ranks.append(len(stage))
+        self.triples.append(stage)
 
     def evaluation_rows(self, l: int, i: int) -> list[SparseRow]:
         """The rows of E_l = evaluation_matrix(l, i) as sparse rows over

@@ -8,7 +8,9 @@ from burnside.cli import main
 
 # `blocks -p p` and `growth -p p --max-degree 6` for every p | |G|, and `ext`
 # and `tor` from class 1 to the second class at `--max-degree 4`, for S3,
-# C4, C6, V4, D4, Q8 and S4: the JSON on stdout, byte for byte
+# C4, C6, V4, D4, Q8 and S4; `ext` and `tor` between the same classes at
+# `--max-degree 3 --oracle` for S3, C4, C6, V4, Q8 and A4: the JSON on
+# stdout, byte for byte
 REPORT_GOLDEN = json.loads(
     (Path(__file__).parent / "data" / "cli_golden.json").read_text())
 

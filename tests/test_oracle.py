@@ -1,13 +1,14 @@
 import pytest
 
-from burnside.errors import ResolutionTooLarge
+from burnside.bring import BRing
+from burnside.errors import InvariantViolation, ResolutionTooLarge
 from burnside.exttor import (ModuleType, ext_report, prime_factors, tor_report)
 from burnside.oracle import (IntegralResolution, oracle_ext,
                              oracle_ext_simple_dims, oracle_tor)
 from burnside.intlinalg import (kernel_of_columns, mat_mul, quotient_structure,
-                                smith_invariants)
+                                smith_invariants, sparse_smith_invariants)
 from burnside.resolution import ext_dims_pair
-from util import get_context
+from util import get_context, r_multiples, unimodular_change
 
 
 def test_integral_resolution_is_exact_complex():
@@ -25,6 +26,55 @@ def test_integral_resolution_is_exact_complex():
             above = res.evaluation_matrix(l + 1, i)
             prod = mat_mul(above, below)
             assert all(all(x == 0 for x in row) for row in prod)
+
+
+def _sparse(vectors):
+    return [{k: x for k, x in enumerate(vec) if x} for vec in vectors]
+
+
+@pytest.mark.parametrize("name", ["S3", "C6", "V4", "Q8", "A4"])
+def test_bar_resolution_is_exact_over_z(name):
+    # the bar complex is exact by its contracting homotopy, not by
+    # construction: check the ranks, d_l d_{l+1} = 0 over R, and that the
+    # R-multiples of the columns of d_{l+1} span the whole kernel lattice
+    # of d_l (the augmentation R -> Z_j being d_0).  The span lies in the
+    # kernel; it is all of it when both have the same rank and the span is
+    # saturated, i.e. its Smith invariants are all 1.  (Eliminating the
+    # kernel itself with `kernel_of_columns` does not finish in minutes on
+    # A4's stage 3 at j = 0.)
+    ring = get_context(name).ring
+    n = ring.n
+    for j in range(n):
+        res = IntegralResolution(ring, j)
+        res.extend_to(4)
+        assert res.ranks == [(n - 1) ** l for l in range(5)]
+        diffs = res.diffs
+        # the columns of d_l as a Z-matrix: b_k goes to its mark at j
+        below = [[row[j]] for row in ring.basis]
+        for l in range(4):
+            above = r_multiples(ring, diffs[l])
+            for vec in above:
+                image = [0] * len(below[0])
+                for t, x in enumerate(vec):
+                    if x:
+                        for r, y in enumerate(below[t]):
+                            image[r] += x * y
+                assert not any(image), (j, l)
+            kernel_rank = len(below) - len(
+                sparse_smith_invariants(_sparse(below), len(below[0])))
+            invs = sparse_smith_invariants(_sparse(above), len(above[0]))
+            assert invs == [1] * kernel_rank, (j, l)
+            below = above
+
+
+def test_bar_resolution_needs_one_in_the_basis():
+    ring = get_context("S3").ring
+    # the same ring with its basis reversed and then summed pairwise:
+    # 1 + [G/H] takes the place of 1, and no basis vector is 1
+    other = unimodular_change(BRing(ring.labels, ring.basis[::-1]))
+    assert [1] * ring.n not in other.basis
+    with pytest.raises(InvariantViolation, match="1 as a basis vector"):
+        IntegralResolution(other, 0)
 
 
 def test_oracle_hom_and_tensor_base():
@@ -64,7 +114,7 @@ def _p_ranks(module: ModuleType) -> dict:
     return out
 
 
-@pytest.mark.parametrize("name", ["S3", "C4"])
+@pytest.mark.parametrize("name", ["S3", "C4", "V4", "A4"])
 def test_oracle_matches_reports(name):
     ctx = get_context(name)
     n = ctx.ring.n

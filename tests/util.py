@@ -43,3 +43,23 @@ def unimodular_change(ring) -> BRing:
     basis = ring.basis
     return BRing(ring.labels, [[a + b for a, b in zip(basis[k], basis[k + 1])]
                                for k in range(ring.n - 1)] + [basis[-1]])
+
+
+def r_multiples(ring, columns) -> list[list[int]]:
+    """b_k times each column of a dense differential (as in
+    `IntegralResolution.diffs`), as Z-vectors over the index s * n + m of
+    b_m e_s: the differential as a Z-matrix, column t * n + k being b_k
+    times column t."""
+    n = ring.n
+    sc = ring.structure_constants()
+    out = []
+    for col in columns:
+        for k in range(n):
+            vec = [0] * (len(col) * n)
+            for s, e in enumerate(col):
+                for w, ew in enumerate(e):
+                    if ew:
+                        for m, cm in sc[k][w]:
+                            vec[s * n + m] += ew * cm
+            out.append(vec)
+    return out
