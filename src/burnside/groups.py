@@ -6,7 +6,7 @@ import re
 
 from .errors import ParseError, UnknownName
 from .perm import Permutation
-from .permgroup import DEFAULT_ORDER_CAP, PermGroup, enumerate_elements
+from .permgroup import PermGroup, enumerate_elements
 
 _NAME_RE = re.compile(r"^([CSAD])(\d+)$", re.IGNORECASE)
 
@@ -150,12 +150,12 @@ def _split_generators(text: str) -> list[str]:
     return [c for c in (c.strip() for c in chunks) if c]
 
 
-def parse_group(spec: str, cap: int = DEFAULT_ORDER_CAP) -> PermGroup:
+def parse_group(spec: str) -> PermGroup:
     """Resolve a name or a cycle-notation generator list to a group."""
     spec = spec.strip()
     if not spec:
         raise ParseError("empty group specification")
     if spec.startswith("("):
-        return enumerate_elements(parse_cycles(spec), cap=cap)
+        return enumerate_elements(parse_cycles(spec))
     gens = named_generators(spec)
-    return enumerate_elements(gens, degree=_named_degree(spec), cap=cap)
+    return enumerate_elements(gens, degree=_named_degree(spec))

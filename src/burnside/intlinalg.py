@@ -7,10 +7,11 @@ Integer elimination runs on sparse rows: a row is a `dict[int, int]` from
 index to nonzero entry and its lead is `min(row)`.  Besides sign flips, two
 helpers do every update: `_add_multiple` (v += q * r in place, dropping
 cancelled entries) and `_bezout_pair` (the unimodular pair
-(x*u + y*v, ag*v - bg*u)).  One reduction loop, `_reduce`, drives
-`kernel_of_sparse_columns` (whose combination vectors are sparse rows
-too), `kernel_of_columns` (its dense-rows front end) and the Hermite
-echelon with `_reduce_above_pivots` behind `lattice_span_basis` and
+(x*u + y*v, ag*v - bg*u)).  An echelon maps each lead to one row.  One
+reduction loop, `_reduce`, drives `kernel_of_sparse_columns` (each row
+carries its combination of the columns at the indices from `stop` on,
+past the matrix), `kernel_of_columns` (its dense-rows front end) and the
+Hermite echelon with `_reduce_above_pivots` behind `lattice_span_basis` and
 `sparse_smith_invariants` (whose dense front end is `smith_invariants`).
 The oracle's differentials have a few nonzeros per column, so a step
 costs the size of the rows it touches, not their length.
@@ -36,8 +37,7 @@ from collections.abc import Iterable
 from .errors import InvariantViolation
 
 SparseRow = dict[int, int]
-# lead -> (row, combination); the combination is {} when not tracked
-Echelon = dict[int, tuple[SparseRow, SparseRow]]
+Echelon = dict[int, SparseRow]  # lead -> row
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -155,58 +155,54 @@ def _dense(row: SparseRow, width: int) -> list[int]:
 
 
 def _reduce(echelon: Echelon, vec: SparseRow,
-            combo: SparseRow) -> SparseRow | None:
-    """Reduce the sparse row `vec` against `echelon` (lead -> (row, combo)).
+            stop: int | None = None) -> SparseRow | None:
+    """Reduce the sparse row `vec` against `echelon` (lead -> row).
 
-    `combo` undergoes the same operations as `vec`; it is empty, and stays
-    so, when the caller does not track combinations.  Returns the final
-    combination if `vec` reduces to zero, else None after inserting `vec`
-    under its new lead with a positive pivot.  A lead clash whose pivots
-    do not divide replaces the echelon row by the Bezout pair's top.
+    Only the entries before index `stop` (all of them when `stop` is None)
+    are eliminated; those from `stop` on ride along through the same
+    operations.  Returns what is left of `vec` once its entries before
+    `stop` are gone, else None after inserting `vec` under its new lead
+    with a positive pivot.  A lead clash whose pivots do not divide
+    replaces the echelon row by the Bezout pair's top.
     """
     while vec:
         lead = min(vec)
-        hit = echelon.get(lead)
-        if hit is None:
+        if stop is not None and lead >= stop:
+            break
+        row = echelon.get(lead)
+        if row is None:
             if vec[lead] < 0:
                 vec = {k: -x for k, x in vec.items()}
-                combo = {k: -x for k, x in combo.items()}
-            echelon[lead] = (vec, combo)
+            echelon[lead] = vec
             return None
-        rvec, rcombo = hit
-        a, b = rvec[lead], vec[lead]
+        a, b = row[lead], vec[lead]
         if b % a == 0:
-            q = -(b // a)
-            _add_multiple(vec, q, rvec)
-            if rcombo:  # empty when combinations are not tracked
-                _add_multiple(combo, q, rcombo)
+            _add_multiple(vec, -(b // a), row)
         else:
             g, x, y = xgcd(a, b)
-            ag, bg = a // g, b // g
-            new_rvec, vec = _bezout_pair(rvec, vec, x, y, ag, bg)
-            new_rcombo, combo = _bezout_pair(rcombo, combo, x, y, ag, bg)
-            echelon[lead] = (new_rvec, new_rcombo)
-    return combo
+            echelon[lead], vec = _bezout_pair(row, vec, x, y, a // g, b // g)
+    return vec
 
 
 def kernel_of_sparse_columns(columns: list[SparseRow]) -> list[list[int]]:
     """Basis of the lattice {x : sum_j x_j * columns[j] = 0}, as dense
     vectors of length len(columns), sorted.
 
-    Columns are inserted one by one into an integer row echelon while a
-    sparse combination vector (`{j: 1}` for column j) tracks how each state
-    row arises from the original columns.  Every update is a unimodular
-    operation on the tracked rows, so the combinations emitted when a
-    column reduces to zero form a genuine Z-basis of the kernel, not
-    merely a spanning set.
+    Columns are inserted one by one into an integer row echelon; column j
+    enters with a 1 at index `stop + j`, past every row index, so its row
+    carries the combination of the columns it arises from.  Every update is
+    a unimodular operation on the rows, so the combinations left when a
+    column's matrix part reduces to zero form a genuine Z-basis of the
+    kernel, not merely a spanning set.
     """
     ncols = len(columns)
+    stop = 1 + max((k for col in columns for k in col), default=-1)
     echelon: Echelon = {}
     kernel = []
     for j, col in enumerate(columns):
-        combo = _reduce(echelon, dict(col), {j: 1})
+        combo = _reduce(echelon, {**col, stop + j: 1}, stop)
         if combo is not None:
-            kernel.append(_dense(combo, ncols))
+            kernel.append(_dense(combo, stop + ncols)[stop:])
     kernel.sort(key=_vec_key)
     return kernel
 
@@ -271,7 +267,7 @@ def sparse_smith_invariants(rows: list[SparseRow], ncols: int) -> list[int]:
     echelon = _hermite_echelon(core)
     if not echelon:
         return [1] * units
-    hermite = [echelon[lead][0] for lead in sorted(echelon)]
+    hermite = [echelon[lead] for lead in sorted(echelon)]
     width = sorted(set().union(*hermite))
     dense = [[row.get(k, 0) for k in width] for row in hermite]
     return [1] * units + _invariant_factors(_diagonalize(dense, len(width)))
@@ -418,7 +414,7 @@ def lattice_span_basis(vectors: list[list[int]]) -> list[list[int]]:
     width = len(vectors[0]) if vectors else 0
     echelon = _hermite_echelon({k: x for k, x in enumerate(vec) if x}
                                for vec in vectors)
-    return [_dense(echelon[lead][0], width) for lead in sorted(echelon)]
+    return [_dense(echelon[lead], width) for lead in sorted(echelon)]
 
 
 def _hermite_echelon(rows: Iterable[SparseRow]) -> Echelon:
@@ -426,7 +422,7 @@ def _hermite_echelon(rows: Iterable[SparseRow]) -> Echelon:
     the rows are copied, not consumed."""
     echelon: Echelon = {}
     for count, row in enumerate(rows):
-        _reduce(echelon, dict(row), {})
+        _reduce(echelon, dict(row))
         if count % 8 == 7:
             _reduce_above_pivots(echelon)
     _reduce_above_pivots(echelon)
@@ -443,11 +439,11 @@ def _reduce_above_pivots(echelon: Echelon) -> None:
     taken bottom-up, so every row subtracted is already reduced.
     """
     for u in sorted(echelon, reverse=True):
-        row = echelon[u][0]
+        row = echelon[u]
         p = u
         while True:
             for p in sorted(k for k in row if k > p and k in echelon):
-                base = echelon[p][0]
+                base = echelon[p]
                 qq = row[p] // base[p]
                 if qq:
                     # may create entries at later pivots: rescan past p

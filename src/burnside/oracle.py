@@ -16,9 +16,11 @@ contracting homotopy s(b_w y) = (w, y) (zero for w = w0):
     d_1(a)      = b_a - phi_j(b_a) . 1
     d_{l+1}(a, y) = b_a . y - s(b_a . d_l(y)),
 
-so column (a, y) of d_{l+1} is b_a at coordinate y, minus c . c_m . 1
-at coordinate (m, s) for each nonzero (s, w, c) of column y of d_l and each
-nonzero (m, c_m) of b_a . b_w with m != w0.  By induction d s + s d = id
+so with d_l(y) = b_c e_z + sum_s k_s e_s, column (a, y) of d_{l+1} is b_a
+at coordinate y, minus k_s . 1 at coordinate (a, s) for each s, minus
+c_m . 1 at coordinate (m, z) for each nonzero (m, c_m) of b_a . b_c with
+m != w0: b_a at one coordinate plus integer multiples of 1.  By induction
+d s + s d = id
 (s s = 0 because 1 dies in Rbar, and phi_j(1) = 1 starts it), so the
 complex is exact over Z, saturation included: every cycle z is d(s z).
 
@@ -33,13 +35,14 @@ factors > 1:
 
 as torsion of coker E_l lies in the saturated ker E_{l+1}, and a matrix and
 its transpose share a Smith form.  Everything runs on the nonzero entries:
-each stage keeps the nonzero (s, w, c) triples of its differential's
-columns, the next stage's columns are built from them, and E_l comes out
-of the same triples as sparse rows for `sparse_smith_invariants`, which
-splits off the unit pivots before its Hermite step.  `diffs` and
-`evaluation_matrix` are dense views built on demand for the tests and
-`oracle_ext_simple_dims`.  The oracle reads only the structure constants
-and the marks, no block or p-local data.  On a shared 2-core host,
+each stage keeps, per column, only its multiples of 1 as a sparse row
+(its index says where b_a sits), the next stage is built from them, and
+E_l is those rows plus phi_i(b_a) at each b_a, handed to
+`sparse_smith_invariants`, which splits off the unit pivots before its
+Hermite step.  `diffs` and `evaluation_matrix` are
+dense views built on demand for the tests and `oracle_ext_simple_dims`.
+The oracle reads only the structure constants and the marks, no block or
+p-local data.  On a shared 2-core host,
 `verify --suite oracle` takes about 0.3 s per process for V4 and for A4
 (E_4 is 256 x 64) and 3-5 s for D4 (E_4 is 2401 x 343), nearly all of it
 in the Smith forms.
@@ -59,12 +62,12 @@ DEFAULT_MAX_CELLS = 2_000_000
 class IntegralResolution:
     """The normalized bar resolution of Z_j over the B-ring, over Z.
 
-    Stage l is R^{m_l} with m_l = (n-1)^l; the differential columns are
-    elements of the previous free module, stored as their nonzero
-    coordinates over the Z-basis b_w e_s.  Generator (a, y) of stage l+1
+    Stage l is R^{m_l} with m_l = (n-1)^l.  Generator (a, y) of stage l+1
     has index y * (n-1) + (position of a among the basis indices other
-    than 1).  Exactness is the bar complex's contracting homotopy (module
-    docstring); the ring's basis must contain 1.
+    than 1), so column t of d_l is b_a at coordinate t // (n-1), a the
+    basis index at position t % (n-1), plus the integer multiples of 1 in
+    `integer_parts[l-1][t]`.  Exactness is the bar complex's contracting
+    homotopy (module docstring); the ring's basis must contain 1.
     """
 
     def __init__(self, ring, j: int, max_cells: int = DEFAULT_MAX_CELLS):
@@ -76,14 +79,12 @@ class IntegralResolution:
         self.ring = ring
         self.j = j
         self.max_cells = max_cells
-        # basis index of 1, and the positions of the others, the Z-basis
-        # of R / Z.1
+        # basis index of 1, and the others, the Z-basis of R / Z.1
         self.one = unit.index(1)
         self.bar = [a for a in range(ring.n) if a != self.one]
         self.ranks = [1]
-        # per stage, per column of d_l: its nonzero (s, w, c), the
-        # coefficient c of b_w in coordinate s
-        self.triples: list[list[list[tuple[int, int, int]]]] = []
+        # per stage, per column of d_l: its coefficients of 1 by coordinate
+        self.integer_parts: list[list[SparseRow]] = []
         # (l, i) -> (rank, invariant factors > 1) of evaluation_matrix(l, i),
         # filled by smith_form
         self.smith: dict[tuple[int, int], tuple[int, tuple[int, ...]]] = {}
@@ -94,19 +95,19 @@ class IntegralResolution:
 
     @property
     def diffs(self) -> list[list[list[list[int]]]]:
-        """d_1 .. d_depth, dense, built from `triples` on each call:
-        column t of d_l lists its m_{l-1} coordinates, each a vector over
-        the ring basis."""
-        n = self.ring.n
+        """d_1 .. d_depth, dense, built on each call: column t of d_l
+        lists its m_{l-1} coordinates, each a vector over the ring basis."""
+        n, one, bar = self.ring.n, self.one, self.bar
+        width = len(bar)
         out = []
-        for m_prev, stage in zip(self.ranks, self.triples):
+        for m_prev, stage in zip(self.ranks, self.integer_parts):
             columns = []
-            for col in stage:
-                flat = [0] * (m_prev * n)
-                for s, w, c in col:
-                    flat[s * n + w] = c
-                columns.append([flat[s * n:(s + 1) * n]
-                                for s in range(m_prev)])
+            for t, ints in enumerate(stage):
+                col = [[0] * n for _ in range(m_prev)]
+                col[t // width][bar[t % width]] = 1
+                for s, k in ints.items():
+                    col[s][one] = k
+                columns.append(col)
             out.append(columns)
         return out
 
@@ -116,14 +117,10 @@ class IntegralResolution:
 
     def _extend_once(self) -> None:
         one, bar = self.one, self.bar
-        if not self.triples:
+        if not self.integer_parts:
             # d_1(a) = b_a - phi_j(b_a) . 1 over the augmentation R -> Z_j
-            j = self.j
-            stage = []
-            for a in bar:
-                mark = self.ring.basis[a][j]
-                stage.append([(0, a, 1), (0, one, -mark)] if mark
-                             else [(0, a, 1)])
+            marks = (self.ring.basis[a][self.j] for a in bar)
+            stage = [{0: -mark} if mark else {} for mark in marks]
         else:
             n = self.ring.n
             m_prev, m_top = self.ranks[-2], self.ranks[-1]
@@ -135,42 +132,43 @@ class IntegralResolution:
                     f"stage {self.depth + 1} needs a {rows_dim} x {cols_dim} "
                     f"matrix, {rows_dim * cols_dim} cells > max_cells "
                     f"{self.max_cells}")
-            # column (a, y) is b_a at coordinate y minus s(b_a . d(y)); s
-            # sends b_m e_s to 1 at coordinate (m, s), index
-            # s * (n-1) + pos[m], and kills b_1 e_s, so shifted[a][w] lists
-            # (pos[m], c) for the nonzero (m, c) of b_a * b_w with m != 1
+            # column (a, y) is b_a at coordinate y minus s(b_a . d(y)), where
+            # d(y) = b_c e_z + sum k_s e_s with c = bar[y % (n-1)] and
+            # z = y // (n-1); s sends b_m e_s to 1 at coordinate (m, s),
+            # index s * (n-1) + pos(m), and kills b_1 e_s
             sc = self.ring.structure_constants()
             width = len(bar)
             pos = {m: k for k, m in enumerate(bar)}
-            shifted = [[[(pos[m], c) for m, c in prod if m != one]
-                        for prod in sc[a]] for a in bar]
             stage = []
-            for y, col in enumerate(self.triples[-1]):
-                for a, sca in zip(bar, shifted):
-                    acc: dict[int, int] = {}
-                    for s, w, c in col:
-                        base = s * width
-                        for k, cm in sca[w]:
-                            idx = base + k
-                            acc[idx] = acc.get(idx, 0) - c * cm
-                    stage.append([(y, a, 1)] + [(idx, one, x) for idx, x
-                                                in sorted(acc.items()) if x])
+            for y, ints in enumerate(self.integer_parts[-1]):
+                c = bar[y % width]
+                base = y // width * width
+                for k, a in enumerate(bar):
+                    col = {s * width + k: -x for s, x in ints.items()}
+                    for m, cm in sc[a][c]:
+                        if m != one:
+                            idx = base + pos[m]
+                            x = col.pop(idx, 0) - cm
+                            if x:
+                                col[idx] = x
+                    stage.append(col)
         self.ranks.append(len(stage))
-        self.triples.append(stage)
+        self.integer_parts.append(stage)
 
     def evaluation_rows(self, l: int, i: int) -> list[SparseRow]:
         """The rows of E_l = evaluation_matrix(l, i) as sparse rows over
-        m_{l-1} columns: each nonzero (s, w, c) of d_l adds c times the
-        mark of b_w at i."""
-        marks = [row[i] for row in self.ring.basis]
+        m_{l-1} columns: column t of d_l evaluates to its integer part
+        (phi_i(1) = 1) plus phi_i(b_a) at its coordinate of b_a."""
+        width = len(self.bar)
+        marks = [self.ring.basis[a][i] for a in self.bar]
         rows = []
-        for col in self.triples[l - 1]:
-            acc: SparseRow = {}
-            for s, w, c in col:
-                x = marks[w]
-                if x:
-                    acc[s] = acc.get(s, 0) + c * x
-            rows.append({s: x for s, x in acc.items() if x})
+        for t, ints in enumerate(self.integer_parts[l - 1]):
+            row = dict(ints)
+            y = t // width
+            x = row.pop(y, 0) + marks[t % width]
+            if x:
+                row[y] = x
+            rows.append(row)
         return rows
 
     def evaluation_matrix(self, l: int, i: int) -> list[list[int]]:

@@ -62,7 +62,6 @@ from .fplinalg import (FpLaneEchelon, Gf2Echelon,
 from .modp import LocalBlock, ModPAlgebra, blocks
 
 DEFAULT_MATRIX_BITS = 1 << 30
-DEFAULT_DEGREE_CAP = 12
 
 
 class _LaneOps:
@@ -311,8 +310,7 @@ class MinimalResolution:
         return rank
 
 
-def betti_sequence(block: LocalBlock,
-                   degree: int = DEFAULT_DEGREE_CAP) -> list[int]:
+def betti_sequence(block: LocalBlock, degree: int) -> list[int]:
     """(b_0, ..., b_degree) for the block's residue field."""
     res = _resolution_cache(block)
     res.extend_to(degree)

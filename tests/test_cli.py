@@ -142,6 +142,46 @@ def test_verify_suites(capsys, tmp_path, suite, group, expect_code, needle):
     assert needle in out
 
 
+def _never_same(self, other):
+    return False
+
+
+def _no_blocks(algebra):
+    return []
+
+
+def _always_conjugate(group, h, k):
+    return True
+
+
+def _free_five(ctx, i, j, L):
+    from burnside.exttor import ModuleType
+    return [ModuleType.free(5) for _ in range(L + 1)]
+
+
+# each suite with one collaborator made to fail: a failed verification
+# exits 1 and says so on stdout, with nothing on stderr
+@pytest.mark.parametrize("suite,group,target,name,fake,needle", [
+    ("squarefree", "C6", "burnside.exttor.DegreeCell", "same_value",
+     _never_same, "squarefree: FAIL at ('1', '1', 1)"),
+    ("dress", "S3", "burnside.cli", "are_conjugate", _always_conjugate,
+     "MISMATCHES"),
+    ("blocks", "S3", "burnside.cli", "blocks", _no_blocks, ": FAIL (count 0"),
+    ("oracle", "C2", "burnside.cli", "oracle_ext", _free_five,
+     "oracle: 16 FAILURES"),
+])
+def test_failed_verification_exits_1(capsys, tmp_path, monkeypatch, suite,
+                                     group, target, name, fake, needle):
+    monkeypatch.setattr(f"{target}.{name}", fake)
+    argv = ["verify", "--group", group, "--suite", suite]
+    if suite in ("squarefree", "oracle"):
+        argv += ["--max-degree", "3"]
+    code, out, err = run(capsys, *argv, "--cache-dir", str(tmp_path))
+    assert code == 1
+    assert needle in out
+    assert err == ""
+
+
 def test_usage_errors(capsys, tmp_path):
     code, _, err = run(capsys, "marks", "--cache-dir", str(tmp_path))
     assert code == 2 and "exactly one" in err

@@ -89,6 +89,14 @@ def test_decompose_inverts_ghost():
         for h in range(table.size):
             x = table.basis_element(h)
             assert decompose(table, ghost(x)) == x
+        # the additive group: subtraction undoes addition, scaling is
+        # pointwise on marks
+        x = table.element(range(1, table.size + 1))
+        y = table.element([(-2) ** k for k in range(table.size)])
+        assert (x - y) + y == x
+        assert x - x == table.zero()
+        for k in (-3, 0, 2):
+            assert ghost(x.scale(k)) == [k * m for m in ghost(x)]
 
 
 def test_multiply_examples():
