@@ -7,27 +7,27 @@ Integer elimination runs on sparse rows: a row is a `dict[int, int]` from
 index to nonzero entry and its lead is `min(row)`.  Besides sign flips, two
 helpers do every update: `_add_multiple` (v += q * r in place, dropping
 cancelled entries) and `_bezout_pair` (the unimodular pair
-(x*u + y*v, ag*v - bg*u)).  An echelon maps each lead to one row.  One
-reduction loop, `_reduce`, drives `kernel_of_sparse_columns` (each row
-carries its combination of the columns at the indices from `stop` on,
-past the matrix), `kernel_of_columns` (its dense-rows front end) and the
-Hermite echelon with `_reduce_above_pivots` behind `lattice_span_basis` and
-`sparse_smith_invariants` (whose dense front end is `smith_invariants`).
-The oracle's differentials have a few nonzeros per column, so a step
-costs the size of the rows it touches, not their length.
+(x*u + y*v, ag*v - bg*u)).  An echelon maps each lead to one row, and one
+reduction loop, `_reduce`, drives both integer echelons: the kernel's
+(`kernel_of_sparse_columns`: each row carries its combination of the
+columns at the indices from `stop` on, past the matrix) and the Hermite
+one (`_hermite_echelon`, with `_reduce_above_pivots`).  The oracle's
+differentials have a few nonzeros per column, so a step costs the size of
+the rows it touches, not their length.
 
-Most invariant factors of the oracle's matrices are 1, so
-`sparse_smith_invariants` first eliminates every +-1 pivot
-(`_eliminate_units`, a column -> rows index picking the pivots); only the
-small core left over goes through the Hermite echelon and the dense
-diagonalization.
+Production is the Smith core alone: the oracle reads (co)homology off
+`sparse_smith_invariants`, which first eliminates every +-1 pivot (most
+invariant factors are 1; `_eliminate_units`), then takes the core left
+over through the Hermite echelon and the dense `_diagonalize`.
 
-The oracle reads (co)homology off `sparse_smith_invariants` alone; its
-resolutions are bar complexes read off the structure constants, with no
-kernel eliminated.  The kernel routines (`kernel_of_sparse_columns`,
-`kernel_of_columns`) and `quotient_structure` (kernel lattice modulo
-image lattice, through `solve_integer`) stay only as the independent
-references the tests check the oracle against.
+The rest are the references the tests check the oracle against.
+`kernel_of_columns` is the dense front end of the sparse kernel, and
+`solve_integer` and `quotient_structure` (kernel lattice modulo image
+lattice) are read off that kernel, with no elimination of their own.
+`rank` stays on the dense `_diagonalize` on purpose, as an independent
+check of kernel dimensions.  Limit: `kernel_of_sparse_columns` blows up on
+the 80 x 320 Z-matrix of A4's bar `d_3` at j = 0 (not done after 100 s,
+where its Smith form takes 3 ms), so the references stay on smaller ones.
 """
 
 from __future__ import annotations
@@ -354,53 +354,26 @@ def _invariant_factors(D: list[list[int]]) -> list[int]:
 def solve_integer(A: list[list[int]], B: list[list[int]]) -> list[list[int]]:
     """Solve A @ Y = B where A has full column rank; assert Y is integral.
 
-    Pure integer elimination: unimodular row operations bring the
-    augmented matrix [A | B] to an echelon form whose pivot equations are
-    then back-substituted with exact divisions.  Used to express lattice
-    vectors (columns of B) in a lattice basis (columns of A).
+    Read off integer kernels: A has full column rank exactly when its
+    kernel is 0, and then the kernel of [A | -B_j] is 0 (no solution) or
+    spanned by one primitive (y, t) with A y = t B_j, t != 0; column j is
+    integral exactly when t = +-1, and then Y_j = t y.  Used to express
+    lattice vectors (columns of B) in a lattice basis (columns of A).
     """
-    m = len(A)
     r = len(A[0]) if A else 0
+    if kernel_of_columns(A, r):
+        raise ValueError("matrix does not have full column rank")
     q = len(B[0]) if B else 0
-    aug = [list(A[i]) + list(B[i]) for i in range(m)]
-    row = 0
-    for col in range(r):
-        piv = None
-        for i in range(row, m):
-            if aug[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
-            raise ValueError("matrix does not have full column rank")
-        aug[row], aug[piv] = aug[piv], aug[row]
-        for i in range(row + 1, m):
-            while aug[i][col]:
-                a, b = aug[row][col], aug[i][col]
-                if b % a == 0:
-                    qq = b // a
-                    aug[i] = [x - qq * y for x, y in zip(aug[i], aug[row])]
-                else:
-                    g, x, y = xgcd(a, b)
-                    ag, bg = a // g, b // g
-                    new_top = [x * u + y * v for u, v in zip(aug[row], aug[i])]
-                    aug[i] = [ag * v - bg * u for u, v in zip(aug[row], aug[i])]
-                    aug[row] = new_top
-        row += 1
-    for i in range(row, m):
-        if any(aug[i][r:]):
-            raise ValueError("system is inconsistent")
-    # back-substitute the triangular pivot block; divisions must be exact
     Y = [[0] * q for _ in range(r)]
-    for col in range(r - 1, -1, -1):
-        arow = aug[col]
-        for j in range(q):
-            acc = arow[r + j]
-            for k in range(col + 1, r):
-                acc -= arow[k] * Y[k][j]
-            quot, rem = divmod(acc, arow[col])
-            if rem:
-                raise ValueError("non-integral solution entry")
-            Y[col][j] = quot
+    for j in range(q):
+        kernel = kernel_of_columns([[*a, -b[j]] for a, b in zip(A, B)], r + 1)
+        if not kernel:
+            raise ValueError("system is inconsistent")
+        *y, t = kernel[0]
+        if t not in (1, -1):
+            raise ValueError("non-integral solution entry")
+        for i, x in enumerate(y):
+            Y[i][j] = t * x
     return Y
 
 
@@ -423,6 +396,10 @@ def _hermite_echelon(rows: Iterable[SparseRow]) -> Echelon:
     echelon: Echelon = {}
     for count, row in enumerate(rows):
         _reduce(echelon, dict(row))
+        # entries left above the pivots feed every later Bezout step: without
+        # this sweep `verify --group D4 --suite oracle` reaches 700,000-bit
+        # entries and is not done in 150 s (3.6 s and 17 bits with it; S3,
+        # C6, V4 and A4 take the same time either way)
         if count % 8 == 7:
             _reduce_above_pivots(echelon)
     _reduce_above_pivots(echelon)
@@ -461,20 +438,13 @@ def quotient_structure(kernel_basis: list[list[int]],
     image contained in the kernel span.  Returns (free_rank, invariants)
     where invariants are the cyclic orders > 1, ascending.
     """
-    r = len(kernel_basis)
-    if r == 0:
+    if not kernel_basis:
         return 0, []
     image = lattice_span_basis(image_columns)
-    if not image:
-        return r, []
-    m = len(kernel_basis[0])
-    K = [[kernel_basis[j][i] for j in range(r)] for i in range(m)]
-    B = [[col[i] for col in image] for i in range(m)]
-    Y = solve_integer(K, B)
+    Y = solve_integer([list(row) for row in zip(*kernel_basis)],
+                      [list(row) for row in zip(*image)])
     invs = smith_invariants(Y, len(image))
-    free = r - len(invs)
-    torsion = [d for d in invs if d > 1]
-    return free, torsion
+    return len(kernel_basis) - len(invs), [d for d in invs if d > 1]
 
 
 def mat_mul(A: list[list[int]], B: list[list[int]]) -> list[list[int]]:

@@ -64,6 +64,68 @@ def test_solve_integer():
         solve_integer([[2], [0]], [[1], [0]])  # 1/2 is not integral
 
 
+def test_solve_integer_names_each_defect():
+    # a repeated column: (1, -1) is in the kernel of A
+    with pytest.raises(ValueError, match="^matrix does not have full column rank$"):
+        solve_integer([[1, 1], [2, 2], [0, 0]], [[1], [2], [0]])
+    # more columns than rows
+    with pytest.raises(ValueError, match="^matrix does not have full column rank$"):
+        solve_integer([[1, 0]], [[1]])
+    # (0, 0, 1) is not in the column span of A, over Q or over Z
+    with pytest.raises(ValueError, match="^system is inconsistent$"):
+        solve_integer([[1, 0], [0, 1], [0, 0]], [[1], [1], [1]])
+    # only the second column of B is inconsistent
+    with pytest.raises(ValueError, match="^system is inconsistent$"):
+        solve_integer([[1], [0]], [[3, 0], [0, 1]])
+    # 2y = 3 and 4y = 6: consistent over Q, y = 3/2
+    with pytest.raises(ValueError, match="^non-integral solution entry$"):
+        solve_integer([[2], [4]], [[3], [6]])
+    # the primitive kernel vector of [A | -B] is (1, 1, 2): t = 2
+    with pytest.raises(ValueError, match="^non-integral solution entry$"):
+        solve_integer([[1, 1], [1, -1]], [[1], [0]])
+
+
+def test_solve_integer_empty_shapes():
+    # r x 0: only B = 0 is consistent, with the 0 x q solution
+    assert solve_integer([[], []], [[0, 0], [0, 0]]) == []
+    with pytest.raises(ValueError, match="^system is inconsistent$"):
+        solve_integer([[], []], [[0], [5]])
+    # no right-hand side: r rows of nothing
+    assert solve_integer([[1, 0], [0, 3]], [[], []]) == [[], []]
+    assert solve_integer([], []) == []
+    # the rank check comes first even when B has no columns
+    with pytest.raises(ValueError, match="^matrix does not have full column rank$"):
+        solve_integer([[2, 4]], [[]])
+    # the sign of the kernel vector does not leak into Y
+    assert solve_integer([[-1], [2]], [[3], [-6]]) == [[-3]]
+
+
+def test_quotient_structure_repeated_and_dependent_image():
+    idm = [[1, 0], [0, 1]]
+    # repeated columns span the same lattice
+    assert quotient_structure(idm, [[2, 0], [2, 0], [0, 3], [0, 3]]) == (0, [6])
+    # (2, 3) = (2, 0) + (0, 3) adds nothing; (4, 0) neither
+    assert quotient_structure(idm, [[2, 0], [0, 3], [2, 3], [4, 0]]) == (0, [6])
+    # dependent over Q but not over Z: (2, 0) and (3, 0) span (1, 0)
+    assert quotient_structure(idm, [[2, 0], [3, 0]]) == (1, [])
+    # zero columns are no image at all
+    assert quotient_structure(idm, [[0, 0], [0, 0]]) == (2, [])
+
+
+def test_quotient_structure_leaves_a_free_part():
+    # a kernel basis that is not the standard one, in Z^3
+    kernel = [[1, 1, 0], [0, 1, 1]]
+    # 3 (1, 1, 0): Z / 3 plus one free summand
+    assert quotient_structure(kernel, [[3, 3, 0]]) == (1, [3])
+    # (1, 2, 1) = (1, 1, 0) + (0, 1, 1) is primitive: free rank 1 only
+    assert quotient_structure(kernel, [[1, 2, 1], [2, 4, 2]]) == (1, [])
+    # a rank-3 kernel with a rank-1 image of index 4: Z / 4 + Z^2
+    assert quotient_structure([[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+                              [[4, 8, 0], [0, 0, 0]]) == (2, [4])
+    # an empty kernel basis: nothing to divide
+    assert quotient_structure([], [[1, 0]]) == (0, [])
+
+
 def test_quotient_structure():
     idm = [[1, 0], [0, 1]]
     free, torsion = quotient_structure(idm, [[2, 0], [0, 3]])

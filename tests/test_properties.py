@@ -7,7 +7,8 @@ import pytest
 from burnside.exttor import (ExtTorContext, ext_report, prime_factors,
                              tor_report, verify_squarefree)
 from burnside.groups import parse_cycles, parse_group
-from burnside.intlinalg import lattice_span_basis, mat_mul, solve_integer
+from burnside.intlinalg import (lattice_span_basis, mat_mul, rank,
+                                solve_integer)
 from burnside.marks import ghost, multiply, table_of_marks
 from burnside.modp import blocks
 from burnside.oracle import oracle_ext, oracle_tor
@@ -121,6 +122,40 @@ def test_solve_integer_random_round_trip():
         Y = [[rng.randint(-4, 4) for _ in range(q)] for _ in range(r)]
         B = mat_mul(A, Y)
         assert solve_integer(A, B) == Y
+
+
+def test_solve_integer_rejects_perturbed_right_hand_sides():
+    # the round trip above, with one column of B moved off the lattice
+    rng = random.Random(29)
+    for _ in range(20):
+        m, r, q = rng.randint(2, 6), rng.randint(1, 4), rng.randint(1, 3)
+        if r > m:
+            continue
+        A = [[rng.randint(-3, 3) for _ in range(r)] for _ in range(m)]
+        for t in range(r):
+            A[t][t] += 7
+        if rank(A, r) < r:
+            continue
+        Y = [[rng.randint(-4, 4) for _ in range(q)] for _ in range(r)]
+        j, c = rng.randrange(q), rng.randrange(r)
+        # doubling column c of A and adding the old column c to B_j moves
+        # the unique solution to Y + e_c / 2 in column j
+        A2 = [row[:c] + [2 * row[c]] + row[c + 1:] for row in A]
+        B = mat_mul(A2, Y)
+        for i in range(m):
+            B[i][j] += A[i][c]
+        with pytest.raises(ValueError, match="^non-integral solution entry$"):
+            solve_integer(A2, B)
+        if r == m:
+            continue
+        # a unit vector outside the rational column span of A
+        i = next(i for i in range(m)
+                 if rank([[*row, int(k == i)] for k, row in enumerate(A)],
+                         r + 1) == r + 1)
+        B = mat_mul(A, Y)
+        B[i][j] += 1
+        with pytest.raises(ValueError, match="^system is inconsistent$"):
+            solve_integer(A, B)
 
 
 def test_lattice_span_basis_is_canonical():
