@@ -7,6 +7,7 @@ Exit codes: 0 success or verification pass, 1 verification failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import sys
@@ -41,7 +42,10 @@ def main(argv=None) -> int:
         return 2
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parsing keeps no state on
+    it, since each `parse_args` fills a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="burnside",
         description="Exact Burnside ring reports: marks, congruences, "

@@ -246,18 +246,25 @@ class LocalBlock:
         ring = self.algebra.ring
         return [ring.labels[i] for i in self.algebra.classes[self.class_index]]
 
-    def _independent_modulo(self, ideal) -> tuple[int, ...]:
-        """The indices a >= 1 whose e_a are independent modulo M^2 plus the
-        span of `ideal` (block coordinates), least first.
-
-        One echelon holds M^2, the span of the e_a e_b (a, b >= 1), and
-        `ideal`; each e_a it does not yet contain joins it.
-        """
+    def _m_squared_echelon(self) -> FpLaneEchelon:
+        """An echelon of M^2, the span of the e_a e_b (a, b >= 1), in block
+        coordinates."""
         algebra, s = self.algebra, self.dim
         ech = algebra.echelon()
         for a in range(1, s):
             for b in range(a, s):
                 ech.insert(algebra.pack(self.mult[a][b]))
+        return ech
+
+    def _independent_modulo(self, ideal) -> tuple[int, ...]:
+        """The indices a >= 1 whose e_a are independent modulo M^2 plus the
+        span of `ideal` (block coordinates), least first.
+
+        One echelon holds M^2 and `ideal`; each e_a it does not yet contain
+        joins it.
+        """
+        algebra, s = self.algebra, self.dim
+        ech = self._m_squared_echelon()
         for x in ideal:
             ech.insert(algebra.pack(x))
         w = algebra.lanes.width
@@ -285,6 +292,15 @@ class LocalBlock:
 
     def m_squared_dim(self) -> int:
         return self.dim - 1 - len(self.m_generators)
+
+    @cached_property
+    def m_squared_lanes(self) -> tuple[int, ...]:
+        """The pivots of M^2's echelon keyed by top lane, least first.
+
+        They are the top lanes of the nonzero elements of M^2, so they
+        depend on the span only, not on the order of insertion.
+        """
+        return tuple(sorted(self._m_squared_echelon().rows))
 
     @cached_property
     def socle(self) -> list[list[int]]:

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from burnside.cli import main
+from burnside.cli import build_parser, main
 
 
 # `blocks -p p` and `growth -p p --max-degree 6` for every p | |G|, and `ext`
@@ -180,6 +180,23 @@ def test_failed_verification_exits_1(capsys, tmp_path, monkeypatch, suite,
     assert code == 1
     assert needle in out
     assert err == ""
+
+
+def test_one_parser_serves_every_call(capsys, tmp_path):
+    # the parser is built once per process; a usage error and an input
+    # error parsed by it leave nothing behind for the next call
+    assert build_parser() is build_parser()
+    case = next(c for c in REPORT_GOLDEN if "--oracle" in c["argv"])
+    with pytest.raises(SystemExit) as exc:
+        main(["ext", "--group", "S3", "--max-degree", "1", "--format",
+              "table", "--cache-dir", str(tmp_path)])
+    assert exc.value.code == 2
+    code, out, err = run(capsys, "ext", "--group", "E9", "--source", "1",
+                         "--target", "1", "--max-degree", "1",
+                         "--cache-dir", str(tmp_path))
+    assert code == 2 and out == "" and "unknown group name" in err
+    assert main(case["argv"] + ["--cache-dir", str(tmp_path)]) == 0
+    assert capsys.readouterr().out == case["stdout"]
 
 
 def test_usage_errors(capsys, tmp_path):

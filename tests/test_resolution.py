@@ -431,3 +431,76 @@ def test_kernel_vector_with_a_unit_entry_raises(name, p):
     with pytest.raises(InvariantViolation,
                        match="differential entry outside the maximal ideal"):
         res.extend_to(1)
+
+
+@pytest.mark.parametrize("name, p, degree", RESIDUAL_CORPUS)
+def test_early_stop_keeps_the_generators_of_the_full_m_k(name, p, degree):
+    # M.K stops once it fills M^2.F; the generators are those read off
+    # an M.K built from every product e_a . kappa, a = 1..s-1
+    for block in blocks(get_context(name).algebra(p)):
+        picked = []
+        for res, kernel, n in _stage_kernels(block, degree):
+            pivots = _mk_pivots(res.ops, kernel, n, range(1, block.dim))
+            picked.append([kappa for kappa in kernel
+                           if res.ops.top_lane(kappa) not in pivots])
+        assert res.differentials == picked, (name, p)
+
+
+class _CountingEchelon:
+    """An echelon that counts the vectors inserted into it."""
+
+    def __init__(self, echelon):
+        self.echelon = echelon
+        self.inserts = 0
+
+    def insert(self, v):
+        self.inserts += 1
+        return self.echelon.insert(v)
+
+    @property
+    def rows(self):
+        return self.echelon.rows
+
+    @property
+    def dim(self):
+        return self.echelon.dim
+
+
+# products e_a . kappa formed for M.K, with the early stop and without it
+# (every multiplier times every kernel vector)
+MK_PRODUCTS = [("V4", 8, 5767, 11550), ("Q8", 6, 5034, 10080),
+               ("D4", 5, 12064, 16092)]
+
+
+@pytest.mark.parametrize("name, degree, formed, without_stop", MK_PRODUCTS)
+def test_m_k_products_formed(name, degree, formed, without_stop):
+    block = _block(name, 2)
+    res = MinimalResolution(block)
+    made = []
+    echelon = res.ops.echelon
+
+    def counting():
+        made.append(_CountingEchelon(echelon()))
+        return made[-1]
+
+    res.ops.echelon = counting
+    res.extend_to(degree)
+    assert len(made) == degree
+    assert sum(e.inserts for e in made) == formed
+    assert (sum(res.kernel_dims[:degree]) * len(block.multipliers)
+            == without_stop)
+    # every stage of these blocks stops with M.K = M^2.F
+    assert [e.dim for e in made] == [n * block.m_squared_dim()
+                                     for n in res.betti[:degree]]
+
+
+@pytest.mark.parametrize("name, p", [("V4", 2), ("(1 2 3),(4 5 6)", 3)])
+def test_understated_m_squared_dim_raises(name, p):
+    # a block reporting dim M^2 one too small would stop M.K early and
+    # return more generators; the pivots of M^2.F catch it
+    block = _block(name, p)
+    broken = dataclasses.replace(block)
+    broken.m_squared_dim = lambda: block.m_squared_dim() - 1
+    with pytest.raises(InvariantViolation,
+                       match="without filling M\\^2 times the free module"):
+        MinimalResolution(broken).extend_to(6)
