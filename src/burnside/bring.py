@@ -84,15 +84,33 @@ class BRing:
 
         Products commute, so c[l][k] is c[k][l]; the first non-integral
         product met in (k, l) order has l >= k, so only those are solved.
+        A lower triangular basis (a table of marks) peels each product
+        (`_peel`); any other basis decomposes it through `decompose`.
         """
         if self._structure is None:
             n, basis = self.n, self.basis
             sc = [[None] * n for _ in range(n)]
+            triangular = all(not any(row[m + 1:]) for m, row in enumerate(basis))
+            heads = [row[:m + 1] for m, row in enumerate(basis)]
+            lower = [[(j, b) for j, b in enumerate(row[:m]) if b]
+                     for m, row in enumerate(basis)]
             for k in range(n):
                 for l in range(k, n):
-                    coords = self.decompose(list(map(mul, basis[k], basis[l])))
-                    sc[k][l] = sc[l][k] = [(m, c) for m, c in enumerate(coords)
-                                           if c]
+                    if not triangular:
+                        coords = self.decompose(list(map(mul, basis[k], basis[l])))
+                        pairs = [(m, c) for m, c in enumerate(coords) if c]
+                    else:
+                        # basis_k, and so the product, vanishes past k <= l
+                        pairs = _peel(list(map(mul, heads[k], basis[l])),
+                                      basis, lower)
+                        if pairs is None:
+                            # raises, naming the first coefficient off Z
+                            self.decompose(list(map(mul, basis[k], basis[l])))
+                            raise InvariantViolation(
+                                f"the peel of {self.labels[k]} . "
+                                f"{self.labels[l]} left a remainder, but "
+                                f"the product decomposes integrally")
+                    sc[k][l] = sc[l][k] = pairs
             self._structure = sc
         return self._structure
 
@@ -163,6 +181,31 @@ def _scaled_inverse(matrix: list[list[int]]) -> tuple[list[list[int]], int]:
                 rows[r] = [x // g for x in row] if g != 1 else row
     D = math.lcm(*(rows[i][i] for i in range(n)))
     return [[x * (D // rows[i][i]) for x in rows[i][n:]] for i in range(n)], D
+
+
+def _peel(rest: list[int], basis: list[list[int]],
+          lower: list[list[tuple[int, int]]]) -> list[tuple[int, int]] | None:
+    """The nonzero (m, c), in increasing m, of the vector `rest` (zero
+    past its length) on a lower triangular `basis`, where `lower[m]` holds
+    the nonzero (j, b) of basis_m left of its diagonal.
+
+    Peels from the highest index down: c_m is one exact division by the
+    diagonal entry, and subtracting c_m . basis_m touches only the entries
+    in `lower[m]`.  Consumes `rest`; None if a division leaves a remainder,
+    that is, if the vector lies outside the span.
+    """
+    pairs = []
+    for m in range(len(rest) - 1, -1, -1):
+        x = rest[m]
+        if x:
+            c, r = divmod(x, basis[m][m])
+            if r:
+                return None
+            pairs.append((m, c))
+            for j, b in lower[m]:
+                rest[j] -= c * b
+    pairs.reverse()
+    return pairs
 
 
 class CongruenceMatrix:

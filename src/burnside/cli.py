@@ -11,6 +11,7 @@ import functools
 import itertools
 import json
 import sys
+from collections.abc import Callable
 
 from . import cache as cache_mod
 from .bring import BRing, p_classes
@@ -154,11 +155,13 @@ def _label_index(ctx: ExtTorContext, label: str) -> int:
             f"{', '.join(ctx.ring.labels)}") from None
 
 
-def _emit(args, payload: dict, table: str) -> None:
+def _emit(args, payload: dict, table: Callable[[], str]) -> None:
+    """Print `payload` as JSON, or the text `table()` builds; the table is
+    built only under --format table."""
     if args.format == "json":
         print(json.dumps(payload, sort_keys=True, indent=2))
     else:
-        print(table)
+        print(table())
 
 
 def _render(headers: list[str], rows: list[list[str]]) -> str:
@@ -173,12 +176,13 @@ def _render(headers: list[str], rows: list[list[str]]) -> str:
 
 def cmd_marks(args) -> int:
     doc = _marks_json(args, *_load_group(args))
-    labels = [c["label"] for c in doc["classes"]]
-    rows = []
-    for c, row in zip(doc["classes"], doc["matrix"]):
-        rows.append([c["label"], str(c["order"])] + [str(v) for v in row])
-    table = (f"table of marks for {doc['group']}\n"
-             + _render(["class", "|H|"] + labels, rows))
+
+    def table():
+        labels = [c["label"] for c in doc["classes"]]
+        rows = [[c["label"], str(c["order"])] + [str(v) for v in row]
+                for c, row in zip(doc["classes"], doc["matrix"])]
+        return (f"table of marks for {doc['group']}\n"
+                + _render(["class", "|H|"] + labels, rows))
     _emit(args, doc, table)
     return 0
 
@@ -191,18 +195,22 @@ def cmd_dmatrix(args) -> int:
     partitions = [p_classes(ctx.ring, p).to_json() for p in ctx.primes]
     payload = {"group": ctx.group_name, **dmat.to_json(),
                "partitions": partitions}
-    rows = []
-    for i in range(n):
-        cells = [labels[i]]
-        for j in range(n):
-            cells.append("." if i == j else str(dmat.d(i, j)))
-        rows.append(cells)
-    lines = [f"congruence numbers d(i, j) for {ctx.group_name}",
-             _render([""] + labels, rows)]
-    for part in partitions:
-        classes = " ".join("{" + " ".join(cls) + "}" for cls in part["classes"])
-        lines.append(f"~{part['p']} classes: {classes}")
-    _emit(args, payload, "\n".join(lines))
+
+    def table():
+        rows = []
+        for i in range(n):
+            cells = [labels[i]]
+            for j in range(n):
+                cells.append("." if i == j else str(dmat.d(i, j)))
+            rows.append(cells)
+        lines = [f"congruence numbers d(i, j) for {ctx.group_name}",
+                 _render([""] + labels, rows)]
+        for part in partitions:
+            classes = " ".join("{" + " ".join(cls) + "}"
+                               for cls in part["classes"])
+            lines.append(f"~{part['p']} classes: {classes}")
+        return "\n".join(lines)
+    _emit(args, payload, table)
     return 0
 
 
@@ -210,13 +218,15 @@ def cmd_blocks(args) -> int:
     ctx = _context(args)
     report = blocks_report(ctx.algebra(args.prime))
     payload = {"group": ctx.group_name, **report}
-    rows = [[" ".join(b["class"]), str(b["dim"]), str(b["m_mod_m2"]),
-             str(b["socle"]), "yes" if b["symmetric"] else "no",
-             "yes" if b["bounded"] else "no"]
-            for b in report["blocks"]]
-    table = (f"mod-{args.prime} blocks of {ctx.group_name}\n"
-             + _render(["class", "dim", "m/m^2", "socle", "symmetric",
-                        "bounded"], rows))
+
+    def table():
+        rows = [[" ".join(b["class"]), str(b["dim"]), str(b["m_mod_m2"]),
+                 str(b["socle"]), "yes" if b["symmetric"] else "no",
+                 "yes" if b["bounded"] else "no"]
+                for b in report["blocks"]]
+        return (f"mod-{args.prime} blocks of {ctx.group_name}\n"
+                + _render(["class", "dim", "m/m^2", "socle", "symmetric",
+                           "bounded"], rows))
     _emit(args, payload, table)
     return 0
 
@@ -238,17 +248,21 @@ def cmd_ext_tor(args) -> int:
             if mismatch is not None:
                 raise InvariantViolation(mismatch)
             report.degrees[l] = DegreeCell(l, cell.p_parts, module, "oracle")
-    name = "Ext^l" if args.kind == "ext" else "Tor_l"
-    lines = [f"{name}(Z_{args.source}, Z_{args.target}) over "
-             f"{ctx.group_name}, degrees 0..{L}"]
-    for cell in report.degrees:
-        parts = "; ".join(
-            f"p={pp.p}: rank {pp.rank}, exp | {pp.exponent_bound}"
-            for pp in cell.p_parts)
-        module = str(cell.module) if cell.module is not None else "(rank data only)"
-        suffix = f"  [{parts}]" if parts else ""
-        lines.append(f"l={cell.l}: {module}{suffix}  ({cell.provenance})")
-    _emit(args, report.to_json(), "\n".join(lines))
+
+    def table():
+        name = "Ext^l" if args.kind == "ext" else "Tor_l"
+        lines = [f"{name}(Z_{args.source}, Z_{args.target}) over "
+                 f"{ctx.group_name}, degrees 0..{L}"]
+        for cell in report.degrees:
+            parts = "; ".join(
+                f"p={pp.p}: rank {pp.rank}, exp | {pp.exponent_bound}"
+                for pp in cell.p_parts)
+            module = (str(cell.module) if cell.module is not None
+                      else "(rank data only)")
+            suffix = f"  [{parts}]" if parts else ""
+            lines.append(f"l={cell.l}: {module}{suffix}  ({cell.provenance})")
+        return "\n".join(lines)
+    _emit(args, report.to_json(), table)
     return 0
 
 
@@ -265,10 +279,12 @@ def cmd_growth(args) -> int:
     payload = {"group": ctx.group_name, "p": args.prime,
                "source": args.source, "target": args.target,
                "ranks": ranks, "verdict": verdict}
-    table = (f"p-ranks of Ext^l(Z_{args.source}, Z_{args.target}) at "
-             f"p={args.prime}, l=1..{args.max_degree}\n"
-             f"ranks {','.join(map(str, ranks))}\n"
-             f"verdict: {verdict}")
+
+    def table():
+        return (f"p-ranks of Ext^l(Z_{args.source}, Z_{args.target}) at "
+                f"p={args.prime}, l=1..{args.max_degree}\n"
+                f"ranks {','.join(map(str, ranks))}\n"
+                f"verdict: {verdict}")
     _emit(args, payload, table)
     return 0
 

@@ -1,6 +1,9 @@
 """Table of marks, and Burnside ring elements over its [G/H] basis.
 
-The arithmetic of those elements is that of the table's `BRing`.
+Marks are read off the members of each subgroup class by containment;
+`CosetAction.fixed_points` and `double_count_mark` count them again,
+independently, for the tests and `verify_marks`.  The arithmetic of the
+elements is that of the table's `BRing`.
 """
 
 from __future__ import annotations
@@ -10,8 +13,7 @@ from functools import cached_property
 
 from .bring import BRing
 from .errors import BasisMismatch, InvariantViolation
-from .permgroup import (CosetAction, PermGroup, SubgroupClassTable,
-                        subgroup_classes)
+from .permgroup import PermGroup, SubgroupClassTable, subgroup_classes
 
 
 class MarksTable:
@@ -102,19 +104,36 @@ def _same_basis(x: BurnsideElement, y: BurnsideElement) -> None:
 
 def table_of_marks(group: PermGroup,
                    class_table: SubgroupClassTable | None = None) -> MarksTable:
-    """Compute all marks by counting fixed cosets of each coset action.
+    """Compute all marks by containment in the members of each class.
 
-    A coset gH is fixed by J only if g^-1 J g <= H, so marks with |J|
-    not dividing |H| are 0 without a count.
+    A coset gH is fixed by J exactly when J <= gHg^-1, and each conjugate
+    H' of H is gHg^-1 for [N(H):H] cosets gH, so
+    M[h][j] = [N(H):H] . #{H' in class(H) : J <= H'}, with
+    [N(H):H] = [G:H] / |class(H)|; each count is one mask test per
+    member.  Classes are ordered by order, so only J of smaller order
+    dividing |H| are tested: a J of the same order lies in H' only as H'
+    itself, which puts [N(H):H] on the diagonal and 0 elsewhere.
     """
     if class_table is None:
         class_table = subgroup_classes(group)
     reps = [c.representative for c in class_table]
+    n = len(reps)
+    # (j, mask of J_j) for the J_j of order below and dividing each order
+    below: dict[int, list[tuple[int, int]]] = {}
     matrix = []
-    for H in reps:
-        action = CosetAction(group, H)
-        matrix.append([action.fixed_points(J) if H.order % J.order == 0 else 0
-                       for J in reps])
+    for h, cls in enumerate(class_table):
+        order = cls.order
+        if order not in below:
+            below[order] = [(j, J.mask) for j, J in enumerate(reps)
+                            if J.order < order and order % J.order == 0]
+        tests = below[order]
+        outside = [~H.mask for H in cls.members]
+        weyl = group.order // order // len(outside)
+        row = [0] * n
+        row[h] = weyl
+        for j in [j for o in outside for j, mask in tests if not mask & o]:
+            row[j] += weyl
+        matrix.append(row)
     return MarksTable(class_table, matrix)
 
 

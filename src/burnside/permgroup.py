@@ -275,35 +275,6 @@ def are_conjugate(group: PermGroup, a: Subgroup, b: Subgroup) -> bool:
     return any(_conjugates_into(group, a, g, b.mask) for g in range(group.order))
 
 
-def all_subgroups(group: PermGroup) -> list[Subgroup]:
-    """Every subgroup, by a worklist of joins with cyclic subgroups.
-
-    Starts from the cyclic subgroups; each subgroup found is joined once
-    with every cyclic subgroup it does not contain.  Every subgroup is a
-    join of cyclic ones, so nothing is missed.  Output is sorted by
-    order, then by the image tuples of the members, and is therefore
-    deterministic.
-    """
-    cyclic: dict[int, int] = {}
-    for g in range(group.order):
-        mask, _ = group.generate([g])
-        cyclic.setdefault(mask, g)
-    found = {mask: [g] for mask, g in cyclic.items()}
-    work = list(found)
-    while work:
-        mask = work.pop()
-        gens = found[mask]
-        for cmask, c in cyclic.items():
-            if cmask & ~mask:
-                join_gens = gens + [c]
-                join = group.join(mask, join_gens)
-                if join not in found:
-                    found[join] = join_gens
-                    work.append(join)
-    subs = [Subgroup._from_mask(group, mask, gens) for mask, gens in found.items()]
-    return sorted(subs, key=_sort_key)
-
-
 @dataclass(frozen=True)
 class SubgroupClass:
     """One conjugacy class of subgroups with a stable label."""
@@ -341,26 +312,66 @@ class SubgroupClassTable:
 
 
 def subgroup_classes(group: PermGroup) -> SubgroupClassTable:
-    subs = all_subgroups(group)
-    by_mask = {s.mask: s for s in subs}
-    gens = [group.index_of(g) for g in group.generators]
-    assigned: set[int] = set()
+    """Every subgroup, grouped into its conjugacy classes.
+
+    A worklist of joins with cyclic subgroups that joins one subgroup per
+    class.  It starts from the cyclic subgroups.  When a join is new, its
+    whole class is found at once as its orbit under conjugation by the
+    group's generators, each member keeping the conjugated generators as
+    `gens`, and only that join is queued, to be joined once with every
+    cyclic subgroup it does not contain.  Nothing is missed: every
+    subgroup is a join of cyclic ones, g join(H, C) g^-1 =
+    join(gHg^-1, gCg^-1), and the cyclic subgroups are closed under
+    conjugation.  The members of a class are sorted by the image tuples
+    of their elements, and the classes by order, then by their least
+    members, which are their representatives.
+    """
+    table, inverses = group.table, group.inverses
+    conjugators = [(g, table[g], inverses[g])
+                   for g in map(group.index_of, group.generators)]
+    found: dict[int, list[int]] = {}
+    orbits: list[list[int]] = []
+    work: list[int] = []
+
+    def add_class(mask: int, gens: list[int]) -> None:
+        found[mask] = gens
+        orbit = [mask]
+        for m in orbit:
+            m_gens = found[m]
+            for g, row, ginv in conjugators:
+                conj = [table[row[x]][ginv] for x in m_gens]
+                if all(m >> y & 1 for y in conj):
+                    continue  # g normalizes this member
+                c = _conjugate_mask(group, m, g)
+                if c not in found:
+                    found[c] = conj
+                    orbit.append(c)
+        orbits.append(orbit)
+        work.append(mask)
+
+    cyclic: dict[int, int] = {}
+    for g in range(group.order):
+        mask, _ = group.generate([g])
+        cyclic.setdefault(mask, g)
+    for mask, g in cyclic.items():
+        if mask not in found:
+            add_class(mask, [g])
+    while work:
+        mask = work.pop()
+        gens = found[mask]
+        for cmask, c in cyclic.items():
+            if cmask & ~mask:
+                join_gens = gens + [c]
+                join = group.join(mask, join_gens)
+                if join not in found:
+                    add_class(join, join_gens)
+
     raw_classes: list[tuple[Subgroup, tuple[Subgroup, ...]]] = []
-    for sub in subs:
-        if sub.mask in assigned:
-            continue
-        # the orbit under conjugation by the group's generators is the class
-        orbit = [sub.mask]
-        assigned.add(sub.mask)
-        for mask in orbit:
-            for g in gens:
-                conj = _conjugate_mask(group, mask, g)
-                if conj not in assigned:
-                    assigned.add(conj)
-                    orbit.append(conj)
-        ordered = sorted((by_mask[m] for m in orbit), key=_sort_key)
-        # subs is sorted, so the first member met is the least of its class
-        raw_classes.append((sub, tuple(ordered)))
+    for orbit in orbits:
+        members = sorted((Subgroup._from_mask(group, m, found[m]) for m in orbit),
+                         key=_sort_key)
+        raw_classes.append((members[0], tuple(members)))
+    raw_classes.sort(key=lambda rc: _sort_key(rc[0]))
 
     by_order: dict[int, int] = {}
     for rep, _ in raw_classes:

@@ -204,3 +204,46 @@ def test_structure_constants_are_sparse_and_exact(name, change):
             for m, c in pairs:
                 ghost = [g + c * x for g, x in zip(ghost, basis[m])]
             assert ghost == [a * b for a, b in zip(basis[k], basis[l])]
+
+
+def _dense_structure(ring):
+    """Every basis product decomposed through `decompose`."""
+    n, basis = ring.n, ring.basis
+    return [[[(m, c) for m, c in enumerate(ring.decompose(
+                [a * b for a, b in zip(basis[k], basis[l])])) if c]
+             for l in range(n)] for k in range(n)]
+
+
+@pytest.mark.parametrize("name", CORPUS + ["(1 2),(3 4),(5 6),(7 8)",
+                                           "(1 2 3),(4 5 6),(7 8 9)"])
+def test_peeled_constants_match_the_dense_route(name):
+    ring = get_context(name).ring
+    assert ring.structure_constants() == _dense_structure(ring)
+
+
+def test_peel_raises_the_dense_routes_separation_failure():
+    # lower triangular with the unit as its last row, but b . b =
+    # (1, 4, 0) = 2 b - 1/3 a lies outside the span
+    basis = [[3, 0, 0], [1, 2, 0], [1, 1, 1]]
+    with pytest.raises(SeparationFailure,
+                       match="coefficient -1/3 at index a: vector lies outside R"):
+        BRing(["a", "b", "c"], basis)
+
+
+def test_only_a_triangular_basis_is_peeled(monkeypatch):
+    calls = []
+    decompose = BRing.decompose
+
+    def counting(self, vector):
+        calls.append(vector)
+        return decompose(self, vector)
+
+    monkeypatch.setattr(BRing, "decompose", counting)
+    marks = get_marks("S4")
+    n = marks.size
+    ring = BRing(marks.labels(), marks.matrix)
+    assert calls == [[1] * n]  # the unit only
+    calls.clear()
+    unimodular_change(ring)
+    # the unit, then every product with l >= k
+    assert len(calls) == 1 + n * (n + 1) // 2

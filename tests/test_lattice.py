@@ -89,3 +89,26 @@ def test_double_count_raises_on_inconsistent_data():
              SubgroupClass("J", 3, j, (j,))]
     with pytest.raises(InvariantViolation):
         double_count_mark(group, table, 0, 1)
+
+
+@pytest.mark.parametrize("spec", ["S4", "D20", "A5", "S5",
+                                  "(1 2 3),(2 3 4),(5 6)",
+                                  "(1 2 3 4),(1 3),(5 6 7)", C2_4])
+def test_classes_match_the_all_joins_reference(spec):
+    # one join per class, each class taken whole from the enumeration,
+    # against every subgroup joined and the classes found afterwards
+    from lattice_reference import reference_classes
+
+    group = parse_group(spec)
+    table = subgroup_classes(group)
+    reference = reference_classes(group)
+
+    def digest(classes):
+        return [(c.label, c.order, c.representative.mask,
+                 [m.mask for m in c.members]) for c in classes]
+
+    assert digest(table) == digest(reference)
+    for cls in table:
+        assert cls.representative is cls.members[0]
+        for member in cls.members:
+            assert group.generate(member.gens)[0] == member.mask

@@ -196,3 +196,20 @@ def test_basis_mismatch():
         s3.element([1, 0, 0])
     with pytest.raises(BasisMismatch):
         decompose(s3, [6, 3, 2, 1, 0])
+
+
+@pytest.mark.parametrize("name", ["S4", "D20", "(1 2 3),(2 3 4),(5 6)", "A5",
+                                  "(1 2 3 4),(1 3),(5 6 7)"])
+def test_marks_by_containment_match_coset_counts(name):
+    # table_of_marks counts the conjugates of H containing J; the coset
+    # action and the double count are two independent routes to the same
+    # number
+    group = get_group(name)
+    table = get_marks(name)
+    classes = table.class_table
+    for h in range(table.size):
+        action = CosetAction(group, classes[h].representative)
+        for j in range(table.size):
+            mark = table.matrix[h][j]
+            assert mark == action.fixed_points(classes[j].representative)
+            assert mark == double_count_mark(group, classes, h, j)
