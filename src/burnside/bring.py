@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from operator import mul
+from operator import mul, sub
 
 from .errors import (InvalidPrime, InvariantViolation, NonIntegralSolution,
                      SeparationFailure)
@@ -90,7 +90,7 @@ class BRing:
         if self._structure is None:
             n, basis = self.n, self.basis
             sc = [[None] * n for _ in range(n)]
-            triangular = all(not any(row[m + 1:]) for m, row in enumerate(basis))
+            triangular = self.triangular
             heads = [row[:m + 1] for m, row in enumerate(basis)]
             lower = [[(j, b) for j, b in enumerate(row[:m]) if b]
                      for m, row in enumerate(basis)]
@@ -113,6 +113,12 @@ class BRing:
                     sc[k][l] = sc[l][k] = pairs
             self._structure = sc
         return self._structure
+
+    @cached_property
+    def triangular(self) -> bool:
+        """Whether basis_m vanishes past index m for every m, as the rows
+        of a table of marks do."""
+        return all(not any(row[m + 1:]) for m, row in enumerate(self.basis))
 
     def _check_closure(self) -> None:
         try:
@@ -209,17 +215,30 @@ def _peel(rest: list[int], basis: list[list[int]],
 
 
 class CongruenceMatrix:
-    """d(i, j): the largest modulus with r(i) = r(j) mod d for all r in R."""
+    """d(i, j): the largest modulus with r(i) = r(j) mod d for all r in R.
+
+    d(i, j) is the gcd over the basis of r(i) - r(j), one C-level gcd over
+    the difference of columns i and j.  On a lower triangular basis only
+    rows i.. are nonzero in column i, and rows i..j-1 are zero in column j
+    (i < j): the difference starts at row j, and column i over rows
+    i..j-1 enters as a gcd kept running while j grows.
+    """
 
     def __init__(self, ring: BRing):
         self.ring = ring
         n = ring.n
         self._d = [[0] * n for _ in range(n)]
+        cols = list(zip(*ring.basis))
+        triangular = ring.triangular
         for i in range(n):
+            col_i = cols[i]
+            head = 0  # gcd of col_i over rows i..j-1 on a triangular basis
             for j in range(i + 1, n):
-                g = 0
-                for vec in ring.basis:
-                    g = math.gcd(g, abs(vec[i] - vec[j]))
+                start = 0
+                if triangular:
+                    head = math.gcd(head, col_i[j - 1])
+                    start = j
+                g = math.gcd(head, *map(sub, col_i[start:], cols[j][start:]))
                 if g == 0:
                     raise SeparationFailure(
                         f"indices {ring.labels[i]} and {ring.labels[j]} are "

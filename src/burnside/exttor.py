@@ -5,6 +5,16 @@ sequence recurrence a_{l+1} = b_l - a_l driven by the block Betti numbers,
 with Tor obtained through z_l = a_{l+1}.  Exponent bounds come from the
 congruence numbers d(i, j) and the minimal idempotent multiples; a p-part
 is pinned down exactly as (Z/p)^rank whenever its bound has p-valuation 1.
+
+Above degree 0 a pair enters only through three things: the p-block of
+R/pR that i and j share at each prime p, whether i = j, and the
+p-valuation of its exponent bound.  So the work is shared, on the
+`ExtTorContext` that owns the data and for as long as it lives: one
+resolution per distinct block table (`resolution._resolution_cache`), one
+p-rank sequence per (p, block, i == j) in `ext_ranks`, and one frozen
+`DegreeCell` per degree and p-parts.  A report does only its pair's own
+work: the labels, degree 0 and the check that no p-rank sits at a prime
+coprime to the annihilator.
 """
 
 from __future__ import annotations
@@ -142,13 +152,18 @@ class ExtTorReport:
 
 
 class ExtTorContext:
-    """Shared caches for one B-ring: mod-p algebras and resolutions."""
+    """Shared caches for one B-ring: mod-p algebras (which keep the block
+    resolutions), rank sequences and degree cells."""
 
     def __init__(self, ring: BRing, group_name: str, group_order: int):
         self.ring = ring
         self.group_name = group_name
         self.group_order = group_order
         self._algebras: dict[int, ModPAlgebra] = {}
+        # a_1, a_2, .. of ext_ranks by (p, class index, i == j)
+        self._ranks: dict[tuple[int, int, bool], list[int]] = {}
+        # DegreeCell by (l, its p-parts as (p, rank, bound, exact) tuples)
+        self._cells: dict[tuple, DegreeCell] = {}
         # oracle.IntegralResolution of Z_j by j, filled by the oracle
         self.integral_resolutions: dict = {}
 
@@ -200,7 +215,11 @@ def ext_ranks(ctx: ExtTorContext, i: int, j: int, p: int, L: int) -> list[int]:
     """p-ranks a_1..a_L of Ext^l(Z_i, Z_j) via a_{l+1} = b_l - a_l.
 
     Zero across p-classes, read off the d-matrix; R/pR is built only for
-    a pair that shares a block.
+    a pair that shares a block.  Within a block the b_l are its Betti
+    numbers and a_1 is 0 on the diagonal, 1 off it, so the sequence
+    depends on the pair only through (p, block, i == j).  The context
+    keeps one per key, which is prefix-stable in L: a larger L extends it,
+    and every caller gets a fresh list of its first L terms.
     """
     if not is_prime(p):
         raise InvalidPrime(f"{p} is not prime")
@@ -208,15 +227,20 @@ def ext_ranks(ctx: ExtTorContext, i: int, j: int, p: int, L: int) -> list[int]:
         return [0] * L
     if L < 1:
         return []
-    b = ext_dims_pair(ctx.algebra(p), i, j, max(L - 1, 1))
-    a = [0 if i == j else 1]
-    for l in range(1, L):
-        nxt = b[l] - a[-1]
-        if nxt < 0:
-            raise NegativeRank(
-                f"a_{l + 1} = {nxt} from b_{l} = {b[l]}, a_{l} = {a[-1]}")
-        a.append(nxt)
-    return a
+    algebra = ctx.algebra(p)
+    key = (p, algebra.partition.class_index_of(i), i == j)
+    a = ctx._ranks.get(key)
+    if a is None or len(a) < L:
+        b = ext_dims_pair(algebra, i, j, max(L - 1, 1))
+        if a is None:
+            a = ctx._ranks[key] = [0 if i == j else 1]
+        for l in range(len(a), L):
+            nxt = b[l] - a[-1]
+            if nxt < 0:
+                raise NegativeRank(
+                    f"a_{l + 1} = {nxt} from b_{l} = {b[l]}, a_{l} = {a[-1]}")
+            a.append(nxt)
+    return a[:L]
 
 
 def tor_ranks(ctx: ExtTorContext, i: int, j: int, p: int, L: int) -> list[int]:
@@ -224,39 +248,44 @@ def tor_ranks(ctx: ExtTorContext, i: int, j: int, p: int, L: int) -> list[int]:
     return ext_ranks(ctx, i, j, p, L + 1)[1:]
 
 
-def _p_part_cells(ctx: ExtTorContext, i: int, j: int, L: int,
-                  rank_fn) -> list[list[PPart]]:
-    """Per-degree p-parts for degrees 1..L using the given rank sequence."""
-    per_degree: list[list[PPart]] = [[] for _ in range(L)]
+def _degree_cells(ctx: ExtTorContext, i: int, j: int, L: int,
+                  rank_fn) -> list[DegreeCell]:
+    """Degrees 1..L from the given rank sequence per prime.
+
+    The checks are the pair's own; each cell comes from the context's
+    cache, keyed by its degree and p-parts, in increasing p as
+    `ctx.primes` is sorted.
+    """
+    per_degree: list[list[tuple]] = [[] for _ in range(L)]
     bound = ctx.exponent_bound(i, j)
     for p in ctx.primes:
         ranks = rank_fn(p)  # zero for a pair that p does not join
         v = p_valuation(bound, p)
-        exact = v == 1
-        for l in range(1, L + 1):
-            r = ranks[l - 1]
+        for l, r in enumerate(ranks, 1):
             if r < 0:
                 raise NegativeRank(f"negative rank at degree {l}")
-            if r > 0 and v == 0:
-                raise InvariantViolation(
-                    "nonzero p-rank with p-coprime annihilator")
             if r:
-                per_degree[l - 1].append(PPart(p, r, p ** v, exact))
-    return per_degree
-
-
-def _assemble(cells: list[list[PPart]]) -> list[DegreeCell]:
+                if v == 0:
+                    raise InvariantViolation(
+                        "nonzero p-rank with p-coprime annihilator")
+                per_degree[l - 1].append((p, r, p ** v, v == 1))
+    cells = ctx._cells
     out = []
-    for l0, parts in enumerate(cells):
-        parts = tuple(sorted(parts, key=lambda pp: pp.p))
-        if all(pp.exact for pp in parts):
-            module = ModuleType.from_p_ranks({pp.p: pp.rank for pp in parts})
-            provenance = "closed-form"
-        else:
-            module = None
-            provenance = "recurrence"
-        out.append(DegreeCell(l0 + 1, parts, module, provenance))
+    for l, parts in enumerate(per_degree, 1):
+        key = (l, tuple(parts))
+        cell = cells.get(key)
+        if cell is None:
+            cell = cells[key] = _degree_cell(l, parts)
+        out.append(cell)
     return out
+
+
+def _degree_cell(l: int, parts: list[tuple]) -> DegreeCell:
+    p_parts = tuple(PPart(*part) for part in parts)
+    if all(pp.exact for pp in p_parts):
+        module = ModuleType.from_p_ranks({pp.p: pp.rank for pp in p_parts})
+        return DegreeCell(l, p_parts, module, "closed-form")
+    return DegreeCell(l, p_parts, None, "recurrence")
 
 
 def ext_report(ctx: ExtTorContext, i: int, j: int, L: int) -> ExtTorReport:
@@ -264,9 +293,8 @@ def ext_report(ctx: ExtTorContext, i: int, j: int, L: int) -> ExtTorReport:
                           ctx.ring.labels[i], ctx.ring.labels[j])
     base = hom_base(i, j)
     report.degrees.append(DegreeCell(0, (), base, "closed-form"))
-    cells = _p_part_cells(ctx, i, j, L,
-                          lambda p: ext_ranks(ctx, i, j, p, L))
-    report.degrees.extend(_assemble(cells))
+    report.degrees.extend(_degree_cells(
+        ctx, i, j, L, lambda p: ext_ranks(ctx, i, j, p, L)))
     return report
 
 
@@ -282,9 +310,8 @@ def tor_report(ctx: ExtTorContext, i: int, j: int, L: int) -> ExtTorReport:
             parts.append(PPart(p, 1, p ** v, v == 1))
     report.degrees.append(
         DegreeCell(0, tuple(parts), base, "closed-form"))
-    cells = _p_part_cells(ctx, i, j, L,
-                          lambda p: tor_ranks(ctx, i, j, p, L))
-    report.degrees.extend(_assemble(cells))
+    report.degrees.extend(_degree_cells(
+        ctx, i, j, L, lambda p: tor_ranks(ctx, i, j, p, L)))
     return report
 
 

@@ -46,6 +46,9 @@ class ModPAlgebra:
             sum((c % p) << (m * w) for m, c in pairs) for pairs in row)
             for row in ring.structure_constants()]
         self._blocks: list[LocalBlock] | None = None  # filled by blocks()
+        # one MinimalResolution per distinct block table `mult`, filled by
+        # resolution._resolution_cache
+        self._resolutions: dict[tuple, object] = {}
         self._check()
 
     def pack(self, coords: list[int]) -> int:
@@ -230,7 +233,9 @@ class LocalBlock:
     idempotent: list[int]
     basis: list[list[int]] = field(repr=False)
     mult: list[list[list[int]]] = field(repr=False)
-    # the block's MinimalResolution, kept by resolution._resolution_cache
+    # the MinimalResolution of the block's residue field, set by
+    # resolution._resolution_cache; shared by every block of the algebra
+    # with an equal `mult`, as a resolution reads nothing else of a block
     resolution: object = field(default=None, repr=False, compare=False)
 
     @property

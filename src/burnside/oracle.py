@@ -39,8 +39,8 @@ each stage keeps, per column, only its multiples of 1 as a sparse row
 (its index says where b_a sits), the next stage is built from them, and
 E_l is those rows plus phi_i(b_a) at each b_a, handed to
 `sparse_smith_invariants`, which splits off the unit pivots before its
-Hermite step.  `diffs` and `evaluation_matrix` are
-dense views built on demand for the tests and `oracle_ext_simple_dims`.
+Hermite step.  `evaluation_matrix` is a dense view built on demand for
+the tests and `oracle_ext_simple_dims`.
 The oracle reads only the structure constants and the marks, no block or
 p-local data.  On a shared 2-core host,
 `verify --suite oracle` takes about 0.3 s per process for V4 and for A4
@@ -92,24 +92,6 @@ class IntegralResolution:
     @property
     def depth(self) -> int:
         return len(self.ranks) - 1
-
-    @property
-    def diffs(self) -> list[list[list[list[int]]]]:
-        """d_1 .. d_depth, dense, built on each call: column t of d_l
-        lists its m_{l-1} coordinates, each a vector over the ring basis."""
-        n, one, bar = self.ring.n, self.one, self.bar
-        width = len(bar)
-        out = []
-        for m_prev, stage in zip(self.ranks, self.integer_parts):
-            columns = []
-            for t, ints in enumerate(stage):
-                col = [[0] * n for _ in range(m_prev)]
-                col[t // width][bar[t % width]] = 1
-                for s, k in ints.items():
-                    col[s][one] = k
-                columns.append(col)
-            out.append(columns)
-        return out
 
     def extend_to(self, depth: int) -> None:
         while self.depth < depth:

@@ -95,27 +95,21 @@ class _LaneOps:
         self.table = [[(a * width, self.pack(block.mult[a][b]))
                        for a in range(s) if any(block.mult[a][b])]
                       for b in range(s)]
-        self._lead_masks: dict[int, int] = {}
 
     def pack(self, coords) -> int:
         """Coordinates mod p, one per lane."""
         return pack(coords, self.p, self.width)
 
     def lead_mask(self, n_components: int) -> int:
-        """The full lane of coordinate 0 in each of n components."""
-        mask = self._lead_masks.get(n_components)
-        if mask is None:
-            stride = self.s * self.width
-            ones = ((1 << (n_components * stride)) - 1) // ((1 << stride) - 1)
-            mask = self._lead_masks[n_components] = ones * self.lane_mask
-        return mask
+        """The full lane of coordinate 0 in each of n components; callers
+        take it once per stage."""
+        stride = self.s * self.width
+        ones = ((1 << (n_components * stride)) - 1) // ((1 << stride) - 1)
+        return ones * self.lane_mask
 
     def residue(self, flat: int, i: int) -> int:
         """The residue-field entry (coordinate 0) of component i."""
         return (flat >> (i * self.s * self.width)) & self.lane_mask
-
-    def entries_in_maximal_ideal(self, flat: int, n_components: int) -> bool:
-        return not flat & self.lead_mask(n_components)
 
     def top_lane(self, flat: int) -> int:
         """The highest nonzero lane of a nonzero vector."""
@@ -128,9 +122,9 @@ class _Gf2Ops(_LaneOps):
     def __init__(self, block: LocalBlock):
         super().__init__(block, 1)
 
-    def column(self, gen: int, n_components: int, basis_idx: int) -> int:
-        """The flat image of (basis element) * gen, componentwise."""
-        mask = self.lead_mask(n_components)
+    def column(self, gen: int, mask: int, basis_idx: int) -> int:
+        """The flat image of (basis element) * gen, componentwise; `mask`
+        is `lead_mask` of gen's number of components."""
         out = 0
         for shift, prod in self.table[basis_idx]:
             out ^= ((gen >> shift) & mask) * prod
@@ -156,9 +150,9 @@ class _FpOps(_LaneOps):
         p = block.p
         self.batch = (lanes.limit - (p - 1)) // ((p - 1) * (p - 1))
 
-    def column(self, gen: int, n_components: int, basis_idx: int) -> int:
-        """The flat image of (basis element) * gen, componentwise."""
-        mask = self.lead_mask(n_components)
+    def column(self, gen: int, mask: int, basis_idx: int) -> int:
+        """The flat image of (basis element) * gen, componentwise; `mask`
+        is `lead_mask` of gen's number of components."""
         mod, batch = self.lanes.reduce, self.batch
         out = 0
         pending = 0
@@ -237,15 +231,15 @@ class MinimalResolution:
         # K lies in M.F, so Ann(M) kills it and M.K is the sum of e_a K
         # over the multipliers (Nakayama); its echelon keyed by top lane
         # has a pivot at the top lane of every nonzero vector of M.K
-        for kappa in kernel:
-            if not ops.entries_in_maximal_ideal(kappa, n_prev):
-                raise InvariantViolation(
-                    "differential entry outside the maximal ideal")
+        mask = ops.lead_mask(n_prev)
+        if any(kappa & mask for kappa in kernel):
+            raise InvariantViolation(
+                "differential entry outside the maximal ideal")
         # M.K lies in M^2.F: once the echelon reaches its dimension it is
         # M^2.F, and the products left add nothing
         full = n_prev * self.block.m_squared_dim()
         mk = ops.echelon()
-        filled = any(mk.insert(ops.column(kappa, n_prev, a)) and mk.dim >= full
+        filled = any(mk.insert(ops.column(kappa, mask, a)) and mk.dim >= full
                      for a in self.multipliers for kappa in kernel)
         pivots = mk.rows
         tops = [ops.top_lane(kappa) for kappa in kernel]
@@ -284,11 +278,12 @@ class MinimalResolution:
         self._check_budget(top, rows_dim, self.betti[top] * s)
         if top == 1:
             self._check_idempotent_is_identity()
+        mask = ops.lead_mask(n_prev)
         columns = []
         for g in self.differentials[top - 1]:
             columns.append(g)  # e_0 . g
             for a in range(1, s):
-                columns.append(ops.column(g, n_prev, a))
+                columns.append(ops.column(g, mask, a))
         kernel = ops.kernel_of_columns(columns)
         # exactness bookkeeping: rank d_l equals dim ker d_{l-1}, so the
         # kernel dimension matches the rank-nullity recursion
@@ -325,9 +320,8 @@ class MinimalResolution:
         """
         rank = self._reduced_ranks.get(l)
         if rank is None:
-            n_prev = self.betti[l - 1]
-            if all(self.ops.entries_in_maximal_ideal(g, n_prev)
-                   for g in self.differentials[l - 1]):
+            mask = self.ops.lead_mask(self.betti[l - 1])
+            if not any(g & mask for g in self.differentials[l - 1]):
                 rank = 0
             else:
                 ech = self.ops.echelon()
@@ -386,9 +380,22 @@ def betti_growth_certificate(block: LocalBlock, resolution: MinimalResolution,
 
 
 def _resolution_cache(block: LocalBlock) -> MinimalResolution:
-    """The block's default-budget resolution, kept on the block."""
+    """The block's default-budget resolution, one per distinct
+    multiplication table of its algebra.
+
+    A resolution reads nothing of its block but p, the table `mult` and
+    what derives from the table (`multipliers`, `m_squared_dim`,
+    `m_squared_lanes`).  Blocks of one algebra with equal tables therefore
+    have identical stages, and the first one's resolution serves them all:
+    every stage check still runs once on that input.  It is kept in the
+    algebra's `_resolutions`, keyed by the table, and on each block asked.
+    """
     if block.resolution is None:
-        block.resolution = MinimalResolution(block)
+        table = tuple(tuple(map(tuple, row)) for row in block.mult)
+        shared = block.algebra._resolutions
+        if table not in shared:
+            shared[table] = MinimalResolution(block)
+        block.resolution = shared[table]
     return block.resolution
 
 

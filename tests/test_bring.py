@@ -183,6 +183,24 @@ def test_ring_owns_its_congruence_matrix():
 
 
 @pytest.mark.parametrize("change", ["marks", "unimodular"])
+@pytest.mark.parametrize("name", CORPUS + ["(1 2 3),(4 5 6),(7 8 9)"])
+def test_congruence_matrix_matches_the_per_row_gcd(name, change):
+    # the column-wise gcd, with its triangular shortcut on a marks basis,
+    # against the plain gcd over every basis row
+    ring = get_context(name).ring
+    if change == "unimodular":
+        ring = unimodular_change(ring)
+    assert ring.triangular == (change == "marks")
+    dmat = congruence_d(ring)
+    for i in range(ring.n):
+        for j in range(i + 1, ring.n):
+            g = 0
+            for vec in ring.basis:
+                g = math.gcd(g, abs(vec[i] - vec[j]))
+            assert dmat.d(i, j) == dmat.d(j, i) == g, (name, i, j)
+
+
+@pytest.mark.parametrize("change", ["marks", "unimodular"])
 @pytest.mark.parametrize("name", CORPUS)
 def test_structure_constants_are_sparse_and_exact(name, change):
     ring = get_context(name).ring

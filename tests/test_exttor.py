@@ -1,10 +1,12 @@
 import pytest
 
-from burnside.errors import InvalidPrime
+from burnside.errors import InvalidPrime, ResolutionTooLarge
 from burnside.exttor import (ExtTorContext, ModuleType, ext_ranks, ext_report,
                              hom_base, prime_factors, tensor_base, tor_ranks,
                              tor_report, verify_squarefree)
-from burnside.resolution import ext_dims_pair
+from burnside.modp import blocks
+from burnside.resolution import (MinimalResolution, _resolution_cache,
+                                 betti_sequence, ext_dims_pair)
 from util import get_context, get_marks
 
 
@@ -224,3 +226,57 @@ def test_cross_class_reports_vanish():
         assert not cell.p_parts
         assert cell.module is not None and cell.module.is_zero() or cell.l == 0
     assert str(report.cell(0).module) == "0"
+
+
+def _report_or_error(build, ctx, i, j, L):
+    try:
+        return build(ctx, i, j, L).to_json()
+    except ResolutionTooLarge as exc:  # D4 and Q8 run out of budget below 8
+        return str(exc)
+
+
+@pytest.mark.parametrize(
+    "name", ["S3", "C6", "V4", "D4", "Q8", "C9", "C30", "D15"])
+def test_reports_from_a_shared_context_match_fresh_ones(name):
+    # the shared context answers every pair, each from the longest L down,
+    # so its rank sequences, cells and block resolutions serve many pairs
+    # and many L; a fresh context per pair shares nothing between pairs
+    marks = get_marks(name)
+    shared = ExtTorContext.from_marks(marks, name)
+    n = shared.ring.n
+    degrees = range(8, -1, -1)
+    answers = {(i, j): [(_report_or_error(ext_report, shared, i, j, L),
+                         _report_or_error(tor_report, shared, i, j, L))
+                        for L in degrees]
+               for i in range(n) for j in range(n)}
+    for (i, j), got in answers.items():
+        fresh = ExtTorContext.from_marks(marks, name)
+        want = [(_report_or_error(ext_report, fresh, i, j, L),
+                 _report_or_error(tor_report, fresh, i, j, L))
+                for L in reversed(degrees)]
+        assert got == want[::-1], (name, i, j)
+
+
+def test_c30_blocks_share_one_resolution_per_table():
+    ctx = ExtTorContext.from_marks(get_marks("C30"), "C30")
+    all_blocks = [b for p in ctx.primes for b in blocks(ctx.algebra(p))]
+    resolutions = {id(_resolution_cache(b)) for b in all_blocks}
+    assert (len(all_blocks), len(resolutions)) == (12, 3)
+    for block in all_blocks:
+        fresh = MinimalResolution(block)
+        fresh.extend_to(12)
+        assert betti_sequence(block, 12) == fresh.betti
+
+
+def test_ext_ranks_hand_out_fresh_prefixes():
+    ctx = ExtTorContext.from_marks(get_marks("C4"), "C4")
+    want = [0, 2, 2, 6, 10, 22, 42, 86]
+    ranks = ext_ranks(ctx, 0, 0, 2, 8)
+    assert ranks == want
+    ranks[:] = [-1] * 9
+    assert ext_ranks(ctx, 0, 0, 2, 8) == want
+    short = ext_ranks(ctx, 0, 0, 2, 3)
+    assert short == want[:3]
+    short.append(99)
+    assert ext_ranks(ctx, 0, 0, 2, 5) == want[:5]
+    assert tor_ranks(ctx, 0, 0, 2, 7) == want[1:]

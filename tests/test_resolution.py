@@ -198,7 +198,8 @@ def test_packed_column_matches_mul_coords(p, random_table, data):
     for b in range(s):
         eb = [1 if t == b else 0 for t in range(s)]
         expected = [c for comp in comps for c in _mul(table, p, comp, eb)]
-        assert _unpack(ops, ops.column(gen, n, b), n * s) == expected
+        col = ops.column(gen, ops.lead_mask(n), b)
+        assert _unpack(ops, col, n * s) == expected
 
 
 @settings(max_examples=60, deadline=None)
@@ -266,11 +267,11 @@ def _residual_betti(block, degree):
     betti = [1]
     kernel = [1 << (a * ops.width) for a in range(1, s)]
     for l in range(degree):
-        n_prev = betti[-1]
+        mask = ops.lead_mask(betti[-1])
         span = ops.echelon()
         for kappa in kernel:
             for a in range(1, s):
-                span.insert(ops.column(kappa, n_prev, a))
+                span.insert(ops.column(kappa, mask, a))
         gens = []
         for kappa in kernel:
             residual = span.reduce(kappa)
@@ -280,7 +281,7 @@ def _residual_betti(block, degree):
         betti.append(len(gens))
         if l + 1 < degree:
             kernel = ops.kernel_of_columns(
-                [ops.column(g, n_prev, a) for g in gens for a in range(s)])
+                [ops.column(g, mask, a) for g in gens for a in range(s)])
     return betti
 
 
@@ -314,12 +315,12 @@ def test_generators_form_a_basis_of_k_mod_mk(name, p, degree):
             res._compute_top_kernel()
         kernel = list(res._kernel)
         res.extend_to(l + 1)
-        n_prev = res.betti[l]
+        mask = ops.lead_mask(res.betti[l])
         # M.K from every basis element of M, not only the multipliers
         span = ops.echelon()
         for kappa in kernel:
             for a in range(1, s):
-                span.insert(ops.column(kappa, n_prev, a))
+                span.insert(ops.column(kappa, mask, a))
         mk_dim = span.dim
         gens = res.differentials[l]
         assert all(span.insert(g) for g in gens), (name, l)
@@ -392,9 +393,10 @@ def _stage_kernels(block, degree):
 
 def _mk_pivots(ops, kernel, n, multipliers):
     span = ops.echelon()
+    mask = ops.lead_mask(n)
     for kappa in kernel:
         for a in multipliers:
-            span.insert(ops.column(kappa, n, a))
+            span.insert(ops.column(kappa, mask, a))
     return span.rows.keys()
 
 
@@ -411,12 +413,13 @@ def test_socle_kills_every_kernel(name, p, degree):
     for block in blocks(get_context(name).algebra(p)):
         lanes = block.algebra.lanes
         for res, kernel, n in _stage_kernels(block, degree):
+            mask = res.ops.lead_mask(n)
             for x in block.socle:
                 for kappa in kernel:
                     prod = 0
                     for a, c in enumerate(x):
                         if c:
-                            col = res.ops.column(kappa, n, a)
+                            col = res.ops.column(kappa, mask, a)
                             prod = (prod ^ col if p == 2
                                     else lanes.reduce(prod + c * col))
                     assert prod == 0, (name, p)

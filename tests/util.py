@@ -1,5 +1,5 @@
-"""Shared caches so tests reuse groups, marks tables, and contexts, and a
-change of basis of a ring."""
+"""Shared caches so tests reuse groups, marks tables, and contexts, a
+change of basis of a ring, and dense views of the oracle's differentials."""
 
 from burnside.bring import BRing
 from burnside.exttor import ExtTorContext
@@ -45,9 +45,29 @@ def unimodular_change(ring) -> BRing:
                                for k in range(ring.n - 1)] + [basis[-1]])
 
 
+def dense_diffs(res) -> list[list[list[list[int]]]]:
+    """d_1 .. d_depth of an `IntegralResolution`, dense: column t of d_l
+    lists its m_{l-1} coordinates, each a vector over the ring basis, with
+    b_a at coordinate t // (n-1) and its integer parts at the basis index
+    of 1."""
+    n, one, bar = res.ring.n, res.one, res.bar
+    width = len(bar)
+    out = []
+    for m_prev, stage in zip(res.ranks, res.integer_parts):
+        columns = []
+        for t, ints in enumerate(stage):
+            col = [[0] * n for _ in range(m_prev)]
+            col[t // width][bar[t % width]] = 1
+            for s, k in ints.items():
+                col[s][one] = k
+            columns.append(col)
+        out.append(columns)
+    return out
+
+
 def r_multiples(ring, columns) -> list[list[int]]:
-    """b_k times each column of a dense differential (as in
-    `IntegralResolution.diffs`), as Z-vectors over the index s * n + m of
+    """b_k times each column of a dense differential (as `dense_diffs`
+    builds them), as Z-vectors over the index s * n + m of
     b_m e_s: the differential as a Z-matrix, column t * n + k being b_k
     times column t."""
     n = ring.n
