@@ -54,11 +54,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command")
     parser.set_defaults(command=None)
 
-    def common(p):
+    def common(p, report=True):
         p.add_argument("--group", help="named group: Cn, Dn, Sn, An, Q8, V4")
         p.add_argument("--gens", help='generators in cycle notation, '
                                       'e.g. "(1 2 3)(4 5), (1 2)"')
-        p.add_argument("--format", choices=["table", "json"], default="table")
+        if report:  # verify prints verdict lines only, in one format
+            p.add_argument("--format", choices=["table", "json"],
+                           default="table")
         p.add_argument("--cache-dir", default=None,
                        help=f"marks cache directory (env: {cache_mod.ENV_VAR})")
 
@@ -89,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
         p_e.set_defaults(func=cmd_ext_tor, kind=kind)
 
     p_v = sub.add_parser("verify", help="run a verification suite")
-    common(p_v)
+    common(p_v, report=False)
     p_v.add_argument("--suite", required=True,
                      choices=["squarefree", "dress", "blocks", "oracle"])
     p_v.add_argument("--max-degree", type=int, default=None)

@@ -1,40 +1,35 @@
-"""Exact integer linear algebra: kernels, Smith normal form, lattice solves.
-
-Dense matrices are lists of rows of Python ints, so coefficient growth is
-absorbed by arbitrary precision arithmetic.
+"""Exact integer linear algebra: the Smith normal form of sparse rows.
 
 Integer elimination runs on sparse rows: a row is a `dict[int, int]` from
-index to nonzero entry and its lead is `min(row)`.  Besides sign flips, two
-helpers do every update: `_add_multiple` (v += q * r in place, dropping
-cancelled entries) and `_bezout_pair` (the unimodular pair
-(x*u + y*v, ag*v - bg*u)).  An echelon maps each lead to one row, and one
-reduction loop, `_reduce`, drives both integer echelons: the kernel's
-(`kernel_of_sparse_columns`: each row carries its combination of the
-columns at the indices from `stop` on, past the matrix) and the Hermite
-one (`_hermite_echelon`, with `_reduce_above_pivots`).  The oracle's
-differentials have a few nonzeros per column, so a step costs the size of
-the rows it touches, not their length.
+index to nonzero entry and its lead is `min(row)`, so Python ints absorb
+coefficient growth and a step costs the size of the rows it touches, not
+their length (the oracle's differentials have a few nonzeros per column).
+Besides sign flips, two helpers do every update: `_add_multiple`
+(v += q * r in place, dropping cancelled entries) and `_bezout_pair` (the
+unimodular pair (x*u + y*v, ag*v - bg*u)).  An echelon maps each lead to
+one row, and one reduction loop, `_reduce`, drives the Hermite echelon
+(`_hermite_echelon`, with `_reduce_above_pivots`).  Its `stop` argument
+serves the tests' integer kernel (`tests/intlinalg_reference.py`), whose
+rows carry their combination of the columns past the matrix.
 
-Production is the Smith core alone: the oracle reads (co)homology off
-`sparse_smith_invariants`, which first eliminates every +-1 pivot (most
-invariant factors are 1; `_eliminate_units`), then takes the core left
-over through the Hermite echelon and the dense `_diagonalize`.
-
-The rest are the references the tests check the oracle against.
-`kernel_of_columns` is the dense front end of the sparse kernel, and
-`solve_integer` and `quotient_structure` (kernel lattice modulo image
-lattice) are read off that kernel, with no elimination of their own.
-`rank` stays on the dense `_diagonalize` on purpose, as an independent
-check of kernel dimensions.  Limit: `kernel_of_sparse_columns` blows up on
-the 80 x 320 Z-matrix of A4's bar `d_3` at j = 0 (not done after 100 s,
-where its Smith form takes 3 ms), so the references stay on smaller ones.
+The oracle reads (co)homology off `sparse_smith_invariants`, the one
+integer elimination here.  It first removes every +-1 pivot (most
+invariant factors are 1; `_eliminate_units`), then alternates Hermite
+echelons of the rows and of the columns of the core left over until every
+row holds one entry (Kannan and Bachem, SIAM J. Comput. 8, 1979; Cohen,
+GTM 138, section 2.4), and `_invariant_factors` turns those entries
+into the invariant factors.  The alternation terminates: each pass's
+leading pivot is the gcd of the previous echelon's first row, so it
+divides the previous leading pivot, and it stays the same only when that
+pivot divides its whole row and its column.  Then the next pass clears
+both, the pivot is a summand of its own that no later pass touches, and
+the same argument applies to the rest of the matrix, which has lower
+rank.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
-
-from .errors import InvariantViolation
 
 SparseRow = dict[int, int]
 Echelon = dict[int, SparseRow]  # lead -> row
@@ -53,67 +48,6 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     if g < 0:
         x, y, g = -x, -y, -g
     return g, x, y
-
-
-def _diagonalize(A: list[list[int]], ncols: int):
-    """Reduce A to a diagonal matrix D by unimodular row and column operations.
-
-    No divisibility normalization is done.
-    """
-    D = [row[:] for row in A]
-    m = len(D)
-    n = ncols
-
-    def row_op(i1, i2, j):
-        a, b = D[i1][j], D[i2][j]
-        if b == 0:
-            return
-        if a == 0:
-            D[i1], D[i2] = D[i2], D[i1]
-        elif b % a == 0:
-            q = -(b // a)
-            r1, r2 = D[i1], D[i2]
-            for jj in range(j, n):
-                r2[jj] += q * r1[jj]
-        else:
-            g, x, y = xgcd(a, b)
-            mbg, ag = -(b // g), a // g
-            r1, r2 = D[i1], D[i2]
-            for jj in range(j, n):
-                aa, bb = r1[jj], r2[jj]
-                r1[jj] = x * aa + y * bb
-                r2[jj] = mbg * aa + ag * bb
-
-    def col_op(j1, j2, i):
-        a, b = D[i][j1], D[i][j2]
-        if b == 0:
-            return
-        if a == 0:
-            for r in D:
-                r[j1], r[j2] = r[j2], r[j1]
-        elif b % a == 0:
-            q = -(b // a)
-            for r in D:
-                r[j2] += q * r[j1]
-        else:
-            g, x, y = xgcd(a, b)
-            mbg, ag = -(b // g), a // g
-            for r in D:
-                aa, bb = r[j1], r[j2]
-                r[j1] = x * aa + y * bb
-                r[j2] = mbg * aa + ag * bb
-
-    for k in range(min(m, n)):
-        while True:
-            for i in range(k + 1, m):
-                row_op(k, i, k)
-            if all(D[k][j] == 0 for j in range(k + 1, n)):
-                break
-            for j in range(k + 1, n):
-                col_op(k, j, k)
-            if all(D[i][k] == 0 for i in range(k + 1, m)):
-                break
-    return D
 
 
 def _add_multiple(v: SparseRow, q: int, r: SparseRow) -> None:
@@ -147,13 +81,6 @@ def _bezout_pair(u: SparseRow, v: SparseRow, x: int, y: int,
     return top, bottom
 
 
-def _dense(row: SparseRow, width: int) -> list[int]:
-    out = [0] * width
-    for k, x in row.items():
-        out[k] = x
-    return out
-
-
 def _reduce(echelon: Echelon, vec: SparseRow,
             stop: int | None = None) -> SparseRow | None:
     """Reduce the sparse row `vec` against `echelon` (lead -> row).
@@ -184,64 +111,6 @@ def _reduce(echelon: Echelon, vec: SparseRow,
     return vec
 
 
-def kernel_of_sparse_columns(columns: list[SparseRow]) -> list[list[int]]:
-    """Basis of the lattice {x : sum_j x_j * columns[j] = 0}, as dense
-    vectors of length len(columns), sorted.
-
-    Columns are inserted one by one into an integer row echelon; column j
-    enters with a 1 at index `stop + j`, past every row index, so its row
-    carries the combination of the columns it arises from.  Every update is
-    a unimodular operation on the rows, so the combinations left when a
-    column's matrix part reduces to zero form a genuine Z-basis of the
-    kernel, not merely a spanning set.
-    """
-    ncols = len(columns)
-    stop = 1 + max((k for col in columns for k in col), default=-1)
-    echelon: Echelon = {}
-    kernel = []
-    for j, col in enumerate(columns):
-        combo = _reduce(echelon, {**col, stop + j: 1}, stop)
-        if combo is not None:
-            kernel.append(_dense(combo, stop + ncols)[stop:])
-    kernel.sort(key=_vec_key)
-    return kernel
-
-
-def kernel_of_columns(A: list[list[int]], ncols: int) -> list[list[int]]:
-    """Basis of the lattice {x in Z^ncols : A @ x = 0} for dense rows A;
-    see `kernel_of_sparse_columns`."""
-    if any(len(row) != ncols for row in A):
-        raise InvariantViolation(f"matrix rows do not all have {ncols} columns")
-    columns: list[SparseRow] = [{} for _ in range(ncols)]
-    for i, row in enumerate(A):
-        for j, x in enumerate(row):
-            if x:
-                columns[j][i] = x
-    return kernel_of_sparse_columns(columns)
-
-
-def _vec_key(vec):
-    for i, x in enumerate(vec):
-        if x:
-            return (i, abs(x), vec)
-    return (len(vec), 0, vec)
-
-
-def rank(A: list[list[int]], ncols: int) -> int:
-    """Rank over Q (equivalently over Z up to torsion)."""
-    if not A:
-        return 0
-    D = _diagonalize(A, ncols)
-    return sum(1 for j in range(min(len(A), ncols)) if D[j][j] != 0)
-
-
-def smith_invariants(A: list[list[int]], ncols: int) -> list[int]:
-    """Nonzero invariant factors of A given by dense rows; see
-    `sparse_smith_invariants`."""
-    return sparse_smith_invariants(
-        [{k: x for k, x in enumerate(row) if x} for row in A], ncols)
-
-
 def sparse_smith_invariants(rows: list[SparseRow], ncols: int) -> list[int]:
     """Nonzero invariant factors d_1 | d_2 | ... of the matrix with these
     sparse rows over `ncols` columns, ascending; `rows` is not modified.
@@ -249,28 +118,36 @@ def sparse_smith_invariants(rows: list[SparseRow], ncols: int) -> list[int]:
     The longer side is taken as the rows (transposing keeps the Smith
     form).  Every unit pivot is eliminated first (`_eliminate_units`):
     each one splits off an invariant factor 1, and most of the oracle's
-    factors are 1.  Only the core left over is compressed to the
-    Hermite-reduced basis of its row lattice: rank many rows whose entries
-    are bounded by the pivots.  Row operations keep the Smith form, so only
-    that small matrix, restricted to the columns it meets, is made dense
-    and diagonalized (Cohen, GTM 138, section 2.4).  Diagonalizing the raw
-    matrix instead lets entries blow up: it does not finish in minutes on
-    a 256 x 64 oracle differential.
+    factors are 1.  The core left over is compressed to the Hermite-reduced
+    basis of its row lattice: rank many rows whose entries are bounded by
+    the pivots.  Column operations keep the Smith form too, so the Hermite
+    echelon of the columns comes next, and the two alternate until every
+    row holds one entry.  This ends: each pass's leading pivot divides the
+    one before, and when it stays the same it divides its row and its
+    column, which the pass clears for good, leaving a matrix of lower
+    rank.  The Hermite reduction keeps entries small: diagonalizing the
+    raw matrix lets them blow up, and does not finish in minutes on a
+    256 x 64 oracle differential.
     """
     if len(rows) < ncols:
-        cols: list[SparseRow] = [{} for _ in range(ncols)]
-        for i, row in enumerate(rows):
-            for j, x in row.items():
-                cols[j][i] = x
-        rows = cols
+        rows = _transpose(rows)
     units, core = _eliminate_units(rows)
     echelon = _hermite_echelon(core)
-    if not echelon:
-        return [1] * units
-    hermite = [echelon[lead] for lead in sorted(echelon)]
-    width = sorted(set().union(*hermite))
-    dense = [[row.get(k, 0) for k in width] for row in hermite]
-    return [1] * units + _invariant_factors(_diagonalize(dense, len(width)))
+    while any(len(row) > 1 for row in echelon.values()):
+        echelon = _hermite_echelon(
+            _transpose(echelon[lead] for lead in sorted(echelon)))
+    return [1] * units + _invariant_factors(
+        [x for row in echelon.values() for x in row.values()])
+
+
+def _transpose(rows: Iterable[SparseRow]) -> list[SparseRow]:
+    """The nonempty columns of these sparse rows, left to right, each as a
+    sparse row indexed by row position."""
+    cols: dict[int, SparseRow] = {}
+    for i, row in enumerate(rows):
+        for j, x in row.items():
+            cols.setdefault(j, {})[i] = x
+    return [cols[j] for j in sorted(cols)]
 
 
 def _eliminate_units(rows: list[SparseRow]) -> tuple[int, list[SparseRow]]:
@@ -333,10 +210,10 @@ def _eliminate_units(rows: list[SparseRow]) -> tuple[int, list[SparseRow]]:
     return units, [row for row in work.values() if row]
 
 
-def _invariant_factors(D: list[list[int]]) -> list[int]:
-    """Invariant factors of a diagonal matrix, ascending, zeros dropped."""
-    diag = [abs(D[j][j]) for j in range(min(len(D), len(D[0])))
-            if D[j][j] != 0]
+def _invariant_factors(entries: list[int]) -> list[int]:
+    """Invariant factors of the diagonal matrix with these diagonal
+    entries, ascending, zeros dropped."""
+    diag = [abs(x) for x in entries if x]
     # fix divisibility: diag(a, b) is equivalent to diag(gcd, lcm)
     changed = True
     while changed:
@@ -349,45 +226,6 @@ def _invariant_factors(D: list[list[int]]) -> list[int]:
                     diag[i], diag[j] = g, a * b // g
                     changed = True
     return sorted(diag)
-
-
-def solve_integer(A: list[list[int]], B: list[list[int]]) -> list[list[int]]:
-    """Solve A @ Y = B where A has full column rank; assert Y is integral.
-
-    Read off integer kernels: A has full column rank exactly when its
-    kernel is 0, and then the kernel of [A | -B_j] is 0 (no solution) or
-    spanned by one primitive (y, t) with A y = t B_j, t != 0; column j is
-    integral exactly when t = +-1, and then Y_j = t y.  Used to express
-    lattice vectors (columns of B) in a lattice basis (columns of A).
-    """
-    r = len(A[0]) if A else 0
-    if kernel_of_columns(A, r):
-        raise ValueError("matrix does not have full column rank")
-    q = len(B[0]) if B else 0
-    Y = [[0] * q for _ in range(r)]
-    for j in range(q):
-        kernel = kernel_of_columns([[*a, -b[j]] for a, b in zip(A, B)], r + 1)
-        if not kernel:
-            raise ValueError("system is inconsistent")
-        *y, t = kernel[0]
-        if t not in (1, -1):
-            raise ValueError("non-integral solution entry")
-        for i, x in enumerate(y):
-            Y[i][j] = t * x
-    return Y
-
-
-def lattice_span_basis(vectors: list[list[int]]) -> list[list[int]]:
-    """Hermite-reduced basis of the lattice spanned by the given vectors.
-
-    Entries above each pivot are reduced modulo the pivot as rows come
-    in; without that normalization the Bezout updates blow coefficients
-    up exponentially in the number of insertions.
-    """
-    width = len(vectors[0]) if vectors else 0
-    echelon = _hermite_echelon({k: x for k, x in enumerate(vec) if x}
-                               for vec in vectors)
-    return [_dense(echelon[lead], width) for lead in sorted(echelon)]
 
 
 def _hermite_echelon(rows: Iterable[SparseRow]) -> Echelon:
@@ -428,35 +266,3 @@ def _reduce_above_pivots(echelon: Echelon) -> None:
                     break
             else:
                 break
-
-
-def quotient_structure(kernel_basis: list[list[int]],
-                       image_columns: list[list[int]]) -> tuple[int, list[int]]:
-    """Structure of (Z-span of kernel_basis) / (Z-span of image_columns).
-
-    Both argument lists hold vectors in the same ambient Z^m, with the
-    image contained in the kernel span.  Returns (free_rank, invariants)
-    where invariants are the cyclic orders > 1, ascending.
-    """
-    if not kernel_basis:
-        return 0, []
-    image = lattice_span_basis(image_columns)
-    Y = solve_integer([list(row) for row in zip(*kernel_basis)],
-                      [list(row) for row in zip(*image)])
-    invs = smith_invariants(Y, len(image))
-    return len(kernel_basis) - len(invs), [d for d in invs if d > 1]
-
-
-def mat_mul(A: list[list[int]], B: list[list[int]]) -> list[list[int]]:
-    n = len(B)
-    q = len(B[0]) if B else 0
-    out = []
-    for row in A:
-        acc = [0] * q
-        for k, a in enumerate(row):
-            if a:
-                bk = B[k]
-                for j in range(q):
-                    acc[j] += a * bk[j]
-        out.append(acc)
-    return out

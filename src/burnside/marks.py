@@ -1,9 +1,9 @@
 """Table of marks, and Burnside ring elements over its [G/H] basis.
 
 Marks are read off the members of each subgroup class by containment;
-`CosetAction.fixed_points` and `double_count_mark` count them again,
-independently, for the tests and `verify_marks`.  The arithmetic of the
-elements is that of the table's `BRing`.
+`CosetAction.fixed_points` and the double count of
+`tests/marks_reference.py` count them again, independently, for the
+tests.  The arithmetic of the elements is that of the table's `BRing`.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .bring import BRing
-from .errors import BasisMismatch, InvariantViolation
+from .errors import BasisMismatch
 from .permgroup import PermGroup, SubgroupClassTable, subgroup_classes
 
 
@@ -135,39 +135,6 @@ def table_of_marks(group: PermGroup,
             row[j] += weyl
         matrix.append(row)
     return MarksTable(class_table, matrix)
-
-
-def double_count_mark(group: PermGroup, class_table: SubgroupClassTable,
-                      h: int, j: int) -> int:
-    """Redundant cross-check: |{g : g^-1 J g <= H}| / |H|."""
-    H = class_table[h].representative
-    J = class_table[j].representative
-    table, inverses = group.table, group.inverses
-    count = 0
-    for g in range(group.order):
-        row = table[inverses[g]]
-        if all(H.mask >> table[row[x]][g] & 1 for x in J.gens):
-            count += 1
-    if count % H.order:
-        raise InvariantViolation(
-            f"double count {count} for marks ({class_table[h].label}, "
-            f"{class_table[j].label}) is not a multiple of |H| = {H.order}")
-    return count // H.order
-
-
-def verify_marks(table: MarksTable) -> None:
-    """Assert the structural invariants and the double-count formula."""
-    group = table.class_table.group
-    n = table.size
-    for h in range(n):
-        for j in range(n):
-            expected = double_count_mark(group, table.class_table, h, j)
-            if table.matrix[h][j] != expected:
-                raise InvariantViolation(
-                    f"mark ({h},{j}) fixed-coset count {table.matrix[h][j]} "
-                    f"!= double count {expected}")
-            if j > h and table.matrix[h][j] != 0:
-                raise InvariantViolation("marks table is not lower triangular")
 
 
 def ghost(x: BurnsideElement) -> list[int]:

@@ -38,9 +38,10 @@ its transpose share a Smith form.  Everything runs on the nonzero entries:
 each stage keeps, per column, only its multiples of 1 as a sparse row
 (its index says where b_a sits), the next stage is built from them, and
 E_l is those rows plus phi_i(b_a) at each b_a, handed to
-`sparse_smith_invariants`, which splits off the unit pivots before its
-Hermite step.  `evaluation_matrix` is a dense view built on demand for
-the tests and `oracle_ext_simple_dims`.
+`sparse_smith_invariants`, which splits off the unit pivots, then
+alternates Hermite echelons of the rows and of the columns of the core
+left over until it is diagonal.  `evaluation_matrix` is a dense view
+built on demand for the tests and `oracle_ext_simple_dims`.
 The oracle reads only the structure constants and the marks, no block or
 p-local data.  On a shared 2-core host,
 `verify --suite oracle` takes about 0.3 s per process for V4 and for A4

@@ -142,6 +142,17 @@ def test_verify_suites(capsys, tmp_path, suite, group, expect_code, needle):
     assert needle in out
 
 
+@pytest.mark.parametrize("fmt", ["json", "table"])
+def test_verify_takes_no_format(capsys, tmp_path, fmt):
+    # verify prints a verdict line, not a report: --format is a usage error
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--group", "S3", "--suite", "dress", "--format", fmt,
+              "--cache-dir", str(tmp_path)])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "unrecognized arguments: --format" in err
+
+
 def _never_same(self, other):
     return False
 

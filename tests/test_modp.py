@@ -6,9 +6,9 @@ from hypothesis import given, settings, strategies as st
 from burnside.errors import InvalidPrime, InvariantViolation, NotLocal
 from burnside.exttor import prime_factors
 from burnside.fplinalg import FpEchelon, FpLanes, pack
-from burnside.modp import (ModPAlgebra, _mul, blocks, blocks_report,
-                           nilpotent_span, radical)
+from burnside.modp import ModPAlgebra, blocks, blocks_report, radical
 from burnside.permgroup import is_prime
+from modp_reference import _mul, nilpotent_span
 from util import get_context, unimodular_change
 
 CORPUS = ["S3", "C4", "C6", "V4", "D4", "Q8", "S4"]

@@ -5,9 +5,10 @@ from burnside.errors import InvariantViolation, ResolutionTooLarge
 from burnside.exttor import (ModuleType, ext_report, prime_factors, tor_report)
 from burnside.oracle import (IntegralResolution, oracle_ext,
                              oracle_ext_simple_dims, oracle_tor)
-from burnside.intlinalg import (kernel_of_columns, mat_mul, quotient_structure,
-                                smith_invariants, sparse_smith_invariants)
+from burnside.intlinalg import sparse_smith_invariants
 from burnside.resolution import ext_dims_pair
+from intlinalg_reference import (kernel_of_columns, mat_mul,
+                                 quotient_structure, smith_invariants)
 from util import dense_diffs, get_context, r_multiples, unimodular_change
 
 

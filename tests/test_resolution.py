@@ -7,10 +7,11 @@ from burnside.bring import BRing
 from burnside.errors import InvariantViolation, ResolutionTooLarge
 from burnside.exttor import prime_factors
 from burnside.fplinalg import fp_rank
-from burnside.modp import ModPAlgebra, _mul, blocks
+from burnside.modp import ModPAlgebra, blocks
 from burnside.resolution import (MinimalResolution, betti_growth_certificate,
                                  betti_sequence, ext_dims_pair, shared_block,
                                  tor_dims_pair)
+from modp_reference import _mul
 from util import get_context
 
 
