@@ -318,6 +318,28 @@ def test_check_associative_accepts_non_commutative_table():
     algebra.check_associative()
 
 
+@pytest.mark.parametrize("p,distinct", [(2, 17), (3, 31), (5, 40)])
+def test_check_associative_combines_each_distinct_product_once(
+        monkeypatch, p, distinct):
+    # C2^3 has 16 subgroups, so 256 products e_k e_l; the table is
+    # commutative, so both sides share one combination per distinct product
+    algebra = ModPAlgebra(get_context("(1 2),(3 4),(5 6)").ring, p)
+    n = algebra.dim
+    products = {block for v in algebra.left
+                for block in algebra.split_blocks(v, n)}
+    assert (n, len(products)) == (16, distinct)
+    calls = []
+    combine = algebra.combine
+
+    def counted(coeffs, table):
+        calls.append(tuple(coeffs))
+        return combine(coeffs, table)
+
+    monkeypatch.setattr(algebra, "combine", counted)
+    algebra.check_associative()
+    assert len(calls) == len(set(calls)) == distinct
+
+
 def _associative_by_reference(table, p):
     """The plain triple loop over `_mul`, both sides of every triple, for
     table[k][l] the nonzero (m, c) of e_k e_l."""

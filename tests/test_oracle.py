@@ -236,6 +236,68 @@ def test_smith_cache_matches_quotient_route(name, L, pairs):
         assert oracle_tor(ctx, i, j, L) == _reference_tor(res, i, L), (i, j)
 
 
+def _reversed_digits(t, digits, base):
+    """t with its `digits` base-`base` digits in reverse order."""
+    out = 0
+    for _ in range(digits):
+        t, d = divmod(t, base)
+        out = out * base + d
+    return out
+
+
+@pytest.mark.parametrize("name", ["S3", "C6", "V4", "A4"])
+def test_reversed_bar_factors_swap_source_and_target(name):
+    # [a_1|...|a_l] -> [a_l|...|a_1] takes B(Z_i, R, Z_j) to B(Z_j, R, Z_i):
+    # E_l(i, j) is E_l(j, i) with rows and columns digit-reversed (the
+    # front factor is the lowest base-(n-1) digit) and some rows negated
+    ring = get_context(name).ring
+    n = ring.n
+    base = n - 1
+    resolutions = [IntegralResolution(ring, j) for j in range(n)]
+    for res in resolutions:
+        res.extend_to(4)
+    for i in range(n):
+        for j in range(n):
+            for l in range(1, 5):
+                rows = resolutions[j].evaluation_rows(l, i)
+                other = resolutions[i].evaluation_rows(l, j)
+                for t, row in enumerate(rows):
+                    moved = {_reversed_digits(s, l - 1, base): x
+                             for s, x in row.items()}
+                    image = other[_reversed_digits(t, l, base)]
+                    assert moved in (image, {s: -x for s, x in image.items()}
+                                     ), (i, j, l, t)
+
+
+def _direct_modules(ring, i, j, L):
+    """(Ext, Tor) read off Z_j's own resolution at mark i, for l = 0..L."""
+    res = IntegralResolution(ring, j)
+    res.extend_to(L + 1)
+    ext, tor = [], []
+    for l in range(L + 1):
+        (r, down), (r_up, up) = res.smith_form(l, i), res.smith_form(l + 1, i)
+        free = res.ranks[l] - r - r_up
+        ext.append(ModuleType(free, down))
+        tor.append(ModuleType(free, up))
+    return ext, tor
+
+
+@pytest.mark.parametrize("name", ["S3", "C6", "V4", "A4"])
+def test_oracle_reads_swapped_pairs_off_the_larger_index(name):
+    # for i > j the oracle evaluates Z_i's resolution at mark j; the
+    # modules must be those of Z_j's resolution at mark i
+    ctx = get_context(name)
+    n = ctx.ring.n
+    for i in range(n):
+        for j in range(i):
+            ext, tor = _direct_modules(ctx.ring, i, j, 3)
+            assert oracle_ext(ctx, i, j, 3) == ext, (i, j)
+            assert oracle_tor(ctx, i, j, 3) == tor, (i, j)
+    # every pair is read at a mark no larger than its resolution's index
+    assert all(mark <= j for j, res in ctx.integral_resolutions.items()
+               for _, mark in res.smith)
+
+
 @pytest.mark.parametrize("name", ["S3", "C6", "V4"])
 def test_sparse_evaluation_matches_dense_reference(name):
     ring = get_context(name).ring
