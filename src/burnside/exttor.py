@@ -14,7 +14,8 @@ resolution per distinct block table (`resolution._resolution_cache`), one
 p-rank sequence per (p, block, i == j) in `ext_ranks`, and one frozen
 `DegreeCell` per degree and p-parts.  A report does only its pair's own
 work: the labels, degree 0 and the check that no p-rank sits at a prime
-coprime to the annihilator.
+coprime to the annihilator, and `verify_squarefree` builds one report per
+pair signature, the three things above, instead of one per pair.
 """
 
 from __future__ import annotations
@@ -332,14 +333,24 @@ def verify_squarefree(ctx: ExtTorContext, L: int) -> SquarefreeResult:
     """Check Ext^l = Ext^{l+2} exactly for 1 <= l <= L-2, all ordered pairs.
 
     Only applicable when the group order is square-free; degree 0 is a
-    Hom group and stays outside the periodicity claim.
+    Hom group and stays outside the periodicity claim.  Degrees 1 and up
+    of a pair, their cells and their checks, are fixed by its signature
+    (`_pair_signature`), so pairs are scanned in (i, j) order and a report
+    is built for the first pair of each signature only: a later pair of
+    a seen signature passes as that one did, and the first failing pair
+    is the one a scan of every pair finds.
     """
     order = ctx.group_order
     if any(order % (p * p) == 0 for p in prime_factors(order)):
         return SquarefreeResult(False, False)
     n = ctx.ring.n
+    seen = set()
     for i in range(n):
         for j in range(n):
+            signature = _pair_signature(ctx, i, j)
+            if signature in seen:
+                continue
+            seen.add(signature)
             report = ext_report(ctx, i, j, L)
             for l in range(1, L - 1):
                 a, b = report.cell(l), report.cell(l + 2)
@@ -347,3 +358,16 @@ def verify_squarefree(ctx: ExtTorContext, L: int) -> SquarefreeResult:
                     return SquarefreeResult(
                         True, False, (ctx.ring.labels[i], ctx.ring.labels[j], l))
     return SquarefreeResult(True, True)
+
+
+def _pair_signature(ctx: ExtTorContext, i: int, j: int) -> tuple:
+    """What degrees 1 and up of Ext(Z_i, Z_j) depend on (module docstring):
+    whether i == j and, for each prime of `ctx.primes`, the index of the
+    p-class the pair shares (None across classes) and the p-valuation of
+    the exponent bound."""
+    bound = ctx.exponent_bound(i, j)
+    dmat = ctx.dmat
+    return (i == j, tuple(
+        (ctx.algebra(p).partition.class_index_of(i)
+         if dmat.same_p_class(i, j, p) else None, p_valuation(bound, p))
+        for p in ctx.primes))

@@ -1,12 +1,15 @@
 import pytest
 
+from burnside import exttor
 from burnside.errors import InvalidPrime, ResolutionTooLarge
-from burnside.exttor import (ExtTorContext, ModuleType, ext_ranks, ext_report,
-                             hom_base, prime_factors, tensor_base, tor_ranks,
-                             tor_report, verify_squarefree)
+from burnside.exttor import (ExtTorContext, ModuleType, SquarefreeResult,
+                             ext_ranks, ext_report, hom_base, prime_factors,
+                             tensor_base, tor_ranks, tor_report,
+                             verify_squarefree)
 from burnside.modp import blocks
 from burnside.resolution import (MinimalResolution, _resolution_cache,
                                  betti_sequence, ext_dims_pair)
+from exttor_reference import verify_squarefree_per_pair
 from util import get_context, get_marks
 
 
@@ -140,6 +143,51 @@ def test_verify_squarefree_passes(name):
     result = verify_squarefree(get_context(name), 12)
     assert result.applicable and result.passed
     assert result.verdict == "pass"
+
+
+@pytest.mark.parametrize("name", ["C30", "D15"])
+def test_verify_squarefree_matches_the_per_pair_scan(name, monkeypatch):
+    # one report per pair signature, not per ordered pair
+    ctx = get_context(name)
+    assert verify_squarefree_per_pair(ctx, 12) == SquarefreeResult(True, True)
+    built = []
+    report = exttor.ext_report
+
+    def counting(ctx, i, j, L):
+        built.append((i, j))
+        return report(ctx, i, j, L)
+
+    monkeypatch.setattr(exttor, "ext_report", counting)
+    assert verify_squarefree(ctx, 12) == SquarefreeResult(True, True)
+    n = ctx.ring.n
+    signatures = {exttor._pair_signature(ctx, i, j)
+                  for i in range(n) for j in range(n)}
+    assert len(built) == len(signatures) < n * n
+
+
+@pytest.mark.parametrize("diagonal", [True, False])
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_verify_squarefree_finds_the_first_failing_pair(p, diagonal):
+    # a rank sequence of the last block at p, tampered in a fresh context,
+    # breaks periodicity for every pair that reads it, and for no pair of
+    # another block; the counterexample is the first such pair in (i, j)
+    # order, as in the per-pair scan
+    ctx = ExtTorContext.from_marks(get_marks("C30"), "C30")
+    n, L = ctx.ring.n, 10
+    part = ctx.algebra(p).partition
+    pairs = [(i, j) for i in range(n) for j in range(n)
+             if (i == j) == diagonal and ctx.dmat.same_p_class(i, j, p)]
+    last = max(part.class_index_of(i) for i, _ in pairs)
+    i, j = next((i, j) for i, j in pairs if part.class_index_of(i) == last)
+    key = (p, last, diagonal)
+    ranks = ext_ranks(ctx, i, j, p, L)
+    ranks[4] += 1
+    ctx._ranks[key] = ranks
+    result = verify_squarefree(ctx, L)
+    assert result == verify_squarefree_per_pair(ctx, L)
+    assert not result.passed
+    assert result.counterexample[:2] == (ctx.ring.labels[i],
+                                         ctx.ring.labels[j])
 
 
 def test_verify_squarefree_not_applicable():

@@ -508,3 +508,102 @@ def test_understated_m_squared_dim_raises(name, p):
     with pytest.raises(InvariantViolation,
                        match="without filling M\\^2 times the free module"):
         MinimalResolution(broken).extend_to(6)
+
+
+def _full_elimination_stages(block, degree):
+    """Kernels of stages 0..degree-1 and the differentials d_1..d_degree
+    by full elimination: every stage passes all n . s columns e_a . g to
+    `kernel_of_columns`, and M.K is spanned from every e_1..e_{s-1}."""
+    ops = MinimalResolution(block).ops
+    s = block.dim
+    kernel = [1 << (a * ops.width) for a in range(1, s)]
+    kernels, diffs = [kernel], []
+    n = 1  # components of the free module the kernel lies in
+    for l in range(degree):
+        mask = ops.lead_mask(n)
+        span = ops.echelon()
+        for kappa in kernel:
+            for a in range(1, s):
+                span.insert(ops.column(kappa, mask, a))
+        gens = [kappa for kappa in kernel
+                if ops.top_lane(kappa) not in span.rows]
+        diffs.append(gens)
+        if l + 1 < degree:
+            kernel = ops.kernel_of_columns(
+                [ops.column(g, mask, a) for g in gens for a in range(s)])
+            kernels.append(kernel)
+        n = len(gens)
+    return kernels, diffs
+
+
+# the square-zero blocks, where every e_a with a >= 1 annihilates M
+SQUARE_ZERO_CORPUS = [
+    ("C4", 2, 7), ("C8", 2, 5), ("C9", 3, 7), ("C27", 3, 5), ("S3", 3, 8),
+    ("C25", 5, 7), ("C30", 2, 8), ("C30", 3, 8), ("C30", 5, 8),
+]
+
+
+def _square_zero_blocks(name, p):
+    return [block for block in blocks(get_context(name).algebra(p))
+            if block.m_squared_dim() == 0]
+
+
+@pytest.mark.parametrize("name, p, degree",
+                         RESIDUAL_CORPUS + SQUARE_ZERO_CORPUS)
+def test_stage_kernels_match_full_elimination(name, p, degree):
+    # annihilated columns are left out of the elimination and their unit
+    # kernel vectors merged back; kernels and differentials are those of
+    # eliminating every column
+    corpus = (blocks(get_context(name).algebra(p))
+              if (name, p, degree) in RESIDUAL_CORPUS
+              else _square_zero_blocks(name, p))
+    assert corpus
+    for block in corpus:
+        kernels, diffs = _full_elimination_stages(block, degree)
+        stages = list(_stage_kernels(block, degree))
+        res = stages[0][0]
+        res.extend_to(degree)
+        assert [kernel for _, kernel, _ in stages] == kernels, (name, p)
+        assert res.differentials == diffs, (name, p)
+        assert res.betti == [1] + [len(d) for d in diffs]
+
+
+@pytest.mark.parametrize("name, p", [("C9", 3), ("C4", 2)])
+def test_square_zero_stages_form_no_product(name, p):
+    block = _block(name, p)
+    assert block.m_squared_dim() == 0
+    assert block.annihilator_indices == tuple(range(1, block.dim))
+    res = MinimalResolution(block)
+    ops, s = res.ops, block.dim
+    calls = []
+    column = ops.column
+
+    def counting(gen, mask, basis_idx):
+        calls.append(basis_idx)
+        return column(gen, mask, basis_idx)
+
+    ops.column = counting
+    for l in range(8):
+        if l:
+            res._compute_top_kernel()
+        # the kernel is the unit vectors of M.F, in lane order
+        assert res._kernel == [1 << ((i * s + a) * ops.width)
+                               for i in range(res.betti[l])
+                               for a in range(1, s)], (name, l)
+        res.extend_to(l + 1)
+    assert calls == []
+    assert res.betti == [(s - 1) ** l for l in range(9)]
+
+
+@pytest.mark.parametrize("name, p", sorted(
+    {(name, p) for name, p, _ in RESIDUAL_CORPUS + SQUARE_ZERO_CORPUS}))
+def test_annihilator_indices_are_the_basis_elements_in_the_socle(name, p):
+    # independent route: e_a lies in Ann(M) iff adding it to the socle's
+    # basis leaves the rank unchanged
+    for block in blocks(get_context(name).algebra(p)):
+        socle_rank = fp_rank(block.socle, p)
+        in_socle = tuple(
+            a for a in range(1, block.dim)
+            if fp_rank(block.socle + [[int(m == a) for m in range(block.dim)]],
+                       p) == socle_rank)
+        assert block.annihilator_indices == in_socle, (name, p)
