@@ -25,8 +25,6 @@ code path it checks.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
-
 
 class FpEchelon:
     """Row space in echelon form over F_p; supports reduce/insert/dim."""
@@ -110,27 +108,16 @@ class Gf2Echelon:
         return len(self.rows)
 
 
-def gf2_kernel_of_columns(cols: Iterable, ncols: int | None = None) -> list[int]:
+def gf2_kernel_of_columns(cols: list[int]) -> list[int]:
     """Combination masks c (bit j <-> column j) with XOR of chosen columns 0.
 
     The masks form a basis of the nullspace of the matrix whose columns
     are the given ints.  Columns are reduced by top bit, so mask j has its
     top bit at j: the basis is in echelon form by top lane.
-
-    `cols` lists the columns in order, or, when `ncols` is given, yields
-    (j, column) pairs for increasing j < ncols, and every index it skips is
-    a zero column: it goes through no elimination and contributes the unit
-    mask 1 << j, merged in at its place.
     """
-    if ncols is None:
-        ncols, cols = len(cols), enumerate(cols)
     kernel = []
     ech: dict[int, tuple[int, int]] = {}
-    nxt = 0
-    for j, v in cols:
-        if j > nxt:
-            kernel += [1 << t for t in range(nxt, j)]
-        nxt = j + 1
+    for j, v in enumerate(cols):
         combo = 1 << j
         while v:
             top = v.bit_length()
@@ -142,8 +129,6 @@ def gf2_kernel_of_columns(cols: Iterable, ncols: int | None = None) -> list[int]
             combo ^= hit[1]
         else:
             kernel.append(combo)
-    if nxt < ncols:
-        kernel += [1 << t for t in range(nxt, ncols)]
     return kernel
 
 
@@ -249,41 +234,32 @@ class FpLaneEchelon:
         return len(self.rows)
 
 
-def fp_lane_kernel_of_columns(cols: Iterable, lanes: FpLanes,
-                              ncols: int | None = None) -> list[int]:
+def fp_lane_kernel_of_columns(cols: list[int], lanes: FpLanes) -> list[int]:
     """Combinations c (lane j <-> column j) with sum c_j * column_j = 0.
 
     The combinations form a basis of the nullspace of the matrix whose
     columns are the given packed vectors.  Column j is shifted above
-    `ncols` lanes and eliminated together with its unit combination in
-    lane j below, so one row operation updates both; a column whose
+    `len(cols)` lanes and eliminated together with its unit combination
+    in lane j below, so one row operation updates both; a column whose
     matrix part vanishes leaves its combination as a kernel vector, with
     coefficient 1 at lane j and nothing above: the basis is in echelon
     form by top lane.
-
-    `cols` lists the columns in order, or, when `ncols` is given, yields
-    (j, column) pairs for increasing j < ncols, and every index it skips is
-    a zero column: it goes through no elimination and contributes its unit
-    combination, merged in at its place.
     """
-    if ncols is None:
-        ncols, cols = len(cols), enumerate(cols)
     ech = FpLaneEchelon(lanes)
     w = lanes.width
-    shift = ncols * w
+    shift = len(cols) * w
     kernel = []
-    nxt = 0
-    for j, col in cols:
-        if j > nxt:
-            kernel += [1 << (t * w) for t in range(nxt, j)]
-        nxt = j + 1
+    for j, col in enumerate(cols):
+        if not col:
+            # every pivot lies above `shift`, so no row reduces the unit
+            # combination of a zero column
+            kernel.append(1 << (j * w))
+            continue
         v = ech.reduce(col << shift | 1 << (j * w))
-        if v.bit_length() > shift:
+        if v >> shift:
             ech._store(v)
         else:
             kernel.append(v)
-    if nxt < ncols:
-        kernel += [1 << (t * w) for t in range(nxt, ncols)]
     return kernel
 
 

@@ -38,23 +38,17 @@ every kernel vector is a generator and no product is formed.
 
 The idempotent column.  The differential's columns are the products
 e_a . g for every generator g and every a; e_0 is the block idempotent,
-the unit of the block, so the column of e_0 is g itself.  Every vector
-a stage multiplies lies in M.F, so its lane 0 is zero in each component
-and the e_0 term of a product e_a . g vanishes; `column` forms that term
-only for a vector with a nonzero lane 0.
+the unit of the block, so the column of e_0 is g itself.
 
 Annihilated columns.  An e_a with a >= 1 that lies in Ann(M)
 (`LocalBlock.annihilator_indices`) kills M.F, so its column e_a . g is
-zero for every generator g.  Such a column is not formed: in the
-elimination it contributes the unit kernel vector of its own lane and
-nothing else, so only the live columns are eliminated, fed lazily with
-their global indices, and the kernels (`fplinalg`) merge the unit
-vectors back in lane order.  The kernel is the one a full elimination
-of all n . s columns returns.  In a square-zero block every e_a with
-a >= 1 is annihilated: a stage forms no product, eliminates only the
-generators g, which are distinct unit vectors, and its kernel is the
-unit vectors of M.F; M.K is 0 there, so every kernel vector is a
-generator and no top lane is read.
+zero for every generator g.  Such a column is not formed but passed to
+the elimination as 0, which leaves it the unit kernel vector of its own
+lane at once; the kernel is that of the full matrix.  In a square-zero
+block every e_a with a >= 1 is annihilated: a stage forms no product,
+its only nonzero columns are the generators g, distinct unit vectors,
+and its kernel is the unit vectors of M.F; M.K is 0 there, so every
+kernel vector is a generator.
 
 Free ranks of unbounded blocks grow geometrically, so beyond a feasible
 window the exact computation is supplemented by a growth certificate: for
@@ -84,8 +78,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
-from operator import or_
 
 from .errors import InvariantViolation, ResolutionTooLarge
 from .fplinalg import (FpLaneEchelon, Gf2Echelon,
@@ -103,8 +95,6 @@ class _LaneOps:
     of e_a * e_b.  Masking lane a of every component and multiplying by
     that packed product writes the product into each component's own s
     lanes at once, so applying e_b costs s big-int operations.
-    `m_table[b]` leaves out a = 0, whose term vanishes on every vector of
-    M.F.
     """
 
     def __init__(self, block: LocalBlock, width: int):
@@ -115,8 +105,6 @@ class _LaneOps:
         self.table = [[(a * width, self.pack(block.mult[a][b]))
                        for a in range(s) if any(block.mult[a][b])]
                       for b in range(s)]
-        self.m_table = [[term for term in terms if term[0]]
-                        for terms in self.table]
 
     def pack(self, coords) -> int:
         """Coordinates mod p, one per lane."""
@@ -145,17 +133,15 @@ class _Gf2Ops(_LaneOps):
         super().__init__(block, 1)
 
     def column(self, gen: int, mask: int, basis_idx: int) -> int:
-        """The flat image of (basis element) * gen, componentwise, for any
-        vector gen; `mask` is `lead_mask` of gen's number of components.
-        The e_0 term is formed only when gen has a nonzero lane 0."""
+        """The flat image of (basis element) * gen, componentwise; `mask`
+        is `lead_mask` of gen's number of components."""
         out = 0
-        for shift, prod in (self.table if gen & mask
-                            else self.m_table)[basis_idx]:
+        for shift, prod in self.table[basis_idx]:
             out ^= ((gen >> shift) & mask) * prod
         return out
 
-    def kernel_of_columns(self, cols, ncols: int | None = None) -> list[int]:
-        return gf2_kernel_of_columns(cols, ncols)
+    def kernel_of_columns(self, cols: list[int]) -> list[int]:
+        return gf2_kernel_of_columns(cols)
 
     def echelon(self):
         return Gf2Echelon()
@@ -175,14 +161,12 @@ class _FpOps(_LaneOps):
         self.batch = (lanes.limit - (p - 1)) // ((p - 1) * (p - 1))
 
     def column(self, gen: int, mask: int, basis_idx: int) -> int:
-        """The flat image of (basis element) * gen, componentwise, for any
-        vector gen; `mask` is `lead_mask` of gen's number of components.
-        The e_0 term is formed only when gen has a nonzero lane 0."""
+        """The flat image of (basis element) * gen, componentwise; `mask`
+        is `lead_mask` of gen's number of components."""
         mod, batch = self.lanes.reduce, self.batch
         out = 0
         pending = 0
-        for shift, prod in (self.table if gen & mask
-                            else self.m_table)[basis_idx]:
+        for shift, prod in self.table[basis_idx]:
             out += ((gen >> shift) & mask) * prod
             pending += 1
             if pending == batch:
@@ -190,8 +174,8 @@ class _FpOps(_LaneOps):
                 pending = 0
         return mod(out) if pending else out
 
-    def kernel_of_columns(self, cols, ncols: int | None = None) -> list[int]:
-        return fp_lane_kernel_of_columns(cols, self.lanes, ncols)
+    def kernel_of_columns(self, cols: list[int]) -> list[int]:
+        return fp_lane_kernel_of_columns(cols, self.lanes)
 
     def echelon(self):
         return FpLaneEchelon(self.lanes)
@@ -213,9 +197,8 @@ class MinimalResolution:
     which suffice by Nakayama because every kernel lies in M times its
     free module.  M.K stops forming products once it fills M^2 times the
     free module.  The column of the idempotent e_0 in each differential
-    is the generator itself, and is taken as such; `live` are the indices
-    a >= 1 whose columns are formed, those outside
-    `LocalBlock.annihilator_indices`, as the others are zero.
+    is the generator itself, and is taken as such; that of an e_a in
+    `LocalBlock.annihilator_indices` is zero, and is passed as 0.
     """
 
     def __init__(self, block: LocalBlock, max_matrix_bits: int = DEFAULT_MATRIX_BITS):
@@ -223,8 +206,7 @@ class MinimalResolution:
         self.max_matrix_bits = max_matrix_bits
         self.ops = _Gf2Ops(block) if block.p == 2 else _FpOps(block)
         self.multipliers = block.multipliers
-        self.live = tuple(a for a in range(1, block.dim)
-                          if a not in block.annihilator_indices)
+        self.killed = frozenset(block.annihilator_indices)
         self.betti = [1]
         self.differentials: list[list[int]] = []  # d_l as generator columns
         # kernel of the augmentation F_0 = S -> k is the maximal ideal,
@@ -262,8 +244,7 @@ class MinimalResolution:
         # over the multipliers (Nakayama); its echelon keyed by top lane
         # has a pivot at the top lane of every nonzero vector of M.K
         mask = ops.lead_mask(n_prev)
-        # one mask test on the union of the kernel vectors' bits
-        if reduce(or_, kernel, 0) & mask:
+        if any(kappa & mask for kappa in kernel):
             raise InvariantViolation(
                 "differential entry outside the maximal ideal")
         # M.K lies in M^2.F: once the echelon reaches its dimension it is
@@ -273,25 +254,18 @@ class MinimalResolution:
         filled = any(mk.insert(ops.column(kappa, mask, a)) and mk.dim >= full
                      for a in self.multipliers for kappa in kernel)
         pivots = mk.rows
-        if pivots:
-            tops = [ops.top_lane(kappa) for kappa in kernel]
-            if not pivots.keys() <= set(tops):
-                raise InvariantViolation(
-                    "M.K has a pivot off the top lanes of the kernel")
-            # any combination of these has its top lane off the pivots, so
-            # they are independent modulo M.K
-            gens = [kappa for kappa, t in zip(kernel, tops)
-                    if t not in pivots]
-        else:
-            # M.K = 0 (always in a square-zero block): every kernel vector
-            # is a generator
-            gens = kernel
+        tops = [ops.top_lane(kappa) for kappa in kernel]
+        if not pivots.keys() <= set(tops):
+            raise InvariantViolation(
+                "M.K has a pivot off the top lanes of the kernel")
         if filled and pivots.keys() != self._m_squared_lanes(n_prev):
             raise InvariantViolation(
                 f"M.K stopped at dimension {mk.dim} at stage "
                 f"{len(self.betti)} without filling M^2 times the free "
                 f"module")
-        # the generators number dim K - dim M.K
+        # any combination of these has its top lane off the pivots, so
+        # they are independent modulo M.K, and they number dim K - dim M.K
+        gens = [kappa for kappa, t in zip(kernel, tops) if t not in pivots]
         n_new = len(gens)
         if n_new != len(kernel) - len(pivots):
             raise InvariantViolation("minimal generator count mismatch")
@@ -317,18 +291,14 @@ class MinimalResolution:
         if top == 1:
             self._check_idempotent_is_identity()
         mask = ops.lead_mask(n_prev)
-        gens, live = self.differentials[top - 1], self.live
-
-        def columns():
-            # column i*s + a is e_a . g_i; the annihilated ones are zero,
-            # since every g lies in M.F, and are left to the kernel
-            for i, g in enumerate(gens):
-                base = i * s
-                yield base, g  # e_0 . g
-                for a in live:
-                    yield base + a, ops.column(g, mask, a)
-
-        kernel = ops.kernel_of_columns(columns(), len(gens) * s)
+        killed = self.killed
+        columns = []
+        for g in self.differentials[top - 1]:
+            columns.append(g)  # e_0 . g
+            for a in range(1, s):
+                # g lies in M.F, so e_a . g is zero for e_a in Ann(M)
+                columns.append(0 if a in killed else ops.column(g, mask, a))
+        kernel = ops.kernel_of_columns(columns)
         # exactness bookkeeping: rank d_l equals dim ker d_{l-1}, so the
         # kernel dimension matches the rank-nullity recursion
         if len(kernel) != self.kernel_dims[top]:

@@ -551,9 +551,8 @@ def _square_zero_blocks(name, p):
 @pytest.mark.parametrize("name, p, degree",
                          RESIDUAL_CORPUS + SQUARE_ZERO_CORPUS)
 def test_stage_kernels_match_full_elimination(name, p, degree):
-    # annihilated columns are left out of the elimination and their unit
-    # kernel vectors merged back; kernels and differentials are those of
-    # eliminating every column
+    # annihilated columns are passed as 0 instead of formed; kernels and
+    # differentials are those of eliminating every formed column
     corpus = (blocks(get_context(name).algebra(p))
               if (name, p, degree) in RESIDUAL_CORPUS
               else _square_zero_blocks(name, p))
