@@ -10,9 +10,10 @@ Above degree 0 a pair enters only through three things: the p-block of
 R/pR that i and j share at each prime p, whether i = j, and the
 p-valuation of its exponent bound.  So the work is shared, on the
 `ExtTorContext` that owns the data and for as long as it lives: one
-resolution per distinct block table (`resolution._resolution_cache`), one
-p-rank sequence per (p, block, i == j) in `ext_ranks`, and one frozen
-`DegreeCell` per degree and p-parts.  A report does only its pair's own
+resolution per distinct block table that is not square-zero
+(`resolution._resolution_cache`; a square-zero block's Betti numbers come
+in closed form), one p-rank sequence per (p, block, i == j) in
+`ext_ranks`, and one frozen `DegreeCell` per degree and p-parts.  A report does only its pair's own
 work: the labels, degree 0 and the check that no p-rank sits at a prime
 coprime to the annihilator, and `verify_squarefree` builds one report per
 pair signature, the three things above, instead of one per pair.

@@ -50,6 +50,23 @@ its only nonzero columns are the generators g, distinct unit vectors,
 and its kernel is the unit vectors of M.F; M.K is 0 there, so every
 kernel vector is a generator.
 
+Square-zero blocks.  If M^2 = 0, every syzygy of k^b is M^b = k^{(s-1)b},
+so b_l = (s - 1)^l with s = dim S (P(t) = 1/(1 - e t) for e = dim M;
+Avramov, "Infinite free resolutions", 1998), and a one-dimensional block
+gets 1, 0, 0, ...  The check is read off `mult`: M^2 = 0 exactly when
+every e_a with a >= 1 lies in Ann(M), that is when
+`LocalBlock.annihilator_indices` is all of 1..s-1.  `betti_sequence`
+takes such a block's numbers in closed form and builds no resolution.
+The budget still holds: stage l of a square-zero block eliminates the
+(b_{l-1} s) x ((s - 1) b_{l-1} s) matrix of its kernel's columns, and the
+closed form charges each stage it skips that matrix's `matrix_cost`
+against `max_matrix_bits` before taking b_l, so it refuses at the same
+stage with the same message as `MinimalResolution`
+(`_check_stage_budget`).  `MinimalResolution` has no square-zero branch:
+it stays the one elimination, which `tor_dims_pair`, the tests and the
+`--oracle` check of `ext` and `tor` (`check_closed_form`) hold the
+closed form against.
+
 Free ranks of unbounded blocks grow geometrically, so beyond a feasible
 window the exact computation is supplemented by a growth certificate: for
 any local block S with maximal ideal M, counting dimensions in one stage
@@ -146,7 +163,8 @@ class _Gf2Ops(_LaneOps):
     def echelon(self):
         return Gf2Echelon()
 
-    def matrix_cost(self, rows_flat_dim: int, ncols: int) -> int:
+    @staticmethod
+    def matrix_cost(rows_flat_dim: int, ncols: int) -> int:
         return rows_flat_dim * ncols
 
 
@@ -180,8 +198,34 @@ class _FpOps(_LaneOps):
     def echelon(self):
         return FpLaneEchelon(self.lanes)
 
-    def matrix_cost(self, rows_flat_dim: int, ncols: int) -> int:
+    @staticmethod
+    def matrix_cost(rows_flat_dim: int, ncols: int) -> int:
         return rows_flat_dim * ncols * 16
+
+
+def _check_stage_budget(matrix_cost, max_matrix_bits: int, degree: int,
+                        stage: int, rows_dim: int, cols: int) -> None:
+    """Refuse stage `stage`, whose matrix is rows_dim x cols, if its
+    `matrix_cost` exceeds the budget; `degree` is the last degree reached.
+    The one refusal of `MinimalResolution` and of the square-zero closed
+    form, so both word it alike."""
+    cost = matrix_cost(rows_dim, cols)
+    if cost > max_matrix_bits:
+        raise ResolutionTooLarge(
+            f"resolution reached degree {degree}; stage {stage} needs a "
+            f"{rows_dim} x {cols} matrix, matrix_cost {cost} > "
+            f"max_matrix_bits {max_matrix_bits}")
+
+
+def _check_idempotent_is_identity(block: LocalBlock) -> None:
+    """e_0 e_a = e_a e_0 = e_a for every a: the block idempotent is the
+    unit of the block."""
+    mult, s = block.mult, block.dim
+    for a in range(s):
+        unit = [int(m == a) for m in range(s)]
+        if mult[0][a] != unit or mult[a][0] != unit:
+            raise InvariantViolation(
+                f"the block idempotent e_0 is not the identity on e_{a}")
 
 
 class MinimalResolution:
@@ -225,12 +269,8 @@ class MinimalResolution:
             self._extend_once()
 
     def _check_budget(self, stage: int, rows_dim: int, cols: int) -> None:
-        cost = self.ops.matrix_cost(rows_dim, cols)
-        if cost > self.max_matrix_bits:
-            raise ResolutionTooLarge(
-                f"resolution reached degree {self.computed_degree}; stage "
-                f"{stage} needs a {rows_dim} x {cols} matrix, matrix_cost "
-                f"{cost} > max_matrix_bits {self.max_matrix_bits}")
+        _check_stage_budget(self.ops.matrix_cost, self.max_matrix_bits,
+                            self.computed_degree, stage, rows_dim, cols)
 
     def _extend_once(self) -> None:
         if self._kernel is None:
@@ -289,7 +329,9 @@ class MinimalResolution:
         rows_dim = n_prev * s
         self._check_budget(top, rows_dim, self.betti[top] * s)
         if top == 1:
-            self._check_idempotent_is_identity()
+            # once per resolution, before any column is built: the
+            # column of e_0 is taken to be the generator itself
+            _check_idempotent_is_identity(self.block)
         mask = ops.lead_mask(n_prev)
         killed = self.killed
         columns = []
@@ -306,17 +348,6 @@ class MinimalResolution:
                 f"kernel dimension {len(kernel)} at stage {top} differs "
                 f"from the exactness recursion {self.kernel_dims[top]}")
         self._kernel = kernel
-
-    def _check_idempotent_is_identity(self) -> None:
-        """e_0 e_a = e_a e_0 = e_a for every a, so the column of e_0 in a
-        differential is the generator itself.  Checked once per
-        resolution, before the first differential's columns are built."""
-        mult, s = self.block.mult, self.block.dim
-        for a in range(s):
-            unit = [int(m == a) for m in range(s)]
-            if mult[0][a] != unit or mult[a][0] != unit:
-                raise InvariantViolation(
-                    f"the block idempotent e_0 is not the identity on e_{a}")
 
     def reduced_differential(self, l: int) -> list[list[int]]:
         """d_l tensored with k: the matrix of residue-field entries."""
@@ -347,10 +378,57 @@ class MinimalResolution:
 
 
 def betti_sequence(block: LocalBlock, degree: int) -> list[int]:
-    """(b_0, ..., b_degree) for the block's residue field."""
+    """(b_0, ..., b_degree) for the block's residue field; a square-zero
+    block's in closed form (module docstring), any other block's off its
+    shared resolution."""
+    if _is_square_zero(block):
+        return _square_zero_betti(block, degree)
     res = _resolution_cache(block)
     res.extend_to(degree)
     return res.betti[:degree + 1]
+
+
+def _is_square_zero(block: LocalBlock) -> bool:
+    """M^2 = 0: every e_a with a >= 1 lies in Ann(M), read off `mult`."""
+    return block.annihilator_indices == tuple(range(1, block.dim))
+
+
+def _square_zero_betti(block: LocalBlock, degree: int,
+                       max_matrix_bits: int = DEFAULT_MATRIX_BITS) -> list[int]:
+    """b_l = (s - 1)^l, l = 0..degree, for a block with M^2 = 0.
+
+    Builds no resolution, but refuses where `MinimalResolution` with the
+    same budget would: stage l of a square-zero block has the
+    (b_{l-1} s) x ((s - 1) b_{l-1} s) matrix of its kernel's columns, and
+    that is charged before b_l is taken, with the same message.  The
+    theorem needs e_0 to be the unit of the block, which is checked as
+    the resolution checks it.
+    """
+    s = block.dim
+    _check_idempotent_is_identity(block)
+    matrix_cost = (_Gf2Ops if block.p == 2 else _FpOps).matrix_cost
+    betti = [1]
+    for l in range(1, degree + 1):
+        rows_dim = betti[-1] * s
+        _check_stage_budget(matrix_cost, max_matrix_bits, l - 1, l,
+                            rows_dim, (s - 1) * rows_dim)
+        betti.append((s - 1) * betti[-1])
+    return betti
+
+
+def check_closed_form(block: LocalBlock, degree: int) -> None:
+    """Check a square-zero block's closed-form b_0..b_degree against its
+    elimination, the block's shared `MinimalResolution`; a block that is
+    not square-zero has no closed form to check."""
+    if not _is_square_zero(block):
+        return
+    res = _resolution_cache(block)
+    res.extend_to(degree)
+    closed = _square_zero_betti(block, degree)
+    if res.betti[:degree + 1] != closed:
+        raise InvariantViolation(
+            f"closed-form Betti numbers {closed} of a square-zero block "
+            f"differ from its resolution's {res.betti[:degree + 1]}")
 
 
 @dataclass(frozen=True)

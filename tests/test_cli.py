@@ -396,3 +396,22 @@ def test_warm_dress_reads_the_marks_cache(capsys, tmp_path, monkeypatch):
     code, warm, err = run(capsys, *argv)
     assert code == 0, err
     assert warm == cold
+
+
+def _out_of_memory(*args, **kwargs):
+    raise MemoryError
+
+
+# a layer that runs out of memory: the request is refused with exit 2 and
+# one line on stderr, not a traceback and the exit 1 of a failed suite
+@pytest.mark.parametrize("argv, target", [
+    (("marks", "--group", "S3"), "burnside.cli.table_of_marks"),
+    (("blocks", "--group", "S3", "-p", "2"), "burnside.cli.blocks_report"),
+    (("growth", "--group", "C4", "-p", "2"), "burnside.exttor.ext_dims_pair"),
+])
+def test_out_of_memory_exits_2(capsys, tmp_path, monkeypatch, argv, target):
+    monkeypatch.setattr(target, _out_of_memory)
+    code, out, err = run(capsys, *argv, "--cache-dir", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: out of memory in {argv[0]}\n"

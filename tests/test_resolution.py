@@ -4,13 +4,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from burnside.bring import BRing
+from burnside.cli import main
 from burnside.errors import InvariantViolation, ResolutionTooLarge
 from burnside.exttor import prime_factors
 from burnside.fplinalg import fp_rank
 from burnside.modp import ModPAlgebra, blocks
-from burnside.resolution import (MinimalResolution, betti_growth_certificate,
-                                 betti_sequence, ext_dims_pair, shared_block,
-                                 tor_dims_pair)
+from burnside.resolution import (MinimalResolution, _square_zero_betti,
+                                 betti_growth_certificate, betti_sequence,
+                                 ext_dims_pair, shared_block, tor_dims_pair)
 from modp_reference import _mul
 from util import get_context
 
@@ -606,3 +607,114 @@ def test_annihilator_indices_are_the_basis_elements_in_the_socle(name, p):
             if fp_rank(block.socle + [[int(m == a) for m in range(block.dim)]],
                        p) == socle_rank)
         assert block.annihilator_indices == in_socle, (name, p)
+
+
+def _synthetic_e3_block():
+    # the one-class ring of test_square_zero_closed_form_higher_embedding_dim
+    ring = BRing(["a", "b", "c", "d"],
+                 [[1, 1, 1, 1], [0, 2, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2]])
+    return blocks(ModPAlgebra(ring, 2))[0]
+
+
+@pytest.mark.parametrize("name, p, degree",
+                         SQUARE_ZERO_CORPUS + [("e = 3", 2, 6)])
+def test_square_zero_closed_form_matches_the_resolution(name, p, degree):
+    corpus = ([_synthetic_e3_block()] if name == "e = 3"
+              else _square_zero_blocks(name, p))
+    assert corpus
+    for block in corpus:
+        assert block.annihilator_indices == tuple(range(1, block.dim))
+        res = MinimalResolution(block)
+        res.extend_to(degree)
+        assert betti_sequence(block, degree) == res.betti, (name, p)
+
+
+def _outcome(run):
+    try:
+        return run()
+    except ResolutionTooLarge as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("name, p", [("C4", 2), ("C8", 2), ("S3", 2),
+                                     ("C9", 3), ("C27", 3), ("C25", 5)])
+@pytest.mark.parametrize("budget", [100, 5_000, 300_000, 20_000_000])
+def test_square_zero_closed_form_refuses_like_the_resolution(name, p,
+                                                             budget):
+    # the same stage is refused, with the same message, as by elimination;
+    # S3's dual numbers (b_l = 1) fit every budget either way
+    block = _block(name, p)
+
+    def by_elimination():
+        res = MinimalResolution(block, max_matrix_bits=budget)
+        res.extend_to(40)
+        return res.betti
+
+    closed = _outcome(lambda: _square_zero_betti(block, 40, budget))
+    assert closed == _outcome(by_elimination)
+    assert isinstance(closed, str) == (name != "S3")
+
+
+def test_square_zero_closed_form_checks_the_idempotent():
+    block = _block("C9", 3)
+    mult = [[list(coords) for coords in row] for row in block.mult]
+    mult[0][1][2] = 1
+    broken = dataclasses.replace(block, mult=mult)
+    with pytest.raises(InvariantViolation, match="e_0 is not the identity"):
+        betti_sequence(broken, 4)
+
+
+def _no_resolution(monkeypatch):
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a MinimalResolution was built")
+    monkeypatch.setattr(MinimalResolution, "__init__", refuse)
+
+
+@pytest.mark.parametrize("argv", [
+    ("ext", "--group", "C9", "--source", "1", "--target", "3",
+     "--max-degree", "10"),
+    ("tor", "--group", "C9", "--source", "1", "--target", "9",
+     "--max-degree", "10"),
+    ("growth", "--group", "C9", "-p", "3", "--max-degree", "12"),
+    ("ext", "--group", "C4", "--source", "2", "--target", "4",
+     "--max-degree", "12"),
+    ("tor", "--group", "C4", "--source", "1", "--target", "1",
+     "--max-degree", "12"),
+    ("growth", "--group", "C4", "-p", "2", "--max-degree", "13"),
+])
+def test_cli_resolves_no_square_zero_block(capsys, tmp_path, monkeypatch,
+                                           argv):
+    _no_resolution(monkeypatch)
+    assert main([*argv, "--cache-dir", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert "p=" in out or "ranks" in out
+
+
+def test_cli_refuses_c4_past_the_budget_as_before(capsys, tmp_path,
+                                                  monkeypatch):
+    _no_resolution(monkeypatch)
+    code = main(["ext", "--group", "C4", "--source", "1", "--target", "2",
+                 "--max-degree", "40", "--cache-dir", str(tmp_path)])
+    assert code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == (
+        "error: resolution reached degree 13; stage 14 needs a 24576 x 49152 "
+        "matrix, matrix_cost 1207959552 > max_matrix_bits 1073741824\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("ext", "--group", "C9", "--source", "1", "--target", "3",
+     "--max-degree", "5", "--oracle"),
+    ("tor", "--group", "C4", "--source", "2", "--target", "4",
+     "--max-degree", "2", "--oracle"),
+])
+def test_oracle_checks_the_closed_form_against_elimination(
+        capsys, tmp_path, monkeypatch, argv):
+    import burnside.resolution as resolution
+    closed = resolution._square_zero_betti
+    monkeypatch.setattr(resolution, "_square_zero_betti",
+                        lambda block, degree: closed(block, degree)[:-1] + [7])
+    code = main([*argv, "--cache-dir", str(tmp_path)])
+    assert code == 2
+    assert "closed-form Betti numbers" in capsys.readouterr().err
