@@ -15,9 +15,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from operator import mul, sub
 
-from .errors import (InvalidPrime, InvariantViolation, NonIntegralSolution,
-                     SeparationFailure)
-from .permgroup import is_prime
+from .errors import InvariantViolation, NonIntegralSolution, SeparationFailure
+from .permgroup import check_prime
 
 
 class BRing:
@@ -301,8 +300,7 @@ class PrimeEquivalence:
 
 
 def p_classes(ring: BRing, p: int) -> PrimeEquivalence:
-    if not is_prime(p):
-        raise InvalidPrime(f"{p} is not prime")
+    check_prime(p)
     dmat, n = ring.dmat, ring.n
     assigned = [-1] * n
     classes: list[list[int]] = []

@@ -10,13 +10,14 @@ Above degree 0 a pair enters only through three things: the p-block of
 R/pR that i and j share at each prime p, whether i = j, and the
 p-valuation of its exponent bound.  So the work is shared, on the
 `ExtTorContext` that owns the data and for as long as it lives: one
-resolution per distinct block table that is not square-zero
+resolution per block that is not square-zero, kept on the block
 (`resolution._resolution_cache`; a square-zero block's Betti numbers come
 in closed form), one p-rank sequence per (p, block, i == j) in
-`ext_ranks`, and one frozen `DegreeCell` per degree and p-parts.  A report does only its pair's own
-work: the labels, degree 0 and the check that no p-rank sits at a prime
-coprime to the annihilator, and `verify_squarefree` builds one report per
-pair signature, the three things above, instead of one per pair.
+`ext_ranks`, and one frozen `DegreeCell` per degree and p-parts.  A
+report does only its pair's own work: the labels, degree 0 and the check
+that no p-rank sits at a prime coprime to the annihilator, and
+`verify_squarefree` builds one report per pair signature, the three
+things above, instead of one per pair.
 """
 
 from __future__ import annotations
@@ -25,10 +26,10 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .bring import BRing, CongruenceMatrix
-from .errors import InvalidPrime, InvariantViolation, NegativeRank
+from .errors import InvariantViolation, NegativeRank
 from .marks import MarksTable
 from .modp import ModPAlgebra
-from .permgroup import is_prime
+from .permgroup import check_prime
 from .resolution import ext_dims_pair
 
 
@@ -167,7 +168,7 @@ class ExtTorContext:
         # DegreeCell by (l, its p-parts as (p, rank, bound, exact) tuples)
         self._cells: dict[tuple, DegreeCell] = {}
         # oracle.IntegralResolution of Z_j by j, filled by the oracle
-        self.integral_resolutions: dict = {}
+        self.integral_resolution_of: dict = {}
 
     @property
     def dmat(self) -> CongruenceMatrix:
@@ -223,8 +224,7 @@ def ext_ranks(ctx: ExtTorContext, i: int, j: int, p: int, L: int) -> list[int]:
     keeps one per key, which is prefix-stable in L: a larger L extends it,
     and every caller gets a fresh list of its first L terms.
     """
-    if not is_prime(p):
-        raise InvalidPrime(f"{p} is not prime")
+    check_prime(p)
     if not ctx.dmat.same_p_class(i, j, p):
         return [0] * L
     if L < 1:

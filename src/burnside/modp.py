@@ -7,10 +7,10 @@ from functools import cached_property
 from math import gcd
 
 from .bring import BRing, p_classes
-from .errors import InvalidPrime, InvariantViolation, NotLocal
+from .errors import InvariantViolation, NotLocal
 from .fplinalg import (FpLaneEchelon, FpLanes, fp_lane_kernel_of_columns,
                        pack, unpack)
-from .permgroup import is_prime
+from .permgroup import check_prime
 
 
 class ModPAlgebra:
@@ -22,8 +22,7 @@ class ModPAlgebra:
     """
 
     def __init__(self, ring: BRing, p: int):
-        if not is_prime(p):
-            raise InvalidPrime(f"{p} is not prime")
+        check_prime(p)
         self.ring = ring
         self.p = p
         self.dim = ring.n
@@ -46,9 +45,6 @@ class ModPAlgebra:
             sum((c % p) << (m * w) for m, c in pairs) for pairs in row)
             for row in ring.structure_constants()]
         self._blocks: list[LocalBlock] | None = None  # filled by blocks()
-        # one MinimalResolution per distinct block table `mult`, filled by
-        # resolution._resolution_cache
-        self._resolutions: dict[tuple, object] = {}
         self._check()
 
     def pack(self, coords: list[int]) -> int:
@@ -203,9 +199,8 @@ class LocalBlock:
     idempotent: list[int]
     basis: list[list[int]] = field(repr=False)
     mult: list[list[list[int]]] = field(repr=False)
-    # the MinimalResolution of the block's residue field, set by
-    # resolution._resolution_cache; shared by every block of the algebra
-    # with an equal `mult`, as a resolution reads nothing else of a block
+    # the MinimalResolution of the block's residue field, set on first use
+    # by resolution._resolution_cache; its one cache
     resolution: object = field(default=None, repr=False, compare=False)
 
     @property

@@ -182,7 +182,7 @@ class IntegralResolution:
 
 
 def _resolution_for(ctx: ExtTorContext, j: int) -> IntegralResolution:
-    cache = ctx.integral_resolutions
+    cache = ctx.integral_resolution_of
     if j not in cache:
         cache[j] = IntegralResolution(ctx.ring, j)
     return cache[j]

@@ -12,15 +12,47 @@ from .perm import Permutation
 DEFAULT_ORDER_CAP = 200
 
 
+# Miller-Rabin over these bases is exact below PSI_13, the least strong
+# pseudoprime to all of them (Sorenson and Webster, Math. Comp. 86, 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PSI_13 = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(p: int) -> bool:
+    """Whether p is prime; refuses p >= PSI_13, where the test is not exact.
+
+    Division by the bases settles every p < 43^2 and every p with a small
+    factor; the rest take a strong probable-prime test to each base.
+    """
+    if p >= PSI_13:
+        raise InvalidPrime(f"{p} is too large: primality is decided only "
+                           f"below psi_13 = {PSI_13}")
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for q in _MR_BASES:
+        if p % q == 0:
+            return p == q
+    if p < 43 * 43:
+        return True
+    r = ((p - 1) & (1 - p)).bit_length() - 1
+    d = (p - 1) >> r
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
+
+
+def check_prime(p: int) -> None:
+    """Raise InvalidPrime unless p is prime."""
+    if not is_prime(p):
+        raise InvalidPrime(f"{p} is not prime")
 
 
 class PermGroup:
@@ -416,8 +448,7 @@ def o_p(sub: Subgroup, p: int) -> Subgroup:
     to p: every such element dies in any p-group quotient, and the
     quotient by their closure has p-power order by Cauchy.
     """
-    if not is_prime(p):
-        raise InvalidPrime(f"{p} is not prime")
+    check_prime(p)
     group = sub.group
     orders = group.element_orders
     mask, gens = group.generate(h for h in sub.indices if gcd(orders[h], p) == 1)

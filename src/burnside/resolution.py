@@ -380,7 +380,7 @@ class MinimalResolution:
 def betti_sequence(block: LocalBlock, degree: int) -> list[int]:
     """(b_0, ..., b_degree) for the block's residue field; a square-zero
     block's in closed form (module docstring), any other block's off its
-    shared resolution."""
+    own resolution."""
     if _is_square_zero(block):
         return _square_zero_betti(block, degree)
     res = _resolution_cache(block)
@@ -418,7 +418,7 @@ def _square_zero_betti(block: LocalBlock, degree: int,
 
 def check_closed_form(block: LocalBlock, degree: int) -> None:
     """Check a square-zero block's closed-form b_0..b_degree against its
-    elimination, the block's shared `MinimalResolution`; a block that is
+    elimination, the block's own `MinimalResolution`; a block that is
     not square-zero has no closed form to check."""
     if not _is_square_zero(block):
         return
@@ -472,23 +472,10 @@ def betti_growth_certificate(block: LocalBlock, resolution: MinimalResolution,
 
 
 def _resolution_cache(block: LocalBlock) -> MinimalResolution:
-    """The block's default-budget resolution, one per distinct
-    multiplication table of its algebra.
-
-    A resolution reads nothing of its block but p, the table `mult` and
-    what derives from the table (`multipliers`, `annihilator_indices`,
-    `m_squared_dim`, `m_squared_lanes`).  Blocks of one algebra with equal
-    tables therefore have identical stages, and the first one's resolution
-    serves them all: every stage check still runs once on that input.  It
-    is kept in the algebra's `_resolutions`, keyed by the table, and on
-    each block asked.
-    """
+    """The block's default-budget resolution, built on first use and kept
+    in `block.resolution`."""
     if block.resolution is None:
-        table = tuple(tuple(map(tuple, row)) for row in block.mult)
-        shared = block.algebra._resolutions
-        if table not in shared:
-            shared[table] = MinimalResolution(block)
-        block.resolution = shared[table]
+        block.resolution = MinimalResolution(block)
     return block.resolution
 
 

@@ -116,6 +116,26 @@ def test_non_prime_p_exits_2(capsys, tmp_path, argv, p):
     assert "Traceback" not in err
 
 
+def test_blocks_at_a_prime_near_10_to_18(capsys, tmp_path):
+    # dividing by every d <= sqrt(p) takes minutes at this p; S3's four
+    # classes stay apart at a prime coprime to its order
+    code, out, _ = run(capsys, "blocks", "--group", "S3",
+                       "-p", "1000000000000000003", "--format", "json",
+                       "--cache-dir", str(tmp_path))
+    assert code == 0
+    doc = json.loads(out)
+    assert [b["dim"] for b in doc["blocks"]] == [1, 1, 1, 1]
+
+
+def test_p_from_psi_13_on_exits_2(capsys, tmp_path):
+    code, out, err = run(capsys, "blocks", "--group", "S3",
+                         "-p", "3317044064679887385961981",
+                         "--cache-dir", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert "decided only below psi_13 = 3317044064679887385961981" in err
+    assert "Traceback" not in err
+
+
 def test_growth_command(capsys, tmp_path):
     code, out, _ = run(capsys, "growth", "--group", "C4", "-p", "2",
                        "--max-degree", "8", "--cache-dir", str(tmp_path))

@@ -7,8 +7,9 @@ from burnside.exttor import (ExtTorContext, ModuleType, SquarefreeResult,
                              tensor_base, tor_ranks, tor_report,
                              verify_squarefree)
 from burnside.modp import blocks
-from burnside.resolution import (MinimalResolution, _resolution_cache,
-                                 betti_sequence, ext_dims_pair)
+from burnside.resolution import (MinimalResolution, _is_square_zero,
+                                 _resolution_cache, betti_sequence,
+                                 ext_dims_pair)
 from exttor_reference import verify_squarefree_per_pair
 from util import get_context, get_marks
 
@@ -305,15 +306,42 @@ def test_reports_from_a_shared_context_match_fresh_ones(name):
         assert got == want[::-1], (name, i, j)
 
 
-def test_c30_blocks_share_one_resolution_per_table():
+def test_each_block_owns_its_resolution():
     ctx = ExtTorContext.from_marks(get_marks("C30"), "C30")
     all_blocks = [b for p in ctx.primes for b in blocks(ctx.algebra(p))]
-    resolutions = {id(_resolution_cache(b)) for b in all_blocks}
-    assert (len(all_blocks), len(resolutions)) == (12, 3)
+    assert len(all_blocks) == 12
+    assert len({id(_resolution_cache(b)) for b in all_blocks}) == 12
     for block in all_blocks:
+        assert _resolution_cache(block) is block.resolution
+        assert _resolution_cache(block) is block.resolution
         fresh = MinimalResolution(block)
         fresh.extend_to(12)
         assert betti_sequence(block, 12) == fresh.betti
+
+
+def test_shared_context_resolves_each_block_once(monkeypatch):
+    # every D4 pair for L = 8..0 on one context: each block that is not
+    # square-zero is resolved once, on the block, and no other is resolved
+    built = []
+    init = MinimalResolution.__init__
+
+    def counting_init(self, block, *args, **kwargs):
+        built.append(block)
+        init(self, block, *args, **kwargs)
+
+    monkeypatch.setattr(MinimalResolution, "__init__", counting_init)
+    ctx = ExtTorContext.from_marks(get_marks("D4"), "D4")
+    n = ctx.ring.n
+    for i in range(n):
+        for j in range(n):
+            for L in range(8, -1, -1):
+                _report_or_error(ext_report, ctx, i, j, L)
+                _report_or_error(tor_report, ctx, i, j, L)
+    resolved = [b for p in ctx.primes for b in blocks(ctx.algebra(p))
+                if not _is_square_zero(b)]
+    assert resolved
+    assert sorted(map(id, built)) == sorted(map(id, resolved))
+    assert all(b.resolution is not None for b in resolved)
 
 
 def test_ext_ranks_hand_out_fresh_prefixes():

@@ -294,7 +294,7 @@ def test_oracle_reads_swapped_pairs_off_the_larger_index(name):
             assert oracle_ext(ctx, i, j, 3) == ext, (i, j)
             assert oracle_tor(ctx, i, j, 3) == tor, (i, j)
     # every pair is read at a mark no larger than its resolution's index
-    assert all(mark <= j for j, res in ctx.integral_resolutions.items()
+    assert all(mark <= j for j, res in ctx.integral_resolution_of.items()
                for _, mark in res.smith)
 
 

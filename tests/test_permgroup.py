@@ -3,8 +3,8 @@ import pytest
 from burnside.errors import (CapExceeded, DegreeMismatch, InvalidPrime,
                              InvalidSubgroup)
 from burnside.perm import Permutation
-from burnside.permgroup import (CosetAction, Subgroup, enumerate_elements,
-                                normalizer, o_p)
+from burnside.permgroup import (PSI_13, CosetAction, Subgroup, check_prime,
+                                enumerate_elements, is_prime, normalizer, o_p)
 from util import get_classes, get_group
 
 
@@ -174,6 +174,48 @@ def test_o_p_examples():
     assert o_p(c2, 2).order == 1
     with pytest.raises(InvalidPrime):
         o_p(c2, 4)
+
+
+def _is_prime_by_division(p):
+    # the trial division that `is_prime` replaced, kept as its reference
+    if p < 2:
+        return False
+    d = 2
+    while d * d <= p:
+        if p % d == 0:
+            return False
+        d += 1
+    return True
+
+
+def test_is_prime_agrees_with_trial_division():
+    assert all(is_prime(p) == _is_prime_by_division(p) for p in range(10**5))
+
+
+@pytest.mark.parametrize("n", [
+    561, 2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+    341550071728321, 3825123056546413051, 318665857834031151167461])
+def test_is_prime_rejects_carmichael_and_strong_pseudoprimes(n):
+    # 561 is a Carmichael number; the rest are psi_1..psi_12, the least
+    # strong pseudoprimes to the first 1..12 prime bases
+    assert not is_prime(n)
+    with pytest.raises(InvalidPrime, match=f"^{n} is not prime$"):
+        check_prime(n)
+
+
+@pytest.mark.parametrize("p", [2**31 - 1, 2**61 - 1, 10**18 + 3])
+def test_is_prime_accepts_large_primes(p):
+    assert is_prime(p)
+    check_prime(p)
+
+
+@pytest.mark.parametrize("n", [PSI_13, PSI_13 + 1, 10**30])
+def test_is_prime_refuses_from_psi_13_on(n):
+    assert PSI_13 == 3317044064679887385961981
+    bound = f"decided only below psi_13 = {PSI_13}"
+    for check in (is_prime, check_prime):
+        with pytest.raises(InvalidPrime, match=bound):
+            check(n)
 
 
 def test_o_p_idempotent_and_minimal():
