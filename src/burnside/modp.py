@@ -260,18 +260,6 @@ class LocalBlock:
         """
         return self._independent_modulo(self.socle)
 
-    @cached_property
-    def annihilator_indices(self) -> tuple[int, ...]:
-        """The indices a >= 1 with e_b e_a = 0 for every b >= 1, least
-        first: the basis elements of M that lie in Ann(M).
-
-        Multiplying by such an e_a sends every vector of M.F (F free) to
-        zero.  In a square-zero block every a >= 1 is one.
-        """
-        mult, s = self.mult, self.dim
-        return tuple(a for a in range(1, s)
-                     if not any(any(mult[b][a]) for b in range(1, s)))
-
     def m_squared_dim(self) -> int:
         return self.dim - 1 - len(self.m_generators)
 

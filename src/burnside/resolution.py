@@ -36,27 +36,27 @@ the multipliers M.K = L.K + M.(M.K); by Nakayama M.K = L.K.  A
 square-zero block has M = Ann(M), no multipliers and M.K = 0, so there
 every kernel vector is a generator and no product is formed.
 
-The idempotent column.  The differential's columns are the products
-e_a . g for every generator g and every a; e_0 is the block idempotent,
-the unit of the block, so the column of e_0 is g itself.
-
-Annihilated columns.  An e_a with a >= 1 that lies in Ann(M)
-(`LocalBlock.annihilator_indices`) kills M.F, so its column e_a . g is
-zero for every generator g.  Such a column is not formed but passed to
-the elimination as 0, which leaves it the unit kernel vector of its own
-lane at once; the kernel is that of the full matrix.  In a square-zero
-block every e_a with a >= 1 is annihilated: a stage forms no product,
-its only nonzero columns are the generators g, distinct unit vectors,
-and its kernel is the unit vectors of M.F; M.K is 0 there, so every
-kernel vector is a generator.
+Products inside M.  Every vector a stage multiplies lies in M.F: the
+kernels pass the mask test, the generators are kernel vectors, and the
+stage-0 kernel is e_1..e_{s-1}.  Lane 0 of such a vector is zero in
+every component, so the lane table (`_LaneOps.table`) holds the terms
+e_a e_b with a >= 1 only, and no product pays for the e_0 lane.  The
+differential's columns are the products e_a . g for every generator g
+and every a; e_0 is the block idempotent, the unit of the block, so the
+column of e_0 is g itself and is taken as such.  An e_b with b >= 1 that
+lies in Ann(M) has an empty row, so its column comes back 0 without a
+product and leaves the elimination the unit kernel vector of its own
+lane at once.  In a square-zero block every row but e_0's is empty: a
+stage forms no product, its only nonzero columns are the generators g,
+distinct unit vectors, and its kernel is the unit vectors of M.F; M.K is
+0 there, so every kernel vector is a generator.
 
 Square-zero blocks.  If M^2 = 0, every syzygy of k^b is M^b = k^{(s-1)b},
 so b_l = (s - 1)^l with s = dim S (P(t) = 1/(1 - e t) for e = dim M;
 Avramov, "Infinite free resolutions", 1998), and a one-dimensional block
-gets 1, 0, 0, ...  The check is read off `mult`: M^2 = 0 exactly when
-every e_a with a >= 1 lies in Ann(M), that is when
-`LocalBlock.annihilator_indices` is all of 1..s-1.  `betti_sequence`
-takes such a block's numbers in closed form and builds no resolution.
+gets 1, 0, 0, ...  The check is `LocalBlock.m_squared_dim() == 0`.
+`betti_sequence` takes such a block's numbers in closed form and builds
+no resolution.
 The budget still holds: stage l of a square-zero block eliminates the
 (b_{l-1} s) x ((s - 1) b_{l-1} s) matrix of its kernel's columns, and the
 closed form charges each stage it skips that matrix's `matrix_cost`
@@ -107,11 +107,13 @@ DEFAULT_MATRIX_BITS = 1 << 30
 class _LaneOps:
     """Module arithmetic on lane-packed flat vectors (see the module docstring).
 
-    `table[b]` lists, for each basis element a with e_a * e_b != 0, the
-    shift of coordinate a inside a component and the packed coordinates
-    of e_a * e_b.  Masking lane a of every component and multiplying by
-    that packed product writes the product into each component's own s
-    lanes at once, so applying e_b costs s big-int operations.
+    `table[b]` lists, for each basis element a >= 1 of M with
+    e_a * e_b != 0, the shift of coordinate a inside a component and the
+    packed coordinates of e_a * e_b.  Masking lane a of every component
+    and multiplying by that packed product writes the product into each
+    component's own s lanes at once, so applying e_b costs at most s - 1
+    big-int operations.  The e_0 lane is left out: `column` is only ever
+    applied to vectors of M.F, whose lane 0 is zero in every component.
     """
 
     def __init__(self, block: LocalBlock, width: int):
@@ -120,7 +122,7 @@ class _LaneOps:
         self.width = width
         self.lane_mask = (1 << width) - 1
         self.table = [[(a * width, self.pack(block.mult[a][b]))
-                       for a in range(s) if any(block.mult[a][b])]
+                       for a in range(1, s) if any(block.mult[a][b])]
                       for b in range(s)]
 
     def pack(self, coords) -> int:
@@ -150,8 +152,8 @@ class _Gf2Ops(_LaneOps):
         super().__init__(block, 1)
 
     def column(self, gen: int, mask: int, basis_idx: int) -> int:
-        """The flat image of (basis element) * gen, componentwise; `mask`
-        is `lead_mask` of gen's number of components."""
+        """The flat image of (basis element) * gen, componentwise, for gen
+        in M.F; `mask` is `lead_mask` of gen's number of components."""
         out = 0
         for shift, prod in self.table[basis_idx]:
             out ^= ((gen >> shift) & mask) * prod
@@ -179,8 +181,8 @@ class _FpOps(_LaneOps):
         self.batch = (lanes.limit - (p - 1)) // ((p - 1) * (p - 1))
 
     def column(self, gen: int, mask: int, basis_idx: int) -> int:
-        """The flat image of (basis element) * gen, componentwise; `mask`
-        is `lead_mask` of gen's number of components."""
+        """The flat image of (basis element) * gen, componentwise, for gen
+        in M.F; `mask` is `lead_mask` of gen's number of components."""
         mod, batch = self.lanes.reduce, self.batch
         out = 0
         pending = 0
@@ -240,9 +242,10 @@ class MinimalResolution:
     e_a that M.K is built from: those independent modulo M^2 + Ann(M),
     which suffice by Nakayama because every kernel lies in M times its
     free module.  M.K stops forming products once it fills M^2 times the
-    free module.  The column of the idempotent e_0 in each differential
-    is the generator itself, and is taken as such; that of an e_a in
-    `LocalBlock.annihilator_indices` is zero, and is passed as 0.
+    free module.  Every product is taken inside M (module docstring): the
+    column of the idempotent e_0 in each differential is the generator
+    itself, and is taken as such, and that of an e_a in Ann(M) comes back
+    0 from an empty table row.
     """
 
     def __init__(self, block: LocalBlock, max_matrix_bits: int = DEFAULT_MATRIX_BITS):
@@ -250,7 +253,6 @@ class MinimalResolution:
         self.max_matrix_bits = max_matrix_bits
         self.ops = _Gf2Ops(block) if block.p == 2 else _FpOps(block)
         self.multipliers = block.multipliers
-        self.killed = frozenset(block.annihilator_indices)
         self.betti = [1]
         self.differentials: list[list[int]] = []  # d_l as generator columns
         # kernel of the augmentation F_0 = S -> k is the maximal ideal,
@@ -258,7 +260,6 @@ class MinimalResolution:
         kernel = [1 << (a * self.ops.width) for a in range(1, block.dim)]
         self._kernel = kernel          # basis of ker d_(top computed stage)
         self.kernel_dims = [len(kernel)]
-        self._reduced_ranks: dict[int, int] = {}
 
     @property
     def computed_degree(self) -> int:
@@ -333,13 +334,11 @@ class MinimalResolution:
             # column of e_0 is taken to be the generator itself
             _check_idempotent_is_identity(self.block)
         mask = ops.lead_mask(n_prev)
-        killed = self.killed
         columns = []
         for g in self.differentials[top - 1]:
             columns.append(g)  # e_0 . g
             for a in range(1, s):
-                # g lies in M.F, so e_a . g is zero for e_a in Ann(M)
-                columns.append(0 if a in killed else ops.column(g, mask, a))
+                columns.append(ops.column(g, mask, a))
         kernel = ops.kernel_of_columns(columns)
         # exactness bookkeeping: rank d_l equals dim ker d_{l-1}, so the
         # kernel dimension matches the rank-nullity recursion
@@ -360,21 +359,15 @@ class MinimalResolution:
         """Rank of d_l tensored with k (zero whenever minimality holds).
 
         Zero after one mask test per generator; the rank is computed
-        honestly only if some residue entry is non-zero.  Cached: callers
-        recheck it for every simple-module pair.
+        honestly only if some residue entry is non-zero.
         """
-        rank = self._reduced_ranks.get(l)
-        if rank is None:
-            mask = self.ops.lead_mask(self.betti[l - 1])
-            if not any(g & mask for g in self.differentials[l - 1]):
-                rank = 0
-            else:
-                ech = self.ops.echelon()
-                for row in self.reduced_differential(l):
-                    ech.insert(self.ops.pack(row))
-                rank = ech.dim
-            self._reduced_ranks[l] = rank
-        return rank
+        mask = self.ops.lead_mask(self.betti[l - 1])
+        if not any(g & mask for g in self.differentials[l - 1]):
+            return 0
+        ech = self.ops.echelon()
+        for row in self.reduced_differential(l):
+            ech.insert(self.ops.pack(row))
+        return ech.dim
 
 
 def betti_sequence(block: LocalBlock, degree: int) -> list[int]:
@@ -389,8 +382,8 @@ def betti_sequence(block: LocalBlock, degree: int) -> list[int]:
 
 
 def _is_square_zero(block: LocalBlock) -> bool:
-    """M^2 = 0: every e_a with a >= 1 lies in Ann(M), read off `mult`."""
-    return block.annihilator_indices == tuple(range(1, block.dim))
+    """M^2 = 0."""
+    return block.m_squared_dim() == 0
 
 
 def _square_zero_betti(block: LocalBlock, degree: int,

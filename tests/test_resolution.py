@@ -192,7 +192,10 @@ def test_packed_column_matches_mul_coords(p, random_table, data):
              for _ in range(s)] for _ in range(s)])
     ops = MinimalResolution(block).ops
     n = data.draw(st.integers(1, 5))
-    comps = [data.draw(st.lists(entry, min_size=s, max_size=s))
+    # `column` multiplies vectors of M.F only: lane 0 of each component,
+    # the residue-field entry, is 0
+    comps = [[0] + data.draw(st.lists(entry, min_size=s - 1,
+                                      max_size=s - 1))
              for _ in range(n)]
     gen = ops.pack([c for comp in comps for c in comp])
     table = [[[(m, c) for m, c in enumerate(v) if c] for v in row]
@@ -499,6 +502,41 @@ def test_m_k_products_formed(name, degree, formed, without_stop):
                                      for n in res.betti[:degree]]
 
 
+def _count_multiply_adds(ops):
+    """Wrap `ops.column` to record, per call, the table entries it
+    applies: one multiply-add each."""
+    applied = []
+    column = ops.column
+
+    def counting(gen, mask, basis_idx):
+        applied.append(len(ops.table[basis_idx]))
+        return column(gen, mask, basis_idx)
+
+    ops.column = counting
+    return applied
+
+
+# multiply-adds of `column` while resolving to the degree, over M.K's
+# products and the differentials' columns: one per table entry applied
+COLUMN_MULTIPLY_ADDS = [("V4", 2, 9, 55304), ("Q8", 2, 6, 16452),
+                        ("D4", 2, 5, 45984), ("(1 2 3),(4 5 6)", 3, 5, 7425)]
+
+
+@pytest.mark.parametrize("name, p, degree, multiply_adds",
+                         COLUMN_MULTIPLY_ADDS)
+def test_column_multiply_adds(name, p, degree, multiply_adds):
+    block = _block(name, p)
+    res = MinimalResolution(block)
+    ops = res.ops
+    # every product is taken inside M, so no row applies the e_0 lane;
+    # the row of e_0 itself stays
+    assert all(shift for row in ops.table for shift, _ in row)
+    assert len(ops.table) == block.dim and ops.table[0]
+    applied = _count_multiply_adds(ops)
+    res.extend_to(degree)
+    assert sum(applied) == multiply_adds
+
+
 @pytest.mark.parametrize("name, p", [("V4", 2), ("(1 2 3),(4 5 6)", 3)])
 def test_understated_m_squared_dim_raises(name, p):
     # a block reporting dim M^2 one too small would stop M.K early and
@@ -572,17 +610,9 @@ def test_stage_kernels_match_full_elimination(name, p, degree):
 def test_square_zero_stages_form_no_product(name, p):
     block = _block(name, p)
     assert block.m_squared_dim() == 0
-    assert block.annihilator_indices == tuple(range(1, block.dim))
     res = MinimalResolution(block)
     ops, s = res.ops, block.dim
-    calls = []
-    column = ops.column
-
-    def counting(gen, mask, basis_idx):
-        calls.append(basis_idx)
-        return column(gen, mask, basis_idx)
-
-    ops.column = counting
+    applied = _count_multiply_adds(ops)
     for l in range(8):
         if l:
             res._compute_top_kernel()
@@ -591,22 +621,27 @@ def test_square_zero_stages_form_no_product(name, p):
                                for i in range(res.betti[l])
                                for a in range(1, s)], (name, l)
         res.extend_to(l + 1)
-    assert calls == []
+    # the columns of e_1..e_{s-1} are asked for and come back 0 from
+    # empty rows, without a product
+    assert applied and sum(applied) == 0
     assert res.betti == [(s - 1) ** l for l in range(9)]
 
 
 @pytest.mark.parametrize("name, p", sorted(
     {(name, p) for name, p, _ in RESIDUAL_CORPUS + SQUARE_ZERO_CORPUS}))
 def test_annihilator_indices_are_the_basis_elements_in_the_socle(name, p):
-    # independent route: e_a lies in Ann(M) iff adding it to the socle's
-    # basis leaves the rank unchanged
+    # the lane table's row of e_a (a >= 1) is empty exactly when e_a lies
+    # in Ann(M); independent route: e_a lies in Ann(M) iff adding it to
+    # the socle's basis leaves the rank unchanged
     for block in blocks(get_context(name).algebra(p)):
         socle_rank = fp_rank(block.socle, p)
         in_socle = tuple(
             a for a in range(1, block.dim)
             if fp_rank(block.socle + [[int(m == a) for m in range(block.dim)]],
                        p) == socle_rank)
-        assert block.annihilator_indices == in_socle, (name, p)
+        table = MinimalResolution(block).ops.table
+        empty = tuple(a for a in range(1, block.dim) if not table[a])
+        assert empty == in_socle, (name, p)
 
 
 def _synthetic_e3_block():
@@ -623,7 +658,7 @@ def test_square_zero_closed_form_matches_the_resolution(name, p, degree):
               else _square_zero_blocks(name, p))
     assert corpus
     for block in corpus:
-        assert block.annihilator_indices == tuple(range(1, block.dim))
+        assert block.m_squared_dim() == 0
         res = MinimalResolution(block)
         res.extend_to(degree)
         assert betti_sequence(block, degree) == res.betti, (name, p)
