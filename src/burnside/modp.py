@@ -1,4 +1,8 @@
-"""The algebra R/pR: evaluation map, radical, and local block summands."""
+"""The algebra R/pR: evaluation map, radical, and local block summands.
+
+Commutativity is checked once, on the ring's structure constants when a
+`ModPAlgebra` is built (`_check`); every product path here relies on it.
+"""
 
 from __future__ import annotations
 
@@ -57,15 +61,16 @@ class ModPAlgebra:
         """Unit, commutativity and surjectivity of theta (cheap checks).
 
         One `combine` of the unit over `left` gives unit * e_m in block m,
-        which must be e_m for every m; block l of `left[k]` is e_k e_l,
-        which must be block k of `left[l]`.
+        which must be e_m for every m.  Commutativity is checked on the
+        ring's (m, c) pairs that `left` is packed from: e_k e_l and e_l e_k
+        must have the same pairs, over Z and so mod p.
         """
         n, w = self.dim, self.lanes.width
         identity = self.join_blocks(1 << (m * w) for m in range(n))
         if self.combine(self.unit, self.left) != identity:
             raise InvariantViolation("unit element fails on the basis")
-        table = [self.split_blocks(v, n) for v in self.left]
-        if any(table[k][l] != table[l][k]
+        sc = self.ring.structure_constants()
+        if any(sc[k][l] != sc[l][k]
                for k in range(n) for l in range(k + 1, n)):
             raise InvariantViolation("structure constants not commutative")
         ech = self.echelon()
@@ -77,54 +82,36 @@ class ModPAlgebra:
     def check_associative(self) -> None:
         """(e_k e_l) e_m == e_k (e_l e_m) mod p for every basis triple.
 
-        Both sides come from `left`, the table every product uses:
-        `left[a]` holds e_a e_m in block m, its transpose `right[b]` holds
-        e_k e_b in block k, and the coefficients of e_k e_l are read out
-        of block l of `left[k]`.  One `combine` with them gives
-        (e_k e_l) e_m for every m, and likewise e_k (e_l e_m) for every k
-        from e_l e_m.  Blocks start on byte boundaries, so the n^3 triples
-        are compared as byte strings.  Products repeat, so each distinct
-        one is combined once per table (memoized by table and packed
-        product), and its combination over `right` is cut into blocks
-        once.  A commutative table is its own transpose, so `right` is then
-        `left` and both sides share one memo: in the Burnside ring of C2^3,
-        17, 31 and 40 of the 256 products are distinct at p = 2, 3 and 5.
-        A table that is not commutative is scanned against its transpose.
-        It runs in `verify --suite blocks` and the tests, not on every
-        construction.
+        It scans `left`, the table every product uses.  The coefficients
+        of e_k e_l are read out of block l of `left[k]`, and one `combine`
+        of them over `left` gives (e_k e_l) e_m in block m.  For each l,
+        row k holds these blocks as byte strings (blocks start on byte
+        boundaries).  Block k of row m is (e_m e_l) e_k, which is
+        e_k (e_l e_m) as the algebra is commutative (`_check`), so the
+        rows are symmetric exactly when every triple associates.  Products
+        repeat, so each distinct one is combined and cut once: in the
+        Burnside ring of C2^3, 17, 31 and 40 of the 256 products are
+        distinct at p = 2, 3 and 5.  It runs in `verify --suite blocks`
+        and the tests, not on every construction.
         """
         n, w, left = self.dim, self.lanes.width, self.left
         nbytes = self.block_bits // 8
         prod = [self.split_blocks(v, n) for v in left]
-        right = [self.join_blocks(prod[k][b] for k in range(n))
-                 for b in range(n)]
-        if right == left:
-            right = left
-        memo: dict[tuple[bool, int], bytes] = {}
-        cuts: dict[bytes, list[bytes]] = {}
+        memo: dict[int, tuple[bytes, ...]] = {}
 
-        def as_bytes(packed: int, table) -> bytes:
-            key = (table is left, packed)
-            raw = memo.get(key)
-            if raw is None:
-                raw = self.combine(unpack(packed, n, w), table).to_bytes(
-                    n * nbytes, "little")
-                memo[key] = raw
-            return raw
-
-        def as_blocks(packed: int) -> list[bytes]:
-            raw = as_bytes(packed, right)
-            blocks = cuts.get(raw)
+        def row(packed: int) -> tuple[bytes, ...]:
+            blocks = memo.get(packed)
             if blocks is None:
-                blocks = [raw[k * nbytes:(k + 1) * nbytes] for k in range(n)]
-                cuts[raw] = blocks
+                raw = self.combine(unpack(packed, n, w), left).to_bytes(
+                    n * nbytes, "little")
+                blocks = tuple(raw[m * nbytes:(m + 1) * nbytes]
+                               for m in range(n))
+                memo[packed] = blocks
             return blocks
 
         for l in range(n):
-            # lhs[k] = (e_k e_l) e_m over m; rhs[m][k] = e_k (e_l e_m)
-            lhs = [as_bytes(prod[k][l], left) for k in range(n)]
-            rhs = [as_blocks(prod[l][m]) for m in range(n)]
-            if lhs != [b"".join(blocks) for blocks in zip(*rhs)]:
+            rows = [row(prod[k][l]) for k in range(n)]
+            if rows != list(zip(*rows)):
                 raise InvariantViolation("structure constants not associative")
 
     @property
@@ -161,7 +148,8 @@ class ModPAlgebra:
 
         One `combine` per y gives y e_m for every m; regrouped so that
         block t of by_m[m] holds y_t e_m, one more per x gives x y_t for
-        every t, as the algebra is commutative (`_check`).
+        every t, as the algebra is commutative (checked on the ring's
+        pairs in `_check`).
         """
         n = self.dim
         cols = [self.split_blocks(self.combine(y, self.left), n) for y in ys]

@@ -296,6 +296,54 @@ def test_algebra_rejects_non_commutative_constants():
         ModPAlgebra(ring, 2)
 
 
+def test_algebra_rejects_constants_commutative_only_mod_p():
+    # the copy claims [S3/C2] [S3/1] = 3 [S3/1] + 2 [S3/C2]: equal to
+    # [S3/1] [S3/C2] mod 2, but not in R, whose pairs are checked over Z
+    ring = copy.copy(get_context("S3").ring)
+    sc = [list(row) for row in ring.structure_constants()]
+    assert sc[0][1] == [(0, 3)]
+    sc[1][0] = [(0, 3), (1, 2)]
+    ring._structure = sc
+    with pytest.raises(InvariantViolation, match="not commutative"):
+        ModPAlgebra(ring, 2)
+
+
+BLOCK_COUNT_CASES = [("S3", 2), ("D4", 2), ("A4", 3),
+                     ("(1 2),(3 4),(5 6)", 5)]
+
+
+def _count_calls(monkeypatch, name):
+    """Patch ModPAlgebra.<name> to log each call; returns the log."""
+    calls = []
+    method = getattr(ModPAlgebra, name)
+
+    def counted(self, *args):
+        calls.append(args)
+        return method(self, *args)
+
+    monkeypatch.setattr(ModPAlgebra, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("name,p", BLOCK_COUNT_CASES)
+def test_construction_cuts_no_blocks(monkeypatch, name, p):
+    # commutativity is checked on the ring's pairs, not on blocks of `left`
+    ring = get_context(name).ring
+    calls = _count_calls(monkeypatch, "split_blocks")
+    ModPAlgebra(ring, p)
+    assert calls == []
+
+
+@pytest.mark.parametrize("name,p", BLOCK_COUNT_CASES)
+def test_check_associative_joins_no_table(monkeypatch, name, p):
+    # the scan compares each l's rows with their transpose as byte blocks,
+    # with no transposed table joined from them
+    algebra = ModPAlgebra(get_context(name).ring, p)
+    calls = _count_calls(monkeypatch, "join_blocks")
+    algebra.check_associative()
+    assert calls == []
+
+
 def test_check_associative_rejects_tampered_constants():
     # in the marks basis of S3 mod 3, [S3/1]^2 = 6 [S3/1] = 0; declaring it
     # the unit [S3/S3] (block 0 of left[0]) gives ([S3/1]^2) [S3/C2] =
@@ -306,16 +354,6 @@ def test_check_associative_rejects_tampered_constants():
     algebra.left[0] = algebra.join_blocks(blocks_0)
     with pytest.raises(InvariantViolation, match="not associative"):
         algebra.check_associative()
-
-
-def test_check_associative_accepts_non_commutative_table():
-    # e_a e_b = e_a for every a, b: (xy)z = x = x(yz), though e_a e_b and
-    # e_b e_a differ; a scan that swapped the two factors would reject it
-    algebra = ModPAlgebra(get_context("S3").ring, 2)
-    n = algebra.dim
-    algebra.left = [algebra.join_blocks([1 << (a * algebra.lanes.width)] * n)
-                    for a in range(n)]
-    algebra.check_associative()
 
 
 @pytest.mark.parametrize("p,distinct", [(2, 17), (3, 31), (5, 40)])
@@ -368,14 +406,14 @@ def test_packed_associativity_scan_matches_reference(table, data):
           for x in basis]
     edit = data.draw(st.sampled_from(["none", "entry", "vector", "table"]))
     if edit == "table":
-        # a few random structure constants and zeros elsewhere: associative
-        # often enough, and often without being commutative
+        # a few random structure constants, written symmetrically, and
+        # zeros elsewhere: commutative, and associative often enough
         entries = data.draw(st.lists(st.tuples(
             *[st.integers(0, n - 1)] * 3, st.integers(1, p - 1)),
             max_size=6), label="entries")
         sc = [[[0] * n for _ in range(n)] for _ in range(n)]
         for k, l, m, c in entries:
-            sc[k][l][m] = c
+            sc[k][l][m] = sc[l][k][m] = c
     elif edit != "none":
         k = data.draw(st.integers(0, n - 1), label="k")
         l = data.draw(st.integers(0, n - 1), label="l")
@@ -386,10 +424,10 @@ def test_packed_associativity_scan_matches_reference(table, data):
         else:
             vec = data.draw(st.lists(st.integers(0, p - 1), min_size=n,
                                      max_size=n), label="e_k e_l")
+        # mirrored into e_l e_k: the table stays commutative, as
+        # construction checks and the scan relies on
         sc[k][l] = vec
-        # left alone, e_l e_k keeps its old value: an asymmetric table
-        if data.draw(st.booleans(), label="mirror"):
-            sc[l][k] = list(vec)
+        sc[l][k] = list(vec)
     # the scanned table gets the edited constants, block l of left[k]
     # holding e_k e_l, and the reference reads the same ones as pairs
     algebra.left = [algebra.join_blocks(algebra.pack(v) for v in row)
