@@ -142,7 +142,9 @@ class FpLanes:
     `reduce` is one `bytes.translate`.  Wider lanes keep a guard bit on
     top and reduce by lane-parallel compare-and-subtract of p * 2^t,
     t descending.  Either way every lane holding at most `limit` comes
-    back as its residue in [0, p), with no Python loop over coordinates.
+    back as its residue in [0, p), with no Python loop over coordinates,
+    and `batch` terms c * v (c, v in [0, p)) can be added to a reduced
+    lane before it needs reducing again.
     """
 
     def __init__(self, p: int):
@@ -158,6 +160,7 @@ class FpLanes:
             top = self.limit.bit_length() - p.bit_length()
             self._steps = [p << t for t in range(top, -1, -1)
                            if p << t <= self.limit]
+        self.batch = (self.limit - (p - 1)) // (p - 1) ** 2
 
     def reduce(self, v: int) -> int:
         """Every lane mod p, for lanes holding at most `limit`."""
@@ -180,10 +183,12 @@ class FpLanes:
 
     def nullspace(self, rows: list[list[int]],
                   ncols: int) -> list[list[int]]:
-        """Basis of {x : A x = 0} for A given by rows, packed and unpacked
-        around `fp_lane_kernel_of_columns`."""
+        """Basis of {x : A x = 0} for A given by rows of `ncols` entries,
+        packed column by column and unpacked around
+        `fp_lane_kernel_of_columns`."""
         p, w = self.p, self.width
-        cols = [pack([row[j] for row in rows], p, w) for j in range(ncols)]
+        cols = ([pack(col, p, w) for col in zip(*rows)] if rows
+                else [0] * ncols)
         return [unpack(c, ncols, w)
                 for c in fp_lane_kernel_of_columns(cols, self)]
 

@@ -2,6 +2,11 @@
 
 Commutativity is checked once, on the ring's structure constants when a
 `ModPAlgebra` is built (`_check`); every product path here relies on it.
+Every block comes from its idempotent's multiples e_C e_k, one `combine`
+over `left`: a one-element p-class gives F_p e_C in closed form, and a
+larger block reads its table off one echelon of its basis, in which each
+product x_a x_b (a <= b) is reduced to its coordinates.  No kernel over
+the products is formed.
 """
 
 from __future__ import annotations
@@ -12,8 +17,7 @@ from math import gcd
 
 from .bring import BRing, p_classes
 from .errors import InvariantViolation, NotLocal
-from .fplinalg import (FpLaneEchelon, FpLanes, fp_lane_kernel_of_columns,
-                       pack, unpack)
+from .fplinalg import FpLaneEchelon, FpLanes, pack, unpack
 from .permgroup import check_prime
 
 
@@ -133,14 +137,23 @@ class ModPAlgebra:
         return [(v >> (t * bits)) & mask for t in range(count)]
 
     def combine(self, coeffs: list[int], table: list[int]) -> int:
-        """sum_a coeffs[a] * table[a], every lane reduced mod p."""
-        acc = 0
-        p, reduce = self.p, self.lanes.reduce
+        """sum_a coeffs[a] * table[a], every lane reduced mod p.
+
+        The lanes of `table` are reduced, so `lanes.batch` terms go in
+        between two reductions.
+        """
+        acc = pending = 0
+        p, lanes = self.p, self.lanes
+        batch, reduce = lanes.batch, lanes.reduce
         for a, c in enumerate(coeffs):
             c %= p
             if c:
-                acc = reduce(acc + c * table[a])
-        return acc
+                acc += c * table[a]
+                pending += 1
+                if pending == batch:
+                    acc = reduce(acc)
+                    pending = 0
+        return reduce(acc) if pending else acc
 
     def products(self, xs: list[list[int]],
                  ys: list[list[int]]) -> list[list[int]]:
@@ -268,8 +281,9 @@ class LocalBlock:
         a one-dimensional block M = 0 and the socle is the whole block.
         """
         s = self.dim
-        rows = [[self.mult[b][a][m] for b in range(s)]
-                for a in range(1, s) for m in range(s)]
+        # row (a, m) holds coordinate m of e_b e_a over b, which is row m
+        # of the transpose of mult[a] as the table is symmetric
+        rows = [row for a in range(1, s) for row in zip(*self.mult[a])]
         return self.algebra.lanes.nullspace(rows, s)
 
     def socle_dim(self) -> int:
@@ -297,8 +311,9 @@ def blocks(algebra: ModPAlgebra) -> list[LocalBlock]:
     gcd(m, D) . 1_C is, and with it D' . 1_C for D' the p-free part of D.
     Hence e_C = D'^-1 . decompose(D' . 1_C) mod p, one exact decomposition
     per class (`NonIntegralSolution` if 1_C were not p-integral).  One
-    `products` of the idempotents with themselves gives both checks: its
-    diagonal holds their squares, the rest their pairwise products.
+    `combine` of each e_C over `left` gives its multiples e_C e_k for
+    every k; the idempotence, sum and orthogonality checks all run on
+    them before any block is built, and each block is built from its own.
 
     Memoized on the algebra: blocks are immutable and later layers keep
     their resolutions on them.
@@ -316,19 +331,20 @@ def blocks(algebra: ModPAlgebra) -> list[LocalBlock]:
         for i in cls:
             ghost[i] = scale
         idempotents.append([c * inv_scale % p for c in ring.decompose(ghost)])
-    prods = algebra.products(idempotents, idempotents)
-    out = []
+    multiples = [algebra.split_blocks(algebra.combine(e, algebra.left), n)
+                 for e in idempotents]
     for ci, e in enumerate(idempotents):
-        if prods[ci][ci] != algebra.pack(e):
+        if algebra.combine(e, multiples[ci]) != algebra.pack(e):
             raise InvariantViolation(
                 f"block idempotent of the p-class of "
                 f"{ring.labels[algebra.classes[ci][0]]} is not idempotent")
-        out.append(_build_block(algebra, ci, e))
     if [sum(col) % p for col in zip(*idempotents)] != algebra.unit:
         raise InvariantViolation("block idempotents do not sum to the unit")
-    if any(prods[a][b] for a in range(len(idempotents))
-           for b in range(a + 1, len(idempotents))):
+    if any(algebra.combine(idempotents[a], multiples[b])
+           for b in range(len(idempotents)) for a in range(b)):
         raise InvariantViolation("block idempotents are not orthogonal")
+    out = [_build_block(algebra, ci, e, multiples[ci])
+           for ci, e in enumerate(idempotents)]
     if sum(b.dim for b in out) != n:
         raise InvariantViolation(
             "block dimensions do not add up to dim R/pR")
@@ -336,39 +352,68 @@ def blocks(algebra: ModPAlgebra) -> list[LocalBlock]:
     return out
 
 
-def _build_block(algebra: ModPAlgebra, class_index: int,
-                 idem: list[int]) -> LocalBlock:
+def _build_block(algebra: ModPAlgebra, class_index: int, idem: list[int],
+                 multiples: list[int]) -> LocalBlock:
+    """The block of `idem`, whose packed products with e_k are
+    `multiples[k]`: its basis (idem, then a basis of the maximal ideal) and
+    its multiplication table in that basis.
+
+    A class of one element gives F_p with table [[[1]]] and no elimination:
+    given theta_C(e_C) != 0, e_C e_k = theta_C(e_k) e_C for every k
+    exactly when the block is F_p . e_C, so one comparison of the
+    multiples is the dimension check.  A larger block takes its basis from
+    an echelon of the multiples; each basis vector x_a goes into one more
+    echelon as x_a, shifted above s lanes, over its unit lane a.  A
+    product x_a x_b (a <= b, the algebra is commutative; one `combine` of
+    x_a over the multiples of x_b) reduced in the same shift leaves
+    nothing above it exactly when it lies in the block, and minus its
+    coordinates in the low lanes.
+    """
     p, n, w = algebra.p, algebra.dim, algebra.lanes.width
-    ech = algebra.echelon()
-    # idem * e_k for every k from one combination over the table
-    multiples = algebra.split_blocks(algebra.combine(idem, algebra.left), n)
-    span = [v for v in multiples if ech.insert(v)]
+    reduce = algebra.lanes.reduce
+    theta_row = algebra.theta[class_index]
     expected = len(algebra.classes[class_index])
+    if expected == 1:
+        if not sum(t * c for t, c in zip(theta_row, idem)) % p:
+            raise NotLocal("residue field is not one-dimensional")
+        e = algebra.pack(idem)
+        if multiples != [reduce(t * e) for t in theta_row]:
+            raise InvariantViolation(
+                f"block of the p-class of "
+                f"{algebra.ring.labels[algebra.classes[class_index][0]]} "
+                f"is not one-dimensional")
+        return LocalBlock(algebra, class_index, idem, [idem], [[[1]]])
+    ech = algebra.echelon()
+    span = [v for v in multiples if ech.insert(v)]
     if len(span) != expected:
         raise InvariantViolation(
             f"block dimension {len(span)} != class size {expected}")
     # the maximal ideal: block elements with zero theta at this class
-    theta_row = algebra.theta[class_index]
     rows = [[sum(r * c for r, c in zip(theta_row, unpack(v, n, w))) % p
              for v in span]]
     m_coords = algebra.lanes.nullspace(rows, len(span))
     if len(m_coords) != len(span) - 1:
         raise NotLocal("residue field is not one-dimensional")
-    columns = [algebra.pack(idem)] + [algebra.combine(coord, span)
-                                      for coord in m_coords]
-    basis = [idem] + [unpack(v, n, w) for v in columns[1:]]
+    packed = [algebra.pack(idem)] + [algebra.combine(coord, span)
+                                     for coord in m_coords]
+    basis = [idem] + [unpack(v, n, w) for v in packed[1:]]
     s = len(basis)
-    # one kernel over the columns [basis | every product e_a * e_b]: the
-    # basis is independent, so each product inside the block leaves one
-    # kernel vector, 1 at its own column and minus its coordinates on the
-    # basis columns, in column order
-    for row in algebra.products(basis, basis):
-        columns += row
-    kernel = fp_lane_kernel_of_columns(columns, algebra.lanes)
-    if len(kernel) != s * s:
-        raise InvariantViolation("block is not closed under products")
-    coords = [[-c % p for c in unpack(k, s, w)] for k in kernel]
-    mult = [coords[a * s:(a + 1) * s] for a in range(s)]
+    shift = s * w
+    coords = algebra.echelon()
+    for a, x in enumerate(packed):
+        coords.insert(x << shift | 1 << (a * w))
+    # p in each of the s low lanes; p - c, reduced, negates coordinate c
+    negate = p * (((1 << shift) - 1) // ((1 << w) - 1))
+    mult: list[list] = [[None] * s for _ in range(s)]
+    for b, y in enumerate(basis):
+        # y e_k for every k; x_0 = idem has its multiples already
+        ys = multiples if b == 0 else algebra.split_blocks(
+            algebra.combine(y, algebra.left), n)
+        for a in range(b + 1):
+            v = coords.reduce(algebra.combine(basis[a], ys) << shift)
+            if v >> shift:
+                raise InvariantViolation("block is not closed under products")
+            mult[a][b] = mult[b][a] = unpack(reduce(negate - v), s, w)
     return LocalBlock(algebra, class_index, idem, basis, mult)
 
 

@@ -1,13 +1,18 @@
-"""Reference products of R/pR for the tests.
+"""Reference products and block tables of R/pR for the tests.
 
 `ModPAlgebra` multiplies through one packed table (`combine`, `products`);
 `_mul` is the plain list product over the ring's `(m, c)` pairs that the
 tests check it against, and `nilpotent_span` finds the radical again by
 an exhaustive scan of the algebra, squaring through `_mul`.
+`block_by_kernel` builds a block's basis and table through one kernel
+over the basis and all s^2 products, the reference for the coordinate
+solve of `modp._build_block`.
 """
 
 from __future__ import annotations
 
+from burnside.errors import InvariantViolation, NotLocal
+from burnside.fplinalg import fp_lane_kernel_of_columns, unpack
 from burnside.modp import ModPAlgebra
 
 
@@ -59,3 +64,42 @@ def nilpotent_span(algebra: ModPAlgebra) -> list[list[int]]:
             break
         coords[k] += 1
     return out
+
+
+def block_by_kernel(algebra: ModPAlgebra, class_index: int,
+                    idem: list[int]) -> tuple[list[list[int]],
+                                              list[list[list[int]]]]:
+    """(basis, mult) of the block of `idem`, every block through the
+    (s + s^2)-column kernel.
+
+    The basis is idem, then the maximal ideal of the span of the idem e_k;
+    one kernel over the columns [basis | every product e_a e_b] leaves, as
+    the basis is independent, one kernel vector per product inside the
+    block, 1 at its own column and minus its coordinates on the basis
+    columns, in column order.
+    """
+    p, n, w = algebra.p, algebra.dim, algebra.lanes.width
+    ech = algebra.echelon()
+    multiples = algebra.split_blocks(algebra.combine(idem, algebra.left), n)
+    span = [v for v in multiples if ech.insert(v)]
+    expected = len(algebra.classes[class_index])
+    if len(span) != expected:
+        raise InvariantViolation(
+            f"block dimension {len(span)} != class size {expected}")
+    theta_row = algebra.theta[class_index]
+    rows = [[sum(r * c for r, c in zip(theta_row, unpack(v, n, w))) % p
+             for v in span]]
+    m_coords = algebra.lanes.nullspace(rows, len(span))
+    if len(m_coords) != len(span) - 1:
+        raise NotLocal("residue field is not one-dimensional")
+    columns = [algebra.pack(idem)] + [algebra.combine(coord, span)
+                                      for coord in m_coords]
+    basis = [idem] + [unpack(v, n, w) for v in columns[1:]]
+    s = len(basis)
+    for row in algebra.products(basis, basis):
+        columns += row
+    kernel = fp_lane_kernel_of_columns(columns, algebra.lanes)
+    if len(kernel) != s * s:
+        raise InvariantViolation("block is not closed under products")
+    coords = [[-c % p for c in unpack(k, s, w)] for k in kernel]
+    return basis, [coords[a * s:(a + 1) * s] for a in range(s)]

@@ -1,14 +1,16 @@
 import copy
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from burnside.errors import InvalidPrime, InvariantViolation, NotLocal
 from burnside.exttor import prime_factors
-from burnside.fplinalg import FpEchelon, FpLanes, pack
+from burnside import fplinalg
+from burnside.fplinalg import FpEchelon, FpLaneEchelon, FpLanes, pack
 from burnside.modp import ModPAlgebra, blocks, blocks_report, radical
 from burnside.permgroup import is_prime
-from modp_reference import _mul, nilpotent_span
+from modp_reference import _mul, block_by_kernel, nilpotent_span
 from util import get_context, unimodular_change
 
 CORPUS = ["S3", "C4", "C6", "V4", "D4", "Q8", "S4"]
@@ -222,6 +224,72 @@ def test_packed_block_construction_matches_list_products(name):
             for x in idempotents]
 
 
+KERNEL_REFERENCE_CASES = [("C30", 2), ("C30", 3), ("C30", 5), ("A4", 2),
+                          ("A4", 3), ("S4", 2), ("S4", 3), ("D4", 2),
+                          ("Q8", 2), ("(1 2 3),(4 5 6)", 3),
+                          ("(1 2),(3 4),(5 6)", 2), ("(1 2),(3 4),(5 6)", 3),
+                          ("(1 2),(3 4),(5 6)", 5)]
+
+
+@pytest.mark.parametrize("name,p", KERNEL_REFERENCE_CASES)
+def test_block_tables_match_kernel_reference(name, p):
+    # the coordinate solve of each block's products gives the basis and
+    # table that one kernel over [basis | all s^2 products] gives
+    algebra = ModPAlgebra(get_context(name).ring, p)
+    for ci, block in enumerate(blocks(algebra)):
+        basis, mult = block_by_kernel(algebra, ci, block.idempotent)
+        assert block.basis == basis
+        assert block.mult == mult
+
+
+@pytest.mark.parametrize("name,p", [("(1 2),(3 4),(5 6)", 3),
+                                    ("(1 2),(3 4),(5 6)", 5), ("C4", 3)])
+def test_one_dimensional_blocks_form_no_product_or_kernel(monkeypatch, name,
+                                                          p):
+    # every class is a singleton at a coprime prime, so every block is
+    # F_p e_C with table [[[1]]], read off the shared multiples
+    algebra = ModPAlgebra(get_context(name).ring, p)
+    assert all(len(cls) == 1 for cls in algebra.classes)
+    calls = [_count_calls(monkeypatch, attr, owner) for owner, attr in (
+        (ModPAlgebra, "products"), (FpLaneEchelon, "insert"),
+        (FpLaneEchelon, "reduce"), (FpLanes, "nullspace"),
+        (fplinalg, "fp_lane_kernel_of_columns"))]
+    bl = blocks(algebra)
+    assert all(b.basis == [b.idempotent] and b.mult == [[[1]]] for b in bl)
+    assert calls == [[]] * 5
+
+
+def test_blocks_reject_tampered_one_dimensional_block():
+    # the table claims [C4/1] [C4/C4] = [C4/1] + [C4/C2] (block 2 of
+    # left[0]), so e_1 [C4/C4] leaves F_3 e_1; e_1 = [C4/1] and e_2 have
+    # no [C4/C4] coordinate and e_4 no [C4/1] one, so every square and
+    # every product e_a e_b (a < b) stays as it was
+    algebra = _c4_mod_3()
+    parts = algebra.split_blocks(algebra.left[0], algebra.dim)
+    assert parts[2] == algebra.pack([1, 0, 0])
+    parts[2] = algebra.pack([1, 1, 0])
+    algebra.left[0] = algebra.join_blocks(parts)
+    with pytest.raises(InvariantViolation,
+                       match="p-class of 1 is not one-dimensional"):
+        blocks(algebra)
+
+
+def test_blocks_reject_product_outside_block():
+    # the table claims [S3/C3]^2 = [S3/C3] (block 2 of left[2]; it is
+    # 2 [S3/C3] = 0 mod 2).  No idempotent has a [S3/C3] coordinate, so
+    # their multiples, every check run on them and both block bases stay
+    # as they were, but x_1 = [S3/1] + [S3/C3] of the block of 3 now
+    # squares to [S3/C3], outside that block
+    algebra = ModPAlgebra(get_context("S3").ring, 2)
+    parts = algebra.split_blocks(algebra.left[2], algebra.dim)
+    assert parts[2] == 0
+    parts[2] = algebra.pack([0, 0, 1, 0])
+    algebra.left[2] = algebra.join_blocks(parts)
+    with pytest.raises(InvariantViolation,
+                       match="block is not closed under products"):
+        blocks(algebra)
+
+
 def test_blocks_report_schema():
     report = blocks_report(get_context("S3").algebra(2))
     assert report["p"] == 2
@@ -312,16 +380,17 @@ BLOCK_COUNT_CASES = [("S3", 2), ("D4", 2), ("A4", 3),
                      ("(1 2),(3 4),(5 6)", 5)]
 
 
-def _count_calls(monkeypatch, name):
-    """Patch ModPAlgebra.<name> to log each call; returns the log."""
+def _count_calls(monkeypatch, name, owner=ModPAlgebra):
+    """Patch owner.<name> (a method of ModPAlgebra by default) to log each
+    call; returns the log."""
     calls = []
-    method = getattr(ModPAlgebra, name)
+    method = getattr(owner, name)
 
     def counted(self, *args):
         calls.append(args)
         return method(self, *args)
 
-    monkeypatch.setattr(ModPAlgebra, name, counted)
+    monkeypatch.setattr(owner, name, counted)
     return calls
 
 
@@ -376,6 +445,23 @@ def test_check_associative_combines_each_distinct_product_once(
     monkeypatch.setattr(algebra, "combine", counted)
     algebra.check_associative()
     assert len(calls) == len(set(calls)) == distinct
+
+
+@pytest.mark.parametrize("p", [2, 3, 13, 17])
+def test_combine_reduces_in_batches(p):
+    # at least two batches of terms between reductions (254 at p = 2), the
+    # first 510 adding the most a term can, (p - 1)^2, to every lane; one
+    # term more per batch would overflow a lane.  p = 17 runs on the wide
+    # guarded lanes, one term per reduction
+    algebra = ModPAlgebra(get_context("S3").ring, p)
+    rng = random.Random(p)
+    vectors = [[p - 1] * 4] * 510 + [[rng.randrange(p) for _ in range(4)]
+                                     for _ in range(100)]
+    coeffs = [-1] * 510 + [rng.randrange(-3 * p, 3 * p) for _ in range(100)]
+    assert 2 * algebra.lanes.batch <= 510
+    assert algebra.combine(coeffs, [algebra.pack(v) for v in vectors]) == (
+        algebra.pack([sum(c * v[t] for c, v in zip(coeffs, vectors))
+                      for t in range(4)]))
 
 
 def _associative_by_reference(table, p):
