@@ -9,13 +9,13 @@ error taxonomy (errors), and a CLI (cli) with a marks cache (cache).
 """
 
 from .perm import Permutation
-from .permgroup import (CosetAction, PermGroup, Subgroup, SubgroupClassTable,
+from .permgroup import (PermGroup, Subgroup, SubgroupClassTable,
                         enumerate_elements, normalizer, o_p, subgroup_classes)
 from .marks import BurnsideElement, MarksTable, decompose, ghost, multiply, table_of_marks
 from .bring import BRing, congruence_d, p_classes, separators
-from .modp import ModPAlgebra, LocalBlock, blocks, radical
+from .modp import ModPAlgebra, LocalBlock, blocks
 from .resolution import (MinimalResolution, betti_growth_certificate,
-                         betti_sequence, ext_dims_pair, tor_dims_pair)
+                         betti_sequence, ext_dims_pair)
 from .exttor import (ExtTorContext, ext_ranks, ext_report, hom_base,
                      tensor_base, tor_ranks, tor_report, verify_squarefree)
 from .oracle import oracle_ext, oracle_tor

@@ -17,64 +17,11 @@ coefficient, and a kernel basis comes out with kernel vector j ending in
 coefficient 1 at the lane of its own column j.  The minimal resolutions
 read their generators off that form.
 
-`FpEchelon` and `fp_rank` keep an independent list-based elimination as
-the reference: tests compare the packed kernels against it, and the
-integral oracle ranks with it so that the cross-check does not share the
-code path it checks.
+The tests' list-row reference elimination, `FpEchelon` and `fp_rank`, is
+in `tests/fplinalg_reference.py`, apart from the code it checks.
 """
 
 from __future__ import annotations
-
-
-class FpEchelon:
-    """Row space in echelon form over F_p; supports reduce/insert/dim."""
-
-    def __init__(self, p: int):
-        self.p = p
-        self.rows: dict[int, list[int]] = {}
-
-    def reduce(self, vec: list[int]) -> list[int]:
-        p = self.p
-        v = [x % p for x in vec]
-        while True:
-            lead = -1
-            for j, x in enumerate(v):
-                if x:
-                    lead = j
-                    break
-            if lead < 0 or lead not in self.rows:
-                return v
-            c = v[lead]
-            row = self.rows[lead]
-            for j in range(lead, len(v)):
-                v[j] = (v[j] - c * row[j]) % p
-
-    def insert(self, vec: list[int]) -> bool:
-        """Add vec to the span; True if the dimension grew."""
-        v = self.reduce(vec)
-        for j, x in enumerate(v):
-            if x:
-                inv = pow(x, -1, self.p)
-                self.rows[j] = [(inv * y) % self.p for y in v]
-                return True
-        return False
-
-    def contains(self, vec: list[int]) -> bool:
-        return not any(self.reduce(vec))
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
-
-    def basis(self) -> list[list[int]]:
-        return [self.rows[j] for j in sorted(self.rows)]
-
-
-def fp_rank(rows: list[list[int]], p: int) -> int:
-    ech = FpEchelon(p)
-    for r in rows:
-        ech.insert(r)
-    return ech.dim
 
 
 # GF(2) fast path: a vector is an int, bit i <-> coordinate i.

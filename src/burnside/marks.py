@@ -1,9 +1,9 @@
 """Table of marks, and Burnside ring elements over its [G/H] basis.
 
 Marks are read off the members of each subgroup class by containment;
-`CosetAction.fixed_points` and the double count of
-`tests/marks_reference.py` count them again, independently, for the
-tests.  The arithmetic of the elements is that of the table's `BRing`.
+the coset action and the double count of `tests/marks_reference.py`
+count them again, independently, for the tests.  The arithmetic of the
+elements is that of the table's `BRing`.
 """
 
 from __future__ import annotations

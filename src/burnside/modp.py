@@ -1,4 +1,4 @@
-"""The algebra R/pR: evaluation map, radical, and local block summands.
+"""The algebra R/pR: evaluation map and local block summands.
 
 Commutativity is checked once, on the ring's structure constants when a
 `ModPAlgebra` is built (`_check`); every product path here relies on it.
@@ -6,7 +6,9 @@ Every block comes from its idempotent's multiples e_C e_k, one `combine`
 over `left`: a one-element p-class gives F_p e_C in closed form, and a
 larger block reads its table off one echelon of its basis, in which each
 product x_a x_b (a <= b) is reduced to its coordinates.  No kernel over
-the products is formed.
+the products is formed.  The radical of R/pR, the kernel of theta, is
+the sum of the blocks' maximal ideals: the vectors `basis[1:]` of each
+`LocalBlock`.
 """
 
 from __future__ import annotations
@@ -154,37 +156,6 @@ class ModPAlgebra:
                     acc = reduce(acc)
                     pending = 0
         return reduce(acc) if pending else acc
-
-    def products(self, xs: list[list[int]],
-                 ys: list[list[int]]) -> list[list[int]]:
-        """[[pack(x * y) for y in ys] for x in xs] from `left`.
-
-        One `combine` per y gives y e_m for every m; regrouped so that
-        block t of by_m[m] holds y_t e_m, one more per x gives x y_t for
-        every t, as the algebra is commutative (checked on the ring's
-        pairs in `_check`).
-        """
-        n = self.dim
-        cols = [self.split_blocks(self.combine(y, self.left), n) for y in ys]
-        by_m = [self.join_blocks(col[m] for col in cols) for m in range(n)]
-        return [self.split_blocks(self.combine(x, by_m), len(ys)) for x in xs]
-
-
-def radical(algebra: ModPAlgebra) -> list[list[int]]:
-    """Basis of ker(theta); verified nilpotent by repeated squaring."""
-    n, w = algebra.dim, algebra.lanes.width
-    basis = algebra.lanes.nullspace(algebra.theta, n)
-    current = list(basis)
-    for _ in range(n + 1):
-        if not current:
-            break
-        ech = algebra.echelon()
-        current = [unpack(v, n, w)
-                   for row in algebra.products(current, current)
-                   for v in row if ech.insert(v)]
-    else:
-        raise InvariantViolation("kernel of theta is not nilpotent")
-    return basis
 
 
 @dataclass

@@ -24,8 +24,8 @@ d s + s d = id
 (s s = 0 because 1 dies in Rbar, and phi_j(1) = 1 starts it), so the
 complex is exact over Z, saturation included: every cycle z is d(s z).
 
-Each differential d_l evaluated through mark i is E_l =
-`evaluation_matrix(l, i)` (m_l x m_{l-1}); Hom(-, Z_i) has maps E_l and
+Each differential d_l evaluated through mark i is E_l, with the m_l rows
+`evaluation_rows(l, i)` over m_{l-1} columns; Hom(-, Z_i) has maps E_l and
 - (x) Z_i maps E_l^T.  With r_l = rank E_l and r_0 = 0, both groups are
 read off the Smith forms of E_l and E_{l+1}, torsion being the invariant
 factors > 1:
@@ -47,21 +47,18 @@ only its multiples of 1 as a sparse row (its index says where b_a sits),
 the next stage is built from them, and E_l is those rows plus phi_i(b_a)
 at each b_a, handed to `sparse_smith_invariants`, which splits off the
 unit pivots, then alternates Hermite echelons of the rows and of the
-columns of the core left over until it is diagonal.  `evaluation_matrix`
-is a dense view built on demand for the tests and
-`oracle_ext_simple_dims`.  The oracle reads only the structure constants
-and the marks, no block or p-local data.  With Python 3.11.7 on a shared
-2-core host, `verify --suite oracle` takes about 0.07 s per process for
-V4 and for A4 (E_4 is 256 x 64) and 0.8 s for D4 (E_4 is 2401 x 343),
-nearly all of it in the Smith forms (0.10 s and 1.4 s with a Smith form
-per ordered pair).
+columns of the core left over until it is diagonal.  The oracle reads
+only the structure constants and the marks, no block or p-local data.
+With Python 3.11.7 on a shared 2-core host, `verify --suite oracle`
+takes about 0.07 s per process for V4 and for A4 (E_4 is 256 x 64) and
+0.8 s for D4 (E_4 is 2401 x 343), nearly all of it in the Smith forms
+(0.10 s and 1.4 s with a Smith form per ordered pair).
 """
 
 from __future__ import annotations
 
 from .errors import InvariantViolation, ResolutionTooLarge
 from .exttor import ExtTorContext, ModuleType
-from .fplinalg import fp_rank
 from .intlinalg import SparseRow, sparse_smith_invariants
 
 ORACLE_DEGREE_CAP = 3
@@ -94,7 +91,7 @@ class IntegralResolution:
         self.ranks = [1]
         # per stage, per column of d_l: its coefficients of 1 by coordinate
         self.integer_parts: list[list[SparseRow]] = []
-        # (l, i) -> (rank, invariant factors > 1) of evaluation_matrix(l, i),
+        # (l, i) -> (rank, invariant factors > 1) of evaluation_rows(l, i),
         # filled by smith_form
         self.smith: dict[tuple[int, int], tuple[int, tuple[int, ...]]] = {}
 
@@ -147,7 +144,7 @@ class IntegralResolution:
         self.integer_parts.append(stage)
 
     def evaluation_rows(self, l: int, i: int) -> list[SparseRow]:
-        """The rows of E_l = evaluation_matrix(l, i) as sparse rows over
+        """The rows of E_l, d_l evaluated through mark i, as sparse rows over
         m_{l-1} columns: column t of d_l evaluates to its integer part
         (phi_i(1) = 1) plus phi_i(b_a) at its coordinate of b_a."""
         width = len(self.bar)
@@ -162,14 +159,8 @@ class IntegralResolution:
             rows.append(row)
         return rows
 
-    def evaluation_matrix(self, l: int, i: int) -> list[list[int]]:
-        """[pi_i(entry)] for d_l, shaped (m_l, m_{l-1})."""
-        width = range(self.ranks[l - 1])
-        return [[row.get(s, 0) for s in width]
-                for row in self.evaluation_rows(l, i)]
-
     def smith_form(self, l: int, i: int) -> tuple[int, tuple[int, ...]]:
-        """(rank, invariant factors > 1) of E_l = evaluation_matrix(l, i);
+        """(rank, invariant factors > 1) of E_l = evaluation_rows(l, i);
         E_0 is the zero map into degree 0."""
         if l == 0:
             return 0, ()
@@ -222,25 +213,3 @@ def oracle_tor(ctx: ExtTorContext, i: int, j: int, L: int) -> list[ModuleType]:
     return [ModuleType(m - r - r_up, torsion)
             for m, (r, _), (r_up, torsion) in _smith_forms(ctx, i, j, L)]
 
-
-def oracle_ext_simple_dims(ctx: ExtTorContext, i: int, j: int, p: int,
-                           L: int) -> list[int]:
-    """dim_k Ext^l(Z_i, k_j) for l = 0..L, over the prime field at p.
-
-    Resolves the source Z_i, evaluates entries through the j-th mark mod
-    p, and counts cohomology dimensions; this realizes the reduction of
-    torsion-free sources to the mod-p algebra as a computable check.
-    """
-    _check_cap(L)
-    res = _resolution_for(ctx, i)
-    res.extend_to(L + 1)
-    dims = []
-    for l in range(L + 1):
-        up = [[x % p for x in row] for row in res.evaluation_matrix(l + 1, j)]
-        ker_dim = res.ranks[l] - fp_rank(up, p)
-        if l == 0:
-            dims.append(ker_dim)
-            continue
-        down = [[x % p for x in row] for row in res.evaluation_matrix(l, j)]
-        dims.append(ker_dim - fp_rank(down, p))
-    return dims

@@ -63,9 +63,8 @@ closed form charges each stage it skips that matrix's `matrix_cost`
 against `max_matrix_bits` before taking b_l, so it refuses at the same
 stage with the same message as `MinimalResolution`
 (`_check_stage_budget`).  `MinimalResolution` has no square-zero branch:
-it stays the one elimination, which `tor_dims_pair`, the tests and the
-`--oracle` check of `ext` and `tor` (`check_closed_form`) hold the
-closed form against.
+it stays the one elimination, which the tests and the `--oracle` check
+of `ext` and `tor` (`check_closed_form`) hold the closed form against.
 
 Free ranks of unbounded blocks grow geometrically, so beyond a feasible
 window the exact computation is supplemented by a growth certificate: for
@@ -136,10 +135,6 @@ class _LaneOps:
         ones = ((1 << (n_components * stride)) - 1) // ((1 << stride) - 1)
         return ones * self.lane_mask
 
-    def residue(self, flat: int, i: int) -> int:
-        """The residue-field entry (coordinate 0) of component i."""
-        return (flat >> (i * self.s * self.width)) & self.lane_mask
-
     def top_lane(self, flat: int) -> int:
         """The highest nonzero lane of a nonzero vector."""
         return (flat.bit_length() - 1) // self.width
@@ -175,15 +170,13 @@ class _FpOps(_LaneOps):
     batch of products that still fits below the lane limit."""
 
     def __init__(self, block: LocalBlock):
-        self.lanes = lanes = block.algebra.lanes
-        super().__init__(block, lanes.width)
-        p = block.p
-        self.batch = (lanes.limit - (p - 1)) // ((p - 1) * (p - 1))
+        self.lanes = block.algebra.lanes
+        super().__init__(block, self.lanes.width)
 
     def column(self, gen: int, mask: int, basis_idx: int) -> int:
         """The flat image of (basis element) * gen, componentwise, for gen
         in M.F; `mask` is `lead_mask` of gen's number of components."""
-        mod, batch = self.lanes.reduce, self.batch
+        mod, batch = self.lanes.reduce, self.lanes.batch
         out = 0
         pending = 0
         for shift, prod in self.table[basis_idx]:
@@ -348,27 +341,6 @@ class MinimalResolution:
                 f"from the exactness recursion {self.kernel_dims[top]}")
         self._kernel = kernel
 
-    def reduced_differential(self, l: int) -> list[list[int]]:
-        """d_l tensored with k: the matrix of residue-field entries."""
-        gens = self.differentials[l - 1]
-        residue = self.ops.residue
-        return [[residue(g, i) for g in gens]
-                for i in range(self.betti[l - 1])]
-
-    def reduced_rank(self, l: int) -> int:
-        """Rank of d_l tensored with k (zero whenever minimality holds).
-
-        Zero after one mask test per generator; the rank is computed
-        honestly only if some residue entry is non-zero.
-        """
-        mask = self.ops.lead_mask(self.betti[l - 1])
-        if not any(g & mask for g in self.differentials[l - 1]):
-            return 0
-        ech = self.ops.echelon()
-        for row in self.reduced_differential(l):
-            ech.insert(self.ops.pack(row))
-        return ech.dim
-
 
 def betti_sequence(block: LocalBlock, degree: int) -> list[int]:
     """(b_0, ..., b_degree) for the block's residue field; a square-zero
@@ -489,26 +461,3 @@ def ext_dims_pair(algebra: ModPAlgebra, i: int, j: int,
         return [0] * (degree + 1)
     return betti_sequence(block, degree)
 
-
-def tor_dims_pair(algebra: ModPAlgebra, i: int, j: int,
-                  degree: int) -> list[int]:
-    """dim Tor_l between the simples, recomputed from the tensored complex.
-
-    Taking ranks of the residue-reduced differentials recomputes the
-    homology of F_* tensor k; minimality makes those ranks zero, and the
-    result is asserted equal to the Betti numbers.
-    """
-    block = shared_block(algebra, i, j)
-    if block is None:
-        return [0] * (degree + 1)
-    res = _resolution_cache(block)
-    res.extend_to(degree + 1)
-    ranks = [res.reduced_rank(l) for l in range(1, degree + 2)]
-    dims = []
-    for l in range(degree + 1):
-        r_l = ranks[l - 1] if l >= 1 else 0
-        dims.append(res.betti[l] - r_l - ranks[l])
-    if dims != res.betti[:degree + 1]:
-        raise InvariantViolation(
-            "tensored homology disagrees with Betti numbers")
-    return dims

@@ -1,9 +1,10 @@
 """Reference products and block tables of R/pR for the tests.
 
-`ModPAlgebra` multiplies through one packed table (`combine`, `products`);
-`_mul` is the plain list product over the ring's `(m, c)` pairs that the
-tests check it against, and `nilpotent_span` finds the radical again by
-an exhaustive scan of the algebra, squaring through `_mul`.
+`ModPAlgebra` multiplies through one packed table (`combine` over
+`left`); `_mul` is the plain list product over the ring's `(m, c)` pairs
+that the tests check it against, and `nilpotent_span` finds the radical,
+which the blocks' maximal ideals span, again by an exhaustive scan of the
+algebra, squaring through `_mul`.
 `block_by_kernel` builds a block's basis and table through one kernel
 over the basis and all s^2 products, the reference for the coordinate
 solve of `modp._build_block`.
@@ -21,8 +22,9 @@ def _mul(table: list[list[list[tuple[int, int]]]], p: int, x: list[int],
     """x * y mod p, for table[k][l] the nonzero (m, c) of e_k * e_l, as in
     `BRing.structure_constants`.
 
-    The list-product reference for the packed `ModPAlgebra.products`; only
-    the exhaustive `nilpotent_span` scan multiplies through it.
+    The list-product reference for the packed `ModPAlgebra.combine`; the
+    exhaustive `nilpotent_span` scan and `block_by_kernel` multiply
+    through it.
     """
     out = [0] * len(table)
     for k, a in enumerate(x):
@@ -96,8 +98,8 @@ def block_by_kernel(algebra: ModPAlgebra, class_index: int,
                                       for coord in m_coords]
     basis = [idem] + [unpack(v, n, w) for v in columns[1:]]
     s = len(basis)
-    for row in algebra.products(basis, basis):
-        columns += row
+    sc = algebra.ring.structure_constants()
+    columns += [algebra.pack(_mul(sc, p, x, y)) for x in basis for y in basis]
     kernel = fp_lane_kernel_of_columns(columns, algebra.lanes)
     if len(kernel) != s * s:
         raise InvariantViolation("block is not closed under products")

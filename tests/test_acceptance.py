@@ -11,12 +11,13 @@ from burnside.exttor import (ExtTorContext, ModuleType, ext_ranks, ext_report,
 from burnside.groups import parse_group
 from burnside.marks import table_of_marks
 from burnside.modp import blocks
-from burnside.oracle import oracle_ext, oracle_ext_simple_dims, oracle_tor
+from burnside.oracle import oracle_ext, oracle_tor
 from burnside.bring import separators
 from burnside.permgroup import are_conjugate, o_p
 from burnside.resolution import (betti_growth_certificate, ext_dims_pair,
-                                 shared_block, tor_dims_pair,
-                                 _resolution_cache)
+                                 shared_block, _resolution_cache)
+from oracle_reference import oracle_ext_simple_dims
+from resolution_reference import tor_dims_pair
 from util import get_classes, get_context, get_group
 
 CORPUS = ["S3", "C4", "C6", "V4", "D4", "Q8", "S4"]

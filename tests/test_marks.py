@@ -4,8 +4,8 @@ import pytest
 
 from burnside.errors import BasisMismatch, NonIntegralSolution
 from burnside.marks import decompose, ghost, multiply
-from burnside.permgroup import CosetAction, Subgroup, are_conjugate, normalizer
-from marks_reference import double_count_mark, verify_marks
+from burnside.permgroup import Subgroup, are_conjugate, normalizer
+from marks_reference import CosetAction, double_count_mark, verify_marks
 from util import get_group, get_marks
 
 S3_MATRIX = [[6, 0, 0, 0], [3, 1, 0, 0], [2, 0, 2, 0], [1, 1, 1, 1]]

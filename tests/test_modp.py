@@ -7,9 +7,10 @@ from hypothesis import given, settings, strategies as st
 from burnside.errors import InvalidPrime, InvariantViolation, NotLocal
 from burnside.exttor import prime_factors
 from burnside import fplinalg
-from burnside.fplinalg import FpEchelon, FpLaneEchelon, FpLanes, pack
-from burnside.modp import ModPAlgebra, blocks, blocks_report, radical
+from burnside.fplinalg import FpLaneEchelon, FpLanes
+from burnside.modp import ModPAlgebra, blocks, blocks_report
 from burnside.permgroup import is_prime
+from fplinalg_reference import FpEchelon
 from modp_reference import _mul, block_by_kernel, nilpotent_span
 from util import get_context, unimodular_change
 
@@ -28,19 +29,25 @@ def test_build_examples():
         ModPAlgebra(ctx.ring, 4)
 
 
+def _radical(algebra):
+    """The maximal ideals of the blocks: basis[1:] of each, together."""
+    return [v for b in blocks(algebra) for v in b.basis[1:]]
+
+
 def test_radical_dimensions():
     ctx = get_context("S3")
-    assert len(radical(ctx.algebra(2))) == 2
-    assert len(radical(ctx.algebra(5))) == 0
-    assert len(radical(get_context("C4").algebra(2))) == 2
+    assert len(_radical(ctx.algebra(2))) == 2
+    assert len(_radical(ctx.algebra(5))) == 0
+    assert len(_radical(get_context("C4").algebra(2))) == 2
 
 
-@pytest.mark.parametrize("name", ["S3", "C4", "V4"])
+# p^n stays at most 2^16 for the exhaustive scan: A4 has n = 5, Q8 n = 6
+@pytest.mark.parametrize("name", ["S3", "C4", "V4", "A4", "Q8"])
 def test_radical_equals_nilpotent_span(name):
     ctx = get_context(name)
     for p in (2, 3):
         algebra = ctx.algebra(p)
-        rad = radical(algebra)
+        rad = _radical(algebra)
         nil = nilpotent_span(algebra)
         ech = FpEchelon(p)
         for v in rad:
@@ -58,7 +65,10 @@ def test_block_count_and_dims(name):
         assert len(bl) == len(algebra.classes)
         assert [b.dim for b in bl] == [len(c) for c in algebra.classes]
         assert sum(b.dim for b in bl) == algebra.dim
-        assert len(radical(algebra)) == algebra.dim - len(algebra.classes)
+        # the maximal ideals of all blocks together are independent
+        ech = FpEchelon(p)
+        assert all(ech.insert(v) for v in _radical(algebra))
+        assert ech.dim == algebra.dim - len(algebra.classes)
 
 
 @pytest.mark.parametrize("name", CORPUS)
@@ -217,11 +227,6 @@ def test_packed_block_construction_matches_list_products(name):
                     assert _mul(sc, p, x, y) == [
                         sum(c * v[t] for c, v in zip(coords, block.basis)) % p
                         for t in range(n)]
-        # the products behind the orthogonality check of `blocks`
-        w = algebra.lanes.width
-        assert algebra.products(idempotents, idempotents) == [
-            [pack(_mul(sc, p, x, y), p, w) for y in idempotents]
-            for x in idempotents]
 
 
 KERNEL_REFERENCE_CASES = [("C30", 2), ("C30", 3), ("C30", 5), ("A4", 2),
@@ -251,12 +256,11 @@ def test_one_dimensional_blocks_form_no_product_or_kernel(monkeypatch, name,
     algebra = ModPAlgebra(get_context(name).ring, p)
     assert all(len(cls) == 1 for cls in algebra.classes)
     calls = [_count_calls(monkeypatch, attr, owner) for owner, attr in (
-        (ModPAlgebra, "products"), (FpLaneEchelon, "insert"),
-        (FpLaneEchelon, "reduce"), (FpLanes, "nullspace"),
-        (fplinalg, "fp_lane_kernel_of_columns"))]
+        (FpLaneEchelon, "insert"), (FpLaneEchelon, "reduce"),
+        (FpLanes, "nullspace"), (fplinalg, "fp_lane_kernel_of_columns"))]
     bl = blocks(algebra)
     assert all(b.basis == [b.idempotent] and b.mult == [[[1]]] for b in bl)
-    assert calls == [[]] * 5
+    assert calls == [[]] * 4
 
 
 def test_blocks_reject_tampered_one_dimensional_block():

@@ -3,13 +3,14 @@ import pytest
 from burnside.bring import BRing
 from burnside.errors import InvariantViolation, ResolutionTooLarge
 from burnside.exttor import (ModuleType, ext_report, prime_factors, tor_report)
-from burnside.oracle import (IntegralResolution, oracle_ext,
-                             oracle_ext_simple_dims, oracle_tor)
+from burnside.oracle import IntegralResolution, oracle_ext, oracle_tor
 from burnside.intlinalg import sparse_smith_invariants
 from burnside.resolution import ext_dims_pair
 from intlinalg_reference import (kernel_of_columns, mat_mul,
                                  quotient_structure, smith_invariants)
-from util import dense_diffs, get_context, r_multiples, unimodular_change
+from oracle_reference import oracle_ext_simple_dims
+from util import (dense_diffs, evaluation_matrix, get_context, r_multiples,
+                  unimodular_change)
 
 
 def test_integral_resolution_is_exact_complex():
@@ -23,8 +24,8 @@ def test_integral_resolution_is_exact_complex():
         assert sum(c * ctx.ring.basis[w][1] for w, c in enumerate(col[0])) == 0
     for i in range(n):
         for l in range(1, 3):
-            below = res.evaluation_matrix(l, i)
-            above = res.evaluation_matrix(l + 1, i)
+            below = evaluation_matrix(res, l, i)
+            above = evaluation_matrix(res, l + 1, i)
             prod = mat_mul(above, below)
             assert all(all(x == 0 for x in row) for row in prod)
 
@@ -182,12 +183,12 @@ def _reference_ext(res, i, L):
     """Ext^l as (kernel lattice of E_{l+1}) / (image lattice of E_l)."""
     out = []
     for l in range(L + 1):
-        kernel = kernel_of_columns(res.evaluation_matrix(l + 1, i),
+        kernel = kernel_of_columns(evaluation_matrix(res, l + 1, i),
                                    res.ranks[l])
         if l == 0:
             out.append(ModuleType(len(kernel), ()))
             continue
-        down = res.evaluation_matrix(l, i)
+        down = evaluation_matrix(res, l, i)
         image = [list(col) for col in zip(*down)]
         free, torsion = quotient_structure(kernel, image)
         out.append(ModuleType(free, tuple(torsion)))
@@ -202,10 +203,10 @@ def _reference_tor(res, i, L):
             kernel = [[int(t == s) for t in range(res.ranks[0])]
                       for s in range(res.ranks[0])]
         else:
-            down = res.evaluation_matrix(l, i)
+            down = evaluation_matrix(res, l, i)
             kernel = kernel_of_columns([list(col) for col in zip(*down)],
                                        res.ranks[l])
-        image = res.evaluation_matrix(l + 1, i)
+        image = evaluation_matrix(res, l + 1, i)
         free, torsion = quotient_structure(kernel, image)
         out.append(ModuleType(free, tuple(torsion)))
     return out
@@ -316,7 +317,7 @@ def test_sparse_evaluation_matches_dense_reference(name):
                 assert [[row.get(s, 0) for s in range(width)]
                         for row in rows] == dots
                 assert all(0 not in row.values() for row in rows)
-                assert res.evaluation_matrix(l, i) == dots
+                assert evaluation_matrix(res, l, i) == dots
                 invs = smith_invariants(dots, width)
                 assert res.smith_form(l, i) == (
                     len(invs), tuple(d for d in invs if d > 1))

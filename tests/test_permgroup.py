@@ -3,8 +3,9 @@ import pytest
 from burnside.errors import (CapExceeded, DegreeMismatch, InvalidPrime,
                              InvalidSubgroup)
 from burnside.perm import Permutation
-from burnside.permgroup import (PSI_13, CosetAction, Subgroup, check_prime,
+from burnside.permgroup import (PSI_13, Subgroup, check_prime,
                                 enumerate_elements, is_prime, normalizer, o_p)
+from marks_reference import CosetAction
 from util import get_classes, get_group
 
 

@@ -65,6 +65,14 @@ def dense_diffs(res) -> list[list[list[list[int]]]]:
     return out
 
 
+def evaluation_matrix(res, l: int, i: int) -> list[list[int]]:
+    """E_l of an `IntegralResolution`, dense: [pi_i(entry)] for d_l,
+    shaped (m_l, m_{l-1}), from its sparse `evaluation_rows(l, i)`."""
+    width = range(res.ranks[l - 1])
+    return [[row.get(s, 0) for s in width]
+            for row in res.evaluation_rows(l, i)]
+
+
 def r_multiples(ring, columns) -> list[list[int]]:
     """b_k times each column of a dense differential (as `dense_diffs`
     builds them), as Z-vectors over the index s * n + m of
