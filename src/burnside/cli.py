@@ -12,7 +12,8 @@ import functools
 import itertools
 import json
 import sys
-from collections.abc import Callable
+from collections.abc import Callable, Iterable, Iterator
+from json.encoder import encode_basestring_ascii as _escape
 
 from . import cache as cache_mod
 from .bring import BRing, p_classes
@@ -163,34 +164,98 @@ def _label_index(ctx: ExtTorContext, label: str) -> int:
             f"{', '.join(ctx.ring.labels)}") from None
 
 
-def _emit(args, payload: dict, table: Callable[[], str]) -> None:
-    """Print `payload` as JSON, or the text `table()` builds; the table is
-    built only under --format table."""
+def _emit(args, payload: dict, table: Callable[[], Iterable[str]]) -> None:
+    """Write `payload` as JSON, or the lines `table()` yields, to the stdout
+    current at call time, piece by piece; the table is built only under
+    --format table."""
     if args.format == "json":
-        print(json.dumps(payload, sort_keys=True, indent=2))
+        _write_json(payload)
     else:
-        print(table())
+        write = sys.stdout.write
+        for line in table():
+            write(line + "\n")
 
 
-def _render(headers: list[str], rows: list[list[str]]) -> str:
-    widths = [max(len(h), *(len(r[c]) for r in rows)) if rows else len(h)
-              for c, h in enumerate(headers)]
+def _write_json(doc) -> None:
+    """Write `doc` to stdout byte for byte as `print` of `json.dumps` with
+    sorted keys and an indent of 2 would, without building the whole string.
+
+    With an indent set the standard library encodes in pure Python; here a
+    list of ints or of strs is joined in one C-level call instead. Keys
+    must be str; the standard library's coercion of int, float, bool and
+    None keys is not reproduced, and such a key raises TypeError.
+    """
+    write = sys.stdout.write
+
+    def emit(value, pad: str) -> None:
+        if isinstance(value, dict):
+            if not value:
+                write("{}")
+                return
+            inner = pad + "  "
+            sep = "{" + inner
+            for key in sorted(value):  # _escape takes str keys only
+                write(sep + _escape(key) + ": ")
+                emit(value[key], inner)
+                sep = "," + inner
+            write(pad + "}")
+        elif isinstance(value, (list, tuple)):
+            if not value:
+                write("[]")
+                return
+            inner = pad + "  "
+            kinds = set(map(type, value))
+            if kinds == {int}:  # a bool's type is bool: json writes true
+                body = map(int.__repr__, value)
+            elif kinds == {str}:
+                body = map(_escape, value)
+            else:
+                sep = "[" + inner
+                for item in value:
+                    write(sep)
+                    emit(item, inner)
+                    sep = "," + inner
+                write(pad + "]")
+                return
+            write("[" + inner + ("," + inner).join(body) + pad + "]")
+        elif isinstance(value, str):
+            write(_escape(value))
+        elif type(value) is int:
+            write(int.__repr__(value))
+        else:  # bool, None, float (NaN, Infinity) and what json rejects
+            write(json.dumps(value))
+
+    emit(doc, "\n")
+    write("\n")
+
+
+def _render(headers: list[str],
+            rows: Callable[[], Iterable[list[str]]]) -> Iterator[str]:
+    """The lines of a right-aligned text table. `rows()` yields the cells
+    row by row; it is called twice, once for the column widths and once
+    for the lines, so no table of cell strings is held at once."""
+    widths = list(map(len, headers))
+    for row in rows():
+        widths = list(map(max, widths, map(len, row)))
+
     def fmt(cells):
-        return "  ".join(c.rjust(w) for c, w in zip(cells, widths))
-    lines = [fmt(headers), fmt(["-" * w for w in widths])]
-    lines.extend(fmt(r) for r in rows)
-    return "\n".join(lines)
+        return "  ".join(map(str.rjust, cells, widths))
+    yield fmt(headers)
+    yield fmt(["-" * w for w in widths])
+    yield from map(fmt, rows())
 
 
 def cmd_marks(args) -> int:
     doc = _marks_json(args, *_load_group(args))
 
+    def rows():
+        for c, row in zip(doc["classes"], doc["matrix"]):
+            yield [c["label"], str(c["order"]), *map(str, row)]
+
     def table():
         labels = [c["label"] for c in doc["classes"]]
-        rows = [[c["label"], str(c["order"])] + [str(v) for v in row]
-                for c, row in zip(doc["classes"], doc["matrix"])]
-        return (f"table of marks for {doc['group']}\n"
-                + _render(["class", "|H|"] + labels, rows))
+        yield f"table of marks for {doc['group']}"
+        yield from _render(["class", "|H|"] + labels, rows)
     _emit(args, doc, table)
     return 0
 
@@ -204,20 +269,18 @@ def cmd_dmatrix(args) -> int:
     payload = {"group": ctx.group_name, **dmat.to_json(),
                "partitions": partitions}
 
-    def table():
-        rows = []
+    def rows():
         for i in range(n):
-            cells = [labels[i]]
-            for j in range(n):
-                cells.append("." if i == j else str(dmat.d(i, j)))
-            rows.append(cells)
-        lines = [f"congruence numbers d(i, j) for {ctx.group_name}",
-                 _render([""] + labels, rows)]
+            yield [labels[i], *("." if i == j else str(dmat.d(i, j))
+                                for j in range(n))]
+
+    def table():
+        yield f"congruence numbers d(i, j) for {ctx.group_name}"
+        yield from _render([""] + labels, rows)
         for part in partitions:
             classes = " ".join("{" + " ".join(cls) + "}"
                                for cls in part["classes"])
-            lines.append(f"~{part['p']} classes: {classes}")
-        return "\n".join(lines)
+            yield f"~{part['p']} classes: {classes}"
     _emit(args, payload, table)
     return 0
 
@@ -227,14 +290,16 @@ def cmd_blocks(args) -> int:
     report = blocks_report(ctx.algebra(args.prime))
     payload = {"group": ctx.group_name, **report}
 
+    def rows():
+        for b in report["blocks"]:
+            yield [" ".join(b["class"]), str(b["dim"]), str(b["m_mod_m2"]),
+                   str(b["socle"]), "yes" if b["symmetric"] else "no",
+                   "yes" if b["bounded"] else "no"]
+
     def table():
-        rows = [[" ".join(b["class"]), str(b["dim"]), str(b["m_mod_m2"]),
-                 str(b["socle"]), "yes" if b["symmetric"] else "no",
-                 "yes" if b["bounded"] else "no"]
-                for b in report["blocks"]]
-        return (f"mod-{args.prime} blocks of {ctx.group_name}\n"
-                + _render(["class", "dim", "m/m^2", "socle", "symmetric",
-                           "bounded"], rows))
+        yield f"mod-{args.prime} blocks of {ctx.group_name}"
+        yield from _render(["class", "dim", "m/m^2", "socle", "symmetric",
+                            "bounded"], rows)
     _emit(args, payload, table)
     return 0
 
@@ -275,7 +340,7 @@ def cmd_ext_tor(args) -> int:
                       else "(rank data only)")
             suffix = f"  [{parts}]" if parts else ""
             lines.append(f"l={cell.l}: {module}{suffix}  ({cell.provenance})")
-        return "\n".join(lines)
+        return lines
     _emit(args, report.to_json(), table)
     return 0
 
@@ -295,10 +360,10 @@ def cmd_growth(args) -> int:
                "ranks": ranks, "verdict": verdict}
 
     def table():
-        return (f"p-ranks of Ext^l(Z_{args.source}, Z_{args.target}) at "
-                f"p={args.prime}, l=1..{args.max_degree}\n"
-                f"ranks {','.join(map(str, ranks))}\n"
-                f"verdict: {verdict}")
+        return [f"p-ranks of Ext^l(Z_{args.source}, Z_{args.target}) at "
+                f"p={args.prime}, l=1..{args.max_degree}",
+                f"ranks {','.join(map(str, ranks))}",
+                f"verdict: {verdict}"]
     _emit(args, payload, table)
     return 0
 
