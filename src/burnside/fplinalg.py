@@ -2,12 +2,14 @@
 
 Every mod-p elimination of the pipeline runs on one packed core: a vector
 is one Python int with one fixed-width lane per coordinate (`pack`,
-`unpack`), and `FpLaneEchelon` with `fp_lane_kernel_of_columns` reduces,
-inserts and finds kernels for any prime.  `FpLanes` fixes the lane width:
-8 bits while p(p - 1) fits a byte (p <= 13, including 2), so a row
-operation is one multiply-add followed by one lane-wise reduction mod p;
-wider guarded lanes above.  The list entry point `FpLanes.nullspace`
-packs, runs that kernel and unpacks.  The minimal resolutions over GF(2)
+`unpack`, and `pack_pairs`/`unpack_pairs` for sparse (m, c) pairs;
+`join_packed` lays packed vectors side by side in blocks of whole bytes),
+and `FpLaneEchelon` with `fp_lane_kernel_of_columns` reduces, inserts and
+finds kernels for any prime.  `FpLanes` fixes the lane width: 8 bits
+while p(p - 1) fits a byte (p <= 13, including 2), so a row operation is
+one multiply-add followed by one lane-wise reduction mod p; wider guarded
+lanes above.  The list entry point `FpLanes.nullspace` packs, runs that
+kernel and unpacks.  The minimal resolutions over GF(2)
 use a 1-bit twin of the core (`Gf2Echelon`, `gf2_kernel_of_columns`),
 where a row operation is a single XOR.
 
@@ -22,6 +24,9 @@ in `tests/fplinalg_reference.py`, apart from the code it checks.
 """
 
 from __future__ import annotations
+
+from itertools import compress
+from math import gcd
 
 
 # GF(2) fast path: a vector is an int, bit i <-> coordinate i.
@@ -225,6 +230,32 @@ def pack(coords, p: int, width: int) -> int:
     return sum((c % p) << (k * width) for k, c in enumerate(coords))
 
 
+def pack_pairs(pairs, p: int, width: int) -> int:
+    """The vector whose nonzero coordinates are the (m, c) of `pairs`,
+    mod p, coordinate m in lane m of `width` bits: the sparse form of the
+    structure constants and of the block tables.  A plain loop: most lists
+    are short, and a generator costs more than their terms."""
+    v = 0
+    for m, c in pairs:
+        v += (c % p) << (m * width)
+    return v
+
+
+def block_bytes(n: int, width: int) -> int:
+    """Bytes per block of n lanes, padded with zero lanes to whole bytes,
+    so blocks laid side by side (`join_packed`) start on a byte boundary
+    and on a lane boundary."""
+    per_byte = 8 // gcd(width, 8)
+    return -(-n // per_byte) * per_byte * width // 8
+
+
+def join_packed(packed, nbytes: int) -> int:
+    """Packed vectors in one int, vector t in bytes [t nbytes, (t + 1)
+    nbytes): one join of their byte strings, in time linear in the result."""
+    return int.from_bytes(b"".join(v.to_bytes(nbytes, "little")
+                                   for v in packed), "little")
+
+
 def unpack(v: int, n: int, width: int) -> list[int]:
     """The first n lanes of a packed vector."""
     v &= (1 << (n * width)) - 1
@@ -232,3 +263,12 @@ def unpack(v: int, n: int, width: int) -> list[int]:
         return list(v.to_bytes(n, "little"))
     mask = (1 << width) - 1
     return [(v >> (k * width)) & mask for k in range(n)]
+
+
+def unpack_pairs(v: int, n: int, width: int) -> list[tuple[int, int]]:
+    """The nonzero (m, c) of the first n lanes of a packed vector, in
+    increasing m: the inverse of `pack_pairs`, with no Python loop over
+    the zero lanes."""
+    v &= (1 << (n * width)) - 1
+    coords = v.to_bytes(n, "little") if width == 8 else unpack(v, n, width)
+    return list(zip(compress(range(n), coords), filter(None, coords)))

@@ -5,8 +5,9 @@ Commutativity is checked once, on the ring's structure constants when a
 Every block comes from its idempotent's multiples e_C e_k, one `combine`
 over `left`: a one-element p-class gives F_p e_C in closed form, and a
 larger block reads its table off one echelon of its basis, in which each
-product x_a x_b (a <= b) is reduced to its coordinates.  No kernel over
-the products is formed.  The radical of R/pR, the kernel of theta, is
+product x_a x_b (a <= b) is reduced to its coordinates, kept as nonzero
+(m, c) pairs like the ring's structure constants.  No kernel over the
+products is formed.  The radical of R/pR, the kernel of theta, is
 the sum of the blocks' maximal ideals: the vectors `basis[1:]` of each
 `LocalBlock`.
 """
@@ -15,11 +16,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import gcd
 
 from .bring import BRing, p_classes
 from .errors import InvariantViolation, NotLocal
-from .fplinalg import FpLaneEchelon, FpLanes, pack, unpack
+from .fplinalg import (FpLaneEchelon, FpLanes, block_bytes,
+                       fp_lane_kernel_of_columns, join_packed, pack,
+                       pack_pairs, unpack, unpack_pairs)
 from .permgroup import check_prime
 
 
@@ -51,9 +53,8 @@ class ModPAlgebra:
         # block m of left[a] holds e_a e_m (`join_blocks`), packed from the
         # ring's (m, c) pairs; every product of the algebra combines over it
         w = self.lanes.width
-        self.left = [self.join_blocks(
-            sum((c % p) << (m * w) for m, c in pairs) for pairs in row)
-            for row in ring.structure_constants()]
+        self.left = [self.join_blocks(pack_pairs(pairs, p, w) for pairs in row)
+                     for row in ring.structure_constants()]
         self._blocks: list[LocalBlock] | None = None  # filled by blocks()
         self._check()
 
@@ -124,13 +125,12 @@ class ModPAlgebra:
     def block_bits(self) -> int:
         """Bits per block of n lanes in `join_blocks`: whole bytes, so
         padding lanes stay 0 and blocks can be cut out as byte strings."""
-        per_byte = 8 // gcd(self.lanes.width, 8)
-        return -(-self.dim // per_byte) * per_byte * self.lanes.width
+        return 8 * block_bytes(self.dim, self.lanes.width)
 
     def join_blocks(self, packed) -> int:
-        """Packed vectors in one int, vector t in block t."""
-        bits = self.block_bits
-        return sum(v << (t * bits) for t, v in enumerate(packed))
+        """Packed vectors in one int, vector t in block t, in time linear
+        in the result."""
+        return join_packed(packed, self.block_bits // 8)
 
     def split_blocks(self, v: int, count: int) -> list[int]:
         """The first `count` blocks of `v`, as packed vectors."""
@@ -164,13 +164,16 @@ class LocalBlock:
 
     Internal coordinates put the block idempotent first, then a basis of
     the maximal ideal, so the residue map is projection on coordinate 0.
+    `mult[a][b]` holds the nonzero (m, c) of e_a e_b in these coordinates,
+    in increasing m with 0 < c < p, one list for (a, b) and (b, a): the
+    shape of `BRing.structure_constants`.
     """
 
     algebra: ModPAlgebra
     class_index: int
     idempotent: list[int]
     basis: list[list[int]] = field(repr=False)
-    mult: list[list[list[int]]] = field(repr=False)
+    mult: list[list[list[tuple[int, int]]]] = field(repr=False)
     # the MinimalResolution of the block's residue field, set on first use
     # by resolution._resolution_cache; its one cache
     resolution: object = field(default=None, repr=False, compare=False)
@@ -192,10 +195,11 @@ class LocalBlock:
         """An echelon of M^2, the span of the e_a e_b (a, b >= 1), in block
         coordinates."""
         algebra, s = self.algebra, self.dim
+        p, w = algebra.p, algebra.lanes.width
         ech = algebra.echelon()
         for a in range(1, s):
             for b in range(a, s):
-                ech.insert(algebra.pack(self.mult[a][b]))
+                ech.insert(pack_pairs(self.mult[a][b], p, w))
         return ech
 
     def _independent_modulo(self, ideal) -> tuple[int, ...]:
@@ -250,12 +254,18 @@ class LocalBlock:
 
         x is in it when x * e_a = 0 for every basis element e_a of M; for
         a one-dimensional block M = 0 and the socle is the whole block.
+        Column b of that system holds e_b e_a in block a - 1, a >= 1: the
+        products of `mult[b]`, packed from their pairs and joined, the shape
+        of the algebra's `left[b]`.
         """
-        s = self.dim
-        # row (a, m) holds coordinate m of e_b e_a over b, which is row m
-        # of the transpose of mult[a] as the table is symmetric
-        rows = [row for a in range(1, s) for row in zip(*self.mult[a])]
-        return self.algebra.lanes.nullspace(rows, s)
+        s, lanes = self.dim, self.algebra.lanes
+        p, w = lanes.p, lanes.width
+        nbytes = block_bytes(s, w)
+        cols = [join_packed((pack_pairs(row[a], p, w) for a in range(1, s)),
+                            nbytes)
+                for row in self.mult]
+        return [unpack(v, s, w)
+                for v in fp_lane_kernel_of_columns(cols, lanes)]
 
     def socle_dim(self) -> int:
         """dim of the annihilator of the maximal ideal inside the block."""
@@ -329,7 +339,8 @@ def _build_block(algebra: ModPAlgebra, class_index: int, idem: list[int],
     `multiples[k]`: its basis (idem, then a basis of the maximal ideal) and
     its multiplication table in that basis.
 
-    A class of one element gives F_p with table [[[1]]] and no elimination:
+    A class of one element gives F_p with table [[[(0, 1)]]] and no
+    elimination:
     given theta_C(e_C) != 0, e_C e_k = theta_C(e_k) e_C for every k
     exactly when the block is F_p . e_C, so one comparison of the
     multiples is the dimension check.  A larger block takes its basis from
@@ -338,7 +349,7 @@ def _build_block(algebra: ModPAlgebra, class_index: int, idem: list[int],
     product x_a x_b (a <= b, the algebra is commutative; one `combine` of
     x_a over the multiples of x_b) reduced in the same shift leaves
     nothing above it exactly when it lies in the block, and minus its
-    coordinates in the low lanes.
+    coordinates in the low lanes, whose nonzero lanes become its pairs.
     """
     p, n, w = algebra.p, algebra.dim, algebra.lanes.width
     reduce = algebra.lanes.reduce
@@ -353,7 +364,7 @@ def _build_block(algebra: ModPAlgebra, class_index: int, idem: list[int],
                 f"block of the p-class of "
                 f"{algebra.ring.labels[algebra.classes[class_index][0]]} "
                 f"is not one-dimensional")
-        return LocalBlock(algebra, class_index, idem, [idem], [[[1]]])
+        return LocalBlock(algebra, class_index, idem, [idem], [[[(0, 1)]]])
     ech = algebra.echelon()
     span = [v for v in multiples if ech.insert(v)]
     if len(span) != expected:
@@ -384,7 +395,7 @@ def _build_block(algebra: ModPAlgebra, class_index: int, idem: list[int],
             v = coords.reduce(algebra.combine(basis[a], ys) << shift)
             if v >> shift:
                 raise InvariantViolation("block is not closed under products")
-            mult[a][b] = mult[b][a] = unpack(reduce(negate - v), s, w)
+            mult[a][b] = mult[b][a] = unpack_pairs(reduce(negate - v), s, w)
     return LocalBlock(algebra, class_index, idem, basis, mult)
 
 

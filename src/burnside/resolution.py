@@ -97,7 +97,8 @@ from fractions import Fraction
 
 from .errors import InvariantViolation, ResolutionTooLarge
 from .fplinalg import (FpLaneEchelon, Gf2Echelon,
-                       fp_lane_kernel_of_columns, gf2_kernel_of_columns, pack)
+                       fp_lane_kernel_of_columns, gf2_kernel_of_columns,
+                       pack_pairs)
 from .modp import LocalBlock, ModPAlgebra, blocks
 
 DEFAULT_MATRIX_BITS = 1 << 30
@@ -120,13 +121,9 @@ class _LaneOps:
         self.s = s = block.dim
         self.width = width
         self.lane_mask = (1 << width) - 1
-        self.table = [[(a * width, self.pack(block.mult[a][b]))
-                       for a in range(1, s) if any(block.mult[a][b])]
+        self.table = [[(a * width, pack_pairs(block.mult[a][b], self.p, width))
+                       for a in range(1, s) if block.mult[a][b]]
                       for b in range(s)]
-
-    def pack(self, coords) -> int:
-        """Coordinates mod p, one per lane."""
-        return pack(coords, self.p, self.width)
 
     def lead_mask(self, n_components: int) -> int:
         """The full lane of coordinate 0 in each of n components; callers
@@ -215,9 +212,9 @@ def _check_stage_budget(matrix_cost, max_matrix_bits: int, degree: int,
 def _check_idempotent_is_identity(block: LocalBlock) -> None:
     """e_0 e_a = e_a e_0 = e_a for every a: the block idempotent is the
     unit of the block."""
-    mult, s = block.mult, block.dim
-    for a in range(s):
-        unit = [int(m == a) for m in range(s)]
+    mult = block.mult
+    for a in range(block.dim):
+        unit = [(a, 1)]
         if mult[0][a] != unit or mult[a][0] != unit:
             raise InvariantViolation(
                 f"the block idempotent e_0 is not the identity on e_{a}")

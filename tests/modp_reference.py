@@ -7,7 +7,9 @@ which the blocks' maximal ideals span, again by an exhaustive scan of the
 algebra, squaring through `_mul`.
 `block_by_kernel` builds a block's basis and table through one kernel
 over the basis and all s^2 products, the reference for the coordinate
-solve of `modp._build_block`.
+solve of `modp._build_block`; `dense` spreads one (m, c) table entry
+over its s coordinates, and `assert_pairs_table` checks the shape of a
+block table.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ from __future__ import annotations
 from burnside.errors import InvariantViolation, NotLocal
 from burnside.fplinalg import fp_lane_kernel_of_columns, unpack
 from burnside.modp import ModPAlgebra
+
+Pairs = list[tuple[int, int]]  # the nonzero (m, c) of one basis product
 
 
 def _mul(table: list[list[list[tuple[int, int]]]], p: int, x: list[int],
@@ -68,9 +72,30 @@ def nilpotent_span(algebra: ModPAlgebra) -> list[list[int]]:
     return out
 
 
+def dense(pairs: Pairs, s: int) -> list[int]:
+    """The s coordinates whose nonzero (m, c) are `pairs`."""
+    coords = [0] * s
+    for m, c in pairs:
+        coords[m] = c
+    return coords
+
+
+def assert_pairs_table(block) -> None:
+    """`block.mult[a][b]` lists the nonzero (m, c) of e_a e_b in
+    increasing m, with 0 < c < p, and is the very list of (b, a)."""
+    s, p = block.dim, block.p
+    for a in range(s):
+        for b in range(s):
+            pairs = block.mult[a][b]
+            assert pairs is block.mult[b][a]
+            ms = [m for m, _ in pairs]
+            assert ms == sorted(set(ms)) and all(0 <= m < s for m in ms)
+            assert all(0 < c < p for _, c in pairs)
+
+
 def block_by_kernel(algebra: ModPAlgebra, class_index: int,
                     idem: list[int]) -> tuple[list[list[int]],
-                                              list[list[list[int]]]]:
+                                              list[list[Pairs]]]:
     """(basis, mult) of the block of `idem`, every block through the
     (s + s^2)-column kernel.
 
@@ -78,7 +103,8 @@ def block_by_kernel(algebra: ModPAlgebra, class_index: int,
     one kernel over the columns [basis | every product e_a e_b] leaves, as
     the basis is independent, one kernel vector per product inside the
     block, 1 at its own column and minus its coordinates on the basis
-    columns, in column order.
+    columns, in column order.  `mult[a][b]` holds the nonzero (m, c) of
+    those coordinates, the form of `LocalBlock.mult`.
     """
     p, n, w = algebra.p, algebra.dim, algebra.lanes.width
     ech = algebra.echelon()
@@ -103,5 +129,6 @@ def block_by_kernel(algebra: ModPAlgebra, class_index: int,
     kernel = fp_lane_kernel_of_columns(columns, algebra.lanes)
     if len(kernel) != s * s:
         raise InvariantViolation("block is not closed under products")
-    coords = [[-c % p for c in unpack(k, s, w)] for k in kernel]
-    return basis, [coords[a * s:(a + 1) * s] for a in range(s)]
+    pairs = [[(m, -c % p) for m, c in enumerate(unpack(k, s, w)) if c]
+             for k in kernel]
+    return basis, [pairs[a * s:(a + 1) * s] for a in range(s)]

@@ -11,6 +11,7 @@ on every kernel ("differential entry outside the maximal ideal").
 from __future__ import annotations
 
 from burnside.errors import InvariantViolation
+from burnside.fplinalg import pack
 from burnside.modp import ModPAlgebra
 from burnside.resolution import (MinimalResolution, _resolution_cache,
                                  shared_block)
@@ -40,7 +41,7 @@ def reduced_rank(res: MinimalResolution, l: int) -> int:
         return 0
     ech = res.ops.echelon()
     for row in reduced_differential(res, l):
-        ech.insert(res.ops.pack(row))
+        ech.insert(pack(row, res.ops.p, res.ops.width))
     return ech.dim
 
 

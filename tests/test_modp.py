@@ -11,7 +11,8 @@ from burnside.fplinalg import FpLaneEchelon, FpLanes
 from burnside.modp import ModPAlgebra, blocks, blocks_report
 from burnside.permgroup import is_prime
 from fplinalg_reference import FpEchelon
-from modp_reference import _mul, block_by_kernel, nilpotent_span
+from modp_reference import (_mul, assert_pairs_table, block_by_kernel, dense,
+                            nilpotent_span)
 from util import get_context, unimodular_change
 
 CORPUS = ["S3", "C4", "C6", "V4", "D4", "Q8", "S4"]
@@ -220,12 +221,12 @@ def test_packed_block_construction_matches_list_products(name):
             e = idempotents[ci]
             assert _mul(sc, p, e, e) == e
             assert block.basis == _block_by_reference(algebra, ci, e)
-            # mult holds the coordinates of each product in the basis
+            # mult holds the nonzero (m, c) of each product in the basis
             for a, x in enumerate(block.basis):
                 for b, y in enumerate(block.basis):
-                    coords = block.mult[a][b]
+                    pairs = block.mult[a][b]
                     assert _mul(sc, p, x, y) == [
-                        sum(c * v[t] for c, v in zip(coords, block.basis)) % p
+                        sum(c * block.basis[m][t] for m, c in pairs) % p
                         for t in range(n)]
 
 
@@ -247,19 +248,40 @@ def test_block_tables_match_kernel_reference(name, p):
         assert block.mult == mult
 
 
+@pytest.mark.parametrize("name,p", KERNEL_REFERENCE_CASES)
+def test_block_tables_are_shared_sorted_pairs(name, p):
+    for block in blocks(ModPAlgebra(get_context(name).ring, p)):
+        assert_pairs_table(block)
+
+
+@pytest.mark.parametrize("name,p", KERNEL_REFERENCE_CASES)
+def test_socle_matches_nullspace_of_the_reference_table(name, p):
+    # row (a, m), a >= 1, holds coordinate m of e_a e_b over the columns b,
+    # from the dense coordinates of the kernel reference's table
+    algebra = ModPAlgebra(get_context(name).ring, p)
+    for ci, block in enumerate(blocks(algebra)):
+        _, mult = block_by_kernel(algebra, ci, block.idempotent)
+        s = block.dim
+        coords = [[dense(mult[a][b], s) for b in range(s)] for a in range(s)]
+        rows = [[coords[a][b][m] for b in range(s)]
+                for a in range(1, s) for m in range(s)]
+        assert block.socle == FpLanes(p).nullspace(rows, s)
+
+
 @pytest.mark.parametrize("name,p", [("(1 2),(3 4),(5 6)", 3),
                                     ("(1 2),(3 4),(5 6)", 5), ("C4", 3)])
 def test_one_dimensional_blocks_form_no_product_or_kernel(monkeypatch, name,
                                                           p):
     # every class is a singleton at a coprime prime, so every block is
-    # F_p e_C with table [[[1]]], read off the shared multiples
+    # F_p e_C with table [[[(0, 1)]]], read off the shared multiples
     algebra = ModPAlgebra(get_context(name).ring, p)
     assert all(len(cls) == 1 for cls in algebra.classes)
     calls = [_count_calls(monkeypatch, attr, owner) for owner, attr in (
         (FpLaneEchelon, "insert"), (FpLaneEchelon, "reduce"),
         (FpLanes, "nullspace"), (fplinalg, "fp_lane_kernel_of_columns"))]
     bl = blocks(algebra)
-    assert all(b.basis == [b.idempotent] and b.mult == [[[1]]] for b in bl)
+    assert all(b.basis == [b.idempotent] and b.mult == [[[(0, 1)]]]
+               for b in bl)
     assert calls == [[]] * 4
 
 

@@ -7,12 +7,13 @@ from burnside.bring import BRing
 from burnside.cli import main
 from burnside.errors import InvariantViolation, ResolutionTooLarge
 from burnside.exttor import prime_factors
+from burnside.fplinalg import pack
 from burnside.modp import ModPAlgebra, blocks
 from burnside.resolution import (MinimalResolution, _square_zero_betti,
                                  betti_growth_certificate, betti_sequence,
                                  ext_dims_pair, shared_block)
 from fplinalg_reference import fp_rank
-from modp_reference import _mul
+from modp_reference import _mul, assert_pairs_table, block_by_kernel, dense
 from resolution_reference import (reduced_differential, reduced_rank,
                                   tor_dims_pair)
 from util import get_context
@@ -179,6 +180,18 @@ def _unpack(ops, flat, n_lanes):
     return [(flat >> (k * ops.width)) & ops.lane_mask for k in range(n_lanes)]
 
 
+def _pairs(coords):
+    """The nonzero (m, c) of a coordinate list, the form of a block table."""
+    return [(m, c) for m, c in enumerate(coords) if c]
+
+
+def _bumped(pairs, m, p):
+    """A new table entry: `pairs` with coordinate m raised by 1 mod p."""
+    coords = dict(pairs)
+    coords[m] = (coords.get(m, 0) + 1) % p
+    return sorted((k, c) for k, c in coords.items() if c)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(sorted(PACKED_BLOCKS)), st.booleans(), st.data())
 def test_packed_column_matches_mul_coords(p, random_table, data):
@@ -188,9 +201,10 @@ def test_packed_column_matches_mul_coords(p, random_table, data):
     entry = st.one_of(st.just(p - 1), st.integers(0, p - 1))
     if random_table:
         # arbitrary structure constants fill the lanes far more than the
-        # real blocks do, where e_0 is the unit and most products vanish
+        # real blocks do, where e_0 is the unit and most products vanish;
+        # each entry is the pairs of a drawn coordinate list
         block = dataclasses.replace(block, mult=[
-            [data.draw(st.lists(entry, min_size=s, max_size=s))
+            [_pairs(data.draw(st.lists(entry, min_size=s, max_size=s)))
              for _ in range(s)] for _ in range(s)])
     ops = MinimalResolution(block).ops
     n = data.draw(st.integers(1, 5))
@@ -199,12 +213,11 @@ def test_packed_column_matches_mul_coords(p, random_table, data):
     comps = [[0] + data.draw(st.lists(entry, min_size=s - 1,
                                       max_size=s - 1))
              for _ in range(n)]
-    gen = ops.pack([c for comp in comps for c in comp])
-    table = [[[(m, c) for m, c in enumerate(v) if c] for v in row]
-             for row in block.mult]
+    gen = pack([c for comp in comps for c in comp], p, ops.width)
     for b in range(s):
         eb = [1 if t == b else 0 for t in range(s)]
-        expected = [c for comp in comps for c in _mul(table, p, comp, eb)]
+        expected = [c for comp in comps
+                    for c in _mul(block.mult, p, comp, eb)]
         col = ops.column(gen, ops.lead_mask(n), b)
         assert _unpack(ops, col, n * s) == expected
 
@@ -218,7 +231,7 @@ def test_packed_kernel_of_columns(p, data):
     entry = st.integers(0, p - 1)
     cols = [data.draw(st.lists(entry, min_size=nrows, max_size=nrows))
             for _ in range(ncols)]
-    combos = ops.kernel_of_columns([ops.pack(c) for c in cols])
+    combos = ops.kernel_of_columns([pack(c, p, ops.width) for c in cols])
     rows = [[cols[j][i] for j in range(ncols)] for i in range(nrows)]
     assert len(combos) == ncols - fp_rank(rows, p)
     for combo in combos:
@@ -226,6 +239,21 @@ def test_packed_kernel_of_columns(p, data):
         assert any(coeffs)
         for row in rows:
             assert sum(c * x for c, x in zip(coeffs, row)) % p == 0
+
+
+@pytest.mark.parametrize("p", sorted(PACKED_BLOCKS))
+def test_lane_table_packs_the_reference_table(p):
+    # for each b, the terms a >= 1 with e_a e_b != 0: lane a's shift and
+    # the dense coordinates of the kernel reference's e_a e_b, packed
+    block = _block(PACKED_BLOCKS[p], p)
+    _, mult = block_by_kernel(block.algebra, block.class_index,
+                              block.idempotent)
+    ops = MinimalResolution(block).ops
+    s, w = block.dim, ops.width
+    coords = [[dense(mult[a][b], s) for b in range(s)] for a in range(s)]
+    assert ops.table == [[(a * w, pack(coords[a][b], p, w))
+                          for a in range(1, s) if any(coords[a][b])]
+                         for b in range(s)]
 
 
 # the dim-3 blocks have M^2 = 0 and dim M = 2, so b_l = 2^l; the dim-2
@@ -260,7 +288,7 @@ def test_reduced_rank_counts_residue_entries():
     assert reduced_rank(res, 1) == 0
     broken = MinimalResolution(_block("S3", 3))
     broken.extend_to(1)
-    broken.differentials[0] = [broken.ops.pack([2, 1])]
+    broken.differentials[0] = [pack([2, 1], 3, broken.ops.width)]
     assert reduced_differential(broken, 1) == [[2]]
     assert reduced_rank(broken, 1) == 1
 
@@ -361,11 +389,12 @@ def test_multipliers_are_the_generators_of_m_mod_m_squared(name, p, count,
 @pytest.mark.parametrize("name, p, entry", [
     ("V4", 2, (1, 2, 0)), ("C9", 3, (1, 1, 0))])
 def test_corrupted_product_raises(name, p, entry):
-    # e_a e_b gains a unit coordinate, so M.K leaves K
+    # e_a e_b gains a unit coordinate, so M.K leaves K; e_b e_a, the same
+    # list in the block's table, stays as it was
     block = _block(name, p)
     a, b, m = entry
-    mult = [[list(coords) for coords in row] for row in block.mult]
-    mult[a][b][m] = (mult[a][b][m] + 1) % p
+    mult = [list(row) for row in block.mult]
+    mult[a][b] = _bumped(mult[a][b], m, p)
     broken = dataclasses.replace(block, mult=mult)
     with pytest.raises(InvariantViolation, match="pivot off the top lanes"):
         MinimalResolution(broken).extend_to(4)
@@ -376,11 +405,14 @@ def test_corrupted_product_raises(name, p, entry):
     ("C9", 3, 2, True)])
 def test_idempotent_that_is_not_the_identity_raises(name, p, a, left):
     # e_0 e_a (or e_a e_0) gains a coordinate, so the column of e_0 is
-    # no longer the generator itself
+    # no longer the generator itself; the other side, the same list in the
+    # block's table, stays as it was
     block = _block(name, p)
-    mult = [[list(coords) for coords in row] for row in block.mult]
-    coords = mult[0][a] if left else mult[a][0]
-    coords[-1] = (coords[-1] + 1) % p
+    mult = [list(row) for row in block.mult]
+    if left:
+        mult[0][a] = _bumped(mult[0][a], block.dim - 1, p)
+    else:
+        mult[a][0] = _bumped(mult[a][0], block.dim - 1, p)
     broken = dataclasses.replace(block, mult=mult)
     with pytest.raises(InvariantViolation, match="e_0 is not the identity"):
         MinimalResolution(broken).extend_to(4)
@@ -405,6 +437,12 @@ def _mk_pivots(ops, kernel, n, multipliers):
         for a in multipliers:
             span.insert(ops.column(kappa, mask, a))
     return span.rows.keys()
+
+
+@pytest.mark.parametrize("name, p, degree", RESIDUAL_CORPUS)
+def test_block_tables_are_shared_sorted_pairs(name, p, degree):
+    for block in blocks(get_context(name).algebra(p)):
+        assert_pairs_table(block)
 
 
 @pytest.mark.parametrize("name, p, degree", RESIDUAL_CORPUS)
@@ -694,8 +732,9 @@ def test_square_zero_closed_form_refuses_like_the_resolution(name, p,
 
 def test_square_zero_closed_form_checks_the_idempotent():
     block = _block("C9", 3)
-    mult = [[list(coords) for coords in row] for row in block.mult]
-    mult[0][1][2] = 1
+    mult = [list(row) for row in block.mult]
+    assert mult[0][1] == [(1, 1)]
+    mult[0][1] = [(1, 1), (2, 1)]
     broken = dataclasses.replace(block, mult=mult)
     with pytest.raises(InvariantViolation, match="e_0 is not the identity"):
         betti_sequence(broken, 4)
