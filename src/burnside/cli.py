@@ -12,7 +12,7 @@ import functools
 import itertools
 import json
 import sys
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from json.encoder import encode_basestring_ascii as _escape
 
 from . import cache as cache_mod
@@ -229,33 +229,37 @@ def _write_json(doc) -> None:
     write("\n")
 
 
-def _render(headers: list[str],
-            rows: Callable[[], Iterable[list[str]]]) -> Iterator[str]:
-    """The lines of a right-aligned text table. `rows()` yields the cells
-    row by row; it is called twice, once for the column widths and once
-    for the lines, so no table of cell strings is held at once."""
-    widths = list(map(len, headers))
-    for row in rows():
-        widths = list(map(max, widths, map(len, row)))
+def _render(headers: list[str], columns: Iterable[Sequence[str | int]],
+            rows: Iterable[Iterable[str | int]]) -> Iterator[str]:
+    """The lines of a right-aligned text table, given by its columns for
+    the widths and by its rows for the lines. Each column holds strs only
+    or ints only; an int column takes its width from its largest and
+    smallest value, so each cell is formatted once, on its line."""
+    widths = []
+    for header, column in zip(headers, columns, strict=True):
+        if column and type(column[0]) is int:
+            column = (max(column), min(column))
+        widths.append(max(len(header), *map(len, map(str, column))))
 
     def fmt(cells):
-        return "  ".join(map(str.rjust, cells, widths))
+        return "  ".join(map(str.rjust, map(str, cells), widths))
     yield fmt(headers)
     yield fmt(["-" * w for w in widths])
-    yield from map(fmt, rows())
+    yield from map(fmt, rows)
 
 
 def cmd_marks(args) -> int:
     doc = _marks_json(args, *_load_group(args))
 
-    def rows():
-        for c, row in zip(doc["classes"], doc["matrix"]):
-            yield [c["label"], str(c["order"]), *map(str, row)]
-
     def table():
-        labels = [c["label"] for c in doc["classes"]]
+        classes, matrix = doc["classes"], doc["matrix"]
+        labels = [c["label"] for c in classes]
+        columns = itertools.chain(
+            [labels, [c["order"] for c in classes]], zip(*matrix))
+        rows = ((c["label"], c["order"], *row)
+                for c, row in zip(classes, matrix))
         yield f"table of marks for {doc['group']}"
-        yield from _render(["class", "|H|"] + labels, rows)
+        yield from _render(["class", "|H|"] + labels, columns, rows)
     _emit(args, doc, table)
     return 0
 
@@ -269,14 +273,15 @@ def cmd_dmatrix(args) -> int:
     payload = {"group": ctx.group_name, **dmat.to_json(),
                "partitions": partitions}
 
-    def rows():
-        for i in range(n):
-            yield [labels[i], *("." if i == j else str(dmat.d(i, j))
-                                for j in range(n))]
-
     def table():
+        # the widths count the diagonal as 0, as wide as its "."
+        columns = itertools.chain([labels], (
+            [0 if i == j else dmat.d(i, j) for i in range(n)]
+            for j in range(n)))
+        rows = ([labels[i], *("." if i == j else dmat.d(i, j)
+                              for j in range(n))] for i in range(n))
         yield f"congruence numbers d(i, j) for {ctx.group_name}"
-        yield from _render([""] + labels, rows)
+        yield from _render([""] + labels, columns, rows)
         for part in partitions:
             classes = " ".join("{" + " ".join(cls) + "}"
                                for cls in part["classes"])
@@ -290,16 +295,13 @@ def cmd_blocks(args) -> int:
     report = blocks_report(ctx.algebra(args.prime))
     payload = {"group": ctx.group_name, **report}
 
-    def rows():
-        for b in report["blocks"]:
-            yield [" ".join(b["class"]), str(b["dim"]), str(b["m_mod_m2"]),
-                   str(b["socle"]), "yes" if b["symmetric"] else "no",
-                   "yes" if b["bounded"] else "no"]
-
     def table():
+        rows = [[" ".join(b["class"]), b["dim"], b["m_mod_m2"], b["socle"],
+                 "yes" if b["symmetric"] else "no",
+                 "yes" if b["bounded"] else "no"] for b in report["blocks"]]
         yield f"mod-{args.prime} blocks of {ctx.group_name}"
         yield from _render(["class", "dim", "m/m^2", "socle", "symmetric",
-                            "bounded"], rows)
+                            "bounded"], zip(*rows), rows)
     _emit(args, payload, table)
     return 0
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import compress
 from math import gcd
 
 from .errors import CapExceeded, DegreeMismatch, InvalidPrime, InvalidSubgroup
@@ -187,9 +188,14 @@ class PermGroup:
         return f"PermGroup(degree={self.degree}, order={self.order})"
 
 
+_BIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
+
+
 def _bits(mask: int) -> list[int]:
-    """Indices of the set bits of `mask`, in increasing order."""
-    return [i for i, c in enumerate(reversed(bin(mask))) if c == "1"]
+    """Indices of the set bits of `mask`, in increasing order: its binary
+    digits, lowest first, as 0/1 bytes that select from a range."""
+    flags = bin(mask)[:1:-1].encode().translate(_BIT_FLAGS)
+    return list(compress(range(len(flags)), flags))
 
 
 def enumerate_elements(generators: list[Permutation], degree: int | None = None,
@@ -347,27 +353,102 @@ class SubgroupClassTable:
         return [c.label for c in self.classes]
 
 
+def _prime_of_power(n: int) -> int:
+    """p when n = p^a for a prime p and a >= 1, otherwise 0."""
+    for p in range(2, n + 1):
+        if n % p == 0:  # p is the least prime factor of n
+            while n % p == 0:
+                n //= p
+            return p if n == 1 else 0
+    return 0
+
+
+def _prime_power_cyclics(group: PermGroup):
+    """The cyclic subgroups C = <y> of prime-power order p^a > 1.
+
+    Walks the powers of each element through the Cayley table, skipping
+    the generators of a cyclic subgroup already walked, so y is the least
+    index generating C.  Returns the lists y, p and y^p, one entry per C,
+    and `cyclic_of`, the position of <x> for each element x that generates
+    one of them (-1 for every other element).
+    """
+    table, e = group.table, group.identity_index
+    ys: list[int] = []
+    primes: list[int] = []
+    y_ps: list[int] = []
+    cyclic_of = [-1] * group.order
+    walked = bytearray(group.order)
+    walked[e] = 1
+    for g in range(group.order):
+        if walked[g]:
+            continue
+        row = table[g]
+        powers = [e, g]
+        while (x := row[powers[-1]]) != e:
+            powers.append(x)
+        n = len(powers)
+        p = _prime_of_power(n)
+        for k in range(1, n):
+            if gcd(k, n) == 1:
+                walked[powers[k]] = 1
+                if p:
+                    cyclic_of[powers[k]] = len(ys)
+        if p:
+            ys.append(g)
+            primes.append(p)
+            y_ps.append(powers[p % n])
+    return ys, primes, y_ps, cyclic_of
+
+
 def subgroup_classes(group: PermGroup) -> SubgroupClassTable:
     """Every subgroup, grouped into its conjugacy classes.
 
-    A worklist of joins with cyclic subgroups that joins one subgroup per
-    class.  It starts from the cyclic subgroups.  When a join is new, its
-    whole class is found at once as its orbit under conjugation by the
-    group's generators, each member keeping the conjugated generators as
-    `gens`, and only that join is queued, to be joined once with every
-    cyclic subgroup it does not contain.  Nothing is missed: every
-    subgroup is a join of cyclic ones, g join(H, C) g^-1 =
-    join(gHg^-1, gCg^-1), and the cyclic subgroups are closed under
-    conjugation.  The members of a class are sorted by the image tuples
-    of their elements, and the classes by order, then by their least
-    members, which are their representatives.
+    A worklist of cyclic extensions that extends one subgroup per class,
+    starting from the trivial subgroup.  When a join is new, its whole
+    class is found at once as its orbit under conjugation by the group's
+    generators, each member keeping the conjugated generators as `gens`,
+    and only that join is queued.  A queued subgroup H is joined only with
+    the C = <y> that pass three rules, each of which skips only joins
+    whose class is already known:
+
+    1. y has prime-power order p^a, y^p lies in H and y does not.  Every
+       K != 1 has a maximal subgroup M; some z in K outside M has a
+       primary part (a power of z) outside M, and the last p-th power of
+       that part still outside M is such a y for M, with <M, y> = K as M
+       is maximal.  So every class is reached from a queued member of the
+       class of M, by induction on the order.  Whether y^p lies in H does
+       not depend on the generator of C.
+    2. One C per N_G(H)-orbit: for n in N_G(H), join(H, nCn^-1) =
+       n join(H, C) n^-1, and classes are taken whole.  H is normal
+       exactly when its class has one member; then the orbits are those
+       of G on the cyclic subgroups, computed once.  Otherwise N_G(H)
+       comes from `_normalizer_mask`.
+    3. A join J = <H, y> of order p|H| contains H with prime index, so
+       <H, y'> = J for every y' in J outside H: a later y' in the union of
+       such joins is skipped.
+
+    The members of a class are sorted by the image tuples of their
+    elements, and the classes by order, then by their least members,
+    which are their representatives.
     """
     table, inverses = group.table, group.inverses
     conjugators = [(g, table[g], inverses[g])
                    for g in map(group.index_of, group.generators)]
+    ys, primes, y_ps, cyclic_of = _prime_power_cyclics(group)
+    # G-orbits of the C, each named by its least C
+    g_orbit = list(range(len(ys)))
+    for c in range(len(ys)):
+        if g_orbit[c] == c:
+            orbit = [c]
+            for d in orbit:
+                for g, row, ginv in conjugators:
+                    x = cyclic_of[table[row[ys[d]]][ginv]]
+                    if g_orbit[x] != c:
+                        g_orbit[x] = c
+                        orbit.append(x)
     found: dict[int, list[int]] = {}
     orbits: list[list[int]] = []
-    work: list[int] = []
+    work: list[tuple[int, bool]] = []
 
     def add_class(mask: int, gens: list[int]) -> None:
         found[mask] = gens
@@ -383,24 +464,38 @@ def subgroup_classes(group: PermGroup) -> SubgroupClassTable:
                     found[c] = conj
                     orbit.append(c)
         orbits.append(orbit)
-        work.append(mask)
+        work.append((mask, len(orbit) == 1))
 
-    cyclic: dict[int, int] = {}
-    for g in range(group.order):
-        mask, _ = group.generate([g])
-        cyclic.setdefault(mask, g)
-    for mask, g in cyclic.items():
-        if mask not in found:
-            add_class(mask, [g])
+    add_class(1 << group.identity_index, [])
     while work:
-        mask = work.pop()
+        mask, normal = work.pop()
         gens = found[mask]
-        for cmask, c in cyclic.items():
-            if cmask & ~mask:
-                join_gens = gens + [c]
-                join = group.join(mask, join_gens)
-                if join not in found:
-                    add_class(join, join_gens)
+        order = mask.bit_count()
+        covered = mask  # H and every join of prime index over it
+        if not normal:
+            normalizer_rows = [
+                (table[n], inverses[n])
+                for n in _bits(_normalizer_mask(group, mask, gens))]
+        # G-orbits (H normal), or N(H)-orbits by member, of the C joined
+        seen: set[int] = set()
+        for c, y in enumerate(ys):
+            if covered >> y & 1 or not mask >> y_ps[c] & 1:
+                continue
+            if normal:
+                if g_orbit[c] in seen:
+                    continue
+                seen.add(g_orbit[c])
+            else:
+                if c in seen:
+                    continue
+                seen.update(cyclic_of[table[row[y]][ninv]]
+                            for row, ninv in normalizer_rows)
+            join_gens = gens + [y]
+            join = group.join(mask, join_gens)
+            if join not in found:
+                add_class(join, join_gens)
+            if join.bit_count() == primes[c] * order:
+                covered |= join
 
     raw_classes: list[tuple[Subgroup, tuple[Subgroup, ...]]] = []
     for orbit in orbits:
@@ -435,13 +530,35 @@ def _letters(k: int) -> str:
     return out
 
 
-def normalizer(group: PermGroup, sub: Subgroup) -> Subgroup:
-    """N_G(H) = {g : gHg^-1 = H}, by direct conjugation test over all g."""
-    check_subgroup(group, sub)
-    mask = 0
+def _normalizer_mask(group: PermGroup, mask: int, gens: list[int]) -> int:
+    """Mask of N_G(H) for the subgroup H given by `mask` and generated by
+    `gens`: the g with g x g^-1 in H for every generator x.
+
+    N_G(H) contains H, so it is a union of left cosets gH: one g per coset
+    is tested, and the coset is then taken or left whole.
+    """
+    table, inverses = group.table, group.inverses
+    members = _bits(mask)
+    out = seen = mask
     for g in range(group.order):
-        if _conjugates_into(group, sub, g, sub.mask):
-            mask |= 1 << g
+        if seen >> g & 1:
+            continue
+        row, ginv = table[g], inverses[g]
+        coset = 0
+        for h in members:
+            coset |= 1 << row[h]
+        seen |= coset
+        if all(mask >> table[row[x]][ginv] & 1 for x in gens):
+            out |= coset
+    return out
+
+
+def normalizer(group: PermGroup, sub: Subgroup) -> Subgroup:
+    """N_G(H) = {g : gHg^-1 = H}, by `_normalizer_mask`, the routine
+    `subgroup_classes` calls for each subgroup it extends that is not
+    normal."""
+    check_subgroup(group, sub)
+    mask = _normalizer_mask(group, sub.mask, sub.gens)
     return Subgroup._from_mask(group, mask)
 
 

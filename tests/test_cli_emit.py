@@ -130,3 +130,17 @@ def test_broken_pipe_part_way_exits_0_quietly(tmp_path, fmt):
 def test_tables_are_unchanged(capsys, tmp_path, case):
     assert main(case["argv"] + ["--cache-dir", str(tmp_path)]) == 0
     assert capsys.readouterr().out == case["stdout"]
+
+
+def test_render_takes_int_widths_from_the_extremes():
+    from burnside.cli import _render
+
+    # -100 is the widest cell of its column though 7 is its largest value
+    headers = ["x", "n", "m"]
+    rows = [["a", 5, -100], ["bcd", 12, 7], ["", 0, 0]]
+    widths = [max(len(h), *(len(str(row[j])) for row in rows))
+              for j, h in enumerate(headers)]
+    expected = ["  ".join(str(c).rjust(w) for c, w in zip(cells, widths))
+                for cells in [headers, ["-" * w for w in widths], *rows]]
+    assert list(_render(headers, zip(*rows), rows)) == expected
+    assert expected[2] == "  a   5  -100"

@@ -5,11 +5,14 @@ import json
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from burnside.cli import main
+from burnside.errors import CapExceeded
 from burnside.groups import parse_group
-from burnside.permgroup import subgroup_classes
+from burnside.perm import Permutation
+from burnside.permgroup import (PermGroup, _prime_of_power,
+                                enumerate_elements, subgroup_classes)
 
 GOLDEN = json.loads(
     (Path(__file__).parent / "data" / "marks_golden.json").read_text())
@@ -112,3 +115,94 @@ def test_classes_match_the_all_joins_reference(spec):
         assert cls.representative is cls.members[0]
         for member in cls.members:
             assert group.generate(member.gens)[0] == member.mask
+
+
+C2_5 = "(1 2),(3 4),(5 6),(7 8),(9 10)"
+
+
+def _digest(table):
+    return [(c.label, c.order, c.representative.mask,
+             [m.mask for m in c.members]) for c in table]
+
+
+def _assert_matches_reference(group):
+    from lattice_reference import reference_classes
+
+    table = subgroup_classes(group)
+    assert _digest(table) == _digest(reference_classes(group))
+    for cls in table:
+        for member in cls.members:
+            assert group.generate(member.gens)[0] == member.mask
+
+
+@pytest.mark.parametrize("spec", [
+    # the cyclic 2- and 3-groups, where only y with y^p in H extend H
+    "C8", "C9", "C27",
+    # elements of composite order, which no extension joins
+    "C12", "(1 2 3 4),(5 6)",
+    "Q8", "D10",
+    # non-normal subgroups with large normalizers: orbits under N(H)
+    "A5", "D50",
+    # every subgroup normal: only the prime-index joins prune
+    C2_5,
+])
+def test_cyclic_extensions_match_the_all_joins_reference(spec):
+    _assert_matches_reference(parse_group(spec))
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_random_groups_match_the_all_joins_reference(data):
+    degree = data.draw(st.integers(1, 7), label="degree")
+    perms = st.permutations(range(degree)).map(Permutation)
+    gens = data.draw(st.lists(perms, min_size=1, max_size=3), label="gens")
+    try:
+        group = enumerate_elements(gens)
+    except CapExceeded:
+        assume(False)
+    _assert_matches_reference(group)
+
+
+@pytest.mark.parametrize("spec,joins", [
+    # the all-joins worklist took 350, 1,198 and 9,548 joins here
+    ("D20", 55),
+    ("S5", 118),
+    (C2_5, 2077),
+])
+def test_each_join_extends_by_one_prime_power_element(monkeypatch, spec,
+                                                      joins):
+    group = parse_group(spec)
+    calls = []
+    join = PermGroup.join
+
+    def counting_join(self, mask, gens):
+        calls.append((mask, list(gens)))
+        return join(self, mask, gens)
+
+    monkeypatch.setattr(PermGroup, "join", counting_join)
+    subgroup_classes(group)
+    monkeypatch.undo()
+    assert len(calls) == joins
+    for mask, gens in calls:
+        *h_gens, y = gens
+        assert group.generate(h_gens)[0] == mask
+        assert not mask >> y & 1
+        # y has order p^a, a >= 1, and y^p lies in H
+        order = group.element_orders[y]
+        p = min(q for q in range(2, order + 1) if order % q == 0)
+        while order % p == 0:
+            order //= p
+        assert order == 1
+        power = group.identity()
+        for _ in range(p):
+            power = power * group.elements[y]
+        assert mask >> group.index_of(power) & 1
+
+
+@pytest.mark.parametrize("n,p", [
+    (1, 0), (2, 2), (3, 3), (5, 5), (7, 7), (97, 97), (199, 199),
+    (4, 2), (8, 2), (9, 3), (27, 3), (25, 5), (49, 7), (128, 2), (243, 3),
+    (6, 0), (10, 0), (12, 0), (36, 0), (100, 0), (200, 0),
+])
+def test_prime_of_power(n, p):
+    assert _prime_of_power(n) == p
