@@ -83,7 +83,8 @@ def load_marks_json(cache_dir: Path, group: PermGroup) -> dict | None:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, ValueError):  # unreadable, or not UTF-8 JSON
+    except (OSError, ValueError, RecursionError):
+        # unreadable, not UTF-8 JSON, or nested past the decoder's depth
         return None
     if (not isinstance(doc, dict) or doc.get("version") != CACHE_VERSION
             or doc.get("fingerprint") != fp

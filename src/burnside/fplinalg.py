@@ -8,10 +8,11 @@ and `FpLaneEchelon` with `fp_lane_kernel_of_columns` reduces, inserts and
 finds kernels for any prime.  `FpLanes` fixes the lane width: 8 bits
 while p(p - 1) fits a byte (p <= 13, including 2), so a row operation is
 one multiply-add followed by one lane-wise reduction mod p; wider guarded
-lanes above.  The list entry point `FpLanes.nullspace` packs, runs that
-kernel and unpacks.  The minimal resolutions over GF(2)
-use a 1-bit twin of the core (`Gf2Echelon`, `gf2_kernel_of_columns`),
-where a row operation is a single XOR.
+lanes above.  Every caller passes packed vectors; the tests' list entry
+point `nullspace` (in `tests/fplinalg_reference.py`) packs, runs that
+kernel and unpacks.  The minimal resolutions over GF(2) use a 1-bit twin
+of the core (`Gf2Echelon`, `gf2_kernel_of_columns`), where a row
+operation is a single XOR.
 
 Both echelons key their rows by top lane, the highest nonzero one:
 `bit_length` finds it without scanning the vector, a shift reads its
@@ -132,17 +133,6 @@ class FpLanes:
             ge = ((((v | guard) - m * ones) & guard) >> (w - 1))
             v -= ge * m
         return v
-
-    def nullspace(self, rows: list[list[int]],
-                  ncols: int) -> list[list[int]]:
-        """Basis of {x : A x = 0} for A given by rows of `ncols` entries,
-        packed column by column and unpacked around
-        `fp_lane_kernel_of_columns`."""
-        p, w = self.p, self.width
-        cols = ([pack(col, p, w) for col in zip(*rows)] if rows
-                else [0] * ncols)
-        return [unpack(c, ncols, w)
-                for c in fp_lane_kernel_of_columns(cols, self)]
 
 
 class FpLaneEchelon:

@@ -2,14 +2,12 @@
 
 Commutativity is checked once, on the ring's structure constants when a
 `ModPAlgebra` is built (`_check`); every product path here relies on it.
-Every block comes from its idempotent's multiples e_C e_k, one `combine`
-over `left`: a one-element p-class gives F_p e_C in closed form, and a
-larger block reads its table off one echelon of its basis, in which each
-product x_a x_b (a <= b) is reduced to its coordinates, kept as nonzero
-(m, c) pairs like the ring's structure constants.  No kernel over the
-products is formed.  The radical of R/pR, the kernel of theta, is
-the sum of the blocks' maximal ideals: the vectors `basis[1:]` of each
-`LocalBlock`.
+Every block, of any dimension, is read off its idempotent's multiples
+e_C e_k, one `combine` over `left`: its basis is e_C and the independent
+e_C e_k - theta_C(e_k) e_C, and its table, kept as nonzero (m, c) pairs
+like the ring's structure constants, combines the multiples' coordinates
+over the ring's pairs.  The radical of R/pR, the kernel of theta, is the
+sum of the blocks' maximal ideals: `basis[1:]` of each `LocalBlock`.
 """
 
 from __future__ import annotations
@@ -139,15 +137,17 @@ class ModPAlgebra:
         return [(v >> (t * bits)) & mask for t in range(count)]
 
     def combine(self, coeffs: list[int], table: list[int]) -> int:
-        """sum_a coeffs[a] * table[a], every lane reduced mod p.
+        """sum_a coeffs[a] * table[a], every lane reduced mod p."""
+        return self.combine_pairs(enumerate(coeffs), table)
 
-        The lanes of `table` are reduced, so `lanes.batch` terms go in
-        between two reductions.
-        """
+    def combine_pairs(self, pairs, table: list[int]) -> int:
+        """sum c * table[a] over the (a, c) of `pairs`, each c reduced mod p
+        before it multiplies a lane; the lanes of `table` are reduced, so
+        `lanes.batch` terms go in between two reductions."""
         acc = pending = 0
         p, lanes = self.p, self.lanes
         batch, reduce = lanes.batch, lanes.reduce
-        for a, c in enumerate(coeffs):
+        for a, c in pairs:
             c %= p
             if c:
                 acc += c * table[a]
@@ -335,67 +335,67 @@ def blocks(algebra: ModPAlgebra) -> list[LocalBlock]:
 
 def _build_block(algebra: ModPAlgebra, class_index: int, idem: list[int],
                  multiples: list[int]) -> LocalBlock:
-    """The block of `idem`, whose packed products with e_k are
-    `multiples[k]`: its basis (idem, then a basis of the maximal ideal) and
-    its multiplication table in that basis.
+    """The block of e = `idem` from its packed multiples m_k = e e_k: its
+    basis (e, then a basis x_a of its maximal ideal M) and its table.
 
-    A class of one element gives F_p with table [[[(0, 1)]]] and no
-    elimination:
-    given theta_C(e_C) != 0, e_C e_k = theta_C(e_k) e_C for every k
-    exactly when the block is F_p . e_C, so one comparison of the
-    multiples is the dimension check.  A larger block takes its basis from
-    an echelon of the multiples; each basis vector x_a goes into one more
-    echelon as x_a, shifted above s lanes, over its unit lane a.  A
-    product x_a x_b (a <= b, the algebra is commutative; one `combine` of
-    x_a over the multiples of x_b) reduced in the same shift leaves
-    nothing above it exactly when it lies in the block, and minus its
-    coordinates in the low lanes, whose nonzero lanes become its pairs.
+    theta = theta_C has theta(e) = 1 (e is idempotent, theta(e) != 0), so
+    m_k is theta(e_k) e plus an element of M.  An m_k other than that is
+    reduced in an echelon of the basis (formed on the first such m_k), each
+    vector shifted above s lanes over its unit lane; if something is left
+    above the shift, x = m_k - theta(e_k) e joins the basis.  The
+    coordinates phi(k) of m_k must have theta(e_k) at e.  For x_a, x_b from
+    m_k, m_l, x_a x_b = e e_k e_l - theta(e_l) m_k - theta(e_k) m_l
+    + theta(e_k) theta(e_l) e, with e e_k e_l = sum c m_m over the ring's
+    (m, c) of e_k e_l: each entry is one `combine_pairs` of the phi.
     """
     p, n, w = algebra.p, algebra.dim, algebra.lanes.width
     reduce = algebra.lanes.reduce
     theta_row = algebra.theta[class_index]
-    expected = len(algebra.classes[class_index])
-    if expected == 1:
-        if not sum(t * c for t, c in zip(theta_row, idem)) % p:
-            raise NotLocal("residue field is not one-dimensional")
-        e = algebra.pack(idem)
-        if multiples != [reduce(t * e) for t in theta_row]:
-            raise InvariantViolation(
-                f"block of the p-class of "
-                f"{algebra.ring.labels[algebra.classes[class_index][0]]} "
-                f"is not one-dimensional")
-        return LocalBlock(algebra, class_index, idem, [idem], [[[(0, 1)]]])
-    ech = algebra.echelon()
-    span = [v for v in multiples if ech.insert(v)]
-    if len(span) != expected:
-        raise InvariantViolation(
-            f"block dimension {len(span)} != class size {expected}")
-    # the maximal ideal: block elements with zero theta at this class
-    rows = [[sum(r * c for r, c in zip(theta_row, unpack(v, n, w))) % p
-             for v in span]]
-    m_coords = algebra.lanes.nullspace(rows, len(span))
-    if len(m_coords) != len(span) - 1:
+    s = len(algebra.classes[class_index])
+    wrong_dim = (f"block of the p-class of "
+                 f"{algebra.ring.labels[algebra.classes[class_index][0]]} "
+                 f"is not {'one' if s == 1 else s}-dimensional")
+    if not sum(t * c for t, c in zip(theta_row, idem)) % p:
         raise NotLocal("residue field is not one-dimensional")
-    packed = [algebra.pack(idem)] + [algebra.combine(coord, span)
-                                     for coord in m_coords]
-    basis = [idem] + [unpack(v, n, w) for v in packed[1:]]
-    s = len(basis)
+    e = algebra.pack(idem)
+    scaled = {t: reduce(t * e) for t in set(theta_row)}
     shift = s * w
-    coords = algebra.echelon()
-    for a, x in enumerate(packed):
-        coords.insert(x << shift | 1 << (a * w))
     # p in each of the s low lanes; p - c, reduced, negates coordinate c
     negate = p * (((1 << shift) - 1) // ((1 << w) - 1))
-    mult: list[list] = [[None] * s for _ in range(s)]
-    for b, y in enumerate(basis):
-        # y e_k for every k; x_0 = idem has its multiples already
-        ys = multiples if b == 0 else algebra.split_blocks(
-            algebra.combine(y, algebra.left), n)
-        for a in range(b + 1):
-            v = coords.reduce(algebra.combine(basis[a], ys) << shift)
-            if v >> shift:
-                raise InvariantViolation("block is not closed under products")
-            mult[a][b] = mult[b][a] = unpack_pairs(reduce(negate - v), s, w)
+    ech = None
+    basis, sources, phi = [idem], [], []  # x_a from (k, t) = sources[a - 1]
+    for k, (t, m) in enumerate(zip(theta_row, multiples)):
+        if m == scaled[t]:
+            phi.append(t)
+            continue
+        if ech is None:
+            ech = algebra.echelon()
+            ech.insert(e << shift | 1)
+        v = ech.reduce(m << shift)
+        if v >> shift:
+            a = len(basis)
+            if a == s:
+                raise InvariantViolation(wrong_dim)
+            # v holds minus the coordinates of m - (v >> shift); adding
+            # those of m, t at e and 1 at x_a, leaves x_a's own
+            ech.insert(reduce(v + t + (1 << (a * w))))
+            basis.append(unpack(reduce(m + (-t % p) * e), n, w))
+            sources.append((k, t))
+            phi.append(t + (1 << (a * w)))
+            continue
+        phi.append(reduce(negate - v))
+        if phi[-1] & ((1 << w) - 1) != t:
+            raise InvariantViolation(wrong_dim)
+    if len(basis) != s:
+        raise InvariantViolation(wrong_dim)
+    phi.append(1)  # phi[n]: the coordinates of e
+    sc = algebra.ring.structure_constants()
+    first = [[(b, 1)] for b in range(s)]  # e x_b = x_b
+    mult = [first] + [[first[a]] + [None] * (s - 1) for a in range(1, s)]
+    for b, (l, tl) in enumerate(sources, 1):
+        for a, (k, tk) in enumerate(sources[:b], 1):
+            mult[a][b] = mult[b][a] = unpack_pairs(algebra.combine_pairs(
+                sc[l][k] + [(k, -tl), (l, -tk), (n, tk * tl)], phi), s, w)
     return LocalBlock(algebra, class_index, idem, basis, mult)
 
 

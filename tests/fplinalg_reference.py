@@ -4,10 +4,14 @@ Every mod-p elimination of the package runs on lane-packed ints
 (`FpLaneEchelon`, `fp_lane_kernel_of_columns`, and the GF(2) twin);
 `FpEchelon` and `fp_rank` reduce plain lists of residues instead, so the
 tests that rank, span and compare with them share no code path with what
-they check.
+they check.  `nullspace` is the list entry point to the packed kernel:
+it packs the columns of a list matrix, runs `fp_lane_kernel_of_columns`
+and unpacks, for the tests that state a kernel as list rows.
 """
 
 from __future__ import annotations
+
+from burnside.fplinalg import FpLanes, fp_lane_kernel_of_columns, pack, unpack
 
 
 class FpEchelon:
@@ -59,3 +63,15 @@ def fp_rank(rows: list[list[int]], p: int) -> int:
     for r in rows:
         ech.insert(r)
     return ech.dim
+
+
+def nullspace(rows: list[list[int]], ncols: int, p: int) -> list[list[int]]:
+    """Basis of {x : A x = 0} mod p for A given by rows of `ncols` entries,
+    packed column by column and unpacked around
+    `fp_lane_kernel_of_columns`."""
+    lanes = FpLanes(p)
+    w = lanes.width
+    cols = ([pack(col, p, w) for col in zip(*rows)] if rows
+            else [0] * ncols)
+    return [unpack(c, ncols, w)
+            for c in fp_lane_kernel_of_columns(cols, lanes)]

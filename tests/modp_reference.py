@@ -6,8 +6,9 @@ that the tests check it against, and `nilpotent_span` finds the radical,
 which the blocks' maximal ideals span, again by an exhaustive scan of the
 algebra, squaring through `_mul`.
 `block_by_kernel` builds a block's basis and table through one kernel
-over the basis and all s^2 products, the reference for the coordinate
-solve of `modp._build_block`; `dense` spreads one (m, c) table entry
+over the basis and all s^2 products, the reference for `modp._build_block`,
+which reads them off the multiples' coordinates and the ring's (m, c)
+pairs with no product of vectors; `dense` spreads one (m, c) table entry
 over its s coordinates, and `assert_pairs_table` checks the shape of a
 block table.
 """
@@ -17,6 +18,7 @@ from __future__ import annotations
 from burnside.errors import InvariantViolation, NotLocal
 from burnside.fplinalg import fp_lane_kernel_of_columns, unpack
 from burnside.modp import ModPAlgebra
+from fplinalg_reference import nullspace
 
 Pairs = list[tuple[int, int]]  # the nonzero (m, c) of one basis product
 
@@ -117,7 +119,7 @@ def block_by_kernel(algebra: ModPAlgebra, class_index: int,
     theta_row = algebra.theta[class_index]
     rows = [[sum(r * c for r, c in zip(theta_row, unpack(v, n, w))) % p
              for v in span]]
-    m_coords = algebra.lanes.nullspace(rows, len(span))
+    m_coords = nullspace(rows, len(span), p)
     if len(m_coords) != len(span) - 1:
         raise NotLocal("residue field is not one-dimensional")
     columns = [algebra.pack(idem)] + [algebra.combine(coord, span)

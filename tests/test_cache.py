@@ -98,6 +98,24 @@ def test_corrupted_entry_is_recomputed(capsys, tmp_path, command, corrupt):
     assert path.read_bytes() == good  # the entry was overwritten
 
 
+def test_deeply_nested_entry_is_recomputed(capsys, tmp_path):
+    # json.load raises RecursionError, not ValueError, on an array nested
+    # past the decoder's depth; the entry still counts as a miss
+    argv = ["marks", "--group", "S3", "--format", "json",
+            "--cache-dir", str(tmp_path)]
+    assert main(argv) == 0
+    fresh = capsys.readouterr().out
+    path = next(tmp_path.glob("marks-*.json"))
+    good = path.read_bytes()
+    path.write_text("[" * 200_000 + "]" * 200_000)
+    assert load_marks_json(tmp_path, get_group("S3")) is None
+    assert main(argv) == 0
+    out = capsys.readouterr()
+    assert out.out == fresh
+    assert "Traceback" not in out.err
+    assert path.read_bytes() == good
+
+
 def test_document_that_is_not_an_object_is_a_miss(tmp_path):
     group = get_group("C4")
     store_marks_json(tmp_path, group, get_marks("C4").to_json("C4"))

@@ -6,13 +6,13 @@ from hypothesis import given, settings, strategies as st
 from burnside.fplinalg import (FpLaneEchelon, FpLanes, Gf2Echelon,
                                fp_lane_kernel_of_columns,
                                gf2_kernel_of_columns, pack, unpack)
-from fplinalg_reference import FpEchelon, fp_rank
+from fplinalg_reference import FpEchelon, fp_rank, nullspace
 
 
 def test_fp_rank_and_nullspace():
     A = [[1, 2, 0], [2, 4, 0], [0, 0, 1]]
     assert fp_rank(A, 5) == 2
-    ns = FpLanes(5).nullspace(A, 3)
+    ns = nullspace(A, 3, 5)
     assert len(ns) == 1
     x = ns[0]
     for row in A:
@@ -103,7 +103,7 @@ def test_packed_nullspace_and_solve_agree_with_list_rank(p):
         rows = [[rng.randrange(p) if rng.random() < 0.6 else 0
                  for _ in range(ncols)] for _ in range(nrows)]
         rank = fp_rank(rows, p)
-        kernel = FpLanes(p).nullspace(rows, ncols)
+        kernel = nullspace(rows, ncols, p)
         assert len(kernel) == ncols - rank
         assert fp_rank(kernel, p) == len(kernel)
         for x in kernel:

@@ -7,10 +7,10 @@ from hypothesis import given, settings, strategies as st
 from burnside.errors import InvalidPrime, InvariantViolation, NotLocal
 from burnside.exttor import prime_factors
 from burnside import fplinalg
-from burnside.fplinalg import FpLaneEchelon, FpLanes
+from burnside.fplinalg import FpLaneEchelon
 from burnside.modp import ModPAlgebra, blocks, blocks_report
 from burnside.permgroup import is_prime
-from fplinalg_reference import FpEchelon
+from fplinalg_reference import FpEchelon, nullspace
 from modp_reference import (_mul, assert_pairs_table, block_by_kernel, dense,
                             nilpotent_span)
 from util import get_context, unimodular_change
@@ -151,7 +151,7 @@ def _lifted_idempotent(algebra, ci):
     p, n = algebra.p, algebra.dim
     sc = algebra.ring.structure_constants()
     rows = [row + [int(k == ci)] for k, row in enumerate(algebra.theta)]
-    kernel = FpLanes(p).nullspace(rows, n + 1)
+    kernel = nullspace(rows, n + 1, p)
     v = next(v for v in kernel if v[n])
     scale = -pow(v[n], -1, p)
     e = [c * scale % p for c in v[:n]]
@@ -204,7 +204,7 @@ def _block_by_reference(algebra, ci, idem):
             for v in span]]
     ideal = [[sum(c * v[t] for c, v in zip(coord, span)) % p
               for t in range(n)]
-             for coord in algebra.lanes.nullspace(row, len(span))]
+             for coord in nullspace(row, len(span), p)]
     return [idem] + ideal
 
 
@@ -234,7 +234,7 @@ KERNEL_REFERENCE_CASES = [("C30", 2), ("C30", 3), ("C30", 5), ("A4", 2),
                           ("A4", 3), ("S4", 2), ("S4", 3), ("D4", 2),
                           ("Q8", 2), ("(1 2 3),(4 5 6)", 3),
                           ("(1 2),(3 4),(5 6)", 2), ("(1 2),(3 4),(5 6)", 3),
-                          ("(1 2),(3 4),(5 6)", 5)]
+                          ("(1 2),(3 4),(5 6)", 5), ("D23", 23)]
 
 
 @pytest.mark.parametrize("name,p", KERNEL_REFERENCE_CASES)
@@ -265,7 +265,29 @@ def test_socle_matches_nullspace_of_the_reference_table(name, p):
         coords = [[dense(mult[a][b], s) for b in range(s)] for a in range(s)]
         rows = [[coords[a][b][m] for b in range(s)]
                 for a in range(1, s) for m in range(s)]
-        assert block.socle == FpLanes(p).nullspace(rows, s)
+        assert block.socle == nullspace(rows, s, p)
+
+
+@pytest.mark.parametrize("name,p", [
+    ("D4", 2), ("Q8", 2), ("(1 2),(3 4),(5 6)", 2),
+    ("(1 2),(3 4),(5 6),(7 8)", 2), ("(1 2 3),(4 5 6)", 3), ("C9", 3),
+    ("C27", 3)])
+def test_p_group_table_is_the_ring_pairs_mod_p(name, p):
+    # a p-group at p has one block, e = the unit [G/G]; theta vanishes on
+    # every other [G/H], so x_a are those basis vectors themselves and the
+    # table is the ring's (m, c) pairs mod p with the unit moved first
+    ring = get_context(name).ring
+    (block,) = blocks(ModPAlgebra(ring, p))
+    unit = ring.unit_coeffs.index(1)
+    assert ring.unit_coeffs == [int(k == unit) for k in range(ring.n)]
+    order = [unit] + [k for k in range(ring.n) if k != unit]
+    at = {k: a for a, k in enumerate(order)}
+    assert block.basis == [[int(t == k) for t in range(ring.n)]
+                           for k in order]
+    sc = ring.structure_constants()
+    assert block.mult == [[sorted((at[m], c % p) for m, c in sc[k][l]
+                                  if c % p)
+                           for l in order] for k in order]
 
 
 @pytest.mark.parametrize("name,p", [("(1 2),(3 4),(5 6)", 3),
@@ -278,11 +300,11 @@ def test_one_dimensional_blocks_form_no_product_or_kernel(monkeypatch, name,
     assert all(len(cls) == 1 for cls in algebra.classes)
     calls = [_count_calls(monkeypatch, attr, owner) for owner, attr in (
         (FpLaneEchelon, "insert"), (FpLaneEchelon, "reduce"),
-        (FpLanes, "nullspace"), (fplinalg, "fp_lane_kernel_of_columns"))]
+        (fplinalg, "fp_lane_kernel_of_columns"))]
     bl = blocks(algebra)
     assert all(b.basis == [b.idempotent] and b.mult == [[[(0, 1)]]]
                for b in bl)
-    assert calls == [[]] * 4
+    assert calls == [[]] * 3
 
 
 def test_blocks_reject_tampered_one_dimensional_block():
@@ -300,19 +322,23 @@ def test_blocks_reject_tampered_one_dimensional_block():
         blocks(algebra)
 
 
-def test_blocks_reject_product_outside_block():
-    # the table claims [S3/C3]^2 = [S3/C3] (block 2 of left[2]; it is
-    # 2 [S3/C3] = 0 mod 2).  No idempotent has a [S3/C3] coordinate, so
-    # their multiples, every check run on them and both block bases stay
-    # as they were, but x_1 = [S3/1] + [S3/C3] of the block of 3 now
-    # squares to [S3/C3], outside that block
+@pytest.mark.parametrize("added", [
+    [0, 1, 0, 0], [0, 0, 1, 0]], ids=["wrong_residue", "third_vector"])
+def test_blocks_reject_tampered_multiple(added):
+    # the block of 1 at p = 2 has e = [S3/1] + [S3/2] and x_1 = [S3/1];
+    # the table claims [S3/1] [S3/C3] = `added` (block 2 of left[0]; it is
+    # 2 [S3/1] = 0 mod 2).  No idempotent has a [S3/C3] coordinate, so
+    # each stays idempotent and the two stay orthogonal, but the multiple
+    # e [S3/C3], theta 0, becomes [S3/1] + [S3/2] = e ([S3/2] added), not
+    # 0 modulo x_1, or [S3/1] + [S3/C3] ([S3/C3] added), a third
+    # independent vector beside e and x_1
     algebra = ModPAlgebra(get_context("S3").ring, 2)
-    parts = algebra.split_blocks(algebra.left[2], algebra.dim)
+    parts = algebra.split_blocks(algebra.left[0], algebra.dim)
     assert parts[2] == 0
-    parts[2] = algebra.pack([0, 0, 1, 0])
-    algebra.left[2] = algebra.join_blocks(parts)
+    parts[2] = algebra.pack(added)
+    algebra.left[0] = algebra.join_blocks(parts)
     with pytest.raises(InvariantViolation,
-                       match="block is not closed under products"):
+                       match="p-class of 1 is not 2-dimensional"):
         blocks(algebra)
 
 
@@ -427,6 +453,17 @@ def test_construction_cuts_no_blocks(monkeypatch, name, p):
     calls = _count_calls(monkeypatch, "split_blocks")
     ModPAlgebra(ring, p)
     assert calls == []
+
+
+@pytest.mark.parametrize("name,p", BLOCK_COUNT_CASES + [
+    ("S4", 2), ("(1 2),(3 4),(5 6)", 2), ("(1 2),(3 4),(5 6)", 3)])
+def test_blocks_cut_the_multiples_once_per_class(monkeypatch, name, p):
+    # each block reads its table off its idempotent's multiples and the
+    # ring's pairs, so no basis vector is multiplied through `left` again
+    algebra = ModPAlgebra(get_context(name).ring, p)
+    calls = _count_calls(monkeypatch, "split_blocks")
+    blocks(algebra)
+    assert len(calls) == len(algebra.classes)
 
 
 @pytest.mark.parametrize("name,p", BLOCK_COUNT_CASES)
