@@ -2,10 +2,14 @@
 
 A `BRing` is given by a Z-basis; the table of marks gives one through
 `MarksTable.ring`, but any basis may be tested without a group.  All
-arithmetic is integer: coordinates come from adj = D . basis^-1, products
-from the one sparse copy of the structure constants, and the ring owns its
-congruence matrix d(i, j).  Everything downstream (p-equivalence, blocks,
-Ext/Tor) only sees this interface.
+arithmetic is integer.  A lower triangular basis (a table of marks, whose
+diagonal is [N_G(H) : H]) keeps each row's nonzero entries and peels:
+coordinates, products and idempotent denominators come from the highest
+index down, one exact division per step.  Any other basis (the tests'
+changes of basis) decomposes through adj = D . basis^-1.  Products come
+from the one sparse copy of the structure constants, and the ring owns
+its congruence matrix d(i, j).  Everything downstream (p-equivalence,
+blocks, Ext/Tor) only sees this interface.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 from operator import mul, sub
 
 from .errors import InvariantViolation, NonIntegralSolution, SeparationFailure
@@ -27,9 +32,13 @@ class BRing:
     products must decompose integrally as well; their nonzero coordinates
     are the structure constants read by the mod-p and oracle layers.
 
-    Decomposition is integer only.  The ring keeps adj = D . basis^-1,
-    by columns, for the least positive integer D (`denominator`), so a
-    coordinate is one integer dot product and an exact division by D.
+    Decomposition is integer only.  A lower triangular basis keeps, for
+    each m, the nonzero (j, b) of basis_m left of its diagonal
+    (`_lower`) and the diagonal entry, and peels every vector over them;
+    `denominator_multiple` is then the product T of the |diagonal| entries,
+    and T . basis^-1 is integral.  Any other basis builds adj = D .
+    basis^-1 on first use (`_adjugate`), for the least positive integer D,
+    so a coordinate is one integer dot product and an exact division by D.
     """
 
     def __init__(self, labels: list[str], basis: list[list[int]]):
@@ -40,8 +49,12 @@ class BRing:
         if any(len(v) != self.n for v in basis):
             raise ValueError("basis vectors must have one entry per index")
         self.basis = [list(v) for v in basis]
-        adj, self.denominator = _scaled_inverse(self.basis)
-        self._adj_columns = [list(col) for col in zip(*adj)]
+        if self.triangular:
+            self._diagonal = [row[m] for m, row in enumerate(self.basis)]
+            if not all(self._diagonal):
+                raise ValueError("basis vectors are linearly dependent over Q")
+            self._lower = [[(j, row[j]) for j in compress(range(m), row)]
+                           for m, row in enumerate(self.basis)]
         self.unit_coeffs = self.decompose([1] * self.n)
         self._structure: list[list[list[tuple[int, int]]]] | None = None
         # no separation pass: the basis is nonsingular, so no two columns agree
@@ -56,17 +69,46 @@ class BRing:
     def decompose(self, vector) -> list[int]:
         if len(vector) != self.n:
             raise ValueError("vector has the wrong length")
-        D = self.denominator
-        coeffs = [sum(map(mul, vector, col)) for col in self._adj_columns]
-        if D != 1:
+        scale, coeffs = self._scaled_coordinates(vector)
+        if scale != 1:
             for lab, c in zip(self.labels, coeffs):
-                if c % D:
-                    g = math.gcd(c, D)
+                if c % scale:
+                    g = math.gcd(c, scale)
                     raise NonIntegralSolution(
-                        f"coefficient {c // g}/{D // g} at index {lab}: "
+                        f"coefficient {c // g}/{scale // g} at index {lab}: "
                         f"vector lies outside R")
-            coeffs = [c // D for c in coeffs]
+            coeffs = [c // scale for c in coeffs]
         return coeffs
+
+    def _scaled_coordinates(self, vector) -> tuple[int, list[int]]:
+        """(s, s . x) for x the rational coordinates of `vector`.
+
+        A triangular basis peels x from the highest index down.  Where a
+        division by the diagonal leaves a remainder, the vector and the
+        coordinates peeled so far are scaled up by the least factor that
+        makes it exact, so s is the least positive integer with s . x
+        integral.  Any other basis has s = D of `_adjugate`.
+        """
+        if not self.triangular:
+            D, columns = self._adjugate
+            return D, [sum(map(mul, vector, col)) for col in columns]
+        diagonal, lower = self._diagonal, self._lower
+        rest, coeffs, s = list(vector), [0] * self.n, 1
+        for m in range(self.n - 1, -1, -1):
+            x = rest[m]
+            if x:
+                d = diagonal[m]
+                c, r = divmod(x, d)
+                if r:
+                    t = d // math.gcd(d, x)
+                    s *= t
+                    rest = [y * t for y in rest]
+                    coeffs = [y * t for y in coeffs]
+                    c = x * t // d
+                coeffs[m] = c
+                for j, b in lower[m]:
+                    rest[j] -= c * b
+        return s, coeffs
 
     def ghost_of(self, coeffs) -> list[int]:
         out = [0] * self.n
@@ -84,40 +126,89 @@ class BRing:
         Products commute, so c[l][k] is c[k][l]; the first non-integral
         product met in (k, l) order has l >= k, so only those are solved.
         A lower triangular basis (a table of marks) peels each product
-        (`_peel`); any other basis decomposes it through `decompose`.
+        (`_peel_products`); any other basis decomposes it through
+        `decompose`.
         """
         if self._structure is None:
             n, basis = self.n, self.basis
             sc = [[None] * n for _ in range(n)]
-            triangular = self.triangular
-            heads = [row[:m + 1] for m, row in enumerate(basis)]
-            lower = [[(j, b) for j, b in enumerate(row[:m]) if b]
-                     for m, row in enumerate(basis)]
-            for k in range(n):
-                for l in range(k, n):
-                    if not triangular:
+            if self.triangular:
+                self._peel_products(sc)
+            else:
+                for k in range(n):
+                    for l in range(k, n):
                         coords = self.decompose(list(map(mul, basis[k], basis[l])))
-                        pairs = [(m, c) for m, c in enumerate(coords) if c]
-                    else:
-                        # basis_k, and so the product, vanishes past k <= l
-                        pairs = _peel(list(map(mul, heads[k], basis[l])),
-                                      basis, lower)
-                        if pairs is None:
+                        sc[k][l] = sc[l][k] = [(m, c) for m, c in enumerate(coords)
+                                               if c]
+            self._structure = sc
+        return self._structure
+
+    def _peel_products(self, sc: list[list]) -> None:
+        """Fill sc[k][l] = sc[l][k] for k <= l on a triangular basis.
+
+        basis_k vanishes past k, so the product lives on the nonzero
+        entries of row k that row l shares.  It is written into one
+        scratch list of zeros and peeled over the live indices, kept as an
+        int bitset: the next index is the top bit, and peeling basis_m
+        ORs in the mask of `_lower[m]`.  Every live entry is zeroed when
+        it is read, so the scratch list is clean for the next product.
+        """
+        n, basis, diagonal, lower = self.n, self.basis, self._diagonal, self._lower
+        below = [sum(1 << j for j, _ in row) for row in lower]
+        support = [mask | 1 << m for m, mask in enumerate(below)]
+        rows = [row + [(m, diagonal[m])] for m, row in enumerate(lower)]
+        scratch = [0] * n
+        for k in range(n):
+            row_k, support_k = rows[k], support[k]
+            for l in range(k, n):
+                basis_l = basis[l]
+                for j, b in row_k:
+                    scratch[j] = b * basis_l[j]
+                live = support_k & support[l]
+                pairs = []
+                while live:
+                    m = live.bit_length() - 1
+                    live ^= 1 << m
+                    x = scratch[m]
+                    if x:
+                        scratch[m] = 0
+                        c, r = divmod(x, diagonal[m])
+                        if r:
                             # raises, naming the first coefficient off Z
-                            self.decompose(list(map(mul, basis[k], basis[l])))
+                            self.decompose(list(map(mul, basis[k], basis_l)))
                             raise InvariantViolation(
                                 f"the peel of {self.labels[k]} . "
                                 f"{self.labels[l]} left a remainder, but "
                                 f"the product decomposes integrally")
-                    sc[k][l] = sc[l][k] = pairs
-            self._structure = sc
-        return self._structure
+                        pairs.append((m, c))
+                        for j, b in lower[m]:
+                            scratch[j] -= c * b
+                        live |= below[m]
+                pairs.reverse()
+                sc[k][l] = sc[l][k] = pairs
 
     @cached_property
     def triangular(self) -> bool:
         """Whether basis_m vanishes past index m for every m, as the rows
         of a table of marks do."""
         return all(not any(row[m + 1:]) for m, row in enumerate(self.basis))
+
+    @cached_property
+    def _adjugate(self) -> tuple[int, list[list[int]]]:
+        """(D, the columns of adj = D . basis^-1) for the least D > 0, on a
+        basis that is not triangular."""
+        adj, D = _scaled_inverse(self.basis)
+        return D, [list(col) for col in zip(*adj)]
+
+    @cached_property
+    def denominator_multiple(self) -> int:
+        """A positive multiple of `denominator`, so that it times any vector
+        of Z^I lies in R: on a triangular basis the product T of the
+        |diagonal| entries (T . basis^-1 is integral by Cramer's rule), on
+        any other the D of `_adjugate`."""
+        if self.triangular:
+            return math.prod(map(abs, self._diagonal))
+        return self._adjugate[0]
 
     def _check_closure(self) -> None:
         try:
@@ -146,10 +237,20 @@ class BRing:
 
         Every element of R vanishing off i is an integer multiple of that
         minimal m . e_i, so m is the exact annihilator bound used for the
-        diagonal Ext exponent.
+        diagonal Ext exponent.  With (s, s . x) the scaled coordinates of
+        e_i, m . x is integral exactly when s / gcd(s, s . x) divides m.
         """
-        D = self.denominator
-        return D // math.gcd(D, *(col[i] for col in self._adj_columns))
+        e_i = [0] * self.n
+        e_i[i] = 1
+        s, coeffs = self._scaled_coordinates(e_i)
+        return s // math.gcd(s, *coeffs)
+
+    @cached_property
+    def denominator(self) -> int:
+        """The least D > 0 with D . basis^-1 integral: row i of basis^-1
+        holds the coordinates of e_i, so D is the lcm of the idempotent
+        denominators."""
+        return math.lcm(*map(self.idempotent_denominator, range(self.n)))
 
     @cached_property
     def dmat(self) -> CongruenceMatrix:
@@ -164,8 +265,8 @@ def _scaled_inverse(matrix: list[list[int]]) -> tuple[list[list[int]], int]:
     combination with the pivot row and then divided by the gcd of its
     entries, which keeps entries small and leaves each row i as
     [d_i e_i | r_i] with gcd(d_i, r_i) = 1.  Row i of the inverse is then
-    r_i / d_i in lowest terms, so D = lcm |d_i|.  A lower triangular
-    matrix (a table of marks) has no fill-in on the left.
+    r_i / d_i in lowest terms, so D = lcm |d_i|.  Only a basis that is
+    not triangular comes here; a triangular one is peeled instead.
     """
     n = len(matrix)
     rows = [list(matrix[i]) + [int(i == j) for j in range(n)] for i in range(n)]
@@ -186,31 +287,6 @@ def _scaled_inverse(matrix: list[list[int]]) -> tuple[list[list[int]], int]:
                 rows[r] = [x // g for x in row] if g != 1 else row
     D = math.lcm(*(rows[i][i] for i in range(n)))
     return [[x * (D // rows[i][i]) for x in rows[i][n:]] for i in range(n)], D
-
-
-def _peel(rest: list[int], basis: list[list[int]],
-          lower: list[list[tuple[int, int]]]) -> list[tuple[int, int]] | None:
-    """The nonzero (m, c), in increasing m, of the vector `rest` (zero
-    past its length) on a lower triangular `basis`, where `lower[m]` holds
-    the nonzero (j, b) of basis_m left of its diagonal.
-
-    Peels from the highest index down: c_m is one exact division by the
-    diagonal entry, and subtracting c_m . basis_m touches only the entries
-    in `lower[m]`.  Consumes `rest`; None if a division leaves a remainder,
-    that is, if the vector lies outside the span.
-    """
-    pairs = []
-    for m in range(len(rest) - 1, -1, -1):
-        x = rest[m]
-        if x:
-            c, r = divmod(x, basis[m][m])
-            if r:
-                return None
-            pairs.append((m, c))
-            for j, b in lower[m]:
-                rest[j] -= c * b
-    pairs.reverse()
-    return pairs
 
 
 class CongruenceMatrix:

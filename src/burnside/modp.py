@@ -288,10 +288,13 @@ def blocks(algebra: ModPAlgebra) -> list[LocalBlock]:
 
     The block idempotent is the image of the ghost idempotent 1_C (Dress,
     Yoshida).  1_C lies in R tensor Z_(p), so m . 1_C is in R for some m
-    prime to p; D . 1_C is in R for the ring's denominator D too, so
-    gcd(m, D) . 1_C is, and with it D' . 1_C for D' the p-free part of D.
+    prime to p; T . 1_C is in R for T the ring's `denominator_multiple`
+    (the product of the diagonal of a table of marks) too, so gcd(m, T) .
+    1_C is, and with it D' . 1_C for D' the p-free part of T.
     Hence e_C = D'^-1 . decompose(D' . 1_C) mod p, one exact decomposition
-    per class (`NonIntegralSolution` if 1_C were not p-integral).  One
+    per class (`NonIntegralSolution` if 1_C were not p-integral); it is
+    the reduction of the coordinates of 1_C in R tensor Z_(p), so every
+    such D' gives the same e_C.  One
     `combine` of each e_C over `left` gives its multiples e_C e_k for
     every k; the idempotence, sum and orthogonality checks all run on
     them before any block is built, and each block is built from its own.
@@ -302,7 +305,7 @@ def blocks(algebra: ModPAlgebra) -> list[LocalBlock]:
     if algebra._blocks is not None:
         return algebra._blocks
     ring, p, n = algebra.ring, algebra.p, algebra.dim
-    scale = ring.denominator
+    scale = ring.denominator_multiple
     while scale % p == 0:
         scale //= p
     inv_scale = pow(scale, -1, p)

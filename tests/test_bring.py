@@ -1,12 +1,17 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from burnside import bring
 from burnside.bring import BRing, congruence_d, p_classes, separators
+from burnside.cli import main
 from burnside.errors import (InvalidPrime, NonIntegralSolution,
                              SeparationFailure)
 from burnside.exttor import prime_factors
+from burnside.modp import blocks
 from burnside.permgroup import are_conjugate, o_p
+from bring_reference import DenseCoordinates
 from util import (get_classes, get_context, get_group, get_marks,
                   unimodular_change)
 
@@ -225,9 +230,9 @@ def test_structure_constants_are_sparse_and_exact(name, change):
 
 
 def _dense_structure(ring):
-    """Every basis product decomposed through `decompose`."""
-    n, basis = ring.n, ring.basis
-    return [[[(m, c) for m, c in enumerate(ring.decompose(
+    """Every basis product decomposed through the dense inverse."""
+    n, basis, dense = ring.n, ring.basis, DenseCoordinates(ring)
+    return [[[(m, c) for m, c in enumerate(dense.decompose(
                 [a * b for a, b in zip(basis[k], basis[l])])) if c]
              for l in range(n)] for k in range(n)]
 
@@ -236,6 +241,15 @@ def _dense_structure(ring):
                                            "(1 2 3),(4 5 6),(7 8 9)"])
 def test_peeled_constants_match_the_dense_route(name):
     ring = get_context(name).ring
+    assert ring.structure_constants() == _dense_structure(ring)
+
+
+def test_peel_follows_rows_past_the_products_support():
+    # b . c = (0, 1, 0) = b - a: peeling b reaches index 0, where neither
+    # b . c nor c is nonzero.  On a table of marks the support of every
+    # product is closed under subgroups, so no marks ring shows this
+    ring = BRing(["a", "b", "c"], [[1, 0, 0], [1, 1, 0], [0, 1, 1]])
+    assert ring.structure_constants()[1][2] == [(0, -1), (1, 1)]
     assert ring.structure_constants() == _dense_structure(ring)
 
 
@@ -265,3 +279,82 @@ def test_only_a_triangular_basis_is_peeled(monkeypatch):
     unimodular_change(ring)
     # the unit, then every product with l >= k
     assert len(calls) == 1 + n * (n + 1) // 2
+
+
+PEELED = CORPUS + [D4_C3, "(1 2),(3 4),(5 6),(7 8)", "(1 2 3),(4 5 6),(7 8 9)"]
+_DENSE = {}
+
+
+def _dense(name):
+    if name not in _DENSE:
+        _DENSE[name] = DenseCoordinates(get_context(name).ring)
+    return _DENSE[name]
+
+
+def _outcome(decompose, vector):
+    try:
+        return decompose(vector)
+    except NonIntegralSolution as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("name", PEELED)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_peeled_decompose_matches_the_dense_route(name, data):
+    ring, dense = get_context(name).ring, _dense(name)
+    assert ring.triangular
+    entries = st.lists(st.integers(-60, 60), min_size=ring.n, max_size=ring.n)
+    coeffs = data.draw(entries, label="coefficients")
+    inside = ring.ghost_of(coeffs)
+    assert ring.decompose(inside) == dense.decompose(inside) == coeffs
+    vector = data.draw(entries, label="ghost vector")
+    assert _outcome(ring.decompose, vector) == _outcome(dense.decompose, vector)
+
+
+@pytest.mark.parametrize("name", PEELED)
+def test_peeled_denominators_and_blocks_match_the_dense_route(name):
+    ctx = get_context(name)
+    ring, dense = ctx.ring, _dense(name)
+    n = ring.n
+    assert ring.unit_coeffs == dense.decompose([1] * n)
+    assert ([ring.idempotent_denominator(i) for i in range(n)]
+            == [dense.idempotent_denominator(i) for i in range(n)])
+    assert ring.denominator == dense.denominator
+    primes = prime_factors(ctx.group_order)
+    coprime = next(p for p in (5, 7, 11) if ctx.group_order % p)
+    for p in primes + [coprime]:
+        algebra = ctx.algebra(p)
+        assert [b.idempotent for b in blocks(algebra)] == [
+            dense.block_idempotent(cls, p) for cls in algebra.classes], p
+
+
+def test_zero_on_a_triangular_diagonal_is_dependent():
+    with pytest.raises(ValueError, match="linearly dependent over Q"):
+        BRing(["a", "b", "c"], [[2, 0, 0], [1, 0, 0], [1, 1, 1]])
+
+
+@pytest.mark.parametrize("spec", [("--group", "S3"), ("--gens", D4_C3)])
+def test_marks_path_builds_no_dense_inverse(spec, capsys, tmp_path,
+                                            monkeypatch):
+    requests = [["dmatrix"], ["blocks", "-p", "2"],
+                ["ext", "--source", "1", "--target", "1"],
+                ["verify", "--suite", "oracle"]
+                + (["--max-degree", "1"] if spec[0] == "--gens" else [])]
+    argvs = [req + [*spec, "--cache-dir", str(tmp_path)] for req in requests]
+
+    def outputs():
+        out = []
+        for argv in argvs:
+            code = main(argv)
+            out.append((code, capsys.readouterr().out))
+        return out
+
+    unpatched = outputs()
+    assert all(code == 0 for code, _ in unpatched)
+
+    def refuse(matrix):
+        raise AssertionError("a triangular basis built a dense inverse")
+
+    monkeypatch.setattr(bring, "_scaled_inverse", refuse)
+    assert outputs() == unpatched
