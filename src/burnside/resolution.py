@@ -8,26 +8,39 @@ is, kernel vectors whose classes form a basis of K / M.K.
 Minimal generators.  The kernel basis comes out of the elimination in
 echelon form by top lane (`fplinalg`): vector j ends in coefficient 1 at
 lane j, the lane of its own column, and the stage-0 kernel e_1..e_{s-1}
-has the same form.  The products e_a . kappa, for kappa in the basis and
-e_a in the block's multipliers, go into an echelon keyed by top lane, so
-every nonzero vector of M.K has its top lane at one of its pivots.  The
+has the same form.  M.K is spanned by the products e_a . kappa, for
+kappa in the basis and e_a in the block's multipliers; every nonzero
+vector of it has its top lane at a pivot of its echelon keyed by top
+lane, and those pivots depend on the span only.  The
 basis vectors whose top lane is not a pivot are the generators: any
 nonzero combination of them has its top lane off the pivots, so they are
 independent modulo M.K, and they number dim K - dim M.K.  No kernel
 vector is reduced.
 
-The early stop.  K lies in M.F, so M.K lies in M^2.F, of dimension
-n . dim M^2 for n components.  The products are formed one multiplier at
-a time, each against every kernel vector, and stop as soon as the echelon
-reaches that dimension: M.K is then all of M^2.F, and the products left
-add nothing.  The pivots of a top-lane echelon are the top lanes of the
-nonzero vectors of its span, so they do not depend on which products
-went in or in what order, and the generators, the differentials and
-every output are those of the full M.K.  A stop is checked, not
-trusted: its pivots must be those of M^2.F, the pivots of the block's
-own M^2 repeated in each component.  Most stages fill M^2.F (30 of the
-32 with products in the tests' residual corpus; the other two are stages
-of C2^3), often from the first multiplier.
+The certificate.  K lies in M.F, so M.K lies in M^2.F, of dimension
+n . dim M^2 for n components; each stage first tries to show, one
+component at a time, that M.K is all of it.  The kernel comes in increasing top
+lane, so it falls into runs by the component i of the top lane, and
+nothing of a vector in run i lies above component i.  For such a kappa
+with component-i part x (its s lanes at the top), e_a kappa lies in M.K,
+vanishes above component i, and has e_a x there: a product of s lanes,
+not of the whole free module.  Run i, walked from its top, inserts the
+e_a x into an echelon of s lanes until it reaches dim M^2; its pivots
+must then be those of M^2 (`LocalBlock.m_squared_lanes`).  If every
+component passes, the e_a kappa chosen are block-triangular, their parts
+spanning M^2 in each component, so n . dim M^2 of them are independent
+and M.K = M^2.F, whose pivots are those of M^2 repeated in each
+component.  The pivots of a top-lane echelon are the top lanes of the
+nonzero vectors of its span, so the generators, the differentials and
+every output are those of the full M.K.  Few top parts x occur, and the
+first one usually fills M^2 alone, so whether a part does is kept per
+resolution and most components cost a shift and a lookup.
+A stage the certificate declines (a component short of dim M^2, or with
+other pivots) scans the products e_a . kappa, one multiplier at a time
+over the whole kernel, and stops once that echelon reaches n . dim M^2;
+a stop is checked, not trusted, against the pivots of M^2.F.  In the
+tests every stage of V4, D4, Q8, D6 and D8 at p = 2 and of C3 x C3 at
+p = 3 certifies; S4 at p = 2 scans from stage 3 and C2^3 from stage 2.
 
 The multipliers (`LocalBlock.multipliers`) are the e_a independent
 modulo M^2 + Ann(M).  Every kernel K lies in M.F, as the mask test on
@@ -92,6 +105,7 @@ is itself a flat vector of the domain.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -231,8 +245,11 @@ class MinimalResolution:
     pivot of M.K (module docstring).  `multipliers` are the indices of the
     e_a that M.K is built from: those independent modulo M^2 + Ann(M),
     which suffice by Nakayama because every kernel lies in M times its
-    free module.  M.K stops forming products once it fills M^2 times the
-    free module.  Every product is taken inside M (module docstring): the
+    free module.  A stage first certifies M.K = M^2 times the free module
+    from each component's own products, of s lanes each (`_certify_m_k`);
+    only a stage it declines scans the products e_a . kappa, and stops
+    once they fill M^2 times the free module.  Every product is taken
+    inside M (module docstring): the
     column of the idempotent e_0 in each differential is the generator
     itself, and is taken as such, and that of an e_a in Ann(M) comes back
     0 from an empty table row.
@@ -243,6 +260,7 @@ class MinimalResolution:
         self.max_matrix_bits = max_matrix_bits
         self.ops = _Gf2Ops(block) if block.p == 2 else _FpOps(block)
         self.multipliers = block.multipliers
+        self._fills_alone: dict[int, bool] = {}  # see _certify_m_k
         self.betti = [1]
         self.differentials: list[list[int]] = []  # d_l as generator columns
         # kernel of the augmentation F_0 = S -> k is the maximal ideal,
@@ -278,20 +296,25 @@ class MinimalResolution:
         if any(kappa & mask for kappa in kernel):
             raise InvariantViolation(
                 "differential entry outside the maximal ideal")
-        # M.K lies in M^2.F: once the echelon reaches its dimension it is
-        # M^2.F, and the products left add nothing
-        full = n_prev * self.block.m_squared_dim()
-        mk = ops.echelon()
-        filled = any(mk.insert(ops.column(kappa, mask, a)) and mk.dim >= full
-                     for a in self.multipliers for kappa in kernel)
-        pivots = mk.rows
         tops = [ops.top_lane(kappa) for kappa in kernel]
-        if not pivots.keys() <= set(tops):
+        full_lanes = self._m_squared_lanes(n_prev)
+        if self._certify_m_k(kernel, tops, n_prev):
+            filled, pivots = True, full_lanes
+        else:
+            # the scan: every product e_a . kappa, one multiplier at a
+            # time, until the echelon reaches the dimension of M^2.F
+            full = n_prev * self.block.m_squared_dim()
+            mk = ops.echelon()
+            filled = any(mk.insert(ops.column(kappa, mask, a))
+                         and mk.dim >= full
+                         for a in self.multipliers for kappa in kernel)
+            pivots = mk.rows.keys()
+        if not pivots <= set(tops):
             raise InvariantViolation(
                 "M.K has a pivot off the top lanes of the kernel")
-        if filled and pivots.keys() != self._m_squared_lanes(n_prev):
+        if filled and pivots != full_lanes:
             raise InvariantViolation(
-                f"M.K stopped at dimension {mk.dim} at stage "
+                f"M.K stopped at dimension {len(pivots)} at stage "
                 f"{len(self.betti)} without filling M^2 times the free "
                 f"module")
         # any combination of these has its top lane off the pivots, so
@@ -304,6 +327,58 @@ class MinimalResolution:
         self.differentials.append(gens)
         self.kernel_dims.append(n_new * s - self.kernel_dims[-1])
         self._kernel = None
+
+    def _certify_m_k(self, kernel: list[int], tops: list[int],
+                     n_prev: int) -> bool:
+        """Whether M.K = M^2.F, read off each component's own products.
+
+        Component i takes the kernel vectors whose top lane lies in it,
+        from the top down, and their component-i parts x (s lanes), and
+        inserts the e_a x, a a multiplier, into an echelon of s lanes until
+        it reaches dim M^2 (`_fills_m_squared`).  The e_a kappa behind them
+        lie in M.K, vanish above component i and span M^2 in it, so over
+        all components they are n . dim M^2 independent vectors of M.K,
+        which lies in M^2.F of that dimension.  A component that holds no
+        top lane, or whose products fall short, declines the certificate.
+        The top vector's part alone usually fills M^2, and few parts
+        occur, so whether one does is kept per part (`_fills_alone`).
+        """
+        s = self.block.dim
+        stride = s * self.ops.width
+        fills_alone = self._fills_alone
+        hi = len(kernel)
+        for i in reversed(range(n_prev)):
+            lo = bisect_left(tops, i * s, 0, hi)
+            if lo == hi:
+                return False
+            shift = i * stride
+            top = kernel[hi - 1] >> shift
+            alone = fills_alone.get(top)
+            if alone is None:
+                alone = fills_alone[top] = self._fills_m_squared([top])
+            if not (alone or self._fills_m_squared(
+                    kernel[j] >> shift for j in range(hi - 1, lo - 1, -1))):
+                return False
+            hi = lo
+        return True
+
+    def _fills_m_squared(self, parts) -> bool:
+        """Whether the e_a x, for x in `parts` (vectors of s lanes in M)
+        and a a multiplier, fill M^2: inserted in turn until the echelon
+        reaches dim M^2, its pivots must be those of M^2
+        (`LocalBlock.m_squared_lanes`).  An understated dim M^2 stops the
+        echelon short of them, so the stage scans and its check raises."""
+        ops, block = self.ops, self.block
+        target = block.m_squared_dim()
+        mask = ops.lead_mask(1)
+        ech = ops.echelon()
+        for x in parts:
+            if ech.dim >= target:
+                break
+            for a in self.multipliers:
+                if ech.insert(ops.column(x, mask, a)) and ech.dim >= target:
+                    break
+        return tuple(sorted(ech.rows)) == block.m_squared_lanes
 
     def _m_squared_lanes(self, n_components: int) -> set[int]:
         """The pivots of M^2 times a free module of n components: those

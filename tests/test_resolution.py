@@ -494,6 +494,110 @@ def test_early_stop_keeps_the_generators_of_the_full_m_k(name, p, degree):
         assert res.differentials == picked, (name, p)
 
 
+def _certified_stages(block, degree, certify=True):
+    """Resolve the block to the degree and return, per stage, its kernel,
+    its number of components and whether it certified M.K = M^2.F;
+    `certify=False` declines every certificate, so each stage scans."""
+    res = MinimalResolution(block)
+    stages = []
+    certificate = res._certify_m_k
+
+    def recording(kernel, tops, n):
+        held = certify and certificate(kernel, tops, n)
+        stages.append((list(kernel), n, held))
+        return held
+
+    res._certify_m_k = recording
+    res.extend_to(degree)
+    return res, stages
+
+
+# stages 1..degree that certify M.K = M^2.F, per block that is not
+# square-zero; the other stages scan the products e_a . kappa
+CERTIFYING_STAGES = {
+    ("V4", 2): {1, 2, 3, 4, 5, 6}, ("D4", 2): {1, 2, 3, 4},
+    ("Q8", 2): {1, 2, 3, 4}, ("D6", 2): {1, 2, 3, 4},
+    ("D8", 2): {1, 2, 3, 4}, ("(1 2 3),(4 5 6)", 3): {1, 2, 3, 4},
+    ("S4", 2): {1, 2}, ("(1 2),(3 4),(5 6)", 2): {1},
+}
+CERTIFICATE_CORPUS = RESIDUAL_CORPUS + [("D8", 2, 4), ("S4", 2, 6)]
+
+
+@pytest.mark.parametrize("name, p, degree", CERTIFICATE_CORPUS)
+def test_certified_pivots_are_those_of_the_full_m_k(name, p, degree):
+    # a stage's pivots are the top lanes of its kernel that are not those
+    # of a generator; certified or scanned, they are the pivots of M.K
+    # built from every product e_a . kappa, a = 1..s-1
+    for block in blocks(get_context(name).algebra(p)):
+        res, stages = _certified_stages(block, degree)
+        assert len(stages) == degree
+        for (kernel, n, held), gens in zip(stages, res.differentials):
+            pivots = _mk_pivots(res.ops, kernel, n, range(1, block.dim))
+            used = ({res.ops.top_lane(kappa) for kappa in kernel}
+                    - {res.ops.top_lane(g) for g in gens})
+            assert used == pivots, (name, p)
+            if held:
+                assert res._m_squared_lanes(n) == pivots, (name, p)
+        certified = {l for l, (_, _, held) in enumerate(stages, 1) if held}
+        if block.m_squared_dim():
+            assert certified == CERTIFYING_STAGES[name, p]
+        elif block.dim > 1:
+            # M.K = 0 = M^2.F, certified by every component at once
+            assert certified == set(range(1, degree + 1))
+
+
+@pytest.mark.parametrize("name, p, degree", CERTIFICATE_CORPUS)
+def test_declined_stages_scan_to_the_same_resolution(name, p, degree):
+    # a resolution that scans every stage, as one whose certificates all
+    # decline, has the same Betti numbers, differentials and kernels
+    for block in blocks(get_context(name).algebra(p)):
+        res, stages = _certified_stages(block, degree)
+        scanned, scans = _certified_stages(block, degree, certify=False)
+        assert not any(held for _, _, held in scans)
+        assert [kernel for kernel, _, _ in stages] == [
+            kernel for kernel, _, _ in scans], (name, p)
+        assert res.differentials == scanned.differentials, (name, p)
+        assert res.betti == scanned.betti
+        assert res.kernel_dims == scanned.kernel_dims
+
+
+@pytest.mark.parametrize("name, p, degree", [("S4", 2, 6),
+                                             ("(1 2),(3 4),(5 6)", 2, 3)])
+def test_declined_stages_match_full_elimination(name, p, degree):
+    block = next(block for block in blocks(get_context(name).algebra(p))
+                 if block.m_squared_dim())
+    res, stages = _certified_stages(block, degree)
+    assert not all(held for _, _, held in stages)
+    kernels, diffs = _full_elimination_stages(block, degree)
+    assert [kernel for kernel, _, _ in stages] == kernels
+    assert res.differentials == diffs
+
+
+@pytest.mark.parametrize("name, p", [("V4", 2), ("(1 2 3),(4 5 6)", 3)])
+def test_certificate_holds_each_component_to_the_pivots_of_m_squared(name,
+                                                                     p):
+    # a block whose M^2 claims other pivots certifies no stage, and the
+    # scan then finds M.K filling M^2.F with pivots other than the claimed
+    block = _block(name, p)
+    broken = dataclasses.replace(block)
+    lanes = block.m_squared_lanes
+    broken.m_squared_lanes = tuple(a + 1 for a in lanes)
+    assert broken.m_squared_lanes[-1] < block.dim
+    res = MinimalResolution(broken)
+    held = []
+    certificate = res._certify_m_k
+
+    def recording(*args):
+        held.append(certificate(*args))
+        return held[-1]
+
+    res._certify_m_k = recording
+    with pytest.raises(InvariantViolation,
+                       match="without filling M\\^2 times the free module"):
+        res.extend_to(6)
+    assert held == [False]
+
+
 class _CountingEchelon:
     """An echelon that counts the vectors inserted into it."""
 
@@ -514,14 +618,16 @@ class _CountingEchelon:
         return self.echelon.dim
 
 
-# products e_a . kappa formed for M.K, with the early stop and without it
-# (every multiplier times every kernel vector)
-MK_PRODUCTS = [("V4", 8, 5767, 11550), ("Q8", 6, 5034, 10080),
-               ("D4", 5, 12064, 16092)]
+# echelons built and products e_a . x inserted for M.K, and the products
+# e_a . kappa of a scan without the early stop (every multiplier times
+# every kernel vector)
+MK_PRODUCTS = [("V4", 8, 2, 3, 11550), ("Q8", 6, 2, 3, 10080),
+               ("D4", 5, 4, 13, 16092)]
 
 
-@pytest.mark.parametrize("name, degree, formed, without_stop", MK_PRODUCTS)
-def test_m_k_products_formed(name, degree, formed, without_stop):
+@pytest.mark.parametrize("name, degree, echelons, formed, without_stop",
+                         MK_PRODUCTS)
+def test_m_k_products_formed(name, degree, echelons, formed, without_stop):
     block = _block(name, 2)
     res = MinimalResolution(block)
     made = []
@@ -533,13 +639,13 @@ def test_m_k_products_formed(name, degree, formed, without_stop):
 
     res.ops.echelon = counting
     res.extend_to(degree)
-    assert len(made) == degree
+    assert len(made) == echelons
     assert sum(e.inserts for e in made) == formed
     assert (sum(res.kernel_dims[:degree]) * len(block.multipliers)
             == without_stop)
-    # every stage of these blocks stops with M.K = M^2.F
-    assert [e.dim for e in made] == [n * block.m_squared_dim()
-                                     for n in res.betti[:degree]]
+    # every stage of these blocks certifies M.K = M^2.F; each echelon, one
+    # per distinct top part, fills M^2
+    assert [e.dim for e in made] == [block.m_squared_dim()] * echelons
 
 
 def _count_multiply_adds(ops):
@@ -558,8 +664,8 @@ def _count_multiply_adds(ops):
 
 # multiply-adds of `column` while resolving to the degree, over M.K's
 # products and the differentials' columns: one per table entry applied
-COLUMN_MULTIPLY_ADDS = [("V4", 2, 9, 55304), ("Q8", 2, 6, 16452),
-                        ("D4", 2, 5, 45984), ("(1 2 3),(4 5 6)", 3, 5, 7425)]
+COLUMN_MULTIPLY_ADDS = [("V4", 2, 9, 25080), ("Q8", 2, 6, 6390),
+                        ("D4", 2, 5, 9831), ("(1 2 3),(4 5 6)", 3, 5, 3417)]
 
 
 @pytest.mark.parametrize("name, p, degree, multiply_adds",
