@@ -12,13 +12,14 @@ one row, and one reduction loop, `_reduce`, drives the Hermite echelon
 serves the tests' integer kernel (`tests/intlinalg_reference.py`), whose
 rows carry their combination of the columns past the matrix.
 
-The oracle reads (co)homology off `sparse_smith_invariants`, the one
-integer elimination here.  It first removes every +-1 pivot (most
-invariant factors are 1; `_eliminate_units`), then alternates Hermite
-echelons of the rows and of the columns of the core left over until every
-row holds one entry (Kannan and Bachem, SIAM J. Comput. 8, 1979; Cohen,
-GTM 138, section 2.4), and `_invariant_factors` turns those entries
-into the invariant factors.  The alternation terminates: each pass's
+The oracle reads (co)homology off `pruned_smith_invariants`, the one
+integer elimination here (`sparse_smith_invariants` is the same on the
+longer side of a matrix, with no column dropped).  It first removes
+every +-1 pivot (most invariant factors are 1; `_eliminate_units`),
+then alternates Hermite echelons of the rows and of the columns of the
+core left over until every row holds one entry (Kannan and Bachem, SIAM
+J. Comput. 8, 1979; Cohen, GTM 138, section 2.4), and
+`_invariant_factors` turns those entries into the invariant factors.  The alternation terminates: each pass's
 leading pivot is the gcd of the previous echelon's first row, so it
 divides the previous leading pivot, and it stays the same only when that
 pivot divides its whole row and its column.  Then the next pass clears
@@ -131,13 +132,33 @@ def sparse_smith_invariants(rows: list[SparseRow], ncols: int) -> list[int]:
     """
     if len(rows) < ncols:
         rows = _transpose(rows)
-    units, core = _eliminate_units(rows)
+    return pruned_smith_invariants(rows, frozenset())[0]
+
+
+def pruned_smith_invariants(rows: list[SparseRow], drop: frozenset[int]
+                            ) -> tuple[list[int], frozenset[int]]:
+    """The nonzero invariant factors of these sparse rows without the
+    columns in `drop` (`sparse_smith_invariants`), and the indices of the
+    rows the unit pass pivoted on.  The rows that meet `drop` lose those
+    entries in place; no other row is touched.
+
+    Never transposed, so the pivot rows are rows of `rows` itself: the
+    oracle drops them as columns of the next differential (module
+    docstring of `oracle`).
+    """
+    for row in rows:
+        if not drop.isdisjoint(row):
+            for k in drop.intersection(row):
+                del row[k]
+    pivots: list[int] = []
+    units, core = _eliminate_units(rows, pivots)
     echelon = _hermite_echelon(core)
     while any(len(row) > 1 for row in echelon.values()):
         echelon = _hermite_echelon(
             _transpose(echelon[lead] for lead in sorted(echelon)))
-    return [1] * units + _invariant_factors(
+    core_factors = _invariant_factors(
         [x for row in echelon.values() for x in row.values()])
+    return [1] * units + core_factors, frozenset(pivots)
 
 
 def _transpose(rows: Iterable[SparseRow]) -> list[SparseRow]:
@@ -150,8 +171,10 @@ def _transpose(rows: Iterable[SparseRow]) -> list[SparseRow]:
     return [cols[j] for j in sorted(cols)]
 
 
-def _eliminate_units(rows: list[SparseRow]) -> tuple[int, list[SparseRow]]:
-    """Remove every +-1 pivot; return (number removed, rows left).
+def _eliminate_units(rows: list[SparseRow], pivots: list[int] | None = None
+                     ) -> tuple[int, list[SparseRow]]:
+    """Remove every +-1 pivot; return (number removed, rows left), and
+    append the index of each row pivoted on to `pivots` if given.
 
     For a unit u at (r, c), adding multiples of row r clears column c in
     every other row; column operations would then clear the rest of row r
@@ -184,6 +207,8 @@ def _eliminate_units(rows: list[SparseRow]) -> tuple[int, list[SparseRow]]:
             if c is None:
                 continue
             units += 1
+            if pivots is not None:
+                pivots.append(r)
             del work[r]
             for k in row:
                 where[k].discard(r)

@@ -45,21 +45,42 @@ min(i, j), one Smith form per unordered pair and degree.
 Everything runs on the nonzero entries: each stage keeps, per column,
 only its multiples of 1 as a sparse row (its index says where b_a sits),
 the next stage is built from them, and E_l is those rows plus phi_i(b_a)
-at each b_a, handed to `sparse_smith_invariants`, which splits off the
+at each b_a, handed to `pruned_smith_invariants`, which splits off the
 unit pivots, then alternates Hermite echelons of the rows and of the
 columns of the core left over until it is diagonal.  The oracle reads
 only the structure constants and the marks, no block or p-local data.
+
+Pruning.  E_{l+1} at mark i drops, before its elimination, the columns
+T of E_l's unit pivots at the same mark: the rows of E_l that its unit
+pass pivoted on (`unit_rows`), which index stage-l generators and so
+columns of E_{l+1}.  This keeps the rank and the invariant factors
+(Gaussian elimination on chain complexes: Kaczynski, Mrozek and
+Slusarek, Comput. Math. Appl. 35, 1998).  Evaluating d_{l+1} d_l = 0
+gives E_{l+1} E_l = 0.  Say the pass pivoted on (t_1, y_1), (t_2, y_2),
+... with Y the pivot columns.  Each pivot row had only multiples of the
+rows pivoted before it added to it, and holds +-1 at its own column and
+0 at the earlier ones, so E_l[T, Y] is a unit lower triangular matrix
+times a triangular one with +-1 on its diagonal: unimodular.  Then
+
+    E_{l+1}[:, T] = - E_{l+1}[:, T^c] E_l[T^c, Y] E_l[T, Y]^-1
+
+is an integer combination of the other columns, and column operations
+clear it.  Dropping columns of E_l keeps E_{l+1} E_l = 0, so the
+argument runs up the pruned matrices, l = 1..L+1.  The unit pass of
+`pruned_smith_invariants` never transposes, so T indexes rows of E_l
+itself, and only the rows of E_{l+1} that meet T are touched.
+
 With Python 3.11.7 on a shared 2-core host, `verify --suite oracle`
-takes about 0.07 s per process for V4 and for A4 (E_4 is 256 x 64) and
-0.8 s for D4 (E_4 is 2401 x 343), nearly all of it in the Smith forms
-(0.10 s and 1.4 s with a Smith form per ordered pair).
+takes about 0.1 s per process, warm, for V4 (E_4 is 256 x 64) and
+0.77-0.86 s for D4 (E_4 is 2401 x 343; 1.10-1.22 s unpruned), nearly
+all of it in the Smith forms.
 """
 
 from __future__ import annotations
 
 from .errors import InvariantViolation, ResolutionTooLarge
 from .exttor import ExtTorContext, ModuleType
-from .intlinalg import SparseRow, sparse_smith_invariants
+from .intlinalg import SparseRow, pruned_smith_invariants
 
 ORACLE_DEGREE_CAP = 3
 DEFAULT_MAX_CELLS = 2_000_000
@@ -94,6 +115,9 @@ class IntegralResolution:
         # (l, i) -> (rank, invariant factors > 1) of evaluation_rows(l, i),
         # filled by smith_form
         self.smith: dict[tuple[int, int], tuple[int, tuple[int, ...]]] = {}
+        # (l, i) -> the rows of E_l that its unit pass pivoted on, which
+        # E_{l+1} at mark i drops as columns (module docstring)
+        self.unit_rows: dict[tuple[int, int], frozenset[int]] = {}
 
     @property
     def depth(self) -> int:
@@ -161,13 +185,19 @@ class IntegralResolution:
 
     def smith_form(self, l: int, i: int) -> tuple[int, tuple[int, ...]]:
         """(rank, invariant factors > 1) of E_l = evaluation_rows(l, i);
-        E_0 is the zero map into degree 0."""
+        E_0 is the zero map into degree 0.  E_l is eliminated without the
+        columns of E_{l-1}'s unit pivots at mark i (module docstring), so
+        E_{l-1}'s Smith form is taken first."""
         if l == 0:
             return 0, ()
         key = (l, i)
         if key not in self.smith:
-            invs = sparse_smith_invariants(self.evaluation_rows(l, i),
-                                           self.ranks[l - 1])
+            drop = frozenset()
+            if l > 1:
+                self.smith_form(l - 1, i)
+                drop = self.unit_rows[l - 1, i]
+            invs, self.unit_rows[key] = pruned_smith_invariants(
+                self.evaluation_rows(l, i), drop)
             self.smith[key] = (len(invs), tuple(d for d in invs if d > 1))
         return self.smith[key]
 

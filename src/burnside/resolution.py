@@ -35,6 +35,15 @@ nonzero vectors of its span, so the generators, the differentials and
 every output are those of the full M.K.  Few top parts x occur, and the
 first one usually fills M^2 alone, so whether a part does is kept per
 resolution and most components cost a shift and a lookup.
+A certified stage then needs no echelon and no set of pivots, only lane
+arithmetic: lane t of the free module is an M^2 lane when t mod s is one
+of the block's M^2 lanes (a frozenset taken once per resolution), so the
+generators are the kernel vectors whose top lane t has t mod s outside
+it.  The top lanes of the kernel are distinct, so the pivots of M^2.F
+all lie among them exactly when n . dim M^2 of them fall on M^2 lanes,
+and that count is the check.  Each top lane is one `bit_length` of its
+vector (floor-divided by the lane width for odd p), and the mask test
+is one OR over the kernel followed by one AND.
 A stage the certificate declines (a component short of dim M^2, or with
 other pivots) scans the products e_a . kappa, one multiplier at a time
 over the whole kernel, and stops once that echelon reaches n . dim M^2;
@@ -108,6 +117,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 
 from .errors import InvariantViolation, ResolutionTooLarge
 from .fplinalg import (FpLaneEchelon, Gf2Echelon,
@@ -246,13 +257,14 @@ class MinimalResolution:
     e_a that M.K is built from: those independent modulo M^2 + Ann(M),
     which suffice by Nakayama because every kernel lies in M times its
     free module.  A stage first certifies M.K = M^2 times the free module
-    from each component's own products, of s lanes each (`_certify_m_k`);
-    only a stage it declines scans the products e_a . kappa, and stops
-    once they fill M^2 times the free module.  Every product is taken
-    inside M (module docstring): the
-    column of the idempotent e_0 in each differential is the generator
-    itself, and is taken as such, and that of an e_a in Ann(M) comes back
-    0 from an empty table row.
+    from each component's own products, of s lanes each (`_certify_m_k`),
+    and then takes as generators the kernel vectors whose top lane is not
+    an M^2 lane; only a stage it declines scans the products e_a . kappa,
+    and stops once they fill M^2 times the free module (`_scan_m_k`).
+    Every product is taken inside M (module docstring): the column of the
+    idempotent e_0 in each differential is the generator itself, and is
+    taken as such, and that of an e_a in Ann(M) comes back 0 from an empty
+    table row.
     """
 
     def __init__(self, block: LocalBlock, max_matrix_bits: int = DEFAULT_MATRIX_BITS):
@@ -261,6 +273,7 @@ class MinimalResolution:
         self.ops = _Gf2Ops(block) if block.p == 2 else _FpOps(block)
         self.multipliers = block.multipliers
         self._fills_alone: dict[int, bool] = {}  # see _certify_m_k
+        self._m_squared_set = frozenset(block.m_squared_lanes)
         self.betti = [1]
         self.differentials: list[list[int]] = []  # d_l as generator columns
         # kernel of the augmentation F_0 = S -> k is the maximal ideal,
@@ -292,41 +305,60 @@ class MinimalResolution:
         # K lies in M.F, so Ann(M) kills it and M.K is the sum of e_a K
         # over the multipliers (Nakayama); its echelon keyed by top lane
         # has a pivot at the top lane of every nonzero vector of M.K
-        mask = ops.lead_mask(n_prev)
-        if any(kappa & mask for kappa in kernel):
+        if reduce(or_, kernel, 0) & ops.lead_mask(n_prev):
             raise InvariantViolation(
                 "differential entry outside the maximal ideal")
-        tops = [ops.top_lane(kappa) for kappa in kernel]
-        full_lanes = self._m_squared_lanes(n_prev)
-        if self._certify_m_k(kernel, tops, n_prev):
-            filled, pivots = True, full_lanes
+        w = ops.width
+        if w == 1:
+            tops = [kappa.bit_length() - 1 for kappa in kernel]
         else:
-            # the scan: every product e_a . kappa, one multiplier at a
-            # time, until the echelon reaches the dimension of M^2.F
-            full = n_prev * self.block.m_squared_dim()
-            mk = ops.echelon()
-            filled = any(mk.insert(ops.column(kappa, mask, a))
-                         and mk.dim >= full
-                         for a in self.multipliers for kappa in kernel)
-            pivots = mk.rows.keys()
+            tops = [(kappa.bit_length() - 1) // w for kappa in kernel]
+        full = n_prev * self.block.m_squared_dim()
+        if self._certify_m_k(kernel, tops, n_prev):
+            # the pivots of M.K = M^2.F are the M^2 lanes of every
+            # component; the tops are distinct, so they hold all of them
+            # when exactly `full` tops fall on M^2 lanes
+            m_squared = self._m_squared_set
+            gens = [kappa for kappa, t in zip(kernel, tops)
+                    if t % s not in m_squared]
+            if len(kernel) - len(gens) != full:
+                raise InvariantViolation(
+                    "M.K has a pivot off the top lanes of the kernel")
+        else:
+            gens = self._scan_m_k(kernel, tops, n_prev, full)
+        # any combination of these has its top lane off the pivots, so
+        # they are independent modulo M.K, and they number dim K - dim M.K
+        self.betti.append(len(gens))
+        self.differentials.append(gens)
+        self.kernel_dims.append(len(gens) * s - self.kernel_dims[-1])
+        self._kernel = None
+
+    def _scan_m_k(self, kernel: list[int], tops: list[int], n_prev: int,
+                  full: int) -> list[int]:
+        """The generators of a stage the certificate declines: every
+        product e_a . kappa, one multiplier at a time, goes into the
+        echelon of M.K until it reaches `full`, the dimension of M^2.F,
+        and the kernel vectors whose top lane is not one of its pivots
+        are kept."""
+        ops = self.ops
+        mask = ops.lead_mask(n_prev)
+        mk = ops.echelon()
+        filled = any(mk.insert(ops.column(kappa, mask, a))
+                     and mk.dim >= full
+                     for a in self.multipliers for kappa in kernel)
+        pivots = mk.rows.keys()
         if not pivots <= set(tops):
             raise InvariantViolation(
                 "M.K has a pivot off the top lanes of the kernel")
-        if filled and pivots != full_lanes:
+        if filled and pivots != self._m_squared_lanes(n_prev):
             raise InvariantViolation(
                 f"M.K stopped at dimension {len(pivots)} at stage "
                 f"{len(self.betti)} without filling M^2 times the free "
                 f"module")
-        # any combination of these has its top lane off the pivots, so
-        # they are independent modulo M.K, and they number dim K - dim M.K
         gens = [kappa for kappa, t in zip(kernel, tops) if t not in pivots]
-        n_new = len(gens)
-        if n_new != len(kernel) - len(pivots):
+        if len(gens) != len(kernel) - len(pivots):
             raise InvariantViolation("minimal generator count mismatch")
-        self.betti.append(n_new)
-        self.differentials.append(gens)
-        self.kernel_dims.append(n_new * s - self.kernel_dims[-1])
-        self._kernel = None
+        return gens
 
     def _certify_m_k(self, kernel: list[int], tops: list[int],
                      n_prev: int) -> bool:

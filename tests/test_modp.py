@@ -378,21 +378,26 @@ def _c4_mod_3():
 
 
 def test_blocks_reject_tampered_square():
-    # the table claims [C4/C4] e_m = 0, so e_4^2 reads [C4/C2] e_4 = 0
+    # the table claims [C4/C4] e_m = 0, so e_4^2 reads [C4/C2] e_4 = 0;
+    # idempotence is not checked on its own (it follows from the unit sum
+    # and the block dimensions), and the multiples of e_4 no longer span
+    # a one-dimensional block
     algebra = _c4_mod_3()
     algebra.left[2] = 0
     with pytest.raises(InvariantViolation,
-                       match="p-class of 4 is not idempotent"):
+                       match="p-class of 4 is not one-dimensional"):
         blocks(algebra)
 
 
 def test_blocks_reject_tampered_orthogonality():
     # the table claims [C4/C4] [C4/1] = [C4/1] + e_4 (block 0 of left[2]);
-    # e_4 has no [C4/1] coordinate, so every square and every block stays
-    # as it was, but e_1 e_4 now reads e_4
+    # e_4 has no [C4/1] coordinate, so every square stays as it was, but
+    # e_1 e_4 now reads e_4; orthogonality follows from the unit sum and
+    # the block dimensions, and the multiple e_4 [C4/1] breaks the latter
     algebra = _c4_mod_3()
     algebra.left[2] += algebra.pack([0, 1, 1])
-    with pytest.raises(InvariantViolation, match="not orthogonal"):
+    with pytest.raises(InvariantViolation,
+                       match="p-class of 4 is not one-dimensional"):
         blocks(algebra)
 
 

@@ -1,6 +1,7 @@
 import pytest
 
 from burnside.bring import BRing
+from burnside.cli import main
 from burnside.errors import InvariantViolation, ResolutionTooLarge
 from burnside.exttor import (ModuleType, ext_report, prime_factors, tor_report)
 from burnside.oracle import IntegralResolution, oracle_ext, oracle_tor
@@ -321,3 +322,62 @@ def test_sparse_evaluation_matches_dense_reference(name):
                 invs = smith_invariants(dots, width)
                 assert res.smith_form(l, i) == (
                     len(invs), tuple(d for d in invs if d > 1))
+
+
+PRUNING_CORPUS = [("S3", 4), ("C6", 4), ("V4", 4), ("A4", 4), ("D4", 3)]
+
+
+@pytest.mark.parametrize("name, depth", PRUNING_CORPUS)
+def test_pruned_smith_forms_match_the_unpruned(name, depth):
+    # E_l drops the columns its predecessor's unit pass pivoted on, which
+    # d^2 = 0 makes integer combinations of the others; every Smith form
+    # must equal that of the whole E_l, and E_{l+1} E_l = 0 on the rows
+    ring = get_context(name).ring
+    n = ring.n
+    pruned = 0
+    for j in range(n):
+        res = IntegralResolution(ring, j)
+        res.extend_to(depth)
+        for i in range(n):
+            for l in range(1, depth + 1):
+                rows = res.evaluation_rows(l, i)
+                invs = sparse_smith_invariants(rows, res.ranks[l - 1])
+                assert res.smith_form(l, i) == (
+                    len(invs), tuple(d for d in invs if d > 1)), (j, i, l)
+                if l > 1:
+                    pruned += len(res.unit_rows[l - 1, i])
+                    below = res.evaluation_rows(l - 1, i)
+                    for row in rows:
+                        image = {}
+                        for t, x in row.items():
+                            for s, y in below[t].items():
+                                image[s] = image.get(s, 0) + x * y
+                        assert not any(image.values()), (j, i, l)
+    assert pruned
+
+
+# nonempty columns of E_2..E_4 that V4's `verify --suite oracle` drops
+# (of 60 Smith forms: 15 pairs (i, j) with i <= j, degrees 1..4)
+PRUNED_V4 = 120
+
+
+def test_verify_oracle_prunes_the_columns_of_the_unit_pivots(
+        monkeypatch, tmp_path, capsys):
+    # count, per Smith form, the nonempty columns it is asked to drop, and
+    # check that none of them is left in the rows it eliminates
+    import burnside.oracle as oracle
+    dropped = []
+    smith = oracle.pruned_smith_invariants
+
+    def counting(rows, drop):
+        dropped.append(len(drop & {k for row in rows for k in row}))
+        out = smith(rows, drop)
+        assert not drop & {k for row in rows for k in row}
+        return out
+
+    monkeypatch.setattr(oracle, "pruned_smith_invariants", counting)
+    assert main(["verify", "--group", "V4", "--suite", "oracle",
+                 "--cache-dir", str(tmp_path)]) == 0
+    assert "oracle: ok" in capsys.readouterr().out
+    assert len(dropped) == 60
+    assert sum(dropped) == PRUNED_V4

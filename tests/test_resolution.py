@@ -598,6 +598,82 @@ def test_certificate_holds_each_component_to_the_pivots_of_m_squared(name,
     assert held == [False]
 
 
+def _tampered_stage(name, p, stage, tamper, certify):
+    """Resolve the block to `stage - 1`, compute the kernel of the top
+    differential, replace it by `tamper(kernel, tops, block)` and run
+    stage `stage`; `certify=False` declines its certificate.  Returns
+    the resolution and, once the stage has run or raised, the
+    certificate's verdicts."""
+    block = _block(name, p)
+    res = MinimalResolution(block)
+    res.extend_to(stage - 1)
+    res._compute_top_kernel()
+    kernel = res._kernel
+    res._kernel = tamper(kernel, [res.ops.top_lane(kappa) for kappa in kernel],
+                         block)
+    held = []
+    certificate = res._certify_m_k
+
+    def recording(*args):
+        held.append(certify and certificate(*args))
+        return held[-1]
+
+    res._certify_m_k = recording
+    return res, held
+
+
+def _m_squared_top(kernel, tops, block):
+    """Index of a kernel vector whose top lane is an M^2 lane and which is
+    not the top of its component's run: the run's top part still fills
+    M^2 alone, so the certificate holds without it."""
+    s = block.dim
+    return next(j for j in range(len(kernel) - 1)
+                if tops[j] % s in block.m_squared_lanes
+                and tops[j + 1] // s == tops[j] // s)
+
+
+def _without_an_m_squared_top(kernel, tops, block):
+    j = _m_squared_top(kernel, tops, block)
+    return kernel[:j] + kernel[j + 1:]
+
+
+def _with_an_m_squared_top_twice(kernel, tops, block):
+    j = _m_squared_top(kernel, tops, block)
+    return kernel[:j + 1] + kernel[j:]
+
+
+@pytest.mark.parametrize("name, p, stage", [
+    ("V4", 2, 3), ("D4", 2, 3), ("Q8", 2, 4), ("(1 2 3),(4 5 6)", 3, 3)])
+def test_certified_stage_counts_the_tops_on_m_squared_lanes(name, p,
+                                                             stage):
+    # a certified stage's pivots are the M^2 lanes of every component;
+    # a kernel lacking one of them as a top lane has fewer than
+    # n . dim M^2 tops on M^2 lanes, and the stage raises
+    res, held = _tampered_stage(name, p, stage, _without_an_m_squared_top,
+                                certify=True)
+    with pytest.raises(InvariantViolation,
+                       match="M.K has a pivot off the top lanes of the kernel"):
+        res.extend_to(stage)
+    assert held == [True]
+
+
+@pytest.mark.parametrize("name, p, stage", [
+    ("V4", 2, 3), ("(1 2 3),(4 5 6)", 3, 3)])
+@pytest.mark.parametrize("tamper, message", [
+    (_without_an_m_squared_top,
+     "M.K has a pivot off the top lanes of the kernel"),
+    (_with_an_m_squared_top_twice, "minimal generator count mismatch")])
+def test_scanned_stage_checks_its_pivots_and_generator_count(
+        name, p, stage, tamper, message):
+    # the same stages, their certificate declined: the scan finds a
+    # pivot of M.K that no kernel vector tops, or, with a vector on a
+    # pivot twice, one generator fewer than dim K - dim M.K
+    res, held = _tampered_stage(name, p, stage, tamper, certify=False)
+    with pytest.raises(InvariantViolation, match=message):
+        res.extend_to(stage)
+    assert held == [False]
+
+
 class _CountingEchelon:
     """An echelon that counts the vectors inserted into it."""
 
