@@ -150,8 +150,7 @@ def pruned_smith_invariants(rows: list[SparseRow], drop: frozenset[int]
         if not drop.isdisjoint(row):
             for k in drop.intersection(row):
                 del row[k]
-    pivots: list[int] = []
-    units, core = _eliminate_units(rows, pivots)
+    units, core, pivots = _eliminate_units(rows)
     echelon = _hermite_echelon(core)
     while any(len(row) > 1 for row in echelon.values()):
         echelon = _hermite_echelon(
@@ -171,10 +170,10 @@ def _transpose(rows: Iterable[SparseRow]) -> list[SparseRow]:
     return [cols[j] for j in sorted(cols)]
 
 
-def _eliminate_units(rows: list[SparseRow], pivots: list[int] | None = None
-                     ) -> tuple[int, list[SparseRow]]:
-    """Remove every +-1 pivot; return (number removed, rows left), and
-    append the index of each row pivoted on to `pivots` if given.
+def _eliminate_units(rows: list[SparseRow]
+                     ) -> tuple[int, list[SparseRow], list[int]]:
+    """Remove every +-1 pivot; return (number removed, rows left, indices
+    of the rows pivoted on).
 
     For a unit u at (r, c), adding multiples of row r clears column c in
     every other row; column operations would then clear the rest of row r
@@ -184,8 +183,9 @@ def _eliminate_units(rows: list[SparseRow], pivots: list[int] | None = None
     first and takes the unit whose column has the fewest entries; passes
     repeat until no unit is left.  The column -> rows index `where` lets a
     pivot touch only the rows that meet its column, and a row is copied
-    the first time it changes, so the caller's rows stay intact.
+    the first time it changes, so the rows passed in stay intact.
     """
+    pivots: list[int] = []
     work = {i: row for i, row in enumerate(rows) if row}
     where: dict[int, set[int]] = {}
     for i, row in work.items():
@@ -207,8 +207,7 @@ def _eliminate_units(rows: list[SparseRow], pivots: list[int] | None = None
             if c is None:
                 continue
             units += 1
-            if pivots is not None:
-                pivots.append(r)
+            pivots.append(r)
             del work[r]
             for k in row:
                 where[k].discard(r)
@@ -232,7 +231,7 @@ def _eliminate_units(rows: list[SparseRow], pivots: list[int] | None = None
                         del other[k]
                         where[k].discard(i)
         todo = [i for i in changed if i in work]
-    return units, [row for row in work.values() if row]
+    return units, [row for row in work.values() if row], pivots
 
 
 def _invariant_factors(entries: list[int]) -> list[int]:

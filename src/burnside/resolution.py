@@ -158,7 +158,9 @@ class _LaneOps:
         return ones * self.lane_mask
 
     def top_lane(self, flat: int) -> int:
-        """The highest nonzero lane of a nonzero vector."""
+        """The highest nonzero lane of a nonzero vector.  `_extend_once`
+        writes this formula inline on purpose: it reads one top lane per
+        kernel vector, and the method call costs more than the formula."""
         return (flat.bit_length() - 1) // self.width
 
 
@@ -309,10 +311,7 @@ class MinimalResolution:
             raise InvariantViolation(
                 "differential entry outside the maximal ideal")
         w = ops.width
-        if w == 1:
-            tops = [kappa.bit_length() - 1 for kappa in kernel]
-        else:
-            tops = [(kappa.bit_length() - 1) // w for kappa in kernel]
+        tops = [(kappa.bit_length() - 1) // w for kappa in kernel]
         full = n_prev * self.block.m_squared_dim()
         if self._certify_m_k(kernel, tops, n_prev):
             # the pivots of M.K = M^2.F are the M^2 lanes of every

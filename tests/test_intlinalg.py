@@ -326,7 +326,9 @@ def test_sparse_smith_core_without_units(data):
 @given(unit_rich_matrix())
 def test_sparse_smith_core_on_units_alone(data):
     A, n = data
-    assert _eliminate_units(_sparse_rows(A)) == (len(A), [])
+    units, core, pivots = _eliminate_units(_sparse_rows(A))
+    assert (units, core) == (len(A), [])
+    assert sorted(pivots) == list(range(len(A)))
     _check_smith_core(A, n)
 
 
