@@ -331,9 +331,6 @@ class CongruenceMatrix:
         `p` must be a prime; callers check it before asking."""
         return i == j or self._d[i][j] % p == 0
 
-    def d_by_label(self, a: str, b: str) -> int:
-        return self.d(self.ring.index_of(a), self.ring.index_of(b))
-
     def to_json(self) -> dict:
         labels = self.ring.labels
         return {
@@ -364,9 +361,6 @@ class PrimeEquivalence:
 
     def class_index_of(self, i: int) -> int:
         return self.class_of[i]
-
-    def same_class(self, i: int, j: int) -> bool:
-        return self.class_of[i] == self.class_of[j]
 
     def label_classes(self) -> list[list[str]]:
         return [[self.ring.labels[i] for i in cls] for cls in self.classes]

@@ -1,4 +1,10 @@
-"""On-disk cache of computed marks tables, keyed by group fingerprint."""
+"""On-disk cache of computed marks tables, keyed by group fingerprint.
+
+An entry holds the compact document of `MarksTable.to_sparse_json`: each
+class as its label, order and member mask in image order, each row of the
+table as its nonzero [j, mark] pairs.  Entries of an earlier version are
+misses.
+"""
 
 from __future__ import annotations
 
@@ -6,11 +12,12 @@ import hashlib
 import json
 import os
 import tempfile
+from itertools import accumulate, chain
 from pathlib import Path
 
 from .permgroup import PermGroup
 
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 ENV_VAR = "BURNSIDE_CACHE"
 
 
@@ -34,49 +41,59 @@ def _path_for(cache_dir: Path, fp: str) -> Path:
     return cache_dir / f"marks-{digest}.json"
 
 
-def _is_marks_document(marks) -> bool:
-    """Cheap shape checks of a cached marks payload.
+def _is_marks_document(marks, group: PermGroup) -> bool:
+    """Cheap shape checks of a cached compact marks payload.
 
-    Every class has a string label, an int order and a list representative
-    of that many elements; the matrix is square with one int row per
-    class, lower triangular with a positive diagonal, and its first column
-    is |G|/|H| (so matrix[i][0] * order_i == matrix[0][0]).
+    Every class has a str label, an int order and an int `members` with
+    that many bits, all below bit |G|, so `marks` and `verify --suite
+    dress` can rebuild its representative; labels are distinct.  Each
+    class has a row, a nonempty list of [j, mark] pairs of ints with every
+    mark positive and j increasing from the first pair, (0, |G|/|H|), to
+    the last, the diagonal (i, mark): the expanded table is lower
+    triangular with a positive diagonal.
+
+    Each check runs over all classes or all pairs in one C-level pass.
     """
-    if not isinstance(marks, dict):
+    if type(marks) is not dict:
         return False
-    classes, matrix = marks.get("classes"), marks.get("matrix")
-    if not (isinstance(classes, list) and isinstance(matrix, list)
-            and classes and len(matrix) == len(classes)):
+    classes, rows = marks.get("classes"), marks.get("rows")
+    if not (type(classes) is list and type(rows) is list and classes
+            and len(rows) == len(classes) and {*map(type, classes)} == {dict}
+            and {*map(type, rows)} == {list} and all(rows)):
         return False
     n = len(classes)
-    for i, (cls, row) in enumerate(zip(classes, matrix)):
-        if not (isinstance(cls, dict) and isinstance(cls.get("label"), str)
-                and type(cls.get("order")) is int
-                and isinstance(cls.get("representative"), list)
-                and len(cls["representative"]) == cls["order"]
-                and isinstance(row, list) and len(row) == n
-                and all(type(x) is int for x in row)):
-            return False
-        if (row[i] <= 0 or any(row[i + 1:])
-                or row[0] * cls["order"] != matrix[0][0]):
-            return False
-    return len({cls["label"] for cls in classes}) == n
-
-
-def _names_group_elements(marks: dict, group: PermGroup) -> bool:
-    """Every representative element is the image list of a group element,
-    so `verify --suite dress` can rebuild the class representatives."""
-    images = {g.images for g in group.elements}
-    return all(isinstance(g, list) and all(type(x) is int for x in g)
-               and tuple(g) in images
-               for cls in marks["classes"] for g in cls["representative"])
+    labels = [cls.get("label") for cls in classes]
+    orders = [cls.get("order") for cls in classes]
+    members = [cls.get("members") for cls in classes]
+    if not ({*map(type, labels)} == {str} and len({*labels}) == n
+            and {*map(type, orders)} == {*map(type, members)} == {int}
+            and min(members) > 0 and max(members) < 1 << group.order
+            and list(map(int.bit_count, members)) == orders):
+        return False
+    pairs = list(chain.from_iterable(rows))
+    if {*map(type, pairs)} != {list} or {*map(len, pairs)} != {2}:
+        return False
+    js, marks_of = zip(*pairs)
+    if ({*map(type, js), *map(type, marks_of)} != {int}
+            or min(marks_of) <= 0):
+        return False
+    # row i is pairs[starts[i]:starts[i + 1]]; its first j is 0 and its
+    # last is i, so the only adjacent j that do not increase are those
+    # across the end of a row, n - 1 of them, when every row increases
+    starts = list(accumulate(map(len, rows), initial=0))
+    return (all(js[s] == 0 for s in starts[:-1])
+            and [js[e - 1] for e in starts[1:]] == list(range(n))
+            and sum(map(int.__lt__, js, js[1:])) == len(js) - n
+            and all(marks_of[s] * order == group.order
+                    for s, order in zip(starts, orders)))
 
 
 def load_marks_json(cache_dir: Path, group: PermGroup) -> dict | None:
-    """The cached marks document, or None on miss/stale/foreign entries.
+    """The cached compact marks document, or None on a miss, a stale
+    version or a foreign or malformed entry.
 
-    An entry that fails `_is_marks_document` or `_names_group_elements`
-    counts as a miss, so the caller recomputes it and overwrites the file.
+    An entry that fails `_is_marks_document` counts as a miss, so the
+    caller recomputes it and overwrites the file.
     """
     fp = fingerprint(group)
     path = _path_for(cache_dir, fp)
@@ -86,10 +103,9 @@ def load_marks_json(cache_dir: Path, group: PermGroup) -> dict | None:
     except (OSError, ValueError, RecursionError):
         # unreadable, not UTF-8 JSON, or nested past the decoder's depth
         return None
-    if (not isinstance(doc, dict) or doc.get("version") != CACHE_VERSION
+    if (type(doc) is not dict or doc.get("version") != CACHE_VERSION
             or doc.get("fingerprint") != fp
-            or not _is_marks_document(doc.get("marks"))
-            or not _names_group_elements(doc["marks"], group)):
+            or not _is_marks_document(doc.get("marks"), group)):
         return None
     return doc["marks"]
 

@@ -21,10 +21,9 @@ from .errors import BurnsideError, InvariantViolation
 from .exttor import (DegreeCell, ExtTorContext, ext_ranks, ext_report,
                      prime_factors, tor_report, verify_squarefree)
 from .groups import parse_cycles, parse_group
-from .marks import table_of_marks
+from .marks import dense_matrix, marks_document, table_of_marks
 from .modp import blocks, blocks_report
 from .oracle import ORACLE_DEGREE_CAP, oracle_ext, oracle_tor
-from .perm import Permutation
 from .permgroup import (Subgroup, are_conjugate, enumerate_elements, is_prime,
                         o_p)
 from .resolution import check_closed_form, shared_block
@@ -124,7 +123,8 @@ def _load_group(args):
 
 
 def _marks_json(args, group, name: str) -> dict:
-    """The marks document of `group`, named after this request's spec.
+    """The compact marks document of `group` (`MarksTable.to_sparse_json`),
+    named after this request's spec.
 
     Specs with the same fingerprint share a cache entry, so the stored
     payload carries no name; the name is added on every read.
@@ -132,8 +132,7 @@ def _marks_json(args, group, name: str) -> dict:
     cache_dir = cache_mod.resolve_cache_dir(args.cache_dir)
     doc = cache_mod.load_marks_json(cache_dir, group)
     if doc is None:
-        doc = table_of_marks(group).to_json(name)
-        del doc["group"]
+        doc = table_of_marks(group).to_sparse_json()
         try:
             cache_mod.store_marks_json(cache_dir, group, doc)
         except OSError:
@@ -148,11 +147,11 @@ def _check_max_degree(args, least: int) -> None:
 
 
 def _context(args) -> ExtTorContext:
-    doc = _marks_json(args, *_load_group(args))
+    group, name = _load_group(args)
+    doc = _marks_json(args, group, name)
     labels = [c["label"] for c in doc["classes"]]
-    ring = BRing(labels, doc["matrix"])
-    order = doc["matrix"][0][0]
-    return ExtTorContext(ring, doc["group"], order)
+    ring = BRing(labels, dense_matrix(doc["rows"]))
+    return ExtTorContext(ring, name, group.order)
 
 
 def _label_index(ctx: ExtTorContext, label: str) -> int:
@@ -249,7 +248,8 @@ def _render(headers: list[str], columns: Iterable[Sequence[str | int]],
 
 
 def cmd_marks(args) -> int:
-    doc = _marks_json(args, *_load_group(args))
+    group, name = _load_group(args)
+    doc = marks_document(group, _marks_json(args, group, name))
 
     def table():
         classes, matrix = doc["classes"], doc["matrix"]
@@ -406,9 +406,9 @@ def _verify_dress(args) -> int:
     group, name = _load_group(args)
     doc = _marks_json(args, group, name)
     classes = doc["classes"]
-    dmat = BRing([c["label"] for c in classes], doc["matrix"]).dmat
-    reps = [Subgroup(group, map(Permutation, c["representative"]))
-            for c in classes]
+    dmat = BRing([c["label"] for c in classes],
+                 dense_matrix(doc["rows"])).dmat
+    reps = [Subgroup.from_rank_mask(group, c["members"]) for c in classes]
     primes = prime_factors(group.order)
     if not primes:
         print(f"dress: not-applicable (|{name}| = {group.order} has no "

@@ -89,9 +89,6 @@ class ModuleType:
                 factors.append(m)
         return cls(0, tuple(factors))
 
-    def is_zero(self) -> bool:
-        return self.free_rank == 0 and not self.invariants
-
     def __str__(self) -> str:
         parts = []
         if self.free_rank == 1:
@@ -322,12 +319,6 @@ class SquarefreeResult:
     applicable: bool
     passed: bool
     counterexample: tuple[str, str, int] | None = None
-
-    @property
-    def verdict(self) -> str:
-        if not self.applicable:
-            return "not-applicable"
-        return "pass" if self.passed else "fail"
 
 
 def verify_squarefree(ctx: ExtTorContext, L: int) -> SquarefreeResult:

@@ -10,10 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 
 from .bring import BRing
 from .errors import BasisMismatch
-from .permgroup import PermGroup, SubgroupClassTable, subgroup_classes
+from .permgroup import (PermGroup, Subgroup, SubgroupClassTable,
+                        subgroup_classes)
 
 
 class MarksTable:
@@ -54,19 +56,51 @@ class MarksTable:
             raise BasisMismatch("coefficient vector has the wrong length")
         return BurnsideElement(self, coeffs)
 
-    def to_json(self, group_name: str) -> dict:
+    def to_sparse_json(self) -> dict:
+        """The compact document the marks cache stores, with no group name.
+
+        Each class is its label, its order and `members`, the
+        representative's `Subgroup.rank_mask()`; each row of the table is
+        its nonzero [j, mark] pairs, the diagonal last.
+        """
         return {
-            "group": group_name,
-            "classes": [
-                {
-                    "label": c.label,
-                    "order": c.order,
-                    "representative": [list(g.images) for g in c.representative.elements],
-                }
-                for c in self.class_table
-            ],
-            "matrix": [list(row) for row in self.matrix],
+            "classes": [{"label": c.label, "order": c.order,
+                         "members": c.representative.rank_mask()}
+                        for c in self.class_table],
+            # lower triangular: row h is zero past column h
+            "rows": [[[j, row[j]] for j in compress(range(h + 1), row)]
+                     for h, row in enumerate(self.matrix)],
         }
+
+
+def dense_matrix(rows: list[list[list[int]]]) -> list[list[int]]:
+    """The square table of marks from each row's nonzero [j, mark] pairs."""
+    n = len(rows)
+    matrix = []
+    for pairs in rows:
+        row = [0] * n
+        for j, mark in pairs:
+            row[j] = mark
+        matrix.append(row)
+    return matrix
+
+
+def marks_document(group: PermGroup, doc: dict) -> dict:
+    """The document `marks --format json` prints, from a compact one
+    (`MarksTable.to_sparse_json` plus its "group" name): each
+    representative as the image lists of its members in image order, and
+    the dense table."""
+    return {
+        "group": doc["group"],
+        "classes": [
+            {"label": c["label"], "order": c["order"],
+             "representative": [
+                 list(g.images) for g in
+                 Subgroup.from_rank_mask(group, c["members"]).elements]}
+            for c in doc["classes"]
+        ],
+        "matrix": dense_matrix(doc["rows"]),
+    }
 
 
 @dataclass(frozen=True)

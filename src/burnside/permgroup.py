@@ -139,11 +139,19 @@ class PermGroup:
         return [row.index(e) for row in self.table]
 
     @cached_property
+    def by_rank(self) -> list[int]:
+        """Element indices in lexicographic image order; `ranks` inverts it.
+
+        Unlike closure order, image order does not depend on the order of
+        the generators."""
+        elements = self.elements
+        return sorted(range(self.order), key=lambda i: elements[i].images)
+
+    @cached_property
     def ranks(self) -> list[int]:
         """Position of each element in lexicographic image order."""
-        by_images = sorted(range(self.order), key=lambda i: self.elements[i].images)
         ranks = [0] * self.order
-        for r, i in enumerate(by_images):
+        for r, i in enumerate(self.by_rank):
             ranks[i] = r
         return ranks
 
@@ -243,6 +251,17 @@ class Subgroup:
             sub.__dict__["gens"] = gens
         return sub
 
+    @classmethod
+    def from_rank_mask(cls, group: PermGroup, members: int) -> "Subgroup":
+        """The subgroup whose members are the elements of rank r, for each
+        bit r set in `members`; the inverse of `rank_mask`.  The members
+        must form a subgroup."""
+        by_rank = group.by_rank
+        mask = 0
+        for r in _bits(members):
+            mask |= 1 << by_rank[r]
+        return cls._from_mask(group, mask)
+
     def _init(self, group, mask):
         indices = tuple(sorted(_bits(mask), key=group.ranks.__getitem__))
         self.__dict__.update(group=group, mask=mask, order=len(indices),
@@ -264,6 +283,15 @@ class Subgroup:
     @cached_property
     def element_set(self) -> frozenset[Permutation]:
         return frozenset(self.elements)
+
+    def rank_mask(self) -> int:
+        """The members by rank: bit r is set when the element of rank r
+        (`PermGroup.ranks`) lies in this subgroup."""
+        ranks = self.group.ranks
+        mask = 0
+        for i in self.indices:
+            mask |= 1 << ranks[i]
+        return mask
 
     def rank_key(self) -> tuple[int, ...]:
         """Ranks of the members; compares as their image tuples do."""

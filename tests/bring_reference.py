@@ -1,10 +1,13 @@
-"""Reference coordinates in a Burnside ring through a dense inverse.
+"""Reference coordinates in a Burnside ring through a dense inverse, and
+label and p-class lookups no command needs.
 
 A triangular `BRing` (a table of marks) peels every vector over the
 nonzero entries of its rows and never inverts its basis.
 `DenseCoordinates` decomposes through adj = D . basis^-1 from
 `bring._scaled_inverse`, the route every basis took before, and which
 non-triangular bases still take: the tests check the peel against it.
+`d_by_label` and `same_class` read the congruence matrix and a p-class
+partition by label and by class membership.
 """
 
 from __future__ import annotations
@@ -51,3 +54,13 @@ class DenseCoordinates:
             ghost[i] = scale
         inv = pow(scale, -1, p)
         return [c * inv % p for c in self.decompose(ghost)]
+
+
+def d_by_label(dmat, a: str, b: str) -> int:
+    """d(a, b) of a `CongruenceMatrix` for two class labels."""
+    return dmat.d(dmat.ring.index_of(a), dmat.ring.index_of(b))
+
+
+def same_class(partition, i: int, j: int) -> bool:
+    """Whether a `PrimeEquivalence` puts indices i and j in one class."""
+    return partition.class_of[i] == partition.class_of[j]

@@ -1,15 +1,17 @@
-"""Reference periodicity scan of the square-free check for the tests.
+"""Reference periodicity scan of the square-free check for the tests, and
+readings of results that no command prints.
 
 `verify_squarefree` builds a report for the first pair of each signature
 only; `verify_squarefree_per_pair` is the scan it replaced, one full
 `ext_report` for each of the n^2 ordered pairs, which the tests check it
-against.
+against.  `verdict` names a `SquarefreeResult` and `is_zero` tests a
+`ModuleType`.
 """
 
 from __future__ import annotations
 
-from burnside.exttor import (ExtTorContext, SquarefreeResult, ext_report,
-                             prime_factors)
+from burnside.exttor import (ExtTorContext, ModuleType, SquarefreeResult,
+                             ext_report, prime_factors)
 
 
 def verify_squarefree_per_pair(ctx: ExtTorContext, L: int) -> SquarefreeResult:
@@ -27,3 +29,13 @@ def verify_squarefree_per_pair(ctx: ExtTorContext, L: int) -> SquarefreeResult:
                     return SquarefreeResult(
                         True, False, (ctx.ring.labels[i], ctx.ring.labels[j], l))
     return SquarefreeResult(True, True)
+
+
+def verdict(result: SquarefreeResult) -> str:
+    if not result.applicable:
+        return "not-applicable"
+    return "pass" if result.passed else "fail"
+
+
+def is_zero(module: ModuleType) -> bool:
+    return module.free_rank == 0 and not module.invariants

@@ -11,7 +11,7 @@ from burnside.errors import (InvalidPrime, NonIntegralSolution,
 from burnside.exttor import prime_factors
 from burnside.modp import blocks
 from burnside.permgroup import are_conjugate, o_p
-from bring_reference import DenseCoordinates
+from bring_reference import DenseCoordinates, d_by_label
 from util import (get_classes, get_context, get_group, get_marks,
                   unimodular_change)
 
@@ -35,14 +35,14 @@ def test_trivial_group_ring():
 
 def test_congruence_examples():
     d3 = get_context("S3").dmat
-    assert d3.d_by_label("1", "2") == 2
-    assert d3.d_by_label("1", "3") == 3
-    assert d3.d_by_label("3", "6") == 2
-    assert d3.d_by_label("1", "6") == 1
+    assert d_by_label(d3, "1", "2") == 2
+    assert d_by_label(d3, "1", "3") == 3
+    assert d_by_label(d3, "3", "6") == 2
+    assert d_by_label(d3, "1", "6") == 1
     d4 = get_context("C4").dmat
-    assert d4.d_by_label("1", "2") == 4
-    assert d4.d_by_label("1", "4") == 2
-    assert d4.d_by_label("2", "4") == 2
+    assert d_by_label(d4, "1", "2") == 4
+    assert d_by_label(d4, "1", "4") == 2
+    assert d_by_label(d4, "2", "4") == 2
     with pytest.raises(ValueError):
         d3.d(1, 1)
 

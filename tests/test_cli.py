@@ -81,6 +81,18 @@ def test_report_json_is_byte_identical(capsys, tmp_path, case):
     assert capsys.readouterr().out == case["stdout"]
 
 
+@pytest.mark.parametrize("case", REPORT_GOLDEN,
+                         ids=lambda case: " ".join(case["argv"]))
+def test_warm_report_json_is_byte_identical(capsys, tmp_path, case):
+    # the second run reads the entry the first one stored: the cache never
+    # changes output
+    argv = case["argv"] + ["--cache-dir", str(tmp_path)]
+    for _ in range(2):
+        assert main(argv) == 0
+        assert capsys.readouterr().out == case["stdout"]
+    assert len(list(tmp_path.glob("marks-*.json"))) == 1
+
+
 def test_ext_json_with_oracle(capsys, tmp_path):
     code, out, _ = run(capsys, "ext", "--group", "S3", "--source", "1",
                        "--target", "1", "--max-degree", "4", "--oracle",

@@ -32,6 +32,16 @@ def test_marks_json_is_byte_identical(capsys, tmp_path, case):
     assert capsys.readouterr().out == case["stdout"]
 
 
+@pytest.mark.parametrize("case", GOLDEN, ids=_golden_id)
+def test_warm_marks_json_is_byte_identical(capsys, tmp_path, case):
+    # a warm `marks` expands the representatives from the entry's member
+    # masks and the table from its pairs
+    argv = case["argv"] + ["--cache-dir", str(tmp_path)]
+    for _ in range(2):
+        assert main(argv) == 0
+        assert capsys.readouterr().out == case["stdout"]
+
+
 @pytest.mark.parametrize("spec,subgroups,classes", [
     ("S4", 30, 11),
     ("D20", 48, 16),

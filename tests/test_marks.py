@@ -3,7 +3,7 @@ import json
 import pytest
 
 from burnside.errors import BasisMismatch, NonIntegralSolution
-from burnside.marks import decompose, ghost, multiply
+from burnside.marks import decompose, ghost, marks_document, multiply
 from burnside.permgroup import Subgroup, are_conjugate, normalizer
 from marks_reference import CosetAction, double_count_mark, verify_marks
 from util import get_group, get_marks
@@ -156,7 +156,8 @@ def test_multiply_matches_orbit_counting(name):
 
 def test_json_emission():
     table = get_marks("S3")
-    doc = table.to_json("S3")
+    doc = marks_document(get_group("S3"),
+                         {**table.to_sparse_json(), "group": "S3"})
     assert doc["group"] == "S3"
     assert doc["matrix"] == S3_MATRIX
     assert [c["label"] for c in doc["classes"]] == ["1", "2", "3", "6"]
