@@ -2,12 +2,14 @@
 
 Commutativity is checked once, on the ring's structure constants when a
 `ModPAlgebra` is built (`_check`); every product path here relies on it.
-Every block, of any dimension, is read off its idempotent's multiples
-e_C e_k, one `combine` over `left`: its basis is e_C and the independent
-e_C e_k - theta_C(e_k) e_C, and its table, kept as nonzero (m, c) pairs
-like the ring's structure constants, combines the multiples' coordinates
-over the ring's pairs.  The radical of R/pR, the kernel of theta, is the
-sum of the blocks' maximal ideals: `basis[1:]` of each `LocalBlock`.
+Every product is read straight off the ring's (m, c) pairs
+(`ModPAlgebra.multiples`), with no table of its own.  Every block, of any
+dimension, is read off its idempotent's multiples e_C e_k: its basis is
+e_C and the independent e_C e_k - theta_C(e_k) e_C, and its table, kept
+as nonzero (m, c) pairs like the ring's structure constants, combines
+the multiples' coordinates over the ring's pairs.  The radical of R/pR,
+the kernel of theta, is the sum of the blocks' maximal ideals:
+`basis[1:]` of each `LocalBlock`.
 """
 
 from __future__ import annotations
@@ -48,11 +50,6 @@ class ModPAlgebra:
         self.theta = [[ring.basis[k][i] % p for k in range(self.dim)]
                       for i in reps]
         self.unit = [c % p for c in ring.unit_coeffs]
-        # block m of left[a] holds e_a e_m (`join_blocks`), packed from the
-        # ring's (m, c) pairs; every product of the algebra combines over it
-        w = self.lanes.width
-        self.left = [self.join_blocks(pack_pairs(pairs, p, w) for pairs in row)
-                     for row in ring.structure_constants()]
         self._blocks: list[LocalBlock] | None = None  # filled by blocks()
         self._check()
 
@@ -65,14 +62,13 @@ class ModPAlgebra:
     def _check(self) -> None:
         """Unit, commutativity and surjectivity of theta (cheap checks).
 
-        One `combine` of the unit over `left` gives unit * e_m in block m,
-        which must be e_m for every m.  Commutativity is checked on the
-        ring's (m, c) pairs that `left` is packed from: e_k e_l and e_l e_k
-        must have the same pairs, over Z and so mod p.
+        The unit's `multiples` must be the unit vectors.  Commutativity is
+        checked on the ring's (m, c) pairs that every product reads: e_k e_l
+        and e_l e_k must have the same pairs, over Z and so mod p.
         """
         n, w = self.dim, self.lanes.width
-        identity = self.join_blocks(1 << (m * w) for m in range(n))
-        if self.combine(self.unit, self.left) != identity:
+        if self.multiples(enumerate(self.unit)) != [1 << (m * w)
+                                                    for m in range(n)]:
             raise InvariantViolation("unit element fails on the basis")
         sc = self.ring.structure_constants()
         if any(sc[k][l] != sc[l][k]
@@ -87,58 +83,58 @@ class ModPAlgebra:
     def check_associative(self) -> None:
         """(e_k e_l) e_m == e_k (e_l e_m) mod p for every basis triple.
 
-        It scans `left`, the table every product uses.  The coefficients
-        of e_k e_l are read out of block l of `left[k]`, and one `combine`
-        of them over `left` gives (e_k e_l) e_m in block m.  For each l,
-        row k holds these blocks as byte strings (blocks start on byte
-        boundaries).  Block k of row m is (e_m e_l) e_k, which is
+        For each l, row k holds the `multiples` of e_k e_l, so entry m is
+        (e_k e_l) e_m.  Entry k of row m is (e_m e_l) e_k, which is
         e_k (e_l e_m) as the algebra is commutative (`_check`), so the
         rows are symmetric exactly when every triple associates.  Products
-        repeat, so each distinct one is combined and cut once: in the
-        Burnside ring of C2^3, 17, 31 and 40 of the 256 products are
+        repeat, so the multiples of each distinct one are taken once: in
+        the Burnside ring of C2^3, 17, 31 and 40 of the 256 products are
         distinct at p = 2, 3 and 5.  It runs in `verify --suite blocks`
         and the tests, not on every construction.
         """
-        n, w, left = self.dim, self.lanes.width, self.left
-        nbytes = self.block_bits // 8
-        prod = [self.split_blocks(v, n) for v in left]
-        memo: dict[int, tuple[bytes, ...]] = {}
+        n, p, w = self.dim, self.p, self.lanes.width
+        sc = self.ring.structure_constants()
+        memo: dict[int, tuple[int, ...]] = {}
 
-        def row(packed: int) -> tuple[bytes, ...]:
-            blocks = memo.get(packed)
-            if blocks is None:
-                raw = self.combine(unpack(packed, n, w), left).to_bytes(
-                    n * nbytes, "little")
-                blocks = tuple(raw[m * nbytes:(m + 1) * nbytes]
-                               for m in range(n))
-                memo[packed] = blocks
-            return blocks
+        def row(pairs) -> tuple[int, ...]:
+            key = pack_pairs(pairs, p, w)
+            multiples = memo.get(key)
+            if multiples is None:
+                multiples = memo[key] = tuple(self.multiples(pairs))
+            return multiples
 
         for l in range(n):
-            rows = [row(prod[k][l]) for k in range(n)]
+            rows = [row(sc[k][l]) for k in range(n)]
             if rows != list(zip(*rows)):
                 raise InvariantViolation("structure constants not associative")
 
-    @property
-    def block_bits(self) -> int:
-        """Bits per block of n lanes in `join_blocks`: whole bytes, so
-        padding lanes stay 0 and blocks can be cut out as byte strings."""
-        return 8 * block_bytes(self.dim, self.lanes.width)
+    def multiples(self, pairs) -> list[int]:
+        """The n packed products x e_k of the x whose coordinates are the
+        (j, x_j) of `pairs`, read off the ring's pairs:
+        x e_k = sum_j x_j sum_{(m, c) in sc[j][k]} c e_m.
 
-    def join_blocks(self, packed) -> int:
-        """Packed vectors in one int, vector t in block t, in time linear
-        in the result."""
-        return join_packed(packed, self.block_bits // 8)
-
-    def split_blocks(self, v: int, count: int) -> list[int]:
-        """The first `count` blocks of `v`, as packed vectors."""
-        bits = self.block_bits
-        mask = (1 << bits) - 1
-        return [(v >> (t * bits)) & mask for t in range(count)]
-
-    def combine(self, coeffs: list[int], table: list[int]) -> int:
-        """sum_a coeffs[a] * table[a], every lane reduced mod p."""
-        return self.combine_pairs(enumerate(coeffs), table)
+        Each term x_j c is reduced mod p before it goes into its lane, and
+        the m of sc[j][k] are distinct, so a lane gains at most p - 1 per
+        nonzero x_j, less than a `lanes.batch` term: the lanes are reduced
+        once every `lanes.batch` nonzero x_j, and at the end unless there
+        was only one, whose terms are reduced already.
+        """
+        p, lanes = self.p, self.lanes
+        w, batch, reduce = lanes.width, lanes.batch, lanes.reduce
+        sc = self.ring.structure_constants()
+        out = [0] * self.dim
+        count = 0
+        for j, a in pairs:
+            a %= p
+            if not a:
+                continue
+            for k, products in enumerate(sc[j]):
+                for m, c in products:
+                    out[k] += a * c % p << m * w
+            count += 1
+            if count % batch == 0:
+                out = [reduce(v) for v in out]
+        return [reduce(v) for v in out] if count > 1 else out
 
     def combine_pairs(self, pairs, table: list[int]) -> int:
         """sum c * table[a] over the (a, c) of `pairs`, each c reduced mod p
@@ -255,8 +251,8 @@ class LocalBlock:
         x is in it when x * e_a = 0 for every basis element e_a of M; for
         a one-dimensional block M = 0 and the socle is the whole block.
         Column b of that system holds e_b e_a in block a - 1, a >= 1: the
-        products of `mult[b]`, packed from their pairs and joined, the shape
-        of the algebra's `left[b]`.
+        products of `mult[b]`, packed from their pairs and laid side by
+        side in blocks of whole bytes (`join_packed`).
         """
         s, lanes = self.dim, self.algebra.lanes
         p, w = lanes.p, lanes.width
@@ -294,9 +290,9 @@ def blocks(algebra: ModPAlgebra) -> list[LocalBlock]:
     Hence e_C = D'^-1 . decompose(D' . 1_C) mod p, one exact decomposition
     per class (`NonIntegralSolution` if 1_C were not p-integral); it is
     the reduction of the coordinates of 1_C in R tensor Z_(p), so every
-    such D' gives the same e_C.  One
-    `combine` of each e_C over `left` gives its multiples e_C e_k for
-    every k, and each block is built from its own.
+    such D' gives the same e_C.  `ModPAlgebra.multiples` reads the
+    multiples e_C e_k of each e_C, for every k, off the ring's pairs, and
+    each block is built from its own.
 
     Only the sum and the dimensions are checked; idempotence and
     orthogonality follow from them.  The e_C sum to 1, so every x is
@@ -324,8 +320,7 @@ def blocks(algebra: ModPAlgebra) -> list[LocalBlock]:
         for i in cls:
             ghost[i] = scale
         idempotents.append([c * inv_scale % p for c in ring.decompose(ghost)])
-    multiples = [algebra.split_blocks(algebra.combine(e, algebra.left), n)
-                 for e in idempotents]
+    multiples = [algebra.multiples(enumerate(e)) for e in idempotents]
     if [sum(col) % p for col in zip(*idempotents)] != algebra.unit:
         raise InvariantViolation("block idempotents do not sum to the unit")
     out = [_build_block(algebra, ci, e, multiples[ci])

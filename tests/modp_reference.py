@@ -1,8 +1,8 @@
 """Reference products and block tables of R/pR for the tests.
 
-`ModPAlgebra` multiplies through one packed table (`combine` over
-`left`); `_mul` is the plain list product over the ring's `(m, c)` pairs
-that the tests check it against, and `nilpotent_span` finds the radical,
+`ModPAlgebra.multiples` reads packed products straight off the ring's
+`(m, c)` pairs; `_mul` is the plain list product over the same pairs that
+the tests check it against, and `nilpotent_span` finds the radical,
 which the blocks' maximal ideals span, again by an exhaustive scan of the
 algebra, squaring through `_mul`.
 `block_by_kernel` builds a block's basis and table through one kernel
@@ -28,7 +28,7 @@ def _mul(table: list[list[list[tuple[int, int]]]], p: int, x: list[int],
     """x * y mod p, for table[k][l] the nonzero (m, c) of e_k * e_l, as in
     `BRing.structure_constants`.
 
-    The list-product reference for the packed `ModPAlgebra.combine`; the
+    The list-product reference for the packed `ModPAlgebra.multiples`; the
     exhaustive `nilpotent_span` scan and `block_by_kernel` multiply
     through it.
     """
@@ -110,7 +110,7 @@ def block_by_kernel(algebra: ModPAlgebra, class_index: int,
     """
     p, n, w = algebra.p, algebra.dim, algebra.lanes.width
     ech = algebra.echelon()
-    multiples = algebra.split_blocks(algebra.combine(idem, algebra.left), n)
+    multiples = algebra.multiples(enumerate(idem))
     span = [v for v in multiples if ech.insert(v)]
     expected = len(algebra.classes[class_index])
     if len(span) != expected:
@@ -122,8 +122,8 @@ def block_by_kernel(algebra: ModPAlgebra, class_index: int,
     m_coords = nullspace(rows, len(span), p)
     if len(m_coords) != len(span) - 1:
         raise NotLocal("residue field is not one-dimensional")
-    columns = [algebra.pack(idem)] + [algebra.combine(coord, span)
-                                      for coord in m_coords]
+    columns = [algebra.pack(idem)] + [
+        algebra.combine_pairs(enumerate(coord), span) for coord in m_coords]
     basis = [idem] + [unpack(v, n, w) for v in columns[1:]]
     s = len(basis)
     sc = algebra.ring.structure_constants()

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from burnside.errors import InvalidPrime, InvariantViolation, NotLocal
 from burnside.exttor import prime_factors
-from burnside import fplinalg
+from burnside import fplinalg, modp
 from burnside.fplinalg import FpLaneEchelon
 from burnside.modp import ModPAlgebra, blocks, blocks_report
 from burnside.permgroup import is_prime
@@ -307,16 +307,33 @@ def test_one_dimensional_blocks_form_no_product_or_kernel(monkeypatch, name,
     assert calls == [[]] * 3
 
 
+def _tamper(algebra, edits):
+    """Point `algebra`, already built, at a `copy.copy` of its ring whose
+    structure constants have sc[k][l] = pairs for each (k, l, pairs) of
+    `edits`.
+
+    The rows are copied, so the ring's own constants stay as they are.
+    sc[k][l] and sc[l][k] are one list object in the ring; each edit puts
+    a new list at (k, l), so it changes that side only.  Commutativity is
+    checked when an algebra is built, not after, and `multiples` reads x e_k
+    off sc[j][k] for the j of x.
+    """
+    ring = copy.copy(algebra.ring)
+    sc = [list(row) for row in ring.structure_constants()]
+    for k, l, pairs in edits:
+        sc[k][l] = pairs
+    ring._structure = sc
+    algebra.ring = ring
+
+
 def test_blocks_reject_tampered_one_dimensional_block():
-    # the table claims [C4/1] [C4/C4] = [C4/1] + [C4/C2] (block 2 of
-    # left[0]), so e_1 [C4/C4] leaves F_3 e_1; e_1 = [C4/1] and e_2 have
-    # no [C4/C4] coordinate and e_4 no [C4/1] one, so every square and
-    # every product e_a e_b (a < b) stays as it was
+    # side (0, 2) only: the pairs claim [C4/1] [C4/C4] = [C4/1] + [C4/C2],
+    # so e_1 [C4/C4] leaves F_3 e_1; e_1 = [C4/1] and e_2 have no [C4/C4]
+    # coordinate and e_4 no [C4/1] one, so every square and every product
+    # e_a e_b (a < b) stays as it was
     algebra = _c4_mod_3()
-    parts = algebra.split_blocks(algebra.left[0], algebra.dim)
-    assert parts[2] == algebra.pack([1, 0, 0])
-    parts[2] = algebra.pack([1, 1, 0])
-    algebra.left[0] = algebra.join_blocks(parts)
+    assert algebra.ring.structure_constants()[0][2] == [(0, 1)]
+    _tamper(algebra, [(0, 2, [(0, 1), (1, 1)])])
     with pytest.raises(InvariantViolation,
                        match="p-class of 1 is not one-dimensional"):
         blocks(algebra)
@@ -326,17 +343,15 @@ def test_blocks_reject_tampered_one_dimensional_block():
     [0, 1, 0, 0], [0, 0, 1, 0]], ids=["wrong_residue", "third_vector"])
 def test_blocks_reject_tampered_multiple(added):
     # the block of 1 at p = 2 has e = [S3/1] + [S3/2] and x_1 = [S3/1];
-    # the table claims [S3/1] [S3/C3] = `added` (block 2 of left[0]; it is
+    # side (0, 2) only: the pairs claim [S3/1] [S3/C3] = `added` (it is
     # 2 [S3/1] = 0 mod 2).  No idempotent has a [S3/C3] coordinate, so
     # each stays idempotent and the two stay orthogonal, but the multiple
     # e [S3/C3], theta 0, becomes [S3/1] + [S3/2] = e ([S3/2] added), not
     # 0 modulo x_1, or [S3/1] + [S3/C3] ([S3/C3] added), a third
     # independent vector beside e and x_1
     algebra = ModPAlgebra(get_context("S3").ring, 2)
-    parts = algebra.split_blocks(algebra.left[0], algebra.dim)
-    assert parts[2] == 0
-    parts[2] = algebra.pack(added)
-    algebra.left[0] = algebra.join_blocks(parts)
+    assert algebra.ring.structure_constants()[0][2] == [(0, 2)]
+    _tamper(algebra, [(0, 2, [(m, c) for m, c in enumerate(added) if c])])
     with pytest.raises(InvariantViolation,
                        match="p-class of 1 is not 2-dimensional"):
         blocks(algebra)
@@ -378,24 +393,25 @@ def _c4_mod_3():
 
 
 def test_blocks_reject_tampered_square():
-    # the table claims [C4/C4] e_m = 0, so e_4^2 reads [C4/C2] e_4 = 0;
-    # idempotence is not checked on its own (it follows from the unit sum
-    # and the block dimensions), and the multiples of e_4 no longer span
-    # a one-dimensional block
+    # sides (2, m) only, for every m: the pairs claim [C4/C4] e_m = 0, so
+    # e_4^2 reads [C4/C2] e_4 = 0; idempotence is not checked on its own
+    # (it follows from the unit sum and the block dimensions), and the
+    # multiples of e_4 no longer span a one-dimensional block
     algebra = _c4_mod_3()
-    algebra.left[2] = 0
+    _tamper(algebra, [(2, m, []) for m in range(algebra.dim)])
     with pytest.raises(InvariantViolation,
                        match="p-class of 4 is not one-dimensional"):
         blocks(algebra)
 
 
 def test_blocks_reject_tampered_orthogonality():
-    # the table claims [C4/C4] [C4/1] = [C4/1] + e_4 (block 0 of left[2]);
+    # side (2, 0) only: the pairs claim [C4/C4] [C4/1] = [C4/1] + e_4;
     # e_4 has no [C4/1] coordinate, so every square stays as it was, but
     # e_1 e_4 now reads e_4; orthogonality follows from the unit sum and
     # the block dimensions, and the multiple e_4 [C4/1] breaks the latter
     algebra = _c4_mod_3()
-    algebra.left[2] += algebra.pack([0, 1, 1])
+    assert algebra.ring.structure_constants()[2][0] == [(0, 1)]
+    _tamper(algebra, [(2, 0, [(0, 1), (1, 1), (2, 1)])])
     with pytest.raises(InvariantViolation,
                        match="p-class of 4 is not one-dimensional"):
         blocks(algebra)
@@ -453,42 +469,47 @@ def _count_calls(monkeypatch, name, owner=ModPAlgebra):
 
 @pytest.mark.parametrize("name,p", BLOCK_COUNT_CASES)
 def test_construction_cuts_no_blocks(monkeypatch, name, p):
-    # commutativity is checked on the ring's pairs, not on blocks of `left`
+    # no table is packed or cut: the unit check takes the unit's multiples
+    # once, off the ring's pairs, and commutativity is checked on the pairs
+    # themselves
     ring = get_context(name).ring
-    calls = _count_calls(monkeypatch, "split_blocks")
+    calls = _count_calls(monkeypatch, "multiples")
     ModPAlgebra(ring, p)
-    assert calls == []
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("name,p", BLOCK_COUNT_CASES + [
     ("S4", 2), ("(1 2),(3 4),(5 6)", 2), ("(1 2),(3 4),(5 6)", 3)])
 def test_blocks_cut_the_multiples_once_per_class(monkeypatch, name, p):
-    # each block reads its table off its idempotent's multiples and the
-    # ring's pairs, so no basis vector is multiplied through `left` again
+    # the multiples of each idempotent are taken once; each block reads
+    # its table off them and the ring's pairs, so no basis vector is
+    # multiplied again
     algebra = ModPAlgebra(get_context(name).ring, p)
-    calls = _count_calls(monkeypatch, "split_blocks")
+    calls = _count_calls(monkeypatch, "multiples")
     blocks(algebra)
     assert len(calls) == len(algebra.classes)
 
 
 @pytest.mark.parametrize("name,p", BLOCK_COUNT_CASES)
 def test_check_associative_joins_no_table(monkeypatch, name, p):
-    # the scan compares each l's rows with their transpose as byte blocks,
-    # with no transposed table joined from them
+    # the scan compares each l's rows with their transpose as tuples of
+    # packed products, with no table laid out in byte blocks
     algebra = ModPAlgebra(get_context(name).ring, p)
-    calls = _count_calls(monkeypatch, "join_blocks")
+    calls = []
+    monkeypatch.setattr(modp, "join_packed",
+                        lambda *args: calls.append(args))
     algebra.check_associative()
     assert calls == []
 
 
 def test_check_associative_rejects_tampered_constants():
     # in the marks basis of S3 mod 3, [S3/1]^2 = 6 [S3/1] = 0; declaring it
-    # the unit [S3/S3] (block 0 of left[0]) gives ([S3/1]^2) [S3/C2] =
-    # [S3/C2], while [S3/1] ([S3/1] [S3/C2]) = [S3/1] (3 [S3/1]) = 0
+    # the unit [S3/S3] (side (0, 0), the diagonal, one list) gives
+    # ([S3/1]^2) [S3/C2] = [S3/C2], while [S3/1] ([S3/1] [S3/C2]) =
+    # [S3/1] (3 [S3/1]) = 0
     algebra = ModPAlgebra(get_context("S3").ring, 3)
-    blocks_0 = algebra.split_blocks(algebra.left[0], algebra.dim)
-    blocks_0[0] = algebra.pack([0, 0, 0, 1])
-    algebra.left[0] = algebra.join_blocks(blocks_0)
+    assert algebra.ring.structure_constants()[0][0] == [(0, 6)]
+    _tamper(algebra, [(0, 0, [(3, 1)])])
     with pytest.raises(InvariantViolation, match="not associative"):
         algebra.check_associative()
 
@@ -497,22 +518,17 @@ def test_check_associative_rejects_tampered_constants():
 def test_check_associative_combines_each_distinct_product_once(
         monkeypatch, p, distinct):
     # C2^3 has 16 subgroups, so 256 products e_k e_l; the table is
-    # commutative, so both sides share one combination per distinct product
+    # commutative, so both sides share the multiples of each distinct
+    # product mod p
     algebra = ModPAlgebra(get_context("(1 2),(3 4),(5 6)").ring, p)
-    n = algebra.dim
-    products = {block for v in algebra.left
-                for block in algebra.split_blocks(v, n)}
+    n, w = algebra.dim, algebra.lanes.width
+    products = {fplinalg.pack_pairs(pairs, p, w)
+                for row in algebra.ring.structure_constants() for pairs in row}
     assert (n, len(products)) == (16, distinct)
-    calls = []
-    combine = algebra.combine
-
-    def counted(coeffs, table):
-        calls.append(tuple(coeffs))
-        return combine(coeffs, table)
-
-    monkeypatch.setattr(algebra, "combine", counted)
+    calls = _count_calls(monkeypatch, "multiples")
     algebra.check_associative()
-    assert len(calls) == len(set(calls)) == distinct
+    packed = [fplinalg.pack_pairs(pairs, p, w) for pairs, in calls]
+    assert len(packed) == len(set(packed)) == distinct
 
 
 @pytest.mark.parametrize("p", [2, 3, 13, 17])
@@ -527,9 +543,48 @@ def test_combine_reduces_in_batches(p):
                                      for _ in range(100)]
     coeffs = [-1] * 510 + [rng.randrange(-3 * p, 3 * p) for _ in range(100)]
     assert 2 * algebra.lanes.batch <= 510
-    assert algebra.combine(coeffs, [algebra.pack(v) for v in vectors]) == (
-        algebra.pack([sum(c * v[t] for c, v in zip(coeffs, vectors))
-                      for t in range(4)]))
+    table = [algebra.pack(v) for v in vectors]
+    assert algebra.combine_pairs(enumerate(coeffs), table) == algebra.pack(
+        [sum(c * v[t] for c, v in zip(coeffs, vectors)) for t in range(4)])
+
+
+# p = 17 runs on the wide guarded lanes, the others on byte lanes
+MULTIPLES_CASES = [(name, p) for name in ("S3", "(1 2),(3 4),(5 6)")
+                   for p in (2, 3, 5, 17)]
+
+
+@pytest.mark.parametrize("name,p", MULTIPLES_CASES)
+def test_multiples_match_list_products(name, p):
+    # x e_k read off the ring's pairs equals the list product, for random
+    # sparse x with entries outside [0, p) too, for the dense x with every
+    # coordinate nonzero (more than lanes.batch of them at p = 5 and 17 on
+    # C2^3 and at p = 17 on S3, so the batch reduction runs), and for
+    # pairs that repeat a coordinate past two batches, each term adding
+    # the most it can to its lanes
+    ring = get_context(name).ring
+    algebra = ModPAlgebra(ring, p)
+    n, sc, batch = algebra.dim, ring.structure_constants(), algebra.lanes.batch
+    basis = [[int(t == k) for t in range(n)] for k in range(n)]
+
+    def expected(x):
+        return [algebra.pack(_mul(sc, p, x, e)) for e in basis]
+
+    rng = random.Random(p * n)
+    xs = [[rng.randrange(-2 * p, 2 * p) if rng.random() < 0.3 else 0
+           for _ in range(n)] for _ in range(20)]
+    dense_x = [rng.randrange(1, p) + p * rng.randrange(-2, 3)
+               for _ in range(n)]
+    xs += [[0] * n, dense_x]
+    if (name, p) in (("(1 2),(3 4),(5 6)", 5), ("(1 2),(3 4),(5 6)", 17),
+                     ("S3", 17)):
+        assert n > batch
+    for x in xs:
+        assert algebra.multiples((j, c) for j, c in enumerate(x) if c) == (
+            expected(x))
+    for j in range(n):
+        count = 2 * batch + 1
+        x = [(p - 1) * count * (t == j) for t in range(n)]
+        assert algebra.multiples([(j, p - 1)] * count) == expected(x)
 
 
 def _associative_by_reference(table, p):
@@ -582,12 +637,12 @@ def test_packed_associativity_scan_matches_reference(table, data):
         # construction checks and the scan relies on
         sc[k][l] = vec
         sc[l][k] = list(vec)
-    # the scanned table gets the edited constants, block l of left[k]
-    # holding e_k e_l, and the reference reads the same ones as pairs
-    algebra.left = [algebra.join_blocks(algebra.pack(v) for v in row)
-                    for row in sc]
+    # the algebra, already built, and the reference read the edited
+    # constants as pairs, each side written on its own
     table = [[[(m, c) for m, c in enumerate(v) if c] for v in row]
              for row in sc]
+    _tamper(algebra, [(k, l, table[k][l])
+                      for k in range(n) for l in range(n)])
     if _associative_by_reference(table, p):
         algebra.check_associative()
     else:
