@@ -7,9 +7,12 @@ diagonal is [N_G(H) : H]) keeps each row's nonzero entries and peels:
 coordinates, products and idempotent denominators come from the highest
 index down, one exact division per step.  Any other basis (the tests'
 changes of basis) decomposes through adj = D . basis^-1.  Products come
-from the one sparse copy of the structure constants, and the ring owns
-its congruence matrix d(i, j).  Everything downstream (p-equivalence,
-blocks, Ext/Tor) only sees this interface.
+from the one sparse copy of the structure constants.  The ring answers
+each congruence number d(i, j) on its own, from one column difference
+(`BRing.d`), and p-classes come from the columns' residues mod p
+(`p_classes`); the full congruence matrix is built only for `dmatrix`,
+which prints it.  Everything downstream (p-equivalence, blocks, Ext/Tor)
+only sees this interface.
 """
 
 from __future__ import annotations
@@ -57,6 +60,7 @@ class BRing:
                            for m, row in enumerate(self.basis)]
         self.unit_coeffs = self.decompose([1] * self.n)
         self._structure: list[list[list[tuple[int, int]]]] | None = None
+        self._d: dict[tuple[int, int], int] = {}  # d(i, j) by (i, j), i < j
         # no separation pass: the basis is nonsingular, so no two columns agree
         self._check_closure()
 
@@ -252,9 +256,30 @@ class BRing:
         denominators."""
         return math.lcm(*map(self.idempotent_denominator, range(self.n)))
 
+    def d(self, i: int, j: int) -> int:
+        """d(i, j), the congruence number of indices i != j (see
+        `CongruenceMatrix`), from one difference of basis columns and
+        memoised: a report reads the few of its own pairs, not all n^2."""
+        if i == j:
+            raise ValueError("d(i, j) is only defined for distinct indices")
+        if i > j:
+            i, j = j, i
+        g = self._d.get((i, j))
+        if g is None:
+            g = self._d[i, j] = math.gcd(*(row[i] - row[j]
+                                           for row in self.basis))
+        return g
+
+    def same_p_class(self, i: int, j: int, p: int) -> bool:
+        """Whether i == j or p | d(i, j): i and j lie in one p-class.
+
+        `p` must be a prime; callers check it before asking."""
+        return i == j or self.d(i, j) % p == 0
+
     @cached_property
     def dmat(self) -> CongruenceMatrix:
-        """The congruence matrix d(i, j) of this ring."""
+        """The full congruence matrix d(i, j) of this ring, for `dmatrix`
+        and `verify --suite dress`; every other reader asks `d`."""
         return congruence_d(self)
 
 
@@ -325,11 +350,20 @@ class CongruenceMatrix:
             raise ValueError("d(i, j) is only defined for distinct indices")
         return self._d[i][j]
 
-    def same_p_class(self, i: int, j: int, p: int) -> bool:
-        """Whether i == j or p | d(i, j): i and j lie in one p-class.
-
-        `p` must be a prime; callers check it before asking."""
-        return i == j or self._d[i][j] % p == 0
+    def check_partition(self, partition: PrimeEquivalence) -> None:
+        """Raise unless `partition` is {i ~ j iff p | d(i, j)} as read off
+        this matrix: the residue route of `p_classes` checked against the
+        congruence numbers it never reads."""
+        p, class_of, d = partition.p, partition.class_of, self._d
+        for i in range(self.ring.n):
+            row, c = d[i], class_of[i]
+            for j in range(i + 1, self.ring.n):
+                if (class_of[j] == c) != (row[j] % p == 0):
+                    labels = self.ring.labels
+                    raise InvariantViolation(
+                        f"the {p}-classes put {labels[i]} and {labels[j]} "
+                        f"{'together' if class_of[j] == c else 'apart'}, "
+                        f"but d = {row[j]}")
 
     def to_json(self) -> dict:
         labels = self.ring.labels
@@ -370,27 +404,34 @@ class PrimeEquivalence:
 
 
 def p_classes(ring: BRing, p: int) -> PrimeEquivalence:
+    """The p-classes of the indices: i ~_p j when p | d(i, j).
+
+    p divides d(i, j), the gcd over the basis of b(i) - b(j), exactly when
+    columns i and j agree mod p.  So each column is keyed by its nonzero
+    (row, residue) pairs, read off the rows in one pass, and the classes
+    are the groups of equal keys: an equivalence by construction, with no
+    d(i, j) read.  Classes come in the order of their least index, and
+    each lists its members in increasing order.
+    """
     check_prime(p)
-    dmat, n = ring.dmat, ring.n
-    assigned = [-1] * n
+    n = ring.n
+    columns: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for k, row in enumerate(ring.basis):
+        for i in compress(range(n), row):
+            r = row[i] % p
+            if r:
+                columns[i].append((k, r))
+    index: dict[tuple, int] = {}
     classes: list[list[int]] = []
-    for i in range(n):
-        if assigned[i] >= 0:
-            continue
-        cls = [i]
-        assigned[i] = len(classes)
-        for j in range(i + 1, n):
-            if assigned[j] < 0 and dmat.same_p_class(i, j, p):
-                cls.append(j)
-                assigned[j] = len(classes)
-        classes.append(cls)
-    # transitivity is guaranteed by the definition of d; check anyway
-    for i in range(n):
-        for j in range(n):
-            if (assigned[i] == assigned[j]) != dmat.same_p_class(i, j, p):
-                raise InvariantViolation(
-                    "p-divisibility of d is not transitive")
-    return PrimeEquivalence(p, classes, assigned, ring)
+    class_of = []
+    for i, col in enumerate(columns):
+        c = index.setdefault(tuple(col), len(classes))
+        if c == len(classes):
+            classes.append([i])
+        else:
+            classes[c].append(i)
+        class_of.append(c)
+    return PrimeEquivalence(p, classes, class_of, ring)
 
 
 @dataclass

@@ -269,7 +269,11 @@ def cmd_dmatrix(args) -> int:
     labels = ctx.ring.labels
     n = ctx.ring.n
     dmat = ctx.ring.dmat
-    partitions = [p_classes(ctx.ring, p).to_json() for p in ctx.primes]
+    partitions = []
+    for p in ctx.primes:
+        partition = p_classes(ctx.ring, p)
+        dmat.check_partition(partition)
+        partitions.append(partition.to_json())
     payload = {"group": ctx.group_name, **dmat.to_json(),
                "partitions": partitions}
 
@@ -321,7 +325,7 @@ def cmd_ext_tor(args) -> int:
         # a square-zero block's Betti numbers come in closed form; at the
         # degrees the oracle checks, check that against its elimination
         for p in ctx.primes:
-            if ctx.dmat.same_p_class(i, j, p):
+            if ctx.ring.same_p_class(i, j, p):
                 check_closed_form(shared_block(ctx.algebra(p), i, j), checked)
         for l, module in enumerate(exact):
             cell = report.degrees[l]
@@ -354,7 +358,7 @@ def cmd_growth(args) -> int:
     j = _label_index(ctx, args.target)
     ranks = ext_ranks(ctx, i, j, args.prime, args.max_degree)
     block = (shared_block(ctx.algebra(args.prime), i, j)
-             if ctx.dmat.same_p_class(i, j, args.prime) else None)
+             if ctx.ring.same_p_class(i, j, args.prime) else None)
     bounded = block is None or block.invariants()["tor_bounded"]
     verdict = "bounded" if bounded else "unbounded"
     payload = {"group": ctx.group_name, "p": args.prime,

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .bring import BRing, CongruenceMatrix
+from .bring import BRing
 from .errors import InvariantViolation, NegativeRank
 from .marks import MarksTable
 from .modp import ModPAlgebra
@@ -167,24 +167,16 @@ class ExtTorContext:
         # oracle.IntegralResolution of Z_j by j, filled by the oracle
         self.integral_resolution_of: dict = {}
 
-    @property
-    def dmat(self) -> CongruenceMatrix:
-        """The ring's congruence matrix, built once per ring."""
-        return self.ring.dmat
-
     @classmethod
     def from_marks(cls, table: MarksTable, group_name: str) -> "ExtTorContext":
         return cls(table.ring, group_name, table.class_table.group.order)
 
     @cached_property
     def primes(self) -> list[int]:
-        """Primes dividing some d(i, j); all other p-parts vanish."""
-        seen = set()
-        n = self.ring.n
-        for i in range(n):
-            for j in range(i + 1, n):
-                seen.update(prime_factors(self.dmat.d(i, j)))
-        return sorted(seen)
+        """The primes dividing |G|, which are those dividing some d(i, j):
+        every d(i, j) divides |G|, as |G| e_i lies in R, and 1 ~_p C_p for
+        each p | |G| (Dress).  All other p-parts vanish."""
+        return prime_factors(self.group_order)
 
     def algebra(self, p: int) -> ModPAlgebra:
         if p not in self._algebras:
@@ -196,7 +188,7 @@ class ExtTorContext:
         minimal m with m.e_i in R (both act as zero on every Ext group)."""
         if i == j:
             return self.ring.idempotent_denominator(i)
-        return self.dmat.d(i, j)
+        return self.ring.d(i, j)
 
 
 def hom_base(i: int, j: int) -> ModuleType:
@@ -208,21 +200,21 @@ def tensor_base(ctx: ExtTorContext, i: int, j: int) -> ModuleType:
     """Z_i tensor Z_j: Z on the diagonal, Z/d(i, j) otherwise."""
     if i == j:
         return ModuleType.free(1)
-    return ModuleType.cyclic(ctx.dmat.d(i, j))
+    return ModuleType.cyclic(ctx.ring.d(i, j))
 
 
 def ext_ranks(ctx: ExtTorContext, i: int, j: int, p: int, L: int) -> list[int]:
     """p-ranks a_1..a_L of Ext^l(Z_i, Z_j) via a_{l+1} = b_l - a_l.
 
-    Zero across p-classes, read off the d-matrix; R/pR is built only for
-    a pair that shares a block.  Within a block the b_l are its Betti
-    numbers and a_1 is 0 on the diagonal, 1 off it, so the sequence
+    Zero across p-classes, read off the pair's own d(i, j); R/pR is built
+    only for a pair that shares a block.  Within a block the b_l are its
+    Betti numbers and a_1 is 0 on the diagonal, 1 off it, so the sequence
     depends on the pair only through (p, block, i == j).  The context
     keeps one per key, which is prefix-stable in L: a larger L extends it,
     and every caller gets a fresh list of its first L terms.
     """
     check_prime(p)
-    if not ctx.dmat.same_p_class(i, j, p):
+    if not ctx.ring.same_p_class(i, j, p):
         return [0] * L
     if L < 1:
         return []
@@ -303,7 +295,7 @@ def tor_report(ctx: ExtTorContext, i: int, j: int, L: int) -> ExtTorReport:
     base = tensor_base(ctx, i, j)
     parts = []
     if i != j:
-        d = ctx.dmat.d(i, j)
+        d = ctx.ring.d(i, j)
         for p in prime_factors(d):
             v = p_valuation(d, p)
             parts.append(PPart(p, 1, p ** v, v == 1))
@@ -358,8 +350,8 @@ def _pair_signature(ctx: ExtTorContext, i: int, j: int) -> tuple:
     p-class the pair shares (None across classes) and the p-valuation of
     the exponent bound."""
     bound = ctx.exponent_bound(i, j)
-    dmat = ctx.dmat
+    ring = ctx.ring
     return (i == j, tuple(
         (ctx.algebra(p).partition.class_index_of(i)
-         if dmat.same_p_class(i, j, p) else None, p_valuation(bound, p))
+         if ring.same_p_class(i, j, p) else None, p_valuation(bound, p))
         for p in ctx.primes))

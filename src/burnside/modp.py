@@ -30,7 +30,10 @@ class ModPAlgebra:
 
     theta sends an element to its ghost values mod p, one coordinate per
     p-equivalence class; it is a surjective algebra map whose kernel is
-    the radical.  The p-classes come from the ring's own d-matrix.
+    the radical.  The p-classes come from the residues of the ring's
+    basis columns mod p (`bring.p_classes`); a partition that is too coarse
+    fails the evaluation check below, one that is too fine the surjectivity
+    of theta in `_check`.
     """
 
     def __init__(self, ring: BRing, p: int):
@@ -42,6 +45,8 @@ class ModPAlgebra:
         self.partition = p_classes(ring, p)
         self.classes = self.partition.classes
         for cls in self.classes:
+            if len(cls) < 2:
+                continue  # one value, whatever it is
             for k in range(self.dim):
                 if len({ring.basis[k][i] % p for i in cls}) != 1:
                     raise InvariantViolation(

@@ -1,13 +1,17 @@
-"""Reference coordinates in a Burnside ring through a dense inverse, and
-label and p-class lookups no command needs.
+"""Reference coordinates in a Burnside ring through a dense inverse, the
+p-classes read off the congruence matrix, and label and p-class lookups
+no command needs.
 
 A triangular `BRing` (a table of marks) peels every vector over the
 nonzero entries of its rows and never inverts its basis.
 `DenseCoordinates` decomposes through adj = D . basis^-1 from
 `bring._scaled_inverse`, the route every basis took before, and which
 non-triangular bases still take: the tests check the peel against it.
-`d_by_label` and `same_class` read the congruence matrix and a p-class
-partition by label and by class membership.
+`p_classes_by_d` is the route `bring.p_classes` took before it read the
+columns' residues: a greedy scan of the full congruence matrix and an n^2
+check that p | d(i, j) is transitive.  `d_by_label` and `same_class`
+read the congruence matrix and a p-class partition by label and by class
+membership.
 """
 
 from __future__ import annotations
@@ -15,8 +19,9 @@ from __future__ import annotations
 import math
 from operator import mul
 
-from burnside.bring import _scaled_inverse
-from burnside.errors import NonIntegralSolution
+from burnside.bring import PrimeEquivalence, _scaled_inverse
+from burnside.errors import InvariantViolation, NonIntegralSolution
+from burnside.permgroup import check_prime
 
 
 class DenseCoordinates:
@@ -54,6 +59,35 @@ class DenseCoordinates:
             ghost[i] = scale
         inv = pow(scale, -1, p)
         return [c * inv % p for c in self.decompose(ghost)]
+
+
+def p_classes_by_d(ring, p: int) -> PrimeEquivalence:
+    """The partition by p | d(i, j), i's class gathered greedily from the
+    ring's congruence matrix, and checked to be transitive."""
+    check_prime(p)
+    dmat, n = ring.dmat, ring.n
+
+    def same(i, j):
+        return i == j or dmat.d(i, j) % p == 0
+
+    assigned = [-1] * n
+    classes: list[list[int]] = []
+    for i in range(n):
+        if assigned[i] >= 0:
+            continue
+        cls = [i]
+        assigned[i] = len(classes)
+        for j in range(i + 1, n):
+            if assigned[j] < 0 and same(i, j):
+                cls.append(j)
+                assigned[j] = len(classes)
+        classes.append(cls)
+    for i in range(n):
+        for j in range(n):
+            if (assigned[i] == assigned[j]) != same(i, j):
+                raise InvariantViolation(
+                    "p-divisibility of d is not transitive")
+    return PrimeEquivalence(p, classes, assigned, ring)
 
 
 def d_by_label(dmat, a: str, b: str) -> int:

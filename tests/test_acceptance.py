@@ -112,7 +112,7 @@ def test_criterion_3_oracle_equivalence():
                 assert oe[0] == (ModuleType.free(1) if i == j
                                  else ModuleType.zero())
                 assert ot[0] == (ModuleType.free(1) if i == j
-                                 else ModuleType.cyclic(ctx.dmat.d(i, j)))
+                                 else ModuleType.cyclic(ctx.ring.d(i, j)))
                 for l in range(4):
                     cells += 2
                     if l >= 1:
@@ -140,7 +140,7 @@ def test_criterion_4_dress_congruence():
             ops = [o_p(c.representative, p) for c in table]
             for i in range(len(table)):
                 for j in range(i + 1, len(table)):
-                    lhs = ctx.dmat.d(i, j) % p == 0
+                    lhs = ctx.ring.d(i, j) % p == 0
                     rhs = are_conjugate(group, ops[i], ops[j])
                     assert lhs == rhs, (name, p, table[i].label, table[j].label)
                     pairs_checked += 1

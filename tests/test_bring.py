@@ -4,14 +4,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from burnside import bring
-from burnside.bring import BRing, congruence_d, p_classes, separators
+from burnside.bring import (BRing, PrimeEquivalence, congruence_d,
+                            p_classes, separators)
 from burnside.cli import main
-from burnside.errors import (InvalidPrime, NonIntegralSolution,
-                             SeparationFailure)
-from burnside.exttor import prime_factors
+from burnside.errors import (InvalidPrime, InvariantViolation,
+                             NonIntegralSolution, SeparationFailure)
+from burnside.exttor import ExtTorContext, prime_factors
 from burnside.modp import blocks
 from burnside.permgroup import are_conjugate, o_p
-from bring_reference import DenseCoordinates, d_by_label
+from bring_reference import DenseCoordinates, d_by_label, p_classes_by_d
 from util import (get_classes, get_context, get_group, get_marks,
                   unimodular_change)
 
@@ -34,17 +35,19 @@ def test_trivial_group_ring():
 
 
 def test_congruence_examples():
-    d3 = get_context("S3").dmat
+    d3 = get_context("S3").ring.dmat
     assert d_by_label(d3, "1", "2") == 2
     assert d_by_label(d3, "1", "3") == 3
     assert d_by_label(d3, "3", "6") == 2
     assert d_by_label(d3, "1", "6") == 1
-    d4 = get_context("C4").dmat
+    d4 = get_context("C4").ring.dmat
     assert d_by_label(d4, "1", "2") == 4
     assert d_by_label(d4, "1", "4") == 2
     assert d_by_label(d4, "2", "4") == 2
     with pytest.raises(ValueError):
         d3.d(1, 1)
+    with pytest.raises(ValueError):
+        get_context("S3").ring.d(1, 1)
 
 
 @pytest.mark.parametrize("name", CORPUS)
@@ -53,7 +56,7 @@ def test_d_divides_group_order(name):
     n = ctx.ring.n
     for i in range(n):
         for j in range(i + 1, n):
-            assert ctx.group_order % ctx.dmat.d(i, j) == 0
+            assert ctx.group_order % ctx.ring.d(i, j) == 0
 
 
 def test_p_classes_examples():
@@ -85,7 +88,7 @@ def test_dress_congruence(name):
         ops = [o_p(c.representative, p) for c in table]
         for i in range(len(table)):
             for j in range(i + 1, len(table)):
-                assert (ctx.dmat.d(i, j) % p == 0) == are_conjugate(
+                assert (ctx.ring.d(i, j) % p == 0) == are_conjugate(
                     group, ops[i], ops[j])
 
 
@@ -183,8 +186,19 @@ def test_idempotent_denominator_matches_rational_solve(name):
 
 def test_ring_owns_its_congruence_matrix():
     ctx = get_context("S4")
-    assert ctx.dmat is ctx.ring.dmat
+    assert ctx.ring.dmat is ctx.ring.dmat
     assert ctx.ring is get_marks("S4").ring
+    assert not hasattr(ctx, "dmat")
+
+
+def test_ring_memoises_each_d_it_is_asked():
+    ring = BRing(["a", "b", "c"], [[1, 0, 0], [1, 2, 0], [1, 1, 1]])
+    assert ring._d == {}
+    assert ring.d(2, 0) == 1 and ring.d(0, 2) == 1
+    assert ring._d == {(0, 2): 1}
+    assert ring.d(1, 2) == 2 and not ring.same_p_class(0, 1, 2)
+    assert ring._d == {(0, 2): 1, (1, 2): 2, (0, 1): 1}
+    assert ring.same_p_class(2, 1, 2) and ring.same_p_class(0, 0, 2)
 
 
 @pytest.mark.parametrize("change", ["marks", "unimodular"])
@@ -203,6 +217,73 @@ def test_congruence_matrix_matches_the_per_row_gcd(name, change):
             for vec in ring.basis:
                 g = math.gcd(g, abs(vec[i] - vec[j]))
             assert dmat.d(i, j) == dmat.d(j, i) == g, (name, i, j)
+            assert ring.d(i, j) == ring.d(j, i) == g, (name, i, j)
+
+
+C2_5 = "(1 2),(3 4),(5 6),(7 8),(9 10)"
+S4_C2_3 = "(1 2 3 4),(1 2),(5 6),(7 8),(9 10)"
+
+
+RESIDUE_CASES = ([(name, change) for name in CORPUS
+                  for change in ("marks", "unimodular")]
+                 + [("(1 2 3),(4 5 6),(7 8 9)", "marks"),
+                    ("(1 2 3),(4 5 6),(7 8 9)", "unimodular"),
+                    (C2_5, "marks"), (S4_C2_3, "marks")])
+_CHANGED = {}
+
+
+def _ring_and_order(name, change):
+    """The ring of `name` in its marks basis or `unimodular_change`d, and
+    |G|.  The dense route of a changed basis is O(n^4), so only the small
+    rings take it."""
+    ctx = get_context(name)
+    if change == "marks":
+        return ctx.ring, ctx.group_order
+    if name not in _CHANGED:
+        _CHANGED[name] = unimodular_change(ctx.ring)
+    return _CHANGED[name], ctx.group_order
+
+
+def _residue_primes(order):
+    """The primes dividing `order` and the two least that do not."""
+    coprime = [q for q in (2, 3, 5, 7, 11, 13) if order % q][:2]
+    return prime_factors(order) + coprime
+
+
+@pytest.mark.parametrize("name, change", RESIDUE_CASES)
+def test_residue_partitions_match_the_d_route(name, change):
+    ring, order = _ring_and_order(name, change)
+    assert ring.triangular == (change == "marks")
+    for p in _residue_primes(order):
+        part, reference = p_classes(ring, p), p_classes_by_d(ring, p)
+        assert part.classes == reference.classes, p
+        assert part.class_of == reference.class_of, p
+        ring.dmat.check_partition(part)
+
+
+@pytest.mark.parametrize("name, change", RESIDUE_CASES)
+def test_primes_are_those_dividing_some_d(name, change):
+    # every d(i, j) divides |G|, and 1 ~_p C_p for each p | |G| (Dress)
+    ring, order = _ring_and_order(name, change)
+    dmat, n = ring.dmat, ring.n
+    ds = {dmat.d(i, j) for i in range(n) for j in range(i + 1, n)}
+    dividing = sorted({p for d in ds for p in prime_factors(d)})
+    assert ExtTorContext(ring, name, order).primes == dividing
+
+
+def test_check_partition_rejects_a_merged_or_split_partition():
+    ring = get_context("S3").ring
+    good = p_classes(ring, 2)
+    assert good.classes == [[0, 1], [2, 3]]
+    ring.dmat.check_partition(good)
+    merged = PrimeEquivalence(2, [[0, 1, 2, 3]], [0, 0, 0, 0], ring)
+    with pytest.raises(InvariantViolation,
+                       match="2-classes put 1 and 3 together, but d = 3"):
+        ring.dmat.check_partition(merged)
+    split = PrimeEquivalence(2, [[0], [1], [2, 3]], [0, 1, 2, 2], ring)
+    with pytest.raises(InvariantViolation,
+                       match="2-classes put 1 and 2 apart, but d = 2"):
+        ring.dmat.check_partition(split)
 
 
 @pytest.mark.parametrize("change", ["marks", "unimodular"])

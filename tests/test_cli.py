@@ -317,8 +317,26 @@ def test_oracle_mismatch_exits_2_without_traceback(capsys, tmp_path,
     assert "Traceback" not in err
 
 
+CONGRUENCE_MATRIX_COUNTS = [
+    (("blocks", "-p", "2", "--group", "S3"), 0, 1),
+    (("ext", "--group", "S3", "--source", "1", "--target", "2",
+      "--max-degree", "3", "--oracle"), 0, 1),
+    (("tor", "--group", "S3", "--source", "1", "--target", "2"), 0, 1),
+    (("growth", "--group", "S3", "-p", "2"), 0, 1),
+    (("verify", "--group", "S3", "--suite", "blocks"), 0, 1),
+    (("verify", "--group", "S3", "--suite", "oracle", "--max-degree", "2"),
+     0, 1),
+    (("verify", "--group", "S3", "--suite", "squarefree"), 0, 1),
+    (("dmatrix", "--group", "S3"), 1, 1),
+    (("verify", "--group", "S3", "--suite", "dress"), 1, 0),
+]
+
+
 def test_one_congruence_matrix_per_context(capsys, tmp_path, monkeypatch):
-    # every mod-p algebra of a context reuses the context's d-matrix
+    # the p-classes come from the columns' residues and each d(i, j) a
+    # report reads from its own columns: only `dmatrix`, which prints the
+    # matrix, and `verify --suite dress`, which checks it against O^p
+    # conjugacy, build the congruence matrix
     from burnside.bring import CongruenceMatrix
     from burnside.exttor import ExtTorContext
 
@@ -334,12 +352,29 @@ def test_one_congruence_matrix_per_context(capsys, tmp_path, monkeypatch):
 
     for cls in built:
         monkeypatch.setattr(cls, "__init__", counting(cls))
-    for argv in (("blocks", "-p", "2", "--group", "S3"),
-                 ("verify", "--group", "S3", "--suite", "blocks")):
+    for argv, matrices, contexts in CONGRUENCE_MATRIX_COUNTS:
         built.update(dict.fromkeys(built, 0))
         code, _, err = run(capsys, *argv, "--cache-dir", str(tmp_path))
         assert code == 0, err
-        assert built == {CongruenceMatrix: 1, ExtTorContext: 1}, argv
+        assert built == {CongruenceMatrix: matrices,
+                         ExtTorContext: contexts}, argv
+
+
+def test_dmatrix_rejects_partitions_its_matrix_disagrees_with(
+        capsys, tmp_path, monkeypatch):
+    # the printed p-classes are checked against p | d(i, j) read off the
+    # printed matrix: a merged partition exits 2 and prints nothing
+    from burnside import cli
+    from burnside.bring import PrimeEquivalence
+
+    def merged(ring, p):
+        return PrimeEquivalence(p, [list(range(ring.n))], [0] * ring.n, ring)
+
+    monkeypatch.setattr(cli, "p_classes", merged)
+    code, out, err = run(capsys, "dmatrix", "--group", "S3",
+                         "--cache-dir", str(tmp_path))
+    assert code == 2 and out == ""
+    assert err == "error: the 2-classes put 1 and 3 together, but d = 3\n"
 
 
 def test_growth_builds_r_mod_p_only_for_a_shared_block(capsys, tmp_path,

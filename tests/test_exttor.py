@@ -178,7 +178,7 @@ def test_verify_squarefree_finds_the_first_failing_pair(p, diagonal):
     n, L = ctx.ring.n, 10
     part = ctx.algebra(p).partition
     pairs = [(i, j) for i in range(n) for j in range(n)
-             if (i == j) == diagonal and ctx.dmat.same_p_class(i, j, p)]
+             if (i == j) == diagonal and ctx.ring.same_p_class(i, j, p)]
     last = max(part.class_index_of(i) for i, _ in pairs)
     i, j = next((i, j) for i, j in pairs if part.class_index_of(i) == last)
     key = (p, last, diagonal)
@@ -201,8 +201,8 @@ def test_verify_squarefree_not_applicable():
 @pytest.mark.parametrize("p", [0, 1, 4, -3])
 @pytest.mark.parametrize("pair", [(0, 0), (0, 1), (0, 2)])
 def test_ranks_reject_a_non_prime(p, pair):
-    # d(0, 1) = 2 and d(0, 2) = 3: the prime is checked before the
-    # d-matrix is read, also for a pair that no prime but 2 or 3 joins
+    # d(0, 1) = 2 and d(0, 2) = 3: the prime is checked before
+    # d(i, j) is read, also for a pair that no prime but 2 or 3 joins
     ctx = get_context("S3")
     with pytest.raises(InvalidPrime):
         ext_ranks(ctx, *pair, p, 4)
@@ -231,9 +231,9 @@ def test_p_class_lookup_matches_the_d_matrix():
             for i in range(n):
                 assert i in part.classes[part.class_index_of(i)]
                 for j in range(n):
-                    want = i == j or ctx.dmat.d(i, j) % p == 0
+                    want = i == j or ctx.ring.dmat.d(i, j) % p == 0
                     assert same_class(part, i, j) == want
-                    assert ctx.dmat.same_p_class(i, j, p) == want
+                    assert ctx.ring.same_p_class(i, j, p) == want
 
 
 def test_primes_scanned():

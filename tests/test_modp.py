@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from burnside.bring import PrimeEquivalence, p_classes
 from burnside.errors import InvalidPrime, InvariantViolation, NotLocal
 from burnside.exttor import prime_factors
 from burnside import fplinalg, modp
@@ -447,6 +448,52 @@ def test_algebra_rejects_constants_commutative_only_mod_p():
     ring._structure = sc
     with pytest.raises(InvariantViolation, match="not commutative"):
         ModPAlgebra(ring, 2)
+
+
+def _force_partition(monkeypatch, classes):
+    """Make every `ModPAlgebra` built after this take `classes` as its
+    p-classes."""
+    def forced(ring, p):
+        class_of = [0] * ring.n
+        for c, cls in enumerate(classes):
+            for i in cls:
+                class_of[i] = c
+        return PrimeEquivalence(p, classes, class_of, ring)
+    monkeypatch.setattr(modp, "p_classes", forced)
+
+
+# every (group, p | |G|) of CORPUS; those of a p-group have one p-class
+SEVERAL_CLASSES = [("S3", 2), ("S3", 3), ("C6", 2), ("C6", 3), ("S4", 2),
+                   ("S4", 3)]
+PARTITION_CASES = SEVERAL_CLASSES + [("C4", 2), ("V4", 2), ("D4", 2),
+                                     ("Q8", 2)]
+
+
+@pytest.mark.parametrize("name, p", SEVERAL_CLASSES)
+def test_algebra_rejects_a_merged_partition(monkeypatch, name, p):
+    # two p-classes taken as one: some basis vector's ghost values differ
+    # mod p on the union, so theta is not defined on it
+    ring = get_context(name).ring
+    classes = p_classes(ring, p).classes
+    merged = [sorted(classes[0] + classes[1])] + classes[2:]
+    _force_partition(monkeypatch, merged)
+    with pytest.raises(InvariantViolation,
+                       match="evaluation map is not constant on a p-class"):
+        ModPAlgebra(ring, p)
+
+
+@pytest.mark.parametrize("name, p", PARTITION_CASES)
+def test_algebra_rejects_a_split_partition(monkeypatch, name, p):
+    # one p-class taken as two, its least index alone: both halves have
+    # the same theta row, so theta misses a coordinate; the halves pass
+    # the evaluation check, one of them as a one-member class
+    ring = get_context(name).ring
+    classes = p_classes(ring, p).classes
+    c = next(c for c, cls in enumerate(classes) if len(cls) > 1)
+    split = classes[:c] + [classes[c][:1], classes[c][1:]] + classes[c + 1:]
+    _force_partition(monkeypatch, split)
+    with pytest.raises(InvariantViolation, match="theta is not surjective"):
+        ModPAlgebra(ring, p)
 
 
 BLOCK_COUNT_CASES = [("S3", 2), ("D4", 2), ("A4", 3),

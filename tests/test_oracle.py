@@ -91,7 +91,7 @@ def test_oracle_hom_and_tensor_base():
             if i == j:
                 assert tor0 == ModuleType.free(1)
             else:
-                assert tor0 == ModuleType.cyclic(ctx.dmat.d(i, j))
+                assert tor0 == ModuleType.cyclic(ctx.ring.d(i, j))
 
 
 def test_oracle_examples():

@@ -24,7 +24,7 @@ def test_cyclic_pipeline_sweep(n):
     assert ctx.ring.n == len(divisors)
     for i in range(ctx.ring.n):
         for j in range(i + 1, ctx.ring.n):
-            assert n % ctx.dmat.d(i, j) == 0
+            assert n % ctx.ring.d(i, j) == 0
     square_free = all(n % (p * p) for p in prime_factors(n))
     result = verify_squarefree(ctx, 10)
     assert result.applicable == square_free
@@ -48,7 +48,7 @@ def test_dihedral_pipeline_sweep(n):
     assert ctx.group_order == 2 * n
     for i in range(ctx.ring.n):
         for j in range(i + 1, ctx.ring.n):
-            assert (2 * n) % ctx.dmat.d(i, j) == 0
+            assert (2 * n) % ctx.ring.d(i, j) == 0
     for p in prime_factors(2 * n):
         algebra = ctx.algebra(p)
         assert [b.dim for b in blocks(algebra)] == [
