@@ -1,18 +1,18 @@
 """The Burnside ring as a full-rank subring of its ghost ring Z^I.
 
-A `BRing` is given by a Z-basis; the table of marks gives one through
-`MarksTable.ring`, but any basis may be tested without a group.  All
-arithmetic is integer.  A lower triangular basis (a table of marks, whose
-diagonal is [N_G(H) : H]) keeps each row's nonzero entries and peels:
-coordinates, products and idempotent denominators come from the highest
-index down, one exact division per step.  Any other basis (the tests'
-changes of basis) decomposes through adj = D . basis^-1.  Products come
-from the one sparse copy of the structure constants.  The ring answers
-each congruence number d(i, j) on its own, from one column difference
-(`BRing.d`), and p-classes come from the columns' residues mod p
-(`p_classes`); the full congruence matrix is built only for `dmatrix`,
-which prints it.  Everything downstream (p-equivalence, blocks, Ext/Tor)
-only sees this interface.
+A `BRing` is given by a Z-basis that is lower triangular with a nonzero
+diagonal, as every table of marks is: |(G/H)^K| vanishes unless K is
+subconjugate to H (tom Dieck, LNM 766, ch. 1).  The table of marks gives
+one through `MarksTable.ring`, but any such basis may be tested without
+a group.  All arithmetic is integer.  The ring keeps each row's nonzero
+entries and peels: coordinates, products and idempotent denominators
+come from the highest index down, one exact division by a diagonal entry
+per step.  Products come from the one sparse copy of the structure
+constants.  The ring answers each congruence number d(i, j) on its own,
+from one column difference (`BRing.d`), and p-classes come from the
+columns' residues mod p (`p_classes`); the full congruence matrix is
+built only for `dmatrix`, which prints it.  Everything downstream
+(p-equivalence, blocks, Ext/Tor) only sees this interface.
 """
 
 from __future__ import annotations
@@ -31,17 +31,17 @@ class BRing:
     """A subring R of Z^I with pointwise operations, given by a Z-basis.
 
     The basis must be square (separation forces R to have full rank) and
-    the all-ones vector must decompose integrally.  Pairwise basis
-    products must decompose integrally as well; their nonzero coordinates
-    are the structure constants read by the mod-p and oracle layers.
+    lower triangular, basis_m vanishing past index m, with a nonzero
+    diagonal; any other basis raises `ValueError`.  The all-ones vector
+    must decompose integrally.  Pairwise basis products must decompose
+    integrally as well; their nonzero coordinates are the structure
+    constants read by the mod-p and oracle layers.
 
-    Decomposition is integer only.  A lower triangular basis keeps, for
-    each m, the nonzero (j, b) of basis_m left of its diagonal
-    (`_lower`) and the diagonal entry, and peels every vector over them;
-    `denominator_multiple` is then the product T of the |diagonal| entries,
-    and T . basis^-1 is integral.  Any other basis builds adj = D .
-    basis^-1 on first use (`_adjugate`), for the least positive integer D,
-    so a coordinate is one integer dot product and an exact division by D.
+    Decomposition is integer only.  The ring keeps, for each m, the
+    nonzero (j, b) of basis_m left of its diagonal (`_lower`) and the
+    diagonal entry, and peels every vector over them;
+    `denominator_multiple` is the product T of the |diagonal| entries,
+    and T . basis^-1 is integral.
     """
 
     def __init__(self, labels: list[str], basis: list[list[int]]):
@@ -52,12 +52,15 @@ class BRing:
         if any(len(v) != self.n for v in basis):
             raise ValueError("basis vectors must have one entry per index")
         self.basis = [list(v) for v in basis]
-        if self.triangular:
-            self._diagonal = [row[m] for m, row in enumerate(self.basis)]
-            if not all(self._diagonal):
-                raise ValueError("basis vectors are linearly dependent over Q")
-            self._lower = [[(j, row[j]) for j in compress(range(m), row)]
-                           for m, row in enumerate(self.basis)]
+        if any(any(row[m + 1:]) for m, row in enumerate(self.basis)):
+            raise ValueError("basis must be lower triangular: basis vector m "
+                             "must vanish past index m, as the rows of a "
+                             "table of marks do")
+        self._diagonal = [row[m] for m, row in enumerate(self.basis)]
+        if not all(self._diagonal):
+            raise ValueError("basis vectors are linearly dependent over Q")
+        self._lower = [[(j, row[j]) for j in compress(range(m), row)]
+                       for m, row in enumerate(self.basis)]
         self.unit_coeffs = self.decompose([1] * self.n)
         self._structure: list[list[list[tuple[int, int]]]] | None = None
         self._d: dict[tuple[int, int], int] = {}  # d(i, j) by (i, j), i < j
@@ -87,15 +90,11 @@ class BRing:
     def _scaled_coordinates(self, vector) -> tuple[int, list[int]]:
         """(s, s . x) for x the rational coordinates of `vector`.
 
-        A triangular basis peels x from the highest index down.  Where a
-        division by the diagonal leaves a remainder, the vector and the
-        coordinates peeled so far are scaled up by the least factor that
-        makes it exact, so s is the least positive integer with s . x
-        integral.  Any other basis has s = D of `_adjugate`.
+        x is peeled from the highest index down.  Where a division by the
+        diagonal leaves a remainder, the vector and the coordinates peeled
+        so far are scaled up by the least factor that makes it exact, so s
+        is the least positive integer with s . x integral.
         """
-        if not self.triangular:
-            D, columns = self._adjugate
-            return D, [sum(map(mul, vector, col)) for col in columns]
         diagonal, lower = self._diagonal, self._lower
         rest, coeffs, s = list(vector), [0] * self.n, 1
         for m in range(self.n - 1, -1, -1):
@@ -128,27 +127,15 @@ class BRing:
         (pointwise product), in increasing m.
 
         Products commute, so c[l][k] is c[k][l]; the first non-integral
-        product met in (k, l) order has l >= k, so only those are solved.
-        A lower triangular basis (a table of marks) peels each product
-        (`_peel_products`); any other basis decomposes it through
-        `decompose`.
+        product met in (k, l) order has l >= k, so only those are peeled
+        (`_peel_products`).
         """
         if self._structure is None:
-            n, basis = self.n, self.basis
-            sc = [[None] * n for _ in range(n)]
-            if self.triangular:
-                self._peel_products(sc)
-            else:
-                for k in range(n):
-                    for l in range(k, n):
-                        coords = self.decompose(list(map(mul, basis[k], basis[l])))
-                        sc[k][l] = sc[l][k] = [(m, c) for m, c in enumerate(coords)
-                                               if c]
-            self._structure = sc
+            self._structure = self._peel_products()
         return self._structure
 
-    def _peel_products(self, sc: list[list]) -> None:
-        """Fill sc[k][l] = sc[l][k] for k <= l on a triangular basis.
+    def _peel_products(self) -> list[list[list[tuple[int, int]]]]:
+        """sc[k][l] = sc[l][k] for k <= l, peeled.
 
         basis_k vanishes past k, so the product lives on the nonzero
         entries of row k that row l shares.  It is written into one
@@ -161,6 +148,7 @@ class BRing:
         below = [sum(1 << j for j, _ in row) for row in lower]
         support = [mask | 1 << m for m, mask in enumerate(below)]
         rows = [row + [(m, diagonal[m])] for m, row in enumerate(lower)]
+        sc = [[None] * n for _ in range(n)]
         scratch = [0] * n
         for k in range(n):
             row_k, support_k = rows[k], support[k]
@@ -190,29 +178,14 @@ class BRing:
                         live |= below[m]
                 pairs.reverse()
                 sc[k][l] = sc[l][k] = pairs
-
-    @cached_property
-    def triangular(self) -> bool:
-        """Whether basis_m vanishes past index m for every m, as the rows
-        of a table of marks do."""
-        return all(not any(row[m + 1:]) for m, row in enumerate(self.basis))
-
-    @cached_property
-    def _adjugate(self) -> tuple[int, list[list[int]]]:
-        """(D, the columns of adj = D . basis^-1) for the least D > 0, on a
-        basis that is not triangular."""
-        adj, D = _scaled_inverse(self.basis)
-        return D, [list(col) for col in zip(*adj)]
+        return sc
 
     @cached_property
     def denominator_multiple(self) -> int:
         """A positive multiple of `denominator`, so that it times any vector
-        of Z^I lies in R: on a triangular basis the product T of the
-        |diagonal| entries (T . basis^-1 is integral by Cramer's rule), on
-        any other the D of `_adjugate`."""
-        if self.triangular:
-            return math.prod(map(abs, self._diagonal))
-        return self._adjugate[0]
+        of Z^I lies in R: the product T of the |diagonal| entries
+        (T . basis^-1 is integral by Cramer's rule)."""
+        return math.prod(map(abs, self._diagonal))
 
     def _check_closure(self) -> None:
         try:
@@ -283,45 +256,14 @@ class BRing:
         return congruence_d(self)
 
 
-def _scaled_inverse(matrix: list[list[int]]) -> tuple[list[list[int]], int]:
-    """(adj, D) with adj = D . matrix^-1 and D > 0 the least such integer.
-
-    Gauss-Jordan over Z on [matrix | I]: a row is cleared by an integer
-    combination with the pivot row and then divided by the gcd of its
-    entries, which keeps entries small and leaves each row i as
-    [d_i e_i | r_i] with gcd(d_i, r_i) = 1.  Row i of the inverse is then
-    r_i / d_i in lowest terms, so D = lcm |d_i|.  Only a basis that is
-    not triangular comes here; a triangular one is peeled instead.
-    """
-    n = len(matrix)
-    rows = [list(matrix[i]) + [int(i == j) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        sel = next((r for r in range(col, n) if rows[r][col] != 0), None)
-        if sel is None:
-            raise ValueError("basis vectors are linearly dependent over Q")
-        rows[col], rows[sel] = rows[sel], rows[col]
-        pivot_row = rows[col]
-        a = pivot_row[col]
-        for r in range(n):
-            b = rows[r][col]
-            if r != col and b != 0:
-                g = math.gcd(a, b)
-                fa, fb = a // g, b // g
-                row = [fa * x - fb * y for x, y in zip(rows[r], pivot_row)]
-                g = math.gcd(*row)
-                rows[r] = [x // g for x in row] if g != 1 else row
-    D = math.lcm(*(rows[i][i] for i in range(n)))
-    return [[x * (D // rows[i][i]) for x in rows[i][n:]] for i in range(n)], D
-
-
 class CongruenceMatrix:
     """d(i, j): the largest modulus with r(i) = r(j) mod d for all r in R.
 
     d(i, j) is the gcd over the basis of r(i) - r(j), one C-level gcd over
-    the difference of columns i and j.  On a lower triangular basis only
-    rows i.. are nonzero in column i, and rows i..j-1 are zero in column j
-    (i < j): the difference starts at row j, and column i over rows
-    i..j-1 enters as a gcd kept running while j grows.
+    the difference of columns i and j.  The basis is lower triangular, so
+    only rows i.. are nonzero in column i, and rows i..j-1 are zero in
+    column j (i < j): the difference starts at row j, and column i over
+    rows i..j-1 enters as a gcd kept running while j grows.
     """
 
     def __init__(self, ring: BRing):
@@ -329,16 +271,12 @@ class CongruenceMatrix:
         n = ring.n
         self._d = [[0] * n for _ in range(n)]
         cols = list(zip(*ring.basis))
-        triangular = ring.triangular
         for i in range(n):
             col_i = cols[i]
-            head = 0  # gcd of col_i over rows i..j-1 on a triangular basis
+            head = 0  # gcd of col_i over rows i..j-1
             for j in range(i + 1, n):
-                start = 0
-                if triangular:
-                    head = math.gcd(head, col_i[j - 1])
-                    start = j
-                g = math.gcd(head, *map(sub, col_i[start:], cols[j][start:]))
+                head = math.gcd(head, col_i[j - 1])
+                g = math.gcd(head, *map(sub, col_i[j:], cols[j][j:]))
                 if g == 0:
                     raise SeparationFailure(
                         f"indices {ring.labels[i]} and {ring.labels[j]} are "
@@ -406,8 +344,9 @@ class PrimeEquivalence:
 def p_classes(ring: BRing, p: int) -> PrimeEquivalence:
     """The p-classes of the indices: i ~_p j when p | d(i, j).
 
-    p divides d(i, j), the gcd over the basis of b(i) - b(j), exactly when
-    columns i and j agree mod p.  So each column is keyed by its nonzero
+    On any lower-triangular basis, a table of marks or not, p divides
+    d(i, j), the gcd over the basis of b(i) - b(j), exactly when columns i
+    and j agree mod p.  So each column is keyed by its nonzero
     (row, residue) pairs, read off the rows in one pass, and the classes
     are the groups of equal keys: an equivalence by construction, with no
     d(i, j) read.  Classes come in the order of their least index, and

@@ -70,6 +70,15 @@ class ModPAlgebra:
         The unit's `multiples` must be the unit vectors.  Commutativity is
         checked on the ring's (m, c) pairs that every product reads: e_k e_l
         and e_l e_k must have the same pairs, over Z and so mod p.
+
+        The basis is lower triangular, so the minor theta[C][r_D] over the
+        classes' representatives r_C is basis[r_D][r_C] mod p, zero for
+        r_C > r_D: triangular up to the order of the classes, with diagonal
+        basis[r_C][r_C] mod p.  Where no diagonal entry vanishes mod p,
+        theta is surjective and no echelon is built; otherwise the rank of
+        theta is taken in an echelon.  The test only ever proves
+        surjectivity, so a partition that is too fine still fails: if it
+        splits i ~_p j with i < j, then basis[i][i] = basis[i][j] = 0 mod p.
         """
         n, w = self.dim, self.lanes.width
         if self.multiples(enumerate(self.unit)) != [1 << (m * w)
@@ -79,6 +88,9 @@ class ModPAlgebra:
         if any(sc[k][l] != sc[l][k]
                for k in range(n) for l in range(k + 1, n)):
             raise InvariantViolation("structure constants not commutative")
+        basis, p = self.ring.basis, self.p
+        if all(basis[i][i] % p for i in (cls[0] for cls in self.classes)):
+            return
         ech = self.echelon()
         for row in self.theta:
             ech.insert(self.pack(row))
@@ -253,17 +265,17 @@ class LocalBlock:
     def socle(self) -> list[list[int]]:
         """Basis of Ann(M) inside the block, in block coordinates.
 
-        x is in it when x * e_a = 0 for every basis element e_a of M; for
-        a one-dimensional block M = 0 and the socle is the whole block.
-        Column b of that system holds e_b e_a in block a - 1, a >= 1: the
-        products of `mult[b]`, packed from their pairs and laid side by
-        side in blocks of whole bytes (`join_packed`).
+        By Nakayama M = sum e_a S over the a of `m_generators`, so x.M = 0
+        exactly when x * e_a = 0 for those a; for a one-dimensional block
+        there are none, and the socle is the whole block.  Column b of
+        that system holds e_b e_a for the t-th generator a in block t:
+        the products of `mult[b]`, packed from their pairs and laid side
+        by side in blocks of whole bytes (`join_packed`).
         """
-        s, lanes = self.dim, self.algebra.lanes
+        s, lanes, gens = self.dim, self.algebra.lanes, self.m_generators
         p, w = lanes.p, lanes.width
         nbytes = block_bytes(s, w)
-        cols = [join_packed((pack_pairs(row[a], p, w) for a in range(1, s)),
-                            nbytes)
+        cols = [join_packed((pack_pairs(row[a], p, w) for a in gens), nbytes)
                 for row in self.mult]
         return [unpack(v, s, w)
                 for v in fp_lane_kernel_of_columns(cols, lanes)]
@@ -290,8 +302,8 @@ def blocks(algebra: ModPAlgebra) -> list[LocalBlock]:
     The block idempotent is the image of the ghost idempotent 1_C (Dress,
     Yoshida).  1_C lies in R tensor Z_(p), so m . 1_C is in R for some m
     prime to p; T . 1_C is in R for T the ring's `denominator_multiple`
-    (the product of the diagonal of a table of marks) too, so gcd(m, T) .
-    1_C is, and with it D' . 1_C for D' the p-free part of T.
+    (the product of the diagonal of its basis) too, so gcd(m, T) . 1_C
+    is, and with it D' . 1_C for D' the p-free part of T.
     Hence e_C = D'^-1 . decompose(D' . 1_C) mod p, one exact decomposition
     per class (`NonIntegralSolution` if 1_C were not p-integral); it is
     the reduction of the coordinates of 1_C in R tensor Z_(p), so every

@@ -2,11 +2,11 @@
 p-classes read off the congruence matrix, and label and p-class lookups
 no command needs.
 
-A triangular `BRing` (a table of marks) peels every vector over the
-nonzero entries of its rows and never inverts its basis.
-`DenseCoordinates` decomposes through adj = D . basis^-1 from
-`bring._scaled_inverse`, the route every basis took before, and which
-non-triangular bases still take: the tests check the peel against it.
+A `BRing` (its basis lower triangular, as a table of marks is) peels
+every vector over the nonzero entries of its rows and never inverts its
+basis.  `DenseCoordinates` decomposes through adj = D . basis^-1 from
+`_scaled_inverse`, the route every basis took before: the tests check
+the peel against it.
 `p_classes_by_d` is the route `bring.p_classes` took before it read the
 columns' residues: a greedy scan of the full congruence matrix and an n^2
 check that p | d(i, j) is transitive.  `d_by_label` and `same_class`
@@ -19,9 +19,39 @@ from __future__ import annotations
 import math
 from operator import mul
 
-from burnside.bring import PrimeEquivalence, _scaled_inverse
+from burnside.bring import PrimeEquivalence
 from burnside.errors import InvariantViolation, NonIntegralSolution
 from burnside.permgroup import check_prime
+
+
+def _scaled_inverse(matrix: list[list[int]]) -> tuple[list[list[int]], int]:
+    """(adj, D) with adj = D . matrix^-1 and D > 0 the least such integer.
+
+    Gauss-Jordan over Z on [matrix | I]: a row is cleared by an integer
+    combination with the pivot row and then divided by the gcd of its
+    entries, which keeps entries small and leaves each row i as
+    [d_i e_i | r_i] with gcd(d_i, r_i) = 1.  Row i of the inverse is then
+    r_i / d_i in lowest terms, so D = lcm |d_i|.
+    """
+    n = len(matrix)
+    rows = [list(matrix[i]) + [int(i == j) for j in range(n)] for i in range(n)]
+    for col in range(n):
+        sel = next((r for r in range(col, n) if rows[r][col] != 0), None)
+        if sel is None:
+            raise ValueError("basis vectors are linearly dependent over Q")
+        rows[col], rows[sel] = rows[sel], rows[col]
+        pivot_row = rows[col]
+        a = pivot_row[col]
+        for r in range(n):
+            b = rows[r][col]
+            if r != col and b != 0:
+                g = math.gcd(a, b)
+                fa, fb = a // g, b // g
+                row = [fa * x - fb * y for x, y in zip(rows[r], pivot_row)]
+                g = math.gcd(*row)
+                rows[r] = [x // g for x in row] if g != 1 else row
+    D = math.lcm(*(rows[i][i] for i in range(n)))
+    return [[x * (D // rows[i][i]) for x in rows[i][n:]] for i in range(n)], D
 
 
 class DenseCoordinates:

@@ -10,13 +10,16 @@ over the basis and all s^2 products, the reference for `modp._build_block`,
 which reads them off the multiples' coordinates and the ring's (m, c)
 pairs with no product of vectors; `dense` spreads one (m, c) table entry
 over its s coordinates, and `assert_pairs_table` checks the shape of a
-block table.
+block table.  `socle_by_full_annihilator` is the socle as it was built
+before `LocalBlock.socle` read it over the generators of M only: one
+kernel over every product e_b e_a with a >= 1.
 """
 
 from __future__ import annotations
 
 from burnside.errors import InvariantViolation, NotLocal
-from burnside.fplinalg import fp_lane_kernel_of_columns, unpack
+from burnside.fplinalg import (block_bytes, fp_lane_kernel_of_columns,
+                               join_packed, pack_pairs, unpack)
 from burnside.modp import ModPAlgebra
 from fplinalg_reference import nullspace
 
@@ -134,3 +137,15 @@ def block_by_kernel(algebra: ModPAlgebra, class_index: int,
     pairs = [[(m, -c % p) for m, c in enumerate(unpack(k, s, w)) if c]
              for k in kernel]
     return basis, [pairs[a * s:(a + 1) * s] for a in range(s)]
+
+
+def socle_by_full_annihilator(block) -> list[list[int]]:
+    """Ann(M) of a `LocalBlock`, from x * e_a = 0 for every a >= 1: column
+    b holds e_b e_a in block a - 1 of whole bytes, all s - 1 of them."""
+    s, lanes = block.dim, block.algebra.lanes
+    p, w = lanes.p, lanes.width
+    nbytes = block_bytes(s, w)
+    cols = [join_packed((pack_pairs(row[a], p, w) for a in range(1, s)),
+                        nbytes)
+            for row in block.mult]
+    return [unpack(v, s, w) for v in fp_lane_kernel_of_columns(cols, lanes)]

@@ -3,10 +3,8 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from burnside import bring
 from burnside.bring import (BRing, PrimeEquivalence, congruence_d,
                             p_classes, separators)
-from burnside.cli import main
 from burnside.errors import (InvalidPrime, InvariantViolation,
                              NonIntegralSolution, SeparationFailure)
 from burnside.exttor import ExtTorContext, prime_factors
@@ -126,25 +124,27 @@ def test_idempotent_denominators_s3():
 
 
 def test_generic_basis_accepted():
-    ring = BRing(["a", "b"], [[1, 1], [0, 2]])
+    ring = BRing(["a", "b"], [[2, 0], [1, 1]])
     d = congruence_d(ring)
     assert d.d(0, 1) == 2
     assert p_classes(ring, 2).classes == [[0, 1]]
     assert p_classes(ring, 3).classes == [[0], [1]]
     sep = separators(ring)
-    assert sep.ghosts[0][1] == 0 and sep.ghosts[0][0] != 0
+    assert sep.ghosts[1][0] == 0 and sep.ghosts[1][1] != 0
 
 
 def test_generic_basis_rejections():
-    with pytest.raises(ValueError):
-        BRing(["a", "b"], [[1, 1]])  # not square
-    with pytest.raises(ValueError):
-        BRing(["a", "b"], [[1, 1], [2, 2]])  # dependent
+    with pytest.raises(ValueError, match="one vector per index"):
+        BRing(["a", "b"], [[1, 0]])  # not square
+    with pytest.raises(ValueError, match="linearly dependent"):
+        BRing(["a", "b"], [[1, 0], [2, 0]])  # dependent
+    with pytest.raises(ValueError, match="lower triangular"):
+        BRing(["a", "b"], [[1, 1], [0, 2]])  # upper triangular
     with pytest.raises(NonIntegralSolution):
         BRing(["a", "b"], [[2, 0], [0, 3]])  # unit not in the span
     with pytest.raises(SeparationFailure):
         BRing(["a", "b", "c"],
-              [[1, 1, 1], [0, 2, 1], [0, 0, 3]])  # products escape the span
+              [[3, 0, 0], [1, 2, 0], [1, 1, 1]])  # products escape the span
 
 
 def test_ghost_of_matches_marks_rows():
@@ -177,7 +177,7 @@ def _fraction_idempotent_denominator(ring, i):
 
 @pytest.mark.parametrize("name", CORPUS + [D4_C3, None])
 def test_idempotent_denominator_matches_rational_solve(name):
-    ring = (BRing(["a", "b"], [[1, 1], [0, 2]]) if name is None
+    ring = (BRing(["a", "b"], [[2, 0], [1, 1]]) if name is None
             else get_context(name).ring)
     for i in range(ring.n):
         assert (ring.idempotent_denominator(i)
@@ -204,12 +204,11 @@ def test_ring_memoises_each_d_it_is_asked():
 @pytest.mark.parametrize("change", ["marks", "unimodular"])
 @pytest.mark.parametrize("name", CORPUS + ["(1 2 3),(4 5 6),(7 8 9)"])
 def test_congruence_matrix_matches_the_per_row_gcd(name, change):
-    # the column-wise gcd, with its triangular shortcut on a marks basis,
-    # against the plain gcd over every basis row
-    ring = get_context(name).ring
-    if change == "unimodular":
-        ring = unimodular_change(ring)
-    assert ring.triangular == (change == "marks")
+    # the column-wise gcd, each difference from row j on and the rows
+    # above as a running gcd, against the plain gcd over every basis row
+    marks = get_context(name).ring
+    ring = marks if change == "marks" else unimodular_change(marks)
+    assert (ring.basis == marks.basis) == (change == "marks")
     dmat = congruence_d(ring)
     for i in range(ring.n):
         for j in range(i + 1, ring.n):
@@ -234,8 +233,7 @@ _CHANGED = {}
 
 def _ring_and_order(name, change):
     """The ring of `name` in its marks basis or `unimodular_change`d, and
-    |G|.  The dense route of a changed basis is O(n^4), so only the small
-    rings take it."""
+    |G|; the change is built once per group."""
     ctx = get_context(name)
     if change == "marks":
         return ctx.ring, ctx.group_order
@@ -253,7 +251,6 @@ def _residue_primes(order):
 @pytest.mark.parametrize("name, change", RESIDUE_CASES)
 def test_residue_partitions_match_the_d_route(name, change):
     ring, order = _ring_and_order(name, change)
-    assert ring.triangular == (change == "marks")
     for p in _residue_primes(order):
         part, reference = p_classes(ring, p), p_classes_by_d(ring, p)
         assert part.classes == reference.classes, p
@@ -343,7 +340,9 @@ def test_peel_raises_the_dense_routes_separation_failure():
         BRing(["a", "b", "c"], basis)
 
 
-def test_only_a_triangular_basis_is_peeled(monkeypatch):
+def test_every_basis_is_peeled(monkeypatch):
+    # a table of marks and a change of it alike decompose only the unit:
+    # every product is peeled, none decomposed
     calls = []
     decompose = BRing.decompose
 
@@ -358,8 +357,18 @@ def test_only_a_triangular_basis_is_peeled(monkeypatch):
     assert calls == [[1] * n]  # the unit only
     calls.clear()
     unimodular_change(ring)
-    # the unit, then every product with l >= k
-    assert len(calls) == 1 + n * (n + 1) // 2
+    assert calls == [[1] * n]
+
+
+def test_a_basis_off_the_lower_triangle_is_refused():
+    # the rule is the shape of a table of marks: the same ring with its
+    # indices reversed, or one row moved up, is refused before any product
+    ring = get_marks("S3").ring
+    reversed_indices = [row[::-1] for row in ring.basis[::-1]]
+    moved = [ring.basis[1], ring.basis[0]] + ring.basis[2:]
+    for basis in (reversed_indices, moved):
+        with pytest.raises(ValueError, match="basis must be lower triangular"):
+            BRing(ring.labels, basis)
 
 
 PEELED = CORPUS + [D4_C3, "(1 2),(3 4),(5 6),(7 8)", "(1 2 3),(4 5 6),(7 8 9)"]
@@ -384,7 +393,6 @@ def _outcome(decompose, vector):
 @given(data=st.data())
 def test_peeled_decompose_matches_the_dense_route(name, data):
     ring, dense = get_context(name).ring, _dense(name)
-    assert ring.triangular
     entries = st.lists(st.integers(-60, 60), min_size=ring.n, max_size=ring.n)
     coeffs = data.draw(entries, label="coefficients")
     inside = ring.ghost_of(coeffs)
@@ -413,29 +421,3 @@ def test_peeled_denominators_and_blocks_match_the_dense_route(name):
 def test_zero_on_a_triangular_diagonal_is_dependent():
     with pytest.raises(ValueError, match="linearly dependent over Q"):
         BRing(["a", "b", "c"], [[2, 0, 0], [1, 0, 0], [1, 1, 1]])
-
-
-@pytest.mark.parametrize("spec", [("--group", "S3"), ("--gens", D4_C3)])
-def test_marks_path_builds_no_dense_inverse(spec, capsys, tmp_path,
-                                            monkeypatch):
-    requests = [["dmatrix"], ["blocks", "-p", "2"],
-                ["ext", "--source", "1", "--target", "1"],
-                ["verify", "--suite", "oracle"]
-                + (["--max-degree", "1"] if spec[0] == "--gens" else [])]
-    argvs = [req + [*spec, "--cache-dir", str(tmp_path)] for req in requests]
-
-    def outputs():
-        out = []
-        for argv in argvs:
-            code = main(argv)
-            out.append((code, capsys.readouterr().out))
-        return out
-
-    unpatched = outputs()
-    assert all(code == 0 for code, _ in unpatched)
-
-    def refuse(matrix):
-        raise AssertionError("a triangular basis built a dense inverse")
-
-    monkeypatch.setattr(bring, "_scaled_inverse", refuse)
-    assert outputs() == unpatched

@@ -13,7 +13,7 @@ from burnside.modp import ModPAlgebra, blocks, blocks_report
 from burnside.permgroup import is_prime
 from fplinalg_reference import FpEchelon, nullspace
 from modp_reference import (_mul, assert_pairs_table, block_by_kernel, dense,
-                            nilpotent_span)
+                            nilpotent_span, socle_by_full_annihilator)
 from util import get_context, unimodular_change
 
 CORPUS = ["S3", "C4", "C6", "V4", "D4", "Q8", "S4"]
@@ -494,6 +494,51 @@ def test_algebra_rejects_a_split_partition(monkeypatch, name, p):
     _force_partition(monkeypatch, split)
     with pytest.raises(InvariantViolation, match="theta is not surjective"):
         ModPAlgebra(ring, p)
+
+
+@pytest.mark.parametrize("name,p", KERNEL_REFERENCE_CASES + [
+    case for case in PARTITION_CASES if case not in KERNEL_REFERENCE_CASES])
+def test_socle_over_the_generators_matches_the_full_annihilator(name, p):
+    # x.M = 0 exactly when x kills the generators of M (Nakayama)
+    for block in blocks(get_context(name).algebra(p)):
+        assert block.socle == socle_by_full_annihilator(block), (name, p)
+
+
+def test_socle_over_the_generators_of_s4_x_c2_cubed():
+    # the two 67-dimensional blocks at p = 2 read their socle over 15 of
+    # the 66 basis elements of M; the 567-dimensional one (39 of 566) is
+    # left to CI, as the full annihilator takes it past 400 MiB
+    algebra = get_context("(1 2 3 4),(1 2),(5 6),(7 8),(9 10)").algebra(2)
+    small = [b for b in blocks(algebra) if b.dim == 67]
+    assert len(small) == 2
+    for block in small:
+        assert len(block.m_generators) == 15
+        assert block.socle == socle_by_full_annihilator(block)
+
+
+@pytest.mark.parametrize("name, p", [("S3", 5), ("C6", 7), ("S4", 5),
+                                     ("(1 2),(3 4),(5 6)", 3)])
+def test_coprime_prime_builds_no_surjectivity_echelon(monkeypatch, name, p):
+    # every class is one index, whose diagonal entry [N(H):H] divides |G|:
+    # theta's minor on the representatives is triangular with units on
+    # its diagonal, so theta is surjective with no echelon formed
+    ring = get_context(name).ring
+    calls = _count_calls(monkeypatch, "insert", owner=FpLaneEchelon)
+    algebra = ModPAlgebra(ring, p)
+    assert all(len(cls) == 1 for cls in algebra.classes)
+    assert calls == []
+
+
+@pytest.mark.parametrize("name, p", SEVERAL_CLASSES)
+def test_a_representative_diagonal_divisible_by_p_runs_the_echelon(
+        monkeypatch, name, p):
+    # [N(1):1] = |G| at the least representative, 1, so the diagonal test
+    # cannot decide and theta's rows go through the echelon, all of them
+    ring = get_context(name).ring
+    calls = _count_calls(monkeypatch, "insert", owner=FpLaneEchelon)
+    algebra = ModPAlgebra(ring, p)
+    assert ring.basis[0][0] % p == 0
+    assert len(calls) == len(algebra.classes)
 
 
 BLOCK_COUNT_CASES = [("S3", 2), ("D4", 2), ("A4", 3),

@@ -10,8 +10,7 @@ from burnside.resolution import ext_dims_pair
 from intlinalg_reference import (kernel_of_columns, mat_mul,
                                  quotient_structure, smith_invariants)
 from oracle_reference import oracle_ext_simple_dims
-from util import (dense_diffs, evaluation_matrix, get_context, r_multiples,
-                  unimodular_change)
+from util import dense_diffs, evaluation_matrix, get_context, r_multiples
 
 
 def test_integral_resolution_is_exact_complex():
@@ -72,9 +71,11 @@ def test_bar_resolution_is_exact_over_z(name):
 
 def test_bar_resolution_needs_one_in_the_basis():
     ring = get_context("S3").ring
-    # the same ring with its basis reversed and then summed pairwise:
-    # 1 + [G/H] takes the place of 1, and no basis vector is 1
-    other = unimodular_change(BRing(ring.labels, ring.basis[::-1]))
+    # the same ring with its last row, 1, replaced by 1 + [G/H] for the
+    # row before: still lower triangular, but no basis vector is 1
+    basis = ring.basis
+    last = [a + b for a, b in zip(basis[-1], basis[-2])]
+    other = BRing(ring.labels, basis[:-1] + [last])
     assert [1] * ring.n not in other.basis
     with pytest.raises(InvariantViolation, match="1 as a basis vector"):
         IntegralResolution(other, 0)

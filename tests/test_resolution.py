@@ -153,7 +153,7 @@ def _resolution_cache_for(block):
 
 def test_generic_ring_resolution():
     # dim-2 block of a synthetic basis behaves like dual numbers
-    ring = BRing(["a", "b"], [[1, 1], [0, 2]])
+    ring = BRing(["a", "b"], [[2, 0], [1, 1]])
     block = blocks(ModPAlgebra(ring, 2))[0]
     assert block.dim == 2
     assert betti_sequence(block, 6) == [1] * 7
@@ -163,7 +163,7 @@ def test_square_zero_closed_form_higher_embedding_dim():
     # synthetic one-class ring whose block has M^2 = 0 and e = 3: the
     # syzygies triple every step, b_l = 3^l
     ring = BRing(["a", "b", "c", "d"],
-                 [[1, 1, 1, 1], [0, 2, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2]])
+                 [[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0], [1, 1, 1, 1]])
     algebra = ModPAlgebra(ring, 2)
     assert [len(c) for c in algebra.classes] == [4]
     block = blocks(algebra)[0]
@@ -869,7 +869,7 @@ def test_annihilator_indices_are_the_basis_elements_in_the_socle(name, p):
 def _synthetic_e3_block():
     # the one-class ring of test_square_zero_closed_form_higher_embedding_dim
     ring = BRing(["a", "b", "c", "d"],
-                 [[1, 1, 1, 1], [0, 2, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2]])
+                 [[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0], [1, 1, 1, 1]])
     return blocks(ModPAlgebra(ring, 2))[0]
 
 

@@ -38,11 +38,13 @@ def get_context(name) -> ExtTorContext:
 
 
 def unimodular_change(ring) -> BRing:
-    """basis_k + basis_(k+1), last vector kept: an upper unitriangular
-    change of the Z-basis, so the same ring in other coordinates."""
+    """basis_k + basis_(k-1), first vector kept: a lower unitriangular
+    change of the Z-basis, so the same ring in other coordinates, and
+    still a lower triangular basis with the same diagonal."""
     basis = ring.basis
-    return BRing(ring.labels, [[a + b for a, b in zip(basis[k], basis[k + 1])]
-                               for k in range(ring.n - 1)] + [basis[-1]])
+    return BRing(ring.labels, [basis[0]] + [
+        [a + b for a, b in zip(basis[k], basis[k - 1])]
+        for k in range(1, ring.n)])
 
 
 def dense_diffs(res) -> list[list[list[list[int]]]]:
